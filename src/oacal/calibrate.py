@@ -1,20 +1,23 @@
 """Hessian-driven layer calibration.
 
-Columns are quantized left to right. Quantizing column q forces a residual
-delta on that column; the unquantized columns to the right absorb the
-compensation
+Every backend runs the same column sweep (`_sweep`). Columns are quantized
+left to right by a per-column codec: affine group codes (with isolated
+outliers and double-quantized statistics for the SpQR-style backend) or
+binary planes. Quantizing column q forces a residual delta on that column;
+the unquantized columns to the right absorb the compensation
 
     update_q = -(residual / inv_qq) * inv_q_row
 
 evaluated on the inverse of the Hessian restricted to the still-active
 columns. The trailing-submatrix inverses are read off the upper Cholesky
-factor of the full damped inverse, so one factorization per layer suffices.
-Updates are batched per block: columns inside the current block are
-compensated immediately, everything to the right receives the accumulated
-block update when the block closes.
+factor U of the full damped inverse, and diag(H^-1) (for saliency) is the
+column sums of U^2, so one factorization per layer suffices. Updates are
+batched per block: columns inside the current block are compensated
+immediately, everything to the right receives the accumulated block update
+when the block closes. Without compensation the same codec runs over the
+columns as they are.
 
-Every backend (plain, outlier-isolating, binary) accepts both Hessian
-flavours through the same interface.
+Every backend accepts both Hessian flavours through the same interface.
 """
 from __future__ import annotations
 
@@ -29,20 +32,12 @@ from .errors import (
     ShapeMismatch,
 )
 from .hessian import HessianMode, regularize
-from .linalg import (
-    as_matrix,
-    as_sym_matrix,
-    cholesky,
-    cholesky_inverse,
-    inverse_upper_factor,
-)
+from .linalg import as_matrix, as_sym_matrix, inverse_upper_factor
 from .quant import (
     BinaryLayer,
     QuantizedLayer,
     SCALE_FLOOR,
-    AffineParams,
     affine_bit_account,
-    binarize_region,
     binary_bit_account,
     double_quantize_stats,
     group_edges,
@@ -140,9 +135,9 @@ def saliency(w, w_hat, h_inv_diag_k):
     return s if s.ndim else float(s)
 
 
-def _inverse_diag(h) -> np.ndarray:
-    inv = cholesky_inverse(cholesky(h))
-    diag = np.diag(inv).copy()
+def _inverse_diag(upper: np.ndarray) -> np.ndarray:
+    """diag(H^-1) from the upper factor U of H^-1 = U.T @ U: column sums of U^2."""
+    diag = np.sum(upper**2, axis=0)
     if np.any(diag <= 0.0):
         raise NonPositiveDiagonal("inverse diagonal not strictly positive")
     return diag
@@ -155,7 +150,10 @@ def detect_outliers(w, h, spec: CalibSpec, h_inv_diag=None) -> np.ndarray:
     the layer's mean saliency; that normalization is echoed in reports.
     """
     m = as_matrix(w)
-    diag = _inverse_diag(h) if h_inv_diag is None else np.asarray(h_inv_diag)
+    if h_inv_diag is None:
+        diag = _inverse_diag(inverse_upper_factor(h))
+    else:
+        diag = np.asarray(h_inv_diag)
     if diag.shape[0] != m.shape[1]:
         raise ShapeMismatch("hessian dim must match the column count")
     naive = rtn_quantize(m, spec.bits, spec.group_size).dequantize()
@@ -190,12 +188,48 @@ def _prepare(w, h, spec: CalibSpec):
             f"hessian dim {sym.shape[0]} != layer column count {m.shape[1]}"
         )
     damped = regularize(sym, spec.alpha)
-    hinv = cholesky_inverse(cholesky(damped))
-    diag = np.diag(hinv).copy()
-    if np.any(diag <= 0.0):
-        raise NonPositiveDiagonal("inverse diagonal not strictly positive")
     upper = inverse_upper_factor(damped)
-    return m, damped, diag, upper
+    return m, damped, _inverse_diag(upper), upper
+
+
+def _sweep(work, upper, block_size: int, codec, trace: list | None = None):
+    """Quantize the columns of `work` left to right through `codec`.
+
+    `codec(q, col)` records column q's codes and returns its dequantized
+    values. With `upper`, the upper factor of the damped inverse, each
+    residual is compensated on the columns to its right as described above,
+    updating `work` in place; `upper=None` quantizes the columns as they are.
+    Returns the dequantized matrix and the per-column update norms; `trace`
+    receives a copy of `work` after every block.
+    """
+    d_row, d_col = work.shape
+    w_hat = np.empty_like(work)
+    update_norms: list[float] = []
+    for i1 in range(0, d_col, block_size):
+        i2 = min(i1 + block_size, d_col)
+        err_block = np.zeros((d_row, i2 - i1))
+        for q in range(i1, i2):
+            col = work[:, q]
+            deq = codec(q, col)
+            w_hat[:, q] = deq
+            if upper is None:
+                update_norms.append(0.0)
+                continue
+            d = upper[q, q]
+            if d <= 0.0:
+                raise NonPositiveDiagonal("upper factor diagonal not positive")
+            err_scaled = (col - deq) / d
+            work[:, q:i2] -= np.outer(err_scaled, upper[q, q:i2])
+            err_block[:, q - i1] = err_scaled
+            tail = upper[q, q + 1 :]
+            update_norms.append(
+                float(np.linalg.norm(err_scaled) * np.linalg.norm(tail))
+            )
+        if upper is not None and i2 < d_col:
+            work[:, i2:] -= err_block @ upper[i1:i2, i2:]
+        if trace is not None:
+            trace.append(work.copy())
+    return w_hat, update_norms
 
 
 def _proxy_error(delta: np.ndarray, damped: np.ndarray) -> float:
@@ -218,6 +252,10 @@ def calibrate_layer(
     adversarial layers, and the guard makes "never worse than RTN" hold by
     construction. A fallback is disclosed in the report.
 
+    With the SpQR backend the group statistics are double-quantized and the
+    layer's `stats_q` is the list of per-group records (one `StatsQuant` per
+    column group); otherwise it is None.
+
     When `trace` is a list, a copy of the working matrix is appended after
     every block flush (per column with block_size=1), which lets tests check
     the sequential updates against a direct constrained solver step by step.
@@ -234,69 +272,44 @@ def calibrate_layer(
         outlier_mask = detect_outliers(m, damped, spec, h_inv_diag=inv_diag)
 
     edges = group_edges(d_col, spec.group_size)
-    group_start = {c0: g for g, (c0, c1) in enumerate(edges)}
     col_group = np.repeat(np.arange(len(edges)), [c1 - c0 for c0, c1 in edges])
 
     work = m.copy()
-    w_hat = np.empty_like(m)
     codes = np.empty((d_row, d_col), dtype=np.int64)
     scales = np.empty((d_row, len(edges)))
     zeros = np.empty((d_row, len(edges)))
     mins = np.empty((d_row, len(edges)))
     stats_records = [] if spec.backend is Backend.SPQR else None
-    update_norms: list[float] = []
 
-    for i1 in range(0, d_col, spec.block_size):
-        i2 = min(i1 + spec.block_size, d_col)
-        err_block = np.zeros((d_row, i2 - i1))
-        for q in range(i1, i2):
-            if q in group_start:
-                g = group_start[q]
-                c0, c1 = edges[g]
-                scale, zero, mn = _fit_group_rows(
-                    work[:, c0:c1], bits, valid=~outlier_mask[:, c0:c1]
-                )
-                if spec.backend is Backend.SPQR:
-                    params = [
-                        AffineParams(scale[r], zero[r], mn[r]) for r in range(d_row)
-                    ]
-                    record, params = double_quantize_stats(
-                        params, spec.stat_bits, spec.stat_group
-                    )
-                    stats_records.append(record)
-                    scale = np.array([p.scale for p in params])
-                    zero = np.array([p.zero for p in params])
-                scales[:, g] = scale
-                zeros[:, g] = zero
-                mins[:, g] = mn
-            g = col_group[q]
-            s_col = scales[:, g]
-            z_col = zeros[:, g]
-            col = work[:, q]
-            code = np.clip(round_half_away(col / s_col + z_col), 0, maxq)
-            deq = (code - z_col) * s_col
-            const = s_col <= SCALE_FLOOR
-            if np.any(const):
-                deq = np.where(const, mins[:, g], deq)
-            out_rows = outlier_mask[:, q]
-            if np.any(out_rows):
-                deq = np.where(out_rows, m[:, q], deq)
-            codes[:, q] = code.astype(np.int64)
-            w_hat[:, q] = deq
-            d = upper[q, q]
-            if d <= 0.0:
-                raise NonPositiveDiagonal("upper factor diagonal not positive")
-            err_scaled = (col - deq) / d
-            work[:, q:i2] -= np.outer(err_scaled, upper[q, q:i2])
-            err_block[:, q - i1] = err_scaled
-            tail = upper[q, q + 1 :]
-            update_norms.append(
-                float(np.linalg.norm(err_scaled) * np.linalg.norm(tail))
+    def codec(q, col):
+        g = col_group[q]
+        c0, c1 = edges[g]
+        if q == c0:
+            scale, zero, mn = _fit_group_rows(
+                work[:, c0:c1], bits, valid=~outlier_mask[:, c0:c1]
             )
-        if i2 < d_col:
-            work[:, i2:] -= err_block @ upper[i1:i2, i2:]
-        if trace is not None:
-            trace.append(work.copy())
+            if spec.backend is Backend.SPQR:
+                record, scale, zero = double_quantize_stats(
+                    scale, zero, spec.stat_bits, spec.stat_group
+                )
+                stats_records.append(record)
+            scales[:, g] = scale
+            zeros[:, g] = zero
+            mins[:, g] = mn
+        s_col = scales[:, g]
+        z_col = zeros[:, g]
+        code = np.clip(round_half_away(col / s_col + z_col), 0, maxq)
+        deq = (code - z_col) * s_col
+        const = s_col <= SCALE_FLOOR
+        if np.any(const):
+            deq = np.where(const, mins[:, g], deq)
+        out_rows = outlier_mask[:, q]
+        if np.any(out_rows):
+            deq = np.where(out_rows, m[:, q], deq)
+        codes[:, q] = code
+        return deq
+
+    w_hat, update_norms = _sweep(work, upper, spec.block_size, codec, trace)
 
     outliers = [
         (int(r), int(c), float(m[r, c])) for r, c in np.argwhere(outlier_mask)
@@ -364,7 +377,8 @@ def calibrate_layer_binary(
     same left-to-right compensation as the affine path runs over the
     binarization residuals. `compensate=False` skips the updates (baseline
     for paired comparisons); with `guard` the better of the compensated and
-    plain results under the damped objective is returned.
+    plain results under the damped objective is returned. Both use the same
+    salient set, split threshold and alphas.
 
     The alphas are the unrounded least-squares values (mean magnitudes of
     their region) and the threshold is the exact split-search result; the
@@ -397,63 +411,45 @@ def calibrate_layer_binary(
     else:
         threshold, alpha_low, alpha_high = 0.0, 0.0, 0.0
 
-    work = m.copy()
-    w_hat = np.empty_like(m)
-    signs1 = np.ones((d_row, d_col), dtype=np.int8)
-    signs2 = np.ones((d_row, d_col), dtype=np.int8)
-    membership = np.zeros((d_row, d_col), dtype=bool)
-    sal_alpha1 = np.zeros(d_col)
-    sal_alpha2 = np.zeros(d_col)
-    update_norms: list[float] = []
+    account = binary_bit_account(d_row, d_col, int(np.sum(salient)))
 
-    for i1 in range(0, d_col, spec.block_size):
-        i2 = min(i1 + spec.block_size, d_col)
-        err_block = np.zeros((d_row, i2 - i1))
-        for q in range(i1, i2):
-            col = work[:, q]
+    def binarize(upper):
+        signs1 = np.ones((d_row, d_col), dtype=np.int8)
+        signs2 = np.ones((d_row, d_col), dtype=np.int8)
+        membership = np.zeros((d_row, d_col), dtype=bool)
+        sal_alpha1 = np.zeros(d_col)
+        sal_alpha2 = np.zeros(d_col)
+
+        def codec(q, col):
             if salient[q]:
                 a1, s1, a2, s2 = residual_binarize(col)
-                deq = a1 * s1 + a2 * s2
                 sal_alpha1[q] = a1
                 sal_alpha2[q] = a2
-                signs1[:, q] = s1.astype(np.int8)
-                signs2[:, q] = s2.astype(np.int8)
-            else:
-                sgn = _signs(col)
-                high_rows = np.abs(col) > threshold
-                deq = sgn * np.where(high_rows, alpha_high, alpha_low)
-                signs1[:, q] = sgn.astype(np.int8)
-                membership[:, q] = high_rows
-            w_hat[:, q] = deq
-            if compensate:
-                d = upper[q, q]
-                if d <= 0.0:
-                    raise NonPositiveDiagonal("upper factor diagonal not positive")
-                err_scaled = (col - deq) / d
-                work[:, q:i2] -= np.outer(err_scaled, upper[q, q:i2])
-                err_block[:, q - i1] = err_scaled
-                tail = upper[q, q + 1 :]
-                update_norms.append(
-                    float(np.linalg.norm(err_scaled) * np.linalg.norm(tail))
-                )
-            else:
-                update_norms.append(0.0)
-        if compensate and i2 < d_col:
-            work[:, i2:] -= err_block @ upper[i1:i2, i2:]
+                signs1[:, q] = s1
+                signs2[:, q] = s2
+                return a1 * s1 + a2 * s2
+            sgn = _signs(col)
+            high_rows = np.abs(col) > threshold
+            signs1[:, q] = sgn
+            membership[:, q] = high_rows
+            return sgn * np.where(high_rows, alpha_high, alpha_low)
 
-    account = binary_bit_account(d_row, d_col, int(np.sum(salient)))
-    layer = BinaryLayer(
-        split_threshold=float(threshold),
-        alpha_low=alpha_low,
-        alpha_high=alpha_high,
-        salient_cols=salient,
-        sal_alpha1=sal_alpha1,
-        sal_alpha2=sal_alpha2,
-        signs1=signs1,
-        signs2=signs2,
-        membership=membership,
-        accounting=account,
-    )
+        w_hat, update_norms = _sweep(m.copy(), upper, spec.block_size, codec)
+        layer = BinaryLayer(
+            split_threshold=float(threshold),
+            alpha_low=alpha_low,
+            alpha_high=alpha_high,
+            salient_cols=salient,
+            sal_alpha1=sal_alpha1,
+            sal_alpha2=sal_alpha2,
+            signs1=signs1,
+            signs2=signs2,
+            membership=membership,
+            accounting=account,
+        )
+        return layer, _proxy_error(w_hat - m, damped), update_norms
+
+    layer, proxy, update_norms = binarize(upper if compensate else None)
     extra = {
         "backend": spec.backend.value,
         "hessian_mode": spec.hessian_mode.value,
@@ -461,15 +457,10 @@ def calibrate_layer_binary(
         "n_salient_cols": int(np.sum(salient)),
         "split_threshold": float(threshold),
     }
-    proxy = _proxy_error(w_hat - m, damped)
     if compensate and guard:
-        plain_layer, plain_report = calibrate_layer_binary(
-            w, h, spec, layer_name, compensate=False, guard=False
-        )
-        if plain_report.proxy_error < proxy:
-            layer = plain_layer
-            proxy = plain_report.proxy_error
-            update_norms = [0.0] * d_col
+        plain_layer, plain_proxy, plain_norms = binarize(None)
+        if plain_proxy < proxy:
+            layer, proxy, update_norms = plain_layer, plain_proxy, plain_norms
             extra["fallback"] = "no_compensation"
     report = CalibReport(
         layer=layer_name,

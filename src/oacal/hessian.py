@@ -21,7 +21,6 @@ from .errors import (
     EmptyAccumulator,
     EmptyInput,
     NegativeAlpha,
-    NonFinite,
 )
 from .linalg import as_matrix, as_sym_matrix, require_finite, symmetrize
 

@@ -103,6 +103,8 @@ def inverse_upper_factor(h) -> np.ndarray:
     Row q of U carries the trailing-submatrix inverse information used by the
     sequential column updates: for the active set {q..n}, the inverse of the
     restricted matrix satisfies inv_qq == U[q,q]**2 and inv[q, k] == U[q,q]*U[q,k].
+    The diagonal of the full inverse is diag(inverse(h))[k] == sum_q U[q,k]**2,
+    the column sums of U**2, so no second inverse is needed to read it.
     """
     inv = cholesky_inverse(cholesky(h))
     return cholesky(inv).lower.T.copy()

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import archive_read, archive_write
+from .archive import archive_write
 from .calibrate import (
     Backend,
     CalibReport,
@@ -252,7 +252,7 @@ def run_quantize(
     `write` the quantized checkpoint, the per-layer artifact archive, and the
     JSON report land in the output directory.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     model = load_checkpoint(config.checkpoint)
     streams = load_token_streams(config)
     rng = np.random.default_rng(config.seed)
@@ -279,16 +279,16 @@ def run_quantize(
     total_bits = 0.0
     total_weights = 0
     for b in range(model.config.n_blocks):
-        t0 = time.time()
+        t0 = time.perf_counter()
         accs = None
         if backend is not None:
             collector = (
                 harvest_block_gradients if adaptive else collect_agnostic_accumulators
             )
             accs = collector(current, b, samples, reduction)
-        phase1 += time.time() - t0
+        phase1 += time.perf_counter() - t0
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         updates = {}
         for name in block_layer_names(b):
             w = current.params[name]
@@ -324,20 +324,20 @@ def run_quantize(
             total_weights += w.size
             updates[name] = _f32(layer.dequantize())
         current = with_weights(current, updates)
-        phase2 += time.time() - t0
+        phase2 += time.perf_counter() - t0
 
     report.global_avg_bits = total_bits / total_weights
     report.phase_seconds = {
         "phase1_hessians": phase1,
         "phase2_calibration": phase2,
-        "total": time.time() - t_start,
+        "total": time.perf_counter() - t_start,
     }
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     report.valid_perplexity = perplexity(current, streams["valid"])
     report.test_perplexity = perplexity(current, streams["test"])
-    report.phase_seconds["eval"] = time.time() - t0
-    report.phase_seconds["total"] = time.time() - t_start
+    report.phase_seconds["eval"] = time.perf_counter() - t0
+    report.phase_seconds["total"] = time.perf_counter() - t_start
 
     if write:
         out = Path(config.out_dir)

@@ -18,7 +18,7 @@ least-squares magnitudes, and float32 would change the reconstruction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,7 +211,11 @@ def group_edges(d_col: int, group_size: int) -> list[tuple[int, int]]:
 
 @dataclass
 class QuantizedLayer:
-    """Integer codes plus per-(row, group) statistics and isolated outliers."""
+    """Integer codes plus per-(row, group) statistics and isolated outliers.
+
+    `stats_q` holds one double-quantization record per column group when the
+    statistics were double-quantized (SpQR-style calibration), else None.
+    """
 
     bits: int
     group_size: int
@@ -220,7 +224,7 @@ class QuantizedLayer:
     zeros: np.ndarray  # float64, d_row x n_groups
     mins: np.ndarray  # float64, d_row x n_groups
     outliers: list[tuple[int, int, float]]  # sorted by (row, col)
-    stats_q: "StatsQuant | None"
+    stats_q: "list[StatsQuant] | None"
     accounting: BitAccount
 
     @property
@@ -324,67 +328,65 @@ class StatsQuant:
     """Second-round quantization record for first-level scales and zeros.
 
     Each run of `stat_group` statistics is quantized relative to its minimum
-    (`bases`), which keeps the second-level grid tight even though scales are
-    strictly positive.
+    (`*_bases`), which keeps the second-level grid tight even though scales
+    are strictly positive. `*_steps` and `*_points` hold each run's affine
+    scale and zero point.
     """
 
     stat_bits: int
     stat_group: int
     scale_codes: np.ndarray
     zero_codes: np.ndarray
-    scale_params: list[AffineParams]
-    zero_params: list[AffineParams]
+    scale_steps: np.ndarray
+    zero_steps: np.ndarray
+    scale_points: np.ndarray
+    zero_points: np.ndarray
     scale_bases: np.ndarray
     zero_bases: np.ndarray
 
 
 def _dq_runs(values: np.ndarray, stat_bits: int, stat_group: int):
-    codes = np.empty(values.shape, dtype=np.int64)
-    deq = np.empty_like(values)
-    params = []
-    bases = []
-    for r0 in range(0, values.size, stat_group):
-        r1 = min(r0 + stat_group, values.size)
-        base = float(values[r0:r1].min())
-        p = fit_affine(values[r0:r1] - base, stat_bits)
-        codes[r0:r1], run_deq = quantize_dequantize(
-            values[r0:r1] - base, p, stat_bits
-        )
-        deq[r0:r1] = run_deq + base
-        params.append(p)
-        bases.append(base)
-    return codes, deq, params, np.array(bases)
+    # A ragged last run is padded with its own last value, which leaves the
+    # run's min and max, and so its fit, unchanged.
+    runs = np.pad(values, (0, -values.size % stat_group), mode="edge")
+    runs = runs.reshape(-1, stat_group)
+    bases = runs.min(axis=1)
+    shifted = runs - bases[:, None]
+    steps, points, _ = _fit_group_rows(shifted, stat_bits)
+    codes, deq = _code_group(shifted, steps, points, stat_bits)
+    # A run whose range is below the floor dequantizes to its base.
+    deq = np.where(steps[:, None] <= SCALE_FLOOR, 0.0, deq) + bases[:, None]
+    n = values.size
+    return codes.ravel()[:n], deq.ravel()[:n], steps, points, bases
 
 
 def double_quantize_stats(
-    groups: list[AffineParams], stat_bits: int, stat_group: int
-) -> tuple[StatsQuant, list[AffineParams]]:
+    scales, zeros, stat_bits: int, stat_group: int
+) -> tuple[StatsQuant, np.ndarray, np.ndarray]:
     """Affine-quantize first-level scales and zeros in runs of `stat_group`.
 
-    Returns the record plus replacement params whose dequantized statistics
+    Returns the record plus the dequantized scales and zeros, which
     supersede the originals for every later dequantization. Dequantized
     scales are floored to stay positive and snapped to float32 so reloads
     reproduce them exactly.
     """
-    if stat_bits < 2:
-        raise DimMismatch(f"stat_bits must be >= 2, got {stat_bits}")
-    if not groups:
+    if not 2 <= stat_bits <= 8:
+        raise DimMismatch(f"stat_bits must be in [2, 8], got {stat_bits}")
+    scales = np.asarray(scales, dtype=np.float64).ravel()
+    zeros = np.asarray(zeros, dtype=np.float64).ravel()
+    if scales.size == 0:
         raise EmptyGroup("no statistics to quantize")
-    scales = np.array([p.scale for p in groups])
-    zeros = np.array([p.zero for p in groups])
-    s_codes, s_deq, s_params, s_bases = _dq_runs(scales, stat_bits, stat_group)
-    z_codes, z_deq, z_params, z_bases = _dq_runs(zeros, stat_bits, stat_group)
-    s_deq = np.maximum(s_deq, SCALE_FLOOR)
-    s_deq = np.asarray(s_deq, dtype=np.float32).astype(np.float64)
-    z_deq = np.asarray(z_deq, dtype=np.float32).astype(np.float64)
+    if zeros.shape != scales.shape:
+        raise DimMismatch("scales and zeros must have the same length")
+    s_codes, s_deq, s_steps, s_points, s_bases = _dq_runs(scales, stat_bits, stat_group)
+    z_codes, z_deq, z_steps, z_points, z_bases = _dq_runs(zeros, stat_bits, stat_group)
+    s_deq = np.maximum(s_deq, SCALE_FLOOR).astype(np.float32).astype(np.float64)
+    z_deq = z_deq.astype(np.float32).astype(np.float64)
     record = StatsQuant(
-        stat_bits, stat_group, s_codes, z_codes, s_params, z_params, s_bases, z_bases
+        stat_bits, stat_group, s_codes, z_codes, s_steps, z_steps,
+        s_points, z_points, s_bases, z_bases,
     )
-    new_groups = [
-        replace(p, scale=float(s), zero=float(z))
-        for p, s, z in zip(groups, s_deq, z_deq)
-    ]
-    return record, new_groups
+    return record, s_deq, z_deq
 
 
 # ---------------------------------------------------------------------------
@@ -415,42 +417,37 @@ def residual_binarize(values) -> tuple[float, np.ndarray, float, np.ndarray]:
     return alpha1, signs1, alpha2, signs2
 
 
-def _split_error(mags: np.ndarray, threshold: float) -> float:
-    low = mags[mags <= threshold]
-    high = mags[mags > threshold]
-    err = 0.0
-    if low.size:
-        err += float(np.sum((low - low.mean()) ** 2))
-    if high.size:
-        err += float(np.sum((high - high.mean()) ** 2))
-    return err
-
-
 def splitting_search(values, n_candidates: int = 64) -> float:
     """Magnitude threshold that best separates a bell-shaped region in two.
 
     Candidates are the distinct |v| values when few, otherwise their
-    quantiles on a grid of at most `n_candidates`; ties resolve to the
-    smallest threshold.
+    quantiles on a grid of at most `n_candidates`. Each candidate t is scored
+    by the summed squared deviation of {|v| <= t} and {|v| > t} from their
+    means, sum(x^2) - sum(x)^2 / n per side, read off prefix sums of the
+    sorted magnitudes; ties resolve to the smallest threshold.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         raise EmptyGroup("cannot split an empty region")
-    mags = np.abs(v)
+    mags = np.sort(np.abs(v))
     distinct = np.unique(mags)
     if distinct.size <= n_candidates:
         candidates = distinct
     else:
         qs = np.linspace(0.0, 1.0, n_candidates)
         candidates = np.unique(np.quantile(distinct, qs))
-    best_t = float(candidates[0])
-    best_err = _split_error(mags, best_t)
-    for t in candidates[1:]:
-        err = _split_error(mags, float(t))
-        if err < best_err - 1e-15:
-            best_err = err
-            best_t = float(t)
-    return best_t
+    sums = np.concatenate([[0.0], np.cumsum(mags)])
+    squares = np.concatenate([[0.0], np.cumsum(mags**2)])
+    # The smallest candidate is the smallest magnitude, so n_low >= 1.
+    n_low = np.searchsorted(mags, candidates, side="right")
+    n_high = mags.size - n_low
+    err_low = squares[n_low] - sums[n_low] ** 2 / n_low
+    high_sums = sums[-1] - sums[n_low]
+    err_high = squares[-1] - squares[n_low] - high_sums**2 / np.maximum(n_high, 1)
+    err = err_low + err_high
+    # Scores within the prefix sums' rounding of the best count as ties.
+    tied = err <= err.min() + 1e-12 * squares[-1]
+    return float(candidates[np.argmax(tied)])
 
 
 @dataclass

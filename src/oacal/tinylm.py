@@ -11,7 +11,7 @@ computes x @ W.T, so W's columns line up with the layer's input dimension.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -25,13 +25,8 @@ from .errors import (
 from .hessian import (
     HessianAccumulator,
     HessianMode,
-    LogisticModel,
     Reduction,
     accumulate_adaptive,
-    fisher_expected_outer,
-    fisher_sampled_outer,
-    logistic_exact_hessian,
-    sigmoid,
 )
 
 RMS_EPS = 1e-6
@@ -57,7 +52,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "with_weights",
-    "logistic_suite",
 ]
 
 
@@ -524,38 +518,3 @@ def load_checkpoint(path) -> TinyLM:
             )
     return TinyLM(config, params)
 
-
-def logistic_suite(seed: int) -> dict:
-    """End-to-end curvature oracle on a trained logistic classifier.
-
-    Trains on synthetic separable-with-noise data, then reports the exact
-    Hessian, the analytic label-expectation of the gradient outer product,
-    and seeded sampled estimates at several sample counts.
-    """
-    rng = np.random.default_rng(seed)
-    d = 8
-    n = 256
-    w_true = rng.standard_normal(d) * 2.0
-    xs = rng.standard_normal((n, d))
-    y = (rng.random(n) < sigmoid(xs @ w_true)).astype(np.int64)
-
-    w = np.zeros(d)
-    lr = 0.5
-    for _ in range(300):
-        pi = sigmoid(xs @ w)
-        w -= lr * xs.T @ (pi - y) / n
-    model = LogisticModel(w)
-
-    exact = logistic_exact_hessian(model, xs)
-    analytic = fisher_expected_outer(model, xs)
-    sampled = {}
-    for n_draws in (100, 10_000):
-        est = fisher_sampled_outer(model, xs, n_draws, rng)
-        sampled[n_draws] = float(np.max(np.abs(est - exact)))
-    return {
-        "seed": seed,
-        "weights": w.tolist(),
-        "analytic_vs_exact_max_abs": float(np.max(np.abs(analytic - exact))),
-        "sampled_error_by_n": {str(k): v for k, v in sampled.items()},
-        "diag_exact": np.diag(exact).tolist(),
-    }

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oacal.calibrate
 from oacal.calibrate import (
     Backend,
     CalibSpec,
@@ -358,6 +359,43 @@ class TestCalibrateLayerBinary:
             w, np.eye(64), self.spec(salient_fraction=0.08)
         )
         assert 1.05 <= layer.accounting.avg_bits_per_weight <= 1.15
+
+
+class TestOneFactorizationPerLayer:
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        original = getattr(oacal.calibrate, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oacal.calibrate, name, counting)
+        return calls
+
+    def test_guarded_binary_factorizes_and_splits_once(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        w = rng.standard_normal((12, 16))
+        h = make_agnostic_h(rng, 16)
+        spec = CalibSpec(alpha=0.1, backend=Backend.BINARY)
+        _, with_comp = calibrate_layer_binary(w, h, spec, guard=False)
+        _, plain = calibrate_layer_binary(w, h, spec, compensate=False)
+        factorizations = self.count_calls(monkeypatch, "inverse_upper_factor")
+        searches = self.count_calls(monkeypatch, "splitting_search")
+        _, guarded = calibrate_layer_binary(w, h, spec)
+        assert len(factorizations) == 1
+        assert len(searches) == 1
+        assert guarded.proxy_error == min(with_comp.proxy_error, plain.proxy_error)
+
+    def test_spqr_factorizes_once(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        w = rng.standard_normal((8, 16))
+        h = make_agnostic_h(rng, 16)
+        spec = CalibSpec(bits=2, group_size=4, alpha=0.1, backend=Backend.SPQR)
+        factorizations = self.count_calls(monkeypatch, "inverse_upper_factor")
+        calibrate_layer(w, h, spec)
+        assert len(factorizations) == 1
 
 
 class TestSweepAlpha:

@@ -86,6 +86,13 @@ class TestInverseUpperFactor:
         u = inverse_upper_factor(m)
         assert np.allclose(u, np.triu(u))
         np.testing.assert_allclose(u.T @ u, np.linalg.inv(m), atol=1e-9)
+        # diag(inverse) is read off the factor as the column sums of U^2
+        np.testing.assert_allclose(
+            np.sum(u**2, axis=0),
+            np.diag(cholesky_inverse(cholesky(m))),
+            rtol=1e-12,
+            atol=0,
+        )
 
     def test_rows_encode_trailing_inverses(self):
         # For the active set {q..n}, inv(M[q:, q:])[0, k-q] == u[q,q] * u[q,k].

@@ -158,18 +158,19 @@ class TestRtnQuantize:
 
 class TestDoubleQuantizeStats:
     def test_constant_scales_exact(self):
-        groups = [AffineParams(0.5, 1.0, -0.5) for _ in range(8)]
-        record, new = double_quantize_stats(groups, stat_bits=3, stat_group=4)
-        for p in new:
-            assert p.scale == 0.5
-            assert p.zero == 1.0
+        record, new_scales, new_zeros = double_quantize_stats(
+            np.full(8, 0.5), np.full(8, 1.0), stat_bits=3, stat_group=4
+        )
+        for scale, zero in zip(new_scales, new_zeros):
+            assert scale == 0.5
+            assert zero == 1.0
 
     def test_stat_error_bound(self):
         rng = np.random.default_rng(45)
         scales = rng.uniform(0.1, 2.0, size=16)
-        groups = [AffineParams(float(s), 1.0, 0.0) for s in scales]
-        record, new = double_quantize_stats(groups, stat_bits=8, stat_group=16)
-        new_scales = np.array([p.scale for p in new])
+        record, new_scales, _ = double_quantize_stats(
+            scales, np.ones(16), stat_bits=8, stat_group=16
+        )
         stat_range = scales.max() - scales.min()
         assert np.max(np.abs(new_scales - scales)) < 0.01 * stat_range
 
@@ -191,9 +192,10 @@ class TestDoubleQuantizeStats:
         assert account.avg_bits_per_weight == pytest.approx(recomputed, abs=0)
 
     def test_dequantized_scales_stay_positive(self):
-        groups = [AffineParams(s, 0.0, 0.0) for s in [1e-9, 1.0, 2.0, 3.0]]
-        _, new = double_quantize_stats(groups, stat_bits=2, stat_group=4)
-        assert all(p.scale > 0 for p in new)
+        _, new_scales, _ = double_quantize_stats(
+            np.array([1e-9, 1.0, 2.0, 3.0]), np.zeros(4), stat_bits=2, stat_group=4
+        )
+        assert all(scale > 0 for scale in new_scales)
 
 
 class TestBinaryOps:
@@ -261,6 +263,25 @@ class TestSplittingSearch:
     def test_constant_magnitude_degenerate(self):
         t = splitting_search([0.5, -0.5, 0.5])
         assert t == 0.5
+
+    @staticmethod
+    def candidates(mags, n_candidates=64):
+        distinct = np.unique(mags)
+        if distinct.size <= n_candidates:
+            return distinct
+        qs = np.linspace(0.0, 1.0, n_candidates)
+        return np.unique(np.quantile(distinct, qs))
+
+    @pytest.mark.parametrize("size", [7, 40, 64, 65, 300])
+    def test_returns_brute_force_best_candidate(self, size):
+        # <= 64 distinct magnitudes are all candidates; more use the quantile grid
+        rng = np.random.default_rng(48 + size)
+        for _ in range(20):
+            vals = rng.standard_normal(size) * rng.uniform(0.01, 10.0)
+            mags = np.abs(vals)
+            candidates = self.candidates(mags)
+            errors = [self.split_error(mags, t) for t in candidates]
+            assert splitting_search(vals) == candidates[int(np.argmin(errors))]
 
     def test_matches_fine_grid_oracle(self):
         rng = np.random.default_rng(47)
