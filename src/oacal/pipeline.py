@@ -2,9 +2,10 @@
 
 A run walks the transformer blocks in order. Phase 1 builds each layer's
 Hessian on the current model state (earlier blocks already quantized, so
-later statistics see the propagated error); phase 2 calibrates and installs
-the dequantized float32 weights. Everything numeric that affects the output
-is echoed into the JSON report.
+later statistics see the propagated error): the calibration windows are
+embedded once and carried from block to block through the installed weights.
+Phase 2 calibrates and installs the dequantized float32 weights. Everything
+numeric that affects the output is echoed into the JSON report.
 """
 from __future__ import annotations
 
@@ -31,13 +32,13 @@ from .tinylm import (
     TinyLM,
     block_layer_names,
     collect_agnostic_accumulators,
+    embed_windows,
     harvest_block_gradients,
     load_checkpoint,
     perplexity,
     sample_calibration_windows,
     save_checkpoint,
     tokenize,
-    with_weights,
 )
 
 METHODS = (
@@ -253,13 +254,13 @@ def run_quantize(
     JSON report land in the output directory.
     """
     t_start = time.perf_counter()
-    model = load_checkpoint(config.checkpoint)
+    current = load_checkpoint(config.checkpoint)
     streams = load_token_streams(config)
     rng = np.random.default_rng(config.seed)
     samples = sample_calibration_windows(
         streams["train"],
         config.n_calibration_samples,
-        model.config.context_length,
+        current.config.context_length,
         rng,
     )
     spec = config.calib_spec(alpha)
@@ -272,20 +273,22 @@ def run_quantize(
         seed=config.seed,
         method=config.method,
     )
-    current = model
+    inputs = None if backend is None else embed_windows(current, samples)
     layer_artifacts: dict[str, np.ndarray] = {}
     layer_meta: dict[str, dict] = {}
     phase1 = phase2 = 0.0
     total_bits = 0.0
     total_weights = 0
-    for b in range(model.config.n_blocks):
+    for b in range(current.config.n_blocks):
         t0 = time.perf_counter()
         accs = None
         if backend is not None:
             collector = (
                 harvest_block_gradients if adaptive else collect_agnostic_accumulators
             )
-            accs = collector(current, b, samples, reduction)
+            accs = collector(current, b, inputs, reduction)
+            if b == current.config.n_blocks - 1:
+                inputs = None  # the propagated inputs are not needed any more
         phase1 += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -323,7 +326,7 @@ def run_quantize(
             total_bits += layer.accounting.total_bits
             total_weights += w.size
             updates[name] = _f32(layer.dequantize())
-        current = with_weights(current, updates)
+        current.params.update(updates)  # in place: no second copy of the model
         phase2 += time.perf_counter() - t0
 
     report.global_avg_bits = total_bits / total_weights

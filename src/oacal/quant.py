@@ -10,7 +10,7 @@ Affine quantization follows the asymmetric min-max scheme:
 Rounding is half-away-from-zero everywhere. Scales are rounded *up* to the
 nearest float32 on construction so that serialized layers dequantize
 bit-identically after a reload while the half-step error bound survives the
-cast. Constant groups keep their exact value through the stored group min.
+cast. Constant groups dequantize to their group min, rounded to float32.
 
 In the archive (`layer_to_tensors`) every entry is 32-bit except the binary
 alphas (`binalphas/*`), which are 64-bit: binary alphas are the unrounded
@@ -277,7 +277,8 @@ def _fit_group_rows(block: np.ndarray, bits: int, valid: np.ndarray | None = Non
         constant, SCALE_FLOOR, _f32_round_up(np.where(constant, 1.0, (hi - lo) / maxq))
     )
     zero = np.where(constant, 0.0, np.clip(round_half_away(-lo / scale), 0, maxq))
-    return scale, zero, mn
+    # constant groups dequantize to their min: round it as the archive stores it
+    return scale, zero, mn.astype(np.float32).astype(np.float64)
 
 
 def _code_group(block, scale, zero, bits):

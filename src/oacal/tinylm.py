@@ -3,13 +3,16 @@
 The model is deliberately small (vocab 128, d_model 64, two pre-norm blocks
 of single-head attention plus a tanh MLP) so that exact per-sample weight
 gradients are cheap: they feed the adaptive Hessian accumulators, and every
-derivative is checked against finite differences in the tests.
+derivative is checked against finite differences in the tests. One
+per-block forward (`block_forward`) serves the whole model and the
+calibration collectors, which carry each window's block input forward.
 
 Activations are row vectors; a linear layer with weight W (d_out x d_in)
 computes x @ W.T, so W's columns line up with the layer's input dimension.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, asdict
 
@@ -27,6 +30,7 @@ from .hessian import (
     HessianMode,
     Reduction,
     accumulate_adaptive,
+    accumulate_agnostic_batch,
 )
 
 RMS_EPS = 1e-6
@@ -36,14 +40,17 @@ __all__ = [
     "TrainConfig",
     "TinyLM",
     "CalibSample",
+    "BlockInputs",
     "tokenize",
     "init_model",
     "block_layer_names",
     "quantizable_layers",
     "layer_input_name_map",
+    "block_forward",
     "lm_forward",
     "lm_forward_loss",
     "lm_backward",
+    "embed_windows",
     "harvest_block_gradients",
     "collect_agnostic_accumulators",
     "perplexity",
@@ -123,22 +130,23 @@ def quantizable_layers(model: TinyLM) -> list[str]:
     return names
 
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
+    """Every parameter's shape, in initialization order."""
+    d, ff, v = config.d_model, config.d_ff, config.vocab_size
+    shapes = {"embed": (v, d), "head": (v, d)}
+    for b in range(config.n_blocks):
+        shapes.update(zip(block_layer_names(b), [(d, d)] * 4 + [(ff, d), (d, ff)]))
+    return shapes
+
+
 def init_model(config: ModelConfig, seed: int) -> TinyLM:
     rng = np.random.default_rng(seed)
-    d, ff, v = config.d_model, config.d_ff, config.vocab_size
     resid_scale = 1.0 / np.sqrt(2.0 * config.n_blocks)
-    params = {
-        "embed": rng.normal(0.0, 0.02, size=(v, d)),
-        "head": rng.normal(0.0, 0.02, size=(v, d)),
-    }
-    for b in range(config.n_blocks):
-        base = f"blk{b}"
-        params[f"{base}.attn.wq"] = rng.normal(0.0, 0.02, size=(d, d))
-        params[f"{base}.attn.wk"] = rng.normal(0.0, 0.02, size=(d, d))
-        params[f"{base}.attn.wv"] = rng.normal(0.0, 0.02, size=(d, d))
-        params[f"{base}.attn.wo"] = rng.normal(0.0, 0.02 * resid_scale, size=(d, d))
-        params[f"{base}.mlp.fc1"] = rng.normal(0.0, 0.02, size=(ff, d))
-        params[f"{base}.mlp.fc2"] = rng.normal(0.0, 0.02 * resid_scale, size=(d, ff))
+    params = {}
+    for name, shape in _param_shapes(config).items():
+        # residual-branch outputs start smaller
+        std = 0.02 * resid_scale if name.endswith((".wo", ".fc2")) else 0.02
+        params[name] = rng.normal(0.0, std, size=shape)
     return TinyLM(config, params)
 
 
@@ -156,11 +164,13 @@ def with_weights(model: TinyLM, replacements: dict[str, np.ndarray]) -> TinyLM:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _positions(context: int, d_model: int) -> np.ndarray:
     pos = np.arange(context)[:, None]
     i = np.arange(d_model)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / d_model)
     enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    enc.setflags(write=False)
     return enc
 
 
@@ -194,59 +204,60 @@ def layer_input_name_map(block: int) -> dict[str, str]:
     }
 
 
-def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
-    """Next-token probabilities per position plus the backward cache."""
+def _embed(model: TinyLM, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Checked token ids and their residual-stream input to block 0."""
     cfg = model.config
     ids = _check_ids(ids, cfg.vocab_size)
     t = ids.shape[0]
     if t > cfg.context_length:
-        raise DimMismatch(
-            f"sequence length {t} exceeds context {cfg.context_length}"
-        )
-    p = model.params
-    scale = 1.0 / np.sqrt(cfg.d_model)
-    mask = np.triu(np.full((t, t), -np.inf), k=1)
+        raise DimMismatch(f"sequence length {t} exceeds context {cfg.context_length}")
+    return ids, model.params["embed"][ids] + _positions(cfg.context_length, cfg.d_model)[:t]
 
-    x = p["embed"][ids] + _positions(cfg.context_length, cfg.d_model)[:t]
-    cache: dict = {"ids": ids, "x0": x, "blocks": []}
-    for b in range(cfg.n_blocks):
-        base = f"blk{b}"
-        a, ra = _rms_norm(x)
-        q = a @ p[f"{base}.attn.wq"].T
-        k = a @ p[f"{base}.attn.wk"].T
-        v = a @ p[f"{base}.attn.wv"].T
-        att = _softmax(q @ k.T * scale + mask)
-        mix = att @ v
-        x_mid = x + mix @ p[f"{base}.attn.wo"].T
-        m_in, rm = _rms_norm(x_mid)
-        h_pre = m_in @ p[f"{base}.mlp.fc1"].T
-        h_act = np.tanh(h_pre)
-        x = x_mid + h_act @ p[f"{base}.mlp.fc2"].T
-        cache["blocks"].append(
-            {
-                "x_in": cache["x0"] if b == 0 else cache["blocks"][-1]["x_out"],
-                "attn_in": a,
-                "r_attn": ra,
-                "q": q,
-                "k": k,
-                "v": v,
-                "att": att,
-                "attn_mix": mix,
-                "x_mid": x_mid,
-                "mlp_in": m_in,
-                "r_mlp": rm,
-                "mlp_act": h_act,
-                "x_out": x,
-            }
-        )
+
+def block_forward(model: TinyLM, block: int, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """One pre-norm block on residual-stream rows `x`: its output and backward cache."""
+    p = model.params
+    base = f"blk{block}"
+    t = x.shape[0]
+    scale = 1.0 / np.sqrt(model.config.d_model)
+    a, ra = _rms_norm(x)
+    q = a @ p[f"{base}.attn.wq"].T
+    k = a @ p[f"{base}.attn.wk"].T
+    v = a @ p[f"{base}.attn.wv"].T
+    att = _softmax(q @ k.T * scale + np.triu(np.full((t, t), -np.inf), k=1))
+    mix = att @ v
+    x_mid = x + mix @ p[f"{base}.attn.wo"].T
+    m_in, rm = _rms_norm(x_mid)
+    h_act = np.tanh(m_in @ p[f"{base}.mlp.fc1"].T)
+    x_out = x_mid + h_act @ p[f"{base}.mlp.fc2"].T
+    return x_out, dict(
+        x_in=x, attn_in=a, r_attn=ra, q=q, k=k, v=v, att=att, attn_mix=mix,
+        x_mid=x_mid, mlp_in=m_in, r_mlp=rm, mlp_act=h_act,
+    )
+
+
+def _head_forward(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Final norm, logits and next-token probabilities of the last block's output."""
     f, rf = _rms_norm(x)
-    logits = f @ p["head"].T
-    cache["final_in"] = x
-    cache["r_final"] = rf
-    cache["final_norm"] = f
-    cache["logits"] = logits
+    logits = f @ model.params["head"].T
     probs = _softmax(logits)
+    return probs, dict(final_in=x, r_final=rf, final_norm=f, logits=logits, probs=probs)
+
+
+def _forward_from(model: TinyLM, ids: np.ndarray, first: int, x: np.ndarray):
+    """Forward from block `first`'s input `x` to the head; cache keeps blocks >= first."""
+    blocks = {}
+    for b in range(first, model.config.n_blocks):
+        x, blocks[b] = block_forward(model, b, x)
+    probs, cache = _head_forward(model, x)
+    cache.update(ids=ids, blocks=blocks)
     return probs, cache
+
+
+def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
+    """Next-token probabilities per position plus the backward cache."""
+    ids, x = _embed(model, ids)
+    return _forward_from(model, ids, 0, x)
 
 
 def _mean_ce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -265,33 +276,30 @@ def lm_forward_loss(model: TinyLM, sample: CalibSample) -> float:
 
 
 def lm_backward(
-    model: TinyLM, sample: CalibSample, blocks: list[int] | None = None
+    model: TinyLM, cache: dict, blocks: list[int] | None = None
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean cross-entropy for the weight matrices.
+    """Exact gradients of the mean cross-entropy from a forward's `cache`.
 
     With `blocks` given, only those blocks' layer gradients are produced and
     backpropagation stops once the earliest requested block is done; the
-    other blocks stay frozen, as in per-block gradient harvesting.
+    other blocks stay frozen, as in per-block gradient harvesting. A forward
+    started at a stored block input can serve only its own blocks.
     """
     cfg = model.config
     p = model.params
-    ids = _check_ids(sample.ids, cfg.vocab_size)
+    ids = cache["ids"]
     t = ids.shape[0]
     if t < 2:
         raise DimMismatch("need at least two tokens for a next-token loss")
-    _, cache = lm_forward(model, ids)
-
     want_all = blocks is None
     wanted = set(range(cfg.n_blocks)) if want_all else set(blocks)
-    if not want_all:
-        bad = [b for b in wanted if not 0 <= b < cfg.n_blocks]
-        if bad:
-            raise DimMismatch(f"block index out of range: {bad}")
+    bad = [b for b in wanted if b not in cache["blocks"]]
+    if bad:
+        raise DimMismatch(f"block index out of range of the forward: {bad}")
     lowest = min(wanted) if wanted else 0
 
     n_pred = t - 1
-    probs = _softmax(cache["logits"])
-    dlogits = probs.copy()
+    dlogits = cache["probs"].copy()
     dlogits[np.arange(n_pred), ids[1:]] -= 1.0
     dlogits[:n_pred] /= n_pred
     dlogits[n_pred:] = 0.0
@@ -303,7 +311,7 @@ def lm_backward(
     dx = _rms_backward(dlogits @ p["head"], cache["final_in"], cache["r_final"])
 
     scale = 1.0 / np.sqrt(cfg.d_model)
-    for b in reversed(range(cfg.n_blocks)):
+    for b in sorted(cache["blocks"], reverse=True):
         blk = cache["blocks"][b]
         base = f"blk{b}"
         take = b in wanted
@@ -347,28 +355,52 @@ def lm_backward(
     return grads
 
 
+@dataclass
+class BlockInputs:
+    """Calibration windows at their residual-stream input to `block`; the
+    collectors move `xs` in place through the (installed) blocks on the way."""
+
+    ids: list[np.ndarray]
+    xs: list[np.ndarray]
+    block: int = 0
+
+
+def embed_windows(model: TinyLM, samples: list[CalibSample]) -> BlockInputs:
+    """Embed every calibration window once, as inputs to block 0."""
+    if not samples:
+        raise DimMismatch("need at least one calibration sample")
+    ids, xs = zip(*(_embed(model, s.ids) for s in samples))
+    return BlockInputs(list(ids), list(xs))
+
+
+def _advance(model: TinyLM, inputs: BlockInputs, block_index: int) -> None:
+    if not inputs.block <= block_index < model.config.n_blocks:
+        raise DimMismatch(f"inputs at block {inputs.block} cannot serve {block_index}")
+    for b in range(inputs.block, block_index):
+        for i, x in enumerate(inputs.xs):
+            inputs.xs[i] = block_forward(model, b, x)[0]
+    inputs.block = block_index
+
+
 def harvest_block_gradients(
     model: TinyLM,
     block_index: int,
-    samples: list[CalibSample],
+    inputs: BlockInputs,
     reduction: Reduction = Reduction.SUM,
 ) -> dict[str, HessianAccumulator]:
     """Adaptive Hessian accumulators for one block's linear layers.
 
-    Gradients for the other blocks are never computed (they stay frozen);
-    each sample contributes one G^T G term per layer.
+    Each window runs from its stored input to block `block_index` through the
+    head and back (other blocks stay frozen), adding one G^T G per layer.
     """
-    if not samples:
-        raise DimMismatch("need at least one calibration sample")
-    if not 0 <= block_index < model.config.n_blocks:
-        raise DimMismatch(f"block index {block_index} out of range")
-    accs: dict[str, HessianAccumulator] = {}
-    for name in block_layer_names(block_index):
-        accs[name] = HessianAccumulator(
-            model.params[name].shape[1], HessianMode.ADAPTIVE, reduction
-        )
-    for sample in samples:
-        grads = lm_backward(model, sample, blocks=[block_index])
+    _advance(model, inputs, block_index)
+    accs = {
+        name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE, reduction)
+        for name in block_layer_names(block_index)
+    }
+    for ids, x in zip(inputs.ids, inputs.xs):
+        # the forward cache dies with the backward, not at the next window
+        grads = lm_backward(model, _forward_from(model, ids, block_index, x)[1], [block_index])
         for name, acc in accs.items():
             accumulate_adaptive(acc, grads[name])
     return accs
@@ -377,30 +409,23 @@ def harvest_block_gradients(
 def collect_agnostic_accumulators(
     model: TinyLM,
     block_index: int,
-    samples: list[CalibSample],
+    inputs: BlockInputs,
     reduction: Reduction = Reduction.SUM,
 ) -> dict[str, HessianAccumulator]:
     """Classic input-outer-product accumulators for one block's layers.
 
-    Every position of every sample contributes one x x^T term to the layer
-    whose input it feeds.
+    Only block `block_index` runs, on the stored inputs; every position adds
+    one x x^T, and layers reading the same input share one accumulator.
     """
-    from .hessian import accumulate_agnostic_batch
-
-    if not samples:
-        raise DimMismatch("need at least one calibration sample")
-    input_map = layer_input_name_map(block_index)
-    accs: dict[str, HessianAccumulator] = {}
-    for name in block_layer_names(block_index):
-        accs[name] = HessianAccumulator(
-            model.params[name].shape[1], HessianMode.AGNOSTIC, reduction
-        )
-    for sample in samples:
-        _, cache = lm_forward(model, sample.ids)
-        blk = cache["blocks"][block_index]
-        for name, acc in accs.items():
-            accumulate_agnostic_batch(acc, blk[input_map[name]])
-    return accs
+    _advance(model, inputs, block_index)
+    sources = layer_input_name_map(block_index)
+    dims = {source: model.params[name].shape[1] for name, source in sources.items()}
+    by_input = {s: HessianAccumulator(d, HessianMode.AGNOSTIC, reduction) for s, d in dims.items()}
+    for x in inputs.xs:
+        _, blk = block_forward(model, block_index, x)
+        for source, acc in by_input.items():
+            accumulate_agnostic_batch(acc, blk[source])
+    return {name: by_input[source] for name, source in sources.items()}
 
 
 def perplexity(model: TinyLM, tokens) -> float:
@@ -460,9 +485,10 @@ def train_tiny_lm(
             k: np.zeros_like(v) for k, v in model.params.items()
         }
         for off in offsets:
-            sample = CalibSample(tokens[off : off + ctx], int(off))
-            total_loss += lm_forward_loss(model, sample)
-            for k, g in lm_backward(model, sample).items():
+            ids = tokens[off : off + ctx]
+            _, cache = lm_forward(model, ids)
+            total_loss += _mean_ce_from_logits(cache["logits"][:-1], ids[1:])
+            for k, g in lm_backward(model, cache).items():
                 grad_sum[k] += g
         inv_b = 1.0 / train.batch_size
         gnorm = np.sqrt(
@@ -508,13 +534,12 @@ def load_checkpoint(path) -> TinyLM:
         if key not in tensors:
             raise ArchitectureMismatch(f"checkpoint is missing tensor {key!r}")
         params[name] = tensors[key].astype(np.float64)
-    reference = init_model(config, seed=0)
-    for name, mat in reference.params.items():
+    for name, shape in _param_shapes(config).items():
         if name not in params:
             raise ArchitectureMismatch(f"sidecar is missing layer {name!r}")
-        if params[name].shape != mat.shape:
+        if params[name].shape != shape:
             raise ArchitectureMismatch(
-                f"{name}: checkpoint shape {params[name].shape} != {mat.shape}"
+                f"{name}: checkpoint shape {params[name].shape} != {shape}"
             )
     return TinyLM(config, params)
 

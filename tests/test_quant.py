@@ -338,3 +338,21 @@ class TestArchiveReload:
         got = self.reload(layer, tmp_path).dequantize()
         assert got.dtype == np.float64
         assert got.tobytes() == layer.dequantize().tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_constant_group_calibrated(self, seed, tmp_path):
+        # the ragged last group has one column, so every row of it is constant
+        w, h = self.inputs(seed, d_row=8, d_col=17)
+        layer, _ = calibrate_layer(w, h, CalibSpec(group_size=16), guard=False)
+        assert np.all(layer.scales[:, -1] <= SCALE_FLOOR)
+        got = self.reload(layer, tmp_path).dequantize()
+        assert got.tobytes() == layer.dequantize().tobytes()
+
+    def test_constant_group_rtn(self, tmp_path):
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal((6, 8))
+        w[:, 4:] = rng.standard_normal((6, 1))
+        layer = rtn_quantize(w, bits=2, group_size=4)
+        assert np.all(layer.scales[:, 1] <= SCALE_FLOOR)
+        got = self.reload(layer, tmp_path).dequantize()
+        assert got.tobytes() == layer.dequantize().tobytes()
