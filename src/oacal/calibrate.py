@@ -22,7 +22,7 @@ Every backend accepts both Hessian flavours through the same interface.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "optimal_update",
     "calibrate_layer",
     "calibrate_layer_binary",
-    "sweep_alpha",
 ]
 
 
@@ -474,35 +473,3 @@ def calibrate_layer_binary(
         extra=extra,
     )
     return layer, report
-
-
-def sweep_alpha(w, h, spec: CalibSpec, grid) -> tuple[float, dict]:
-    """Calibrate once per damping factor; report every candidate.
-
-    Layer-level selection is by smallest proxy error (ties go to the smaller
-    alpha); the pipeline-level sweep reselects by validation perplexity.
-    Candidates whose Cholesky fails are recorded as failed, not fatal.
-    """
-    grid = list(grid)
-    if not grid:
-        raise ConfigError("alpha grid must be nonempty")
-    results: dict[float, dict] = {}
-    best_alpha = None
-    best_proxy = np.inf
-    for a in sorted(grid):
-        trial = replace(spec, alpha=float(a))
-        try:
-            if spec.backend is Backend.BINARY:
-                layer, report = calibrate_layer_binary(w, h, trial)
-            else:
-                layer, report = calibrate_layer(w, h, trial)
-        except Exception as exc:  # noqa: BLE001 - candidate failure is a result
-            results[float(a)] = {"status": "failed", "error": str(exc)}
-            continue
-        results[float(a)] = {"status": "ok", "layer": layer, "report": report}
-        if report.proxy_error < best_proxy:
-            best_proxy = report.proxy_error
-            best_alpha = float(a)
-    if best_alpha is None:
-        raise ConfigError(f"every alpha candidate failed: {results}")
-    return best_alpha, results

@@ -111,8 +111,7 @@ def _run_config(args) -> "RunConfig":
 def _check_paths(config) -> None:
     for label in ("checkpoint", "corpus_train", "corpus_valid", "corpus_test"):
         p = getattr(config, label)
-        probe = Path(p if label != "checkpoint" else p)
-        if not probe.exists():
+        if not Path(p).exists():
             raise FileNotFoundError(f"{label} path does not exist: {p}")
 
 
@@ -161,11 +160,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "quantize":
-        from .pipeline import run_quantize
+        from .pipeline import run_quantize, write_run
 
         config = _run_config(args)
         _check_paths(config)
-        _, report = run_quantize(config)
+        run = run_quantize(config)
+        write_run(run, config.out_dir)
+        report = run.report
         print(
             json.dumps(
                 {

@@ -26,12 +26,10 @@ from .linalg import as_matrix, as_sym_matrix, require_finite, symmetrize
 
 __all__ = [
     "HessianMode",
-    "Reduction",
     "HessianAccumulator",
     "accumulate_agnostic",
     "accumulate_agnostic_batch",
     "accumulate_adaptive",
-    "merge",
     "finalize",
     "regularize",
     "LogisticModel",
@@ -51,18 +49,12 @@ class HessianMode(enum.Enum):
     ADAPTIVE = "adaptive"
 
 
-class Reduction(enum.Enum):
-    SUM = "sum"
-    MEAN = "mean"
-
-
 @dataclass
 class HessianAccumulator:
-    """Single-writer accumulator; merge per-thread instances by summation."""
+    """Single-writer running sum of x x^T or G^T G, with its sample count."""
 
     dim: int
     mode: HessianMode
-    reduction: Reduction = Reduction.SUM
     sum: np.ndarray = field(init=False)
     n_samples: int = field(init=False, default=0)
 
@@ -102,25 +94,12 @@ def accumulate_adaptive(acc: HessianAccumulator, g) -> None:
     acc.n_samples += 1
 
 
-def merge(a: HessianAccumulator, b: HessianAccumulator) -> HessianAccumulator:
-    """Combine two accumulators built over disjoint sample sets."""
-    if a.dim != b.dim or a.mode is not b.mode or a.reduction is not b.reduction:
-        raise DimMismatch("accumulators are not compatible")
-    out = HessianAccumulator(a.dim, a.mode, a.reduction)
-    out.sum = a.sum + b.sum
-    out.n_samples = a.n_samples + b.n_samples
-    return out
-
-
 def finalize(acc: HessianAccumulator) -> np.ndarray:
-    """Return the accumulated Hessian, divided by n_samples in MEAN mode."""
+    """Return the accumulated (summed) Hessian, symmetrized."""
     if acc.n_samples < 1:
         raise EmptyAccumulator("no samples accumulated")
-    h = acc.sum
-    if acc.reduction is Reduction.MEAN:
-        h = h / acc.n_samples
-    require_finite(h, "hessian")
-    return symmetrize(h)
+    require_finite(acc.sum, "hessian")
+    return symmetrize(acc.sum)
 
 
 def regularize(h, alpha: float) -> np.ndarray:

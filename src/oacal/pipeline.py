@@ -26,7 +26,7 @@ from .calibrate import (
     calibrate_layer_binary,
 )
 from .errors import ConfigError, OacalError
-from .hessian import HessianMode, Reduction, finalize
+from .hessian import HessianMode, finalize
 from .quant import layer_to_tensors, rtn_quantize
 from .tinylm import (
     TinyLM,
@@ -68,7 +68,9 @@ __all__ = [
     "DEFAULT_ALPHA_GRID",
     "RunConfig",
     "RunReport",
+    "QuantizedRun",
     "run_quantize",
+    "write_run",
     "run_eval",
     "run_alpha_sweep",
     "run_verify_oracles",
@@ -97,7 +99,6 @@ class RunConfig:
     stat_group: int = 16
     salient_fraction: float = 0.08
     n_calibration_samples: int = 128
-    reduction: str = "sum"
     alpha_grid: tuple = DEFAULT_ALPHA_GRID
     seed: int = 0
 
@@ -106,8 +107,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from {METHODS}"
             )
-        if self.reduction not in ("sum", "mean"):
-            raise ConfigError("reduction must be 'sum' or 'mean'")
 
     def calib_spec(self, alpha: float | None = None) -> CalibSpec:
         backend, mode = _METHOD_TABLE[self.method]
@@ -128,10 +127,15 @@ class RunConfig:
     def from_json(path, **overrides) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path}: expected a JSON object")
         data.update({k: v for k, v in overrides.items() if v is not None})
-        if "alpha_grid" in data:
-            data["alpha_grid"] = tuple(data["alpha_grid"])
-        return RunConfig(**data)
+        try:
+            if "alpha_grid" in data:
+                data["alpha_grid"] = tuple(data["alpha_grid"])
+            return RunConfig(**data)
+        except TypeError as exc:  # unknown or missing keys, a scalar grid
+            raise ConfigError(f"config {path}: {exc}") from exc
 
 
 @dataclass
@@ -242,16 +246,23 @@ def _f32(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float32).astype(np.float64)
 
 
-def run_quantize(
-    config: RunConfig, alpha: float | None = None, write: bool = True
-) -> tuple[TinyLM, RunReport]:
-    """Quantize every block layer of the checkpointed model.
+@dataclass
+class QuantizedRun:
+    """One quantize run in memory: the installed model, its report, and the
+    per-layer archive tensors with their metadata."""
+
+    model: TinyLM
+    report: RunReport
+    tensors: dict[str, np.ndarray]
+    layer_meta: dict[str, dict]
+
+
+def run_quantize(config: RunConfig, alpha: float | None = None) -> QuantizedRun:
+    """Quantize every block layer of the checkpointed model; write nothing.
 
     Blocks are processed front to back; each block's Hessians are built on
     the current (partially quantized) model immediately before that block is
-    calibrated. Returns the dequantized-view model plus the report; with
-    `write` the quantized checkpoint, the per-layer artifact archive, and the
-    JSON report land in the output directory.
+    calibrated. `write_run` puts the result on disk.
     """
     t_start = time.perf_counter()
     current = load_checkpoint(config.checkpoint)
@@ -264,7 +275,6 @@ def run_quantize(
         rng,
     )
     spec = config.calib_spec(alpha)
-    reduction = Reduction.SUM if config.reduction == "sum" else Reduction.MEAN
     backend, mode = _METHOD_TABLE[config.method]
     adaptive = mode is HessianMode.ADAPTIVE
 
@@ -286,7 +296,7 @@ def run_quantize(
             collector = (
                 harvest_block_gradients if adaptive else collect_agnostic_accumulators
             )
-            accs = collector(current, b, inputs, reduction)
+            accs = collector(current, b, inputs)
             if b == current.config.n_blocks - 1:
                 inputs = None  # the propagated inputs are not needed any more
         phase1 += time.perf_counter() - t0
@@ -341,18 +351,21 @@ def run_quantize(
     report.test_perplexity = perplexity(current, streams["test"])
     report.phase_seconds["eval"] = time.perf_counter() - t0
     report.phase_seconds["total"] = time.perf_counter() - t_start
+    return QuantizedRun(current, report, layer_artifacts, layer_meta)
 
-    if write:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(current, out / "quantized.oack")
-        archive_write(out / "layers.oack", layer_artifacts)
-        with open(out / "layers.json", "w", encoding="utf-8") as fh:
-            json.dump(layer_meta, fh, indent=2, sort_keys=True)
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        _append_summary_row(out / "summary.csv", report)
-    return current, report
+
+def write_run(run: QuantizedRun, out_dir) -> None:
+    """Write the quantized checkpoint, the layer archive, its metadata and the
+    report into `out_dir`, and append the run's row to its summary.csv."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(run.model, out / "quantized.oack")
+    archive_write(out / "layers.oack", run.tensors)
+    with open(out / "layers.json", "w", encoding="utf-8") as fh:
+        json.dump(run.layer_meta, fh, indent=2, sort_keys=True)
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(run.report.to_dict(), fh, indent=2, sort_keys=True)
+    _append_summary_row(out / "summary.csv", run.report)
 
 
 def _append_summary_row(path, report: RunReport) -> None:
@@ -386,42 +399,41 @@ def run_eval(config: RunConfig, checkpoint_path) -> dict:
     }
 
 
-def run_alpha_sweep(config: RunConfig, write: bool = True) -> dict:
-    """One full quantize+eval per grid alpha; best = lowest validation ppl.
+def run_alpha_sweep(config: RunConfig) -> dict:
+    """One quantize+eval run per grid alpha; best = lowest validation ppl.
 
-    Ties resolve to the smaller alpha; candidates that fail (e.g. Cholesky
-    on an undamped singular Hessian) are recorded and skipped.
+    Each candidate runs once. Only the best run so far is kept, and a losing
+    run is dropped before the next candidate starts; the winner's own run is
+    the one `write_run` writes, next to sweep.json. Ties resolve to the
+    smaller alpha; candidates that fail (e.g. Cholesky on an undamped
+    singular Hessian) are recorded and skipped.
     """
     if not config.alpha_grid:
         raise ConfigError("alpha grid must be nonempty")
     candidates = {}
-    best_alpha = None
+    best = None
     best_valid = np.inf
     for a in sorted(config.alpha_grid):
         try:
-            _, rep = run_quantize(config, alpha=float(a), write=False)
+            run = run_quantize(config, alpha=float(a))
         except OacalError as exc:
             candidates[float(a)] = {"status": "failed", "error": str(exc)}
             continue
-        candidates[float(a)] = {"status": "ok", "report": rep.to_dict()}
-        if rep.valid_perplexity < best_valid:
-            best_valid = rep.valid_perplexity
-            best_alpha = float(a)
-    if best_alpha is None:
+        candidates[float(a)] = {"status": "ok", "report": run.report.to_dict()}
+        if run.report.valid_perplexity < best_valid:
+            best, best_valid = run, run.report.valid_perplexity
+        del run
+    if best is None:
         raise ConfigError(f"every alpha candidate failed: {candidates}")
     result = {
-        "best_alpha": best_alpha,
+        "best_alpha": best.report.config["alpha"],
         "best_valid_perplexity": best_valid,
-        "best_test_perplexity": candidates[best_alpha]["report"]["test_perplexity"],
+        "best_test_perplexity": best.report.test_perplexity,
         "candidates": candidates,
     }
-    if write:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        # rerun the winner with artifacts enabled
-        run_quantize(config, alpha=best_alpha, write=True)
-        with open(out / "sweep.json", "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
+    write_run(best, config.out_dir)
+    with open(Path(config.out_dir) / "sweep.json", "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
     return result
 
 
@@ -536,12 +548,11 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
     results["aggregation_bound"] = {"worst_margin": worst_gap, "pass": bool(bound_ok)}
 
     samples = [rng.standard_normal((5, 4)) for _ in range(6)]
-    acc = HessianAccumulator(4, HessianMode.ADAPTIVE, Reduction.MEAN)
+    acc = HessianAccumulator(4, HessianMode.ADAPTIVE)
     for g in samples:
         accumulate_adaptive(acc, g)
-    gram_dev = float(
-        np.max(np.abs(finalize(acc) - aggregate_row_hessians(row_hessians(samples))))
-    )
+    mean = finalize(acc) / acc.n_samples
+    gram_dev = float(np.max(np.abs(mean - aggregate_row_hessians(row_hessians(samples)))))
     results["aggregation_equivalence"] = {"max_abs_dev": gram_dev, "pass": gram_dev < 1e-10}
 
     results["all_pass"] = all(

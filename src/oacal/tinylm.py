@@ -28,7 +28,6 @@ from .errors import (
 from .hessian import (
     HessianAccumulator,
     HessianMode,
-    Reduction,
     accumulate_adaptive,
     accumulate_agnostic_batch,
 )
@@ -386,7 +385,6 @@ def harvest_block_gradients(
     model: TinyLM,
     block_index: int,
     inputs: BlockInputs,
-    reduction: Reduction = Reduction.SUM,
 ) -> dict[str, HessianAccumulator]:
     """Adaptive Hessian accumulators for one block's linear layers.
 
@@ -395,7 +393,7 @@ def harvest_block_gradients(
     """
     _advance(model, inputs, block_index)
     accs = {
-        name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE, reduction)
+        name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
         for name in block_layer_names(block_index)
     }
     for ids, x in zip(inputs.ids, inputs.xs):
@@ -410,7 +408,6 @@ def collect_agnostic_accumulators(
     model: TinyLM,
     block_index: int,
     inputs: BlockInputs,
-    reduction: Reduction = Reduction.SUM,
 ) -> dict[str, HessianAccumulator]:
     """Classic input-outer-product accumulators for one block's layers.
 
@@ -420,7 +417,7 @@ def collect_agnostic_accumulators(
     _advance(model, inputs, block_index)
     sources = layer_input_name_map(block_index)
     dims = {source: model.params[name].shape[1] for name, source in sources.items()}
-    by_input = {s: HessianAccumulator(d, HessianMode.AGNOSTIC, reduction) for s, d in dims.items()}
+    by_input = {s: HessianAccumulator(d, HessianMode.AGNOSTIC) for s, d in dims.items()}
     for x in inputs.xs:
         _, blk = block_forward(model, block_index, x)
         for source, acc in by_input.items():

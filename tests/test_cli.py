@@ -1,0 +1,111 @@
+"""The command line: exit codes and a whole sweep-alpha run on disk."""
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from oacal.archive import archive_read
+from oacal.cli import main
+from oacal.quant import layer_from_tensors
+from oacal.tinylm import (
+    ModelConfig,
+    init_model,
+    load_checkpoint,
+    quantizable_layers,
+    save_checkpoint,
+)
+
+CORPUS = Path(__file__).resolve().parents[1] / "data" / "tiny_corpus.txt"
+TWO_BLOCKS = ModelConfig(vocab_size=128, d_model=16, d_ff=32, n_blocks=2, context_length=32)
+
+
+@pytest.fixture
+def setup(tmp_path):
+    """A 2-block checkpoint and a 20 kB corpus, plus the flags that name them."""
+    checkpoint = tmp_path / "tiny.oack"
+    save_checkpoint(init_model(TWO_BLOCKS, seed=0), checkpoint)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(CORPUS.read_bytes()[:20_000])
+    flags = ["--corpus-train", str(corpus), "--corpus-valid", str(corpus),
+             "--corpus-test", str(corpus), "--n-calibration-samples", "3",
+             "--out", str(tmp_path / "out")]
+    return checkpoint, flags
+
+
+def write_config(path: Path, data) -> str:
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_verify_oracles_pass(capsys):
+    assert main(["verify-oracles"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+
+
+def test_corrupt_update_fails_the_oracles(capsys):
+    assert main(["verify-oracles", "--corrupt-update"]) == 2
+    assert json.loads(capsys.readouterr().out)["update_optimality"]["pass"] is False
+
+
+def test_unknown_method(setup, capsys):
+    checkpoint, flags = setup
+    assert main(["quantize", "--method", "GPTQ", "--checkpoint", str(checkpoint), *flags]) == 1
+    assert "unknown method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [({"methd": "OPTQ"}, "methd"), ([1, 2], "JSON object"), ({"reduction": "sum"}, "reduction")],
+)
+def test_malformed_config(setup, tmp_path, capsys, data, message):
+    checkpoint, flags = setup
+    config = write_config(tmp_path / "config.json", data)
+    argv = ["quantize", "--config", config, "--checkpoint", str(checkpoint), *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_missing_checkpoint(setup, tmp_path):
+    _, flags = setup
+    assert main(["quantize", "--checkpoint", str(tmp_path / "absent.oack"), *flags]) == 3
+
+
+def test_bad_magic_checkpoint(setup):
+    checkpoint, flags = setup
+    data = bytearray(checkpoint.read_bytes())
+    data[:4] = b"NOPE"
+    checkpoint.write_bytes(bytes(data))
+    assert main(["quantize", "--checkpoint", str(checkpoint), *flags]) == 3
+
+
+def test_sweep_alpha_writes_its_winner(setup, tmp_path):
+    checkpoint, flags = setup
+    config = write_config(
+        tmp_path / "config.json",
+        {"checkpoint": str(checkpoint), "corpus_train": "", "corpus_valid": "",
+         "corpus_test": "", "out_dir": "", "alpha_grid": [0.01, 1.0]},
+    )
+    assert main(["sweep-alpha", "--config", config, "--method", "OAC_OPTQ", *flags]) == 0
+    out = tmp_path / "out"
+
+    sweep = json.loads((out / "sweep.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(sweep["candidates"]) == ["0.01", "1.0"]
+    assert (sweep["best_valid_perplexity"], sweep["best_test_perplexity"]) == (
+        report["valid_perplexity"],
+        report["test_perplexity"],
+    )
+    assert report["config"]["alpha"] == sweep["best_alpha"]
+    assert len((out / "summary.csv").read_text().splitlines()) == 2
+
+    meta = json.loads((out / "layers.json").read_text())
+    tensors = archive_read(out / "layers.oack")
+    installed = load_checkpoint(out / "quantized.oack")
+    assert sorted(meta) == sorted(quantizable_layers(installed))
+    for name, layer_meta in meta.items():
+        reloaded = layer_from_tensors(name, tensors, layer_meta).dequantize()
+        assert reloaded.astype(np.float32).tobytes() == (
+            installed.params[name].astype(np.float32).tobytes()
+        )

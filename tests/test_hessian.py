@@ -13,7 +13,6 @@ from oacal.hessian import (
     HessianAccumulator,
     HessianMode,
     LogisticModel,
-    Reduction,
     accumulate_adaptive,
     accumulate_agnostic,
     accumulate_agnostic_batch,
@@ -24,7 +23,6 @@ from oacal.hessian import (
     logistic_exact_hessian,
     logistic_gradient,
     logistic_loss,
-    merge,
     regularize,
     row_hessians,
     sigmoid,
@@ -92,45 +90,12 @@ class TestAccumulators:
         with pytest.raises(DimMismatch):
             accumulate_agnostic(acc, [1.0, 2.0, 3.0])
 
-    def test_merge(self):
-        rng = np.random.default_rng(8)
-        xs = rng.standard_normal((30, 4))
-        whole = HessianAccumulator(4, HessianMode.AGNOSTIC)
-        left = HessianAccumulator(4, HessianMode.AGNOSTIC)
-        right = HessianAccumulator(4, HessianMode.AGNOSTIC)
-        for x in xs:
-            accumulate_agnostic(whole, x)
-        for x in xs[:13]:
-            accumulate_agnostic(left, x)
-        for x in xs[13:]:
-            accumulate_agnostic(right, x)
-        merged = merge(left, right)
-        assert merged.n_samples == 30
-        np.testing.assert_allclose(merged.sum, whole.sum, atol=1e-10)
-
 
 class TestFinalize:
     def test_single_sample_sum_equals_mean(self):
-        for reduction in (Reduction.SUM, Reduction.MEAN):
-            acc = HessianAccumulator(2, HessianMode.AGNOSTIC, reduction)
-            accumulate_agnostic(acc, [3.0, -1.0])
-            np.testing.assert_allclose(finalize(acc), np.outer([3, -1], [3, -1]))
-
-    def test_two_identical_samples_mean(self):
-        acc = HessianAccumulator(2, HessianMode.AGNOSTIC, Reduction.MEAN)
-        accumulate_agnostic(acc, [1.0, 2.0])
-        accumulate_agnostic(acc, [1.0, 2.0])
-        np.testing.assert_allclose(finalize(acc), np.outer([1, 2], [1, 2]))
-
-    def test_sum_is_n_times_mean(self):
-        rng = np.random.default_rng(9)
-        s = HessianAccumulator(3, HessianMode.AGNOSTIC, Reduction.SUM)
-        m = HessianAccumulator(3, HessianMode.AGNOSTIC, Reduction.MEAN)
-        for _ in range(16):
-            x = rng.standard_normal(3)
-            accumulate_agnostic(s, x)
-            accumulate_agnostic(m, x)
-        np.testing.assert_allclose(finalize(s), 16 * finalize(m), atol=1e-12)
+        acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
+        accumulate_agnostic(acc, [3.0, -1.0])
+        np.testing.assert_allclose(finalize(acc), np.outer([3, -1], [3, -1]))
 
     def test_empty_accumulator(self):
         with pytest.raises(EmptyAccumulator):
@@ -327,8 +292,8 @@ class TestAggregation:
     def test_gram_equals_row_hessian_sum(self):
         rng = np.random.default_rng(32)
         samples = [rng.standard_normal((5, 4)) for _ in range(7)]
-        acc = HessianAccumulator(4, HessianMode.ADAPTIVE, Reduction.MEAN)
+        acc = HessianAccumulator(4, HessianMode.ADAPTIVE)
         for g in samples:
             accumulate_adaptive(acc, g)
         via_rows = aggregate_row_hessians(row_hessians(samples))
-        np.testing.assert_allclose(finalize(acc), via_rows, atol=1e-10)
+        np.testing.assert_allclose(finalize(acc) / acc.n_samples, via_rows, atol=1e-10)

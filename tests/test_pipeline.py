@@ -1,14 +1,25 @@
-"""End-to-end quantize runs on a tiny three-block model."""
+"""End-to-end quantize runs and alpha sweeps on tiny models."""
 import json
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import oacal.pipeline as pipeline
 import oacal.tinylm as tinylm
 from oacal.archive import archive_read
-from oacal.pipeline import REPORT_SCHEMA, RunConfig, load_token_streams, run_quantize
+from oacal.errors import ConfigError, NotPositiveDefinite
+from oacal.pipeline import (
+    REPORT_SCHEMA,
+    RunConfig,
+    load_token_streams,
+    run_alpha_sweep,
+    run_quantize,
+    write_run,
+)
 from oacal.quant import layer_from_tensors
 from oacal.tinylm import ModelConfig, init_model, load_checkpoint, save_checkpoint
 
@@ -60,7 +71,7 @@ def test_quantize_run(method, tmp_path, counted):
         method=method,
         n_calibration_samples=N_WINDOWS,
     )
-    run_quantize(config)
+    write_run(run_quantize(config), config.out_dir)
     out = tmp_path / "out"
 
     report = json.loads((out / "report.json").read_text())
@@ -86,3 +97,106 @@ def test_quantize_run(method, tmp_path, counted):
     blocks, heads = block_forwards_per_window(method, CONFIG.n_blocks)
     assert counted["block"] == N_WINDOWS * blocks + eval_windows * CONFIG.n_blocks
     assert counted["head"] == N_WINDOWS * heads + eval_windows
+
+
+@pytest.fixture
+def sweep_config(tmp_path):
+    """OAC_OPTQ on a 2-block model; a 20 kB corpus keeps each eval short."""
+    checkpoint = tmp_path / "tiny.oack"
+    save_checkpoint(init_model(replace(CONFIG, n_blocks=2), seed=0), checkpoint)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(Path(CORPUS).read_bytes()[:20_000])
+
+    def make(grid):
+        return RunConfig(
+            checkpoint=str(checkpoint),
+            corpus_train=str(corpus),
+            corpus_valid=str(corpus),
+            corpus_test=str(corpus),
+            out_dir=str(tmp_path / "out"),
+            method="OAC_OPTQ",
+            n_calibration_samples=N_WINDOWS,
+            alpha_grid=tuple(grid),
+        )
+
+    return make
+
+
+def patch_run_quantize(monkeypatch, wrap):
+    """Route the sweep's run_quantize calls through `wrap(original, config, alpha)`."""
+    original = pipeline.run_quantize
+    monkeypatch.setattr(
+        pipeline, "run_quantize", lambda config, alpha=None: wrap(original, config, alpha)
+    )
+
+
+def test_sweep_one_alpha_grid(sweep_config):
+    config = sweep_config([0.5])
+    result = run_alpha_sweep(config)
+    assert result["best_alpha"] == 0.5
+    assert result["candidates"][0.5]["status"] == "ok"
+    report = json.loads((Path(config.out_dir) / "report.json").read_text())
+    assert report["config"]["alpha"] == 0.5
+
+
+def test_sweep_runs_each_alpha_once_and_writes_the_winner(sweep_config, monkeypatch):
+    grid = [0.001, 0.01, 0.1]
+    runs = []
+    alive_at_start = []
+
+    def counted(original, config, alpha):
+        alive_at_start.append(sum(r() is not None for r in runs))
+        run = original(config, alpha)
+        # the first candidate wins, so the later two are losing runs; a rerun
+        # of the winner would write its real perplexity, not this one
+        run.report.valid_perplexity = 5.0 + alpha
+        runs.append(weakref.ref(run))
+        return run
+
+    patch_run_quantize(monkeypatch, counted)
+    config = sweep_config(grid)
+    result = run_alpha_sweep(config)
+    assert set(result["candidates"]) == set(grid)
+    assert result["best_alpha"] == 0.001
+    assert len(runs) == len(grid)  # no rerun of the winner
+    assert alive_at_start == [0, 1, 1]  # only the best run so far is held
+
+    out = Path(config.out_dir)
+    report = json.loads((out / "report.json").read_text())
+    assert report == result["candidates"][result["best_alpha"]]["report"]
+    assert json.loads((out / "sweep.json").read_text())["best_alpha"] == result["best_alpha"]
+    assert len((out / "summary.csv").read_text().splitlines()) == 2
+
+
+def test_sweep_tie_goes_to_smaller_alpha(sweep_config, monkeypatch):
+    def constant_ppl(original, config, alpha):
+        run = original(config, alpha)
+        run.report.valid_perplexity = 7.0
+        return run
+
+    patch_run_quantize(monkeypatch, constant_ppl)
+    assert run_alpha_sweep(sweep_config([1.0, 0.01]))["best_alpha"] == 0.01
+
+
+def test_sweep_skips_failing_candidate(sweep_config, monkeypatch):
+    def fail_small(original, config, alpha):
+        if alpha == 0.001:
+            raise NotPositiveDefinite("forced")
+        return original(config, alpha)
+
+    patch_run_quantize(monkeypatch, fail_small)
+    result = run_alpha_sweep(sweep_config([0.001, 3.0]))
+    assert result["candidates"][0.001] == {"status": "failed", "error": "forced"}
+    assert result["candidates"][3.0]["status"] == "ok"
+    assert result["best_alpha"] == 3.0
+
+
+def test_sweep_all_candidates_failing_raises(sweep_config, monkeypatch):
+    def fail(original, config, alpha):
+        raise NotPositiveDefinite("forced")
+
+    patch_run_quantize(monkeypatch, fail)
+    config = sweep_config([0.0, 0.001])
+    with pytest.raises(ConfigError):
+        run_alpha_sweep(config)
+    assert not Path(config.out_dir).exists()

@@ -7,7 +7,6 @@ import pytest
 import oacal.tinylm as tinylm
 from oacal.errors import ArchitectureMismatch, DimMismatch
 from oacal.hessian import (
-    Reduction,
     aggregate_row_hessians,
     finalize,
     row_hessians,
@@ -175,7 +174,7 @@ class TestCollectors:
         # block 0 on the original weights, then blocks 1 and 2 after block 0
         # was swapped, as the quantize pipeline installs it
         for block, current in [(0, model), (1, swapped), (2, swapped)]:
-            accs = collector(current, block, inputs, Reduction.SUM)
+            accs = collector(current, block, inputs)
             expected = reference(current, samples, block)
             assert list(accs) == block_layer_names(block)
             for name, acc in accs.items():
@@ -199,15 +198,13 @@ class TestCollectors:
         model = scaled_model(THREE, 11, scale=5.0)
         samples = windows(THREE, 5, 12)
         block = 1
-        accs = harvest_block_gradients(
-            model, block, embed_windows(model, samples), Reduction.MEAN
-        )
+        accs = harvest_block_gradients(model, block, embed_windows(model, samples))
         per_window = [
             lm_backward(model, lm_forward(model, s.ids)[1], blocks=[block]) for s in samples
         ]
         for name in block_layer_names(block):
             expected = aggregate_row_hessians(row_hessians([g[name] for g in per_window]))
-            got = finalize(accs[name])
+            got = finalize(accs[name]) / accs[name].n_samples
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
 
 
