@@ -2,12 +2,15 @@
 
 Modules by responsibility:
 
-* linalg, archive  - dense float64 kernels and the bit-exact tensor format
-* hessian          - agnostic/adaptive curvature accumulation, logistic oracle
+* linalg, archive  - float64 Cholesky kernels and the bit-exact tensor format
+* hessian          - batched agnostic and adaptive curvature sums, logistic oracle
 * quant            - affine, double-quantized, and binary weight codecs
-* calibrate        - Hessian-driven column calibration and outlier isolation
-* tinylm           - toy byte-level transformer with manual backprop
-* pipeline, cli    - end-to-end runs, alpha sweeps, reports, oracles
+* calibrate        - one column sweep for every backend, outlier isolation
+* tinylm           - toy byte-level transformer with manual backprop and the
+                     per-block Hessian collectors
+* pipeline, cli    - end-to-end runs, alpha sweeps, reports, and the oracle
+                     bundle with its direct-solver reference
+* errors           - typed errors behind the CLI exit codes
 """
 
 __version__ = "0.1.0"

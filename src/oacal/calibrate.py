@@ -55,7 +55,6 @@ __all__ = [
     "CalibReport",
     "saliency",
     "detect_outliers",
-    "optimal_update",
     "calibrate_layer",
     "calibrate_layer_binary",
 ]
@@ -123,9 +122,9 @@ class CalibReport:
         }
 
 
-def saliency(w, w_hat, h_inv_diag_k):
+def saliency(w, w_hat, inv_diag):
     """Quantization sensitivity (w - w_hat)^2 / inv_diag; zero iff w == w_hat."""
-    d = np.asarray(h_inv_diag_k, dtype=np.float64)
+    d = np.asarray(inv_diag, dtype=np.float64)
     if np.any(d <= 0.0):
         raise NonPositiveDiagonal(
             "inverse-Hessian diagonal must be > 0; increase damping"
@@ -142,41 +141,19 @@ def _inverse_diag(upper: np.ndarray) -> np.ndarray:
     return diag
 
 
-def detect_outliers(w, h, spec: CalibSpec, h_inv_diag=None) -> np.ndarray:
+def detect_outliers(w, inv_diag: np.ndarray, spec: CalibSpec) -> np.ndarray:
     """Mark weights whose naive group-RTN saliency exceeds tau x mean saliency.
 
-    `h` must already be damped and invertible. The tau threshold multiplies
-    the layer's mean saliency; that normalization is echoed in reports.
+    `inv_diag` is diag(H^-1) of the damped Hessian. The tau threshold
+    multiplies the layer's mean saliency; that normalization is echoed in
+    reports.
     """
     m = as_matrix(w)
-    if h_inv_diag is None:
-        diag = _inverse_diag(inverse_upper_factor(h))
-    else:
-        diag = np.asarray(h_inv_diag)
-    if diag.shape[0] != m.shape[1]:
+    if inv_diag.shape[0] != m.shape[1]:
         raise ShapeMismatch("hessian dim must match the column count")
     naive = rtn_quantize(m, spec.bits, spec.group_size).dequantize()
-    s = saliency(m, naive, diag[None, :])
+    s = saliency(m, naive, inv_diag[None, :])
     return s > spec.tau * float(np.mean(s))
-
-
-def optimal_update(w_col_residual, h_inv, q: int) -> np.ndarray:
-    """Rank-1 compensation for pinning column q to its quantized value.
-
-    Returns the full d_row x d_col update matrix
-    -(residual / inv[q,q]) outer inv[q,:]; with a diagonal Hessian it touches
-    only column q.
-    """
-    residual = np.asarray(w_col_residual, dtype=np.float64)
-    inv = as_sym_matrix(h_inv)
-    if not 0 <= q < inv.shape[0]:
-        raise ShapeMismatch(f"column index {q} outside 0..{inv.shape[0] - 1}")
-    if residual.shape != (inv.shape[0],) and residual.ndim != 1:
-        raise ShapeMismatch("residual must be a vector")
-    d = inv[q, q]
-    if d <= 0.0:
-        raise NonPositiveDiagonal("inv[q, q] must be > 0; increase damping")
-    return -np.outer(residual / d, inv[q, :])
 
 
 def _prepare(w, h, spec: CalibSpec):
@@ -268,7 +245,7 @@ def calibrate_layer(
 
     outlier_mask = np.zeros(m.shape, dtype=bool)
     if spec.backend is Backend.SPQR:
-        outlier_mask = detect_outliers(m, damped, spec, h_inv_diag=inv_diag)
+        outlier_mask = detect_outliers(m, inv_diag, spec)
 
     edges = group_edges(d_col, spec.group_size)
     col_group = np.repeat(np.arange(len(edges)), [c1 - c0 for c0, c1 in edges])

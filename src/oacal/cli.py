@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--batch-size", type=int, default=16)
     train.add_argument("--learning-rate", type=float, default=2e-3)
 
-    def add_run_flags(p, need_out=True):
+    def add_run_flags(p):
         p.add_argument("--config", help="JSON config; flags override fields")
         p.add_argument("--checkpoint")
         p.add_argument("--corpus-train")
@@ -52,13 +52,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--salient-fraction", type=float)
         p.add_argument("--n-calibration-samples", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--out", required=need_out, help="output directory")
+        p.add_argument("--out", help="output directory; overrides the config's out_dir")
 
     quant = sub.add_parser("quantize", help="quantize a checkpoint")
     add_run_flags(quant)
 
     ev = sub.add_parser("eval", help="perplexity of a checkpoint")
-    add_run_flags(ev, need_out=False)
+    add_run_flags(ev)
     ev.add_argument("--eval-checkpoint", required=True)
 
     sweep = sub.add_parser("sweep-alpha", help="grid-search the damping factor")
@@ -92,18 +92,17 @@ def _run_config(args) -> "RunConfig":
         "salient_fraction": args.salient_fraction,
         "n_calibration_samples": args.n_calibration_samples,
         "seed": args.seed,
-        "out_dir": getattr(args, "out", None),
+        "out_dir": args.out,
     }
     if args.config:
         return RunConfig.from_json(args.config, **overrides)
-    missing = [
-        k
-        for k in ("checkpoint", "corpus_train", "corpus_valid", "corpus_test")
-        if overrides.get(k) is None
-    ]
+    needed = ["checkpoint", "corpus_train", "corpus_valid", "corpus_test"]
+    if args.command != "eval":  # eval writes nothing
+        needed.append("out_dir")
+    missing = [k for k in needed if overrides[k] is None]
     if missing:
         raise ConfigError(f"missing required settings (no --config): {missing}")
-    if overrides.get("out_dir") is None:
+    if overrides["out_dir"] is None:
         overrides["out_dir"] = "runs/out"
     return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
 

@@ -2,7 +2,8 @@
 
 Two Hessian flavours share one accumulator type:
 
-* agnostic  - running sum of layer-input outer products x x^T
+* agnostic  - running sum of layer-input outer products x x^T, added a batch
+              of input rows at a time
 * adaptive  - running sum of per-sample gradient Gram matrices G^T G
 
 The logistic-regression half provides exact, analytic, and sampled versions
@@ -27,7 +28,6 @@ from .linalg import as_matrix, as_sym_matrix, require_finite, symmetrize
 __all__ = [
     "HessianMode",
     "HessianAccumulator",
-    "accumulate_agnostic",
     "accumulate_agnostic_batch",
     "accumulate_adaptive",
     "finalize",
@@ -39,8 +39,6 @@ __all__ = [
     "logistic_exact_hessian",
     "fisher_expected_outer",
     "fisher_sampled_outer",
-    "row_hessians",
-    "aggregate_row_hessians",
 ]
 
 
@@ -62,18 +60,6 @@ class HessianAccumulator:
         if self.dim < 1:
             raise DimMismatch("accumulator dim must be >= 1")
         self.sum = np.zeros((self.dim, self.dim))
-
-
-def accumulate_agnostic(acc: HessianAccumulator, x) -> None:
-    """Add one layer-input outer product x x^T."""
-    if acc.mode is not HessianMode.AGNOSTIC:
-        raise DimMismatch("accumulator mode is not agnostic")
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != acc.dim:
-        raise DimMismatch(f"expected vector of length {acc.dim}, got shape {v.shape}")
-    require_finite(v, "input vector")
-    acc.sum += np.outer(v, v)
-    acc.n_samples += 1
 
 
 def accumulate_agnostic_batch(acc: HessianAccumulator, xs) -> None:
@@ -211,35 +197,3 @@ def fisher_sampled_outer(m: LogisticModel, xs, n_draws: int, rng) -> np.ndarray:
     scaled = chosen * (pi - y)[:, None]
     return symmetrize(scaled.T @ scaled / n_draws)
 
-
-# ---------------------------------------------------------------------------
-# Row-wise Hessians (test-only: production code never materializes these)
-# ---------------------------------------------------------------------------
-
-
-def row_hessians(gradient_samples) -> list[np.ndarray]:
-    """Per-row curvature blocks (1/N) sum_i G_j[i]^T G_j[i] for each row j."""
-    mats = [as_matrix(g) for g in gradient_samples]
-    if not mats:
-        raise EmptyInput("need at least one gradient sample")
-    d_row, d_col = mats[0].shape
-    for g in mats:
-        if g.shape != (d_row, d_col):
-            raise DimMismatch("gradient samples disagree in shape")
-    blocks = []
-    for j in range(d_row):
-        h = np.zeros((d_col, d_col))
-        for g in mats:
-            h += np.outer(g[j], g[j])
-        blocks.append(symmetrize(h / len(mats)))
-    return blocks
-
-
-def aggregate_row_hessians(blocks) -> np.ndarray:
-    """Sum of per-row blocks; equals the adaptive accumulator result."""
-    if not blocks:
-        raise EmptyInput("need at least one block")
-    total = np.zeros_like(as_sym_matrix(blocks[0]))
-    for b in blocks:
-        total += as_sym_matrix(b)
-    return symmetrize(total)

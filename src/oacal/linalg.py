@@ -6,8 +6,6 @@ operation validates finiteness on the way in and out.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -18,7 +16,6 @@ __all__ = [
     "as_sym_matrix",
     "symmetrize",
     "require_finite",
-    "CholeskyFactor",
     "cholesky",
     "cholesky_inverse",
     "inverse_upper_factor",
@@ -63,19 +60,8 @@ def as_sym_matrix(a) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T reconstructing the source."""
-
-    dim: int
-    lower: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return symmetrize(self.lower @ self.lower.T)
-
-
-def cholesky(m) -> CholeskyFactor:
-    """Factor a symmetric positive-definite matrix.
+def cholesky(m) -> np.ndarray:
+    """Lower-triangular L with L @ L.T == m, for symmetric positive-definite m.
 
     Raises NotPositiveDefinite when the matrix is singular or indefinite;
     the documented recovery is diagonal damping (hessian.regularize) and retry.
@@ -87,12 +73,12 @@ def cholesky(m) -> CholeskyFactor:
         raise NotPositiveDefinite(str(exc)) from exc
     if not np.all(np.diag(lower) > 0.0):
         raise NotPositiveDefinite("factor has a non-positive diagonal entry")
-    return CholeskyFactor(dim=sym.shape[0], lower=lower)
+    return lower
 
 
-def cholesky_inverse(f: CholeskyFactor) -> np.ndarray:
-    """Explicit symmetric inverse of the factored matrix."""
-    inv = scipy.linalg.cho_solve((f.lower, True), np.eye(f.dim))
+def cholesky_inverse(lower: np.ndarray) -> np.ndarray:
+    """Explicit symmetric inverse of the matrix whose lower factor is `lower`."""
+    inv = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
     require_finite(inv, "inverse")
     return symmetrize(inv)
 
@@ -107,4 +93,4 @@ def inverse_upper_factor(h) -> np.ndarray:
     the column sums of U**2, so no second inverse is needed to read it.
     """
     inv = cholesky_inverse(cholesky(h))
-    return cholesky(inv).lower.T.copy()
+    return cholesky(inv).T.copy()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .calibrate import (
 )
 from .errors import ConfigError, OacalError
 from .hessian import HessianMode, finalize
-from .quant import layer_to_tensors, rtn_quantize
+from .quant import fit_affine, layer_to_tensors, quantize_dequantize, rtn_quantize
 from .tinylm import (
     TinyLM,
     block_layer_names,
@@ -41,16 +41,6 @@ from .tinylm import (
     tokenize,
 )
 
-METHODS = (
-    "RTN",
-    "OPTQ",
-    "SpQR",
-    "OAC_OPTQ",
-    "OAC_SpQR",
-    "Binary_BiLLM_style",
-    "OAC_Binary",
-)
-
 _METHOD_TABLE = {
     "RTN": (None, HessianMode.AGNOSTIC),
     "OPTQ": (Backend.OPTQ, HessianMode.AGNOSTIC),
@@ -60,6 +50,8 @@ _METHOD_TABLE = {
     "Binary_BiLLM_style": (Backend.BINARY, HessianMode.AGNOSTIC),
     "OAC_Binary": (Backend.BINARY, HessianMode.ADAPTIVE),
 }
+
+METHODS = tuple(_METHOD_TABLE)
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0)
 
@@ -74,6 +66,7 @@ __all__ = [
     "run_eval",
     "run_alpha_sweep",
     "run_verify_oracles",
+    "direct_solver_calibrate",
     "load_token_streams",
     "render_report_table",
     "REPORT_SCHEMA",
@@ -103,10 +96,23 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from {METHODS}"
             )
+        if not 1 <= self.bits <= 8:
+            raise ConfigError(f"bits must be in [1, 8], got {self.bits}")
+        if self.group_size < 1:
+            raise ConfigError(f"group_size must be >= 1, got {self.group_size}")
+        if self.n_calibration_samples < 1:
+            raise ConfigError(
+                f"n_calibration_samples must be >= 1, got {self.n_calibration_samples}"
+            )
+        self.calib_spec()  # CalibSpec's own checks
 
     def calib_spec(self, alpha: float | None = None) -> CalibSpec:
         backend, mode = _METHOD_TABLE[self.method]
@@ -138,6 +144,15 @@ class RunConfig:
             raise ConfigError(f"config {path}: {exc}") from exc
 
 
+def _has_type(value, annotation: str) -> bool:
+    """Whether `value` fits a RunConfig annotation; bools are not numbers."""
+    if isinstance(value, bool):
+        return False
+    if annotation == "tuple":
+        return isinstance(value, tuple) and all(_has_type(v, "float") for v in value)
+    return isinstance(value, {"str": str, "int": int, "float": (int, float)}[annotation])
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -148,18 +163,6 @@ class RunReport:
     valid_perplexity: float | None = None
     test_perplexity: float | None = None
     phase_seconds: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "method": self.method,
-            "layer_reports": self.layer_reports,
-            "global_avg_bits": self.global_avg_bits,
-            "valid_perplexity": self.valid_perplexity,
-            "test_perplexity": self.test_perplexity,
-            "phase_seconds": self.phase_seconds,
-        }
 
 
 REPORT_SCHEMA = {
@@ -364,7 +367,7 @@ def write_run(run: QuantizedRun, out_dir) -> None:
     with open(out / "layers.json", "w", encoding="utf-8") as fh:
         json.dump(run.layer_meta, fh, indent=2, sort_keys=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(run.report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(run.report), fh, indent=2, sort_keys=True)
     _append_summary_row(out / "summary.csv", run.report)
 
 
@@ -419,7 +422,7 @@ def run_alpha_sweep(config: RunConfig) -> dict:
         except OacalError as exc:
             candidates[float(a)] = {"status": "failed", "error": str(exc)}
             continue
-        candidates[float(a)] = {"status": "ok", "report": run.report.to_dict()}
+        candidates[float(a)] = {"status": "ok", "report": asdict(run.report)}
         if run.report.valid_perplexity < best_valid:
             best, best_valid = run, run.report.valid_perplexity
         del run
@@ -442,6 +445,37 @@ def run_alpha_sweep(config: RunConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def direct_solver_calibrate(w, h, bits: int, group_size: int):
+    """Reference for the column sweep: a direct constrained solve at every step.
+
+    At step q the columns < q are pinned at their quantized values and the
+    free columns re-solve tr(dW H dW^T) from scratch; group statistics are
+    refitted from the resulting working weights exactly like the production
+    loop does. Returns the quantized matrix and, per step, the working matrix
+    with the quantized columns so far.
+    """
+    d_row, d_col = w.shape
+    w_hat = np.empty_like(w)
+    states = []
+    params = [None] * d_row
+    for q in range(d_col):
+        if q == 0:
+            work = w.copy()
+        else:
+            delta_c = w_hat[:, :q] - w[:, :q]
+            delta_f = np.linalg.solve(h[q:, q:], -h[q:, :q] @ delta_c.T).T
+            work = w.copy()
+            work[:, :q] = w_hat[:, :q]
+            work[:, q:] = w[:, q:] + delta_f
+        if q % group_size == 0:
+            hi = min(q + group_size, d_col)
+            params = [fit_affine(work[r, q:hi], bits) for r in range(d_row)]
+        for r in range(d_row):
+            _, w_hat[r, q] = quantize_dequantize(work[r, q], params[r], bits)
+        states.append((work.copy(), w_hat[:, : q + 1].copy()))
+    return w_hat, states
+
+
 def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
     """Self-contained property checks with measured error magnitudes.
 
@@ -453,11 +487,9 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
         HessianAccumulator,
         LogisticModel,
         accumulate_adaptive,
-        aggregate_row_hessians,
         fisher_expected_outer,
         fisher_sampled_outer,
         logistic_exact_hessian,
-        row_hessians,
     )
     from .linalg import symmetrize
 
@@ -491,9 +523,6 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
         wins += e_big < e_small
     results["fisher_sampled_convergence"] = {"wins": wins, "trials": 20, "pass": wins >= 19}
 
-    from .calibrate import CalibSpec as _Spec, calibrate_layer as _cal
-    from .quant import fit_affine as _fit, quantize_dequantize as _qdq
-
     worst_dev = 0.0
     for _ in range(100):
         d_row = int(rng.integers(1, 9))
@@ -504,25 +533,10 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
         h_prod = h.copy()
         if corrupt_update:
             h_prod = symmetrize(h_prod + 0.35 * np.diag(np.arange(d_col) + 1.0))
-        spec = _Spec(bits=2, group_size=d_col, alpha=0.0, block_size=1)
-        layer, _ = _cal(w, h_prod, spec, guard=False)
+        spec = CalibSpec(bits=2, group_size=d_col, alpha=0.0, block_size=1)
+        layer, _ = calibrate_layer(w, h_prod, spec, guard=False)
         got = layer.dequantize()
-
-        w_hat = np.empty_like(w)
-        params = [None] * d_row
-        for q in range(d_col):
-            if q == 0:
-                work = w.copy()
-            else:
-                delta_c = w_hat[:, :q] - w[:, :q]
-                delta_f = np.linalg.solve(h[q:, q:], -h[q:, :q] @ delta_c.T).T
-                work = w.copy()
-                work[:, :q] = w_hat[:, :q]
-                work[:, q:] = w[:, q:] + delta_f
-            if q % d_col == 0:
-                params = [_fit(work[r, q:], 2) for r in range(d_row)]
-            for r in range(d_row):
-                _, w_hat[r, q] = _qdq(work[r, q], params[r], 2)
+        w_hat, _ = direct_solver_calibrate(w, h, 2, d_col)
         worst_dev = max(worst_dev, float(np.max(np.abs(got - w_hat))))
     results["update_optimality"] = {
         "max_abs_dev": worst_dev,
@@ -539,7 +553,7 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
         for _ in range(d_row):
             a = rng.standard_normal((d_col, d_col))
             blocks.append(symmetrize(a @ a.T))
-        total = aggregate_row_hessians(blocks)
+        total = sum(blocks)
         delta = rng.standard_normal((d_row, d_col))
         lhs = float(np.sum((delta @ total) * delta))
         rhs = sum(float(delta[j] @ blocks[j] @ delta[j]) for j in range(d_row))
@@ -552,7 +566,8 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
     for g in samples:
         accumulate_adaptive(acc, g)
     mean = finalize(acc) / acc.n_samples
-    gram_dev = float(np.max(np.abs(mean - aggregate_row_hessians(row_hessians(samples)))))
+    rows = [sum(np.outer(g[j], g[j]) for g in samples) / len(samples) for j in range(5)]
+    gram_dev = float(np.max(np.abs(mean - sum(rows))))
     results["aggregation_equivalence"] = {"max_abs_dev": gram_dev, "pass": gram_dev < 1e-10}
 
     results["all_pass"] = all(

@@ -418,11 +418,14 @@ def residual_binarize(values) -> tuple[float, np.ndarray, float, np.ndarray]:
     return alpha1, signs1, alpha2, signs2
 
 
-def splitting_search(values, n_candidates: int = 64) -> float:
+SPLIT_CANDIDATES = 64
+
+
+def splitting_search(values) -> float:
     """Magnitude threshold that best separates a bell-shaped region in two.
 
     Candidates are the distinct |v| values when few, otherwise their
-    quantiles on a grid of at most `n_candidates`. Each candidate t is scored
+    quantiles on a grid of at most `SPLIT_CANDIDATES`. Each candidate t is scored
     by the summed squared deviation of {|v| <= t} and {|v| > t} from their
     means, sum(x^2) - sum(x)^2 / n per side, read off prefix sums of the
     sorted magnitudes; ties resolve to the smallest threshold.
@@ -432,10 +435,10 @@ def splitting_search(values, n_candidates: int = 64) -> float:
         raise EmptyGroup("cannot split an empty region")
     mags = np.sort(np.abs(v))
     distinct = np.unique(mags)
-    if distinct.size <= n_candidates:
+    if distinct.size <= SPLIT_CANDIDATES:
         candidates = distinct
     else:
-        qs = np.linspace(0.0, 1.0, n_candidates)
+        qs = np.linspace(0.0, 1.0, SPLIT_CANDIDATES)
         candidates = np.unique(np.quantile(distinct, qs))
     sums = np.concatenate([[0.0], np.cumsum(mags)])
     squares = np.concatenate([[0.0], np.cumsum(mags**2)])

@@ -38,7 +38,6 @@ __all__ = [
     "ModelConfig",
     "TrainConfig",
     "TinyLM",
-    "CalibSample",
     "BlockInputs",
     "tokenize",
     "init_model",
@@ -57,7 +56,6 @@ __all__ = [
     "train_tiny_lm",
     "save_checkpoint",
     "load_checkpoint",
-    "with_weights",
 ]
 
 
@@ -85,15 +83,6 @@ class TrainConfig:
 class TinyLM:
     config: ModelConfig
     params: dict[str, np.ndarray]
-
-    def copy(self) -> "TinyLM":
-        return TinyLM(self.config, {k: v.copy() for k, v in self.params.items()})
-
-
-@dataclass(frozen=True)
-class CalibSample:
-    ids: np.ndarray
-    offset: int
 
 
 def tokenize(data: bytes) -> np.ndarray:
@@ -147,20 +136,6 @@ def init_model(config: ModelConfig, seed: int) -> TinyLM:
         std = 0.02 * resid_scale if name.endswith((".wo", ".fc2")) else 0.02
         params[name] = rng.normal(0.0, std, size=shape)
     return TinyLM(config, params)
-
-
-def with_weights(model: TinyLM, replacements: dict[str, np.ndarray]) -> TinyLM:
-    """New model with some weight matrices swapped (shapes must match)."""
-    out = model.copy()
-    for name, mat in replacements.items():
-        if name not in out.params:
-            raise ArchitectureMismatch(f"unknown layer {name!r}")
-        if out.params[name].shape != mat.shape:
-            raise ArchitectureMismatch(
-                f"{name}: shape {mat.shape} != {out.params[name].shape}"
-            )
-        out.params[name] = np.asarray(mat, dtype=np.float64)
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,9 +240,9 @@ def _mean_ce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.mean(logp[np.arange(targets.shape[0]), targets]))
 
 
-def lm_forward_loss(model: TinyLM, sample: CalibSample) -> float:
-    """Mean next-token cross-entropy over the sample's positions."""
-    ids = _check_ids(sample.ids, model.config.vocab_size)
+def lm_forward_loss(model: TinyLM, ids) -> float:
+    """Mean next-token cross-entropy over the window's positions."""
+    ids = _check_ids(ids, model.config.vocab_size)
     if ids.shape[0] < 2:
         raise DimMismatch("need at least two tokens for a next-token loss")
     _, cache = lm_forward(model, ids)
@@ -364,11 +339,11 @@ class BlockInputs:
     block: int = 0
 
 
-def embed_windows(model: TinyLM, samples: list[CalibSample]) -> BlockInputs:
-    """Embed every calibration window once, as inputs to block 0."""
-    if not samples:
+def embed_windows(model: TinyLM, windows: list[np.ndarray]) -> BlockInputs:
+    """Embed every calibration window (token ids) once, as inputs to block 0."""
+    if not windows:
         raise DimMismatch("need at least one calibration sample")
-    ids, xs = zip(*(_embed(model, s.ids) for s in samples))
+    ids, xs = zip(*(_embed(model, w) for w in windows))
     return BlockInputs(list(ids), list(xs))
 
 
@@ -436,24 +411,20 @@ def perplexity(model: TinyLM, tokens) -> float:
     count = 0
     for start in range(0, ids.shape[0] - ctx + 1, ctx):
         window = ids[start : start + ctx]
-        total = total + lm_forward_loss(model, CalibSample(window, start)) * (
-            ctx - 1
-        )
+        total = total + lm_forward_loss(model, window) * (ctx - 1)
         count += ctx - 1
     return float(np.exp(total / count))
 
 
 def sample_calibration_windows(
     tokens, n_samples: int, context_length: int, rng
-) -> list[CalibSample]:
+) -> list[np.ndarray]:
+    """Token-id windows at random offsets, in ascending offset order."""
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.shape[0] < context_length + 1:
         raise CorpusTooSmall("not enough tokens for one calibration window")
     offsets = rng.integers(0, ids.shape[0] - context_length, size=n_samples)
-    return [
-        CalibSample(ids[o : o + context_length].copy(), int(o))
-        for o in sorted(int(o) for o in offsets)
-    ]
+    return [ids[o : o + context_length].copy() for o in np.sort(offsets)]
 
 
 def train_tiny_lm(

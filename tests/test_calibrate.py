@@ -8,13 +8,13 @@ from oacal.calibrate import (
     calibrate_layer,
     calibrate_layer_binary,
     detect_outliers,
-    optimal_update,
     saliency,
 )
 from oacal.errors import ConfigError, NonPositiveDiagonal, NotPositiveDefinite
 from oacal.hessian import HessianMode, regularize
 from oacal.linalg import symmetrize
-from oacal.quant import fit_affine, quantize_dequantize, rtn_quantize
+from oacal.pipeline import direct_solver_calibrate
+from oacal.quant import rtn_quantize
 
 
 def random_spd(rng, dim, jitter=None):
@@ -76,7 +76,7 @@ class TestDetectOutliers:
         rng = np.random.default_rng(51)
         w = rng.standard_normal((4, 8))
         spec = CalibSpec(bits=2, group_size=4, tau=1e12, backend=Backend.SPQR)
-        mask = detect_outliers(w, np.eye(8) * 2, spec)
+        mask = detect_outliers(w, np.full(8, 0.5), spec)
         assert not mask.any()
 
     def test_dominant_weight_marked(self):
@@ -84,92 +84,28 @@ class TestDetectOutliers:
         w = rng.uniform(-0.01, 0.01, size=(8, 8))
         w[3, 5] = 1.0  # 100x larger than everything else
         spec = CalibSpec(bits=2, group_size=4, tau=3.5, backend=Backend.SPQR)
-        mask = detect_outliers(w, np.eye(8) * 2.0, spec)
+        mask = detect_outliers(w, np.full(8, 0.5), spec)
         assert mask[3, 5]
 
     def test_zero_matrix_empty(self):
         spec = CalibSpec(bits=2, group_size=4, tau=3.5, backend=Backend.SPQR)
-        mask = detect_outliers(np.zeros((4, 8)), np.eye(8), spec)
+        mask = detect_outliers(np.zeros((4, 8)), np.ones(8), spec)
         assert not mask.any()
-
-
-class TestOptimalUpdate:
-    def test_diagonal_h_touches_only_q(self):
-        inv = np.diag([0.5, 0.25, 2.0])
-        residual = np.array([1.0, -2.0])
-        upd = optimal_update(residual, inv, q=1)
-        np.testing.assert_allclose(upd[:, 1], -residual)
-        assert np.all(upd[:, [0, 2]] == 0.0)
-
-    def test_zero_residual_noop(self):
-        inv = symmetrize(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        upd = optimal_update(np.zeros(3), inv, q=0)
-        assert np.all(upd == 0.0)
-
-    def test_matches_constrained_least_squares(self):
-        # direct KKT solve: pin delta[:, q], minimize tr(dW H dW^T)
-        rng = np.random.default_rng(53)
-        for _ in range(25):
-            d_col = int(rng.integers(2, 7))
-            d_row = int(rng.integers(1, 5))
-            h = random_spd(rng, d_col, jitter=0.5)
-            inv = np.linalg.inv(h)
-            residual = rng.standard_normal(d_row)
-            q = int(rng.integers(0, d_col))
-            upd = optimal_update(residual, symmetrize(inv), q)
-            free = [k for k in range(d_col) if k != q]
-            expected = np.zeros((d_row, d_col))
-            expected[:, q] = -residual
-            sol = np.linalg.solve(
-                h[np.ix_(free, free)], -h[np.ix_(free, [q])] @ (-residual[None, :])
-            )
-            expected[:, free] = sol.T
-            np.testing.assert_allclose(upd, expected, atol=1e-8)
-
-
-def oracle_sequential_calibrate(w, h, bits, group_size):
-    """Reference path: direct constrained least squares at every step.
-
-    At step q the columns < q are pinned at their quantized values and the
-    free columns re-solve tr(dW H dW^T) from scratch; group statistics are
-    refitted from the resulting working weights exactly like the production
-    loop does. Returns the quantized matrix and the working matrix after
-    every step.
-    """
-    d_row, d_col = w.shape
-    w_hat = np.empty_like(w)
-    states = []
-    params = [None] * d_row
-    for q in range(d_col):
-        if q == 0:
-            work = w.copy()
-        else:
-            delta_c = w_hat[:, :q] - w[:, :q]
-            hff = h[q:, q:]
-            hfc = h[q:, :q]
-            delta_f = np.linalg.solve(hff, -hfc @ delta_c.T).T
-            work = w.copy()
-            work[:, :q] = w_hat[:, :q]
-            work[:, q:] = w[:, q:] + delta_f
-        if q % group_size == 0:
-            hi = min(q + group_size, d_col)
-            params = [fit_affine(work[r, q:hi], bits) for r in range(d_row)]
-        for r in range(d_row):
-            _, w_hat[r, q] = quantize_dequantize(work[r, q], params[r], bits)
-        states.append((work.copy(), w_hat[:, : q + 1].copy()))
-    return w_hat, states
 
 
 class TestCalibrateLayer:
     def test_identity_h_equals_rtn(self):
+        # a diagonal H has a diagonal inverse factor, so no column update
+        # reaches another column and the result is RTN, identity or not
         rng = np.random.default_rng(54)
         w = rng.standard_normal((6, 8))
         spec = CalibSpec(bits=2, group_size=4, alpha=0.0, backend=Backend.OPTQ)
-        layer, report = calibrate_layer(w, np.eye(8), spec)
         ref = rtn_quantize(w, bits=2, group_size=4)
-        np.testing.assert_array_equal(layer.codes, ref.codes)
-        np.testing.assert_array_equal(layer.scales, ref.scales)
-        np.testing.assert_allclose(layer.dequantize(), ref.dequantize(), atol=0)
+        for h in (np.eye(8), np.diag(np.linspace(0.25, 4.0, 8))):
+            layer, report = calibrate_layer(w, h, spec)
+            np.testing.assert_array_equal(layer.codes, ref.codes)
+            np.testing.assert_array_equal(layer.scales, ref.scales)
+            np.testing.assert_allclose(layer.dequantize(), ref.dequantize(), atol=0)
 
     def test_on_grid_input_zero_proxy(self):
         w = np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]])
@@ -207,7 +143,7 @@ class TestCalibrateLayer:
             )
             trace = []
             layer, _ = calibrate_layer(w, h, spec, trace=trace, guard=False)
-            w_hat_oracle, states = oracle_sequential_calibrate(w, h, 2, group)
+            w_hat_oracle, states = direct_solver_calibrate(w, h, 2, group)
             np.testing.assert_allclose(
                 layer.dequantize(), w_hat_oracle, atol=1e-8
             )

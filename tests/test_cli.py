@@ -67,6 +67,36 @@ def test_malformed_config(setup, tmp_path, capsys, data, message):
     assert err.startswith("error: ") and message in err
 
 
+def config_alone(tmp_path, checkpoint, **data) -> str:
+    """A config that names every setting, so `--config` needs no other flag."""
+    corpus = str(tmp_path / "corpus.txt")
+    settings = {"checkpoint": str(checkpoint), "corpus_train": corpus,
+                "corpus_valid": corpus, "corpus_test": corpus,
+                "out_dir": str(tmp_path / "out"), "n_calibration_samples": 3}
+    return write_config(tmp_path / "config.json", {**settings, **data})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [({"bits": "two"}, "bits"),
+     ({"method": "OPTQ", "group_size": 0}, "group_size"),
+     ({"method": "OPTQ", "n_calibration_samples": 0}, "n_calibration_samples")],
+)
+def test_invalid_config_value(setup, tmp_path, capsys, data, message):
+    checkpoint, _ = setup
+    assert main(["quantize", "--config", config_alone(tmp_path, checkpoint, **data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_quantize_from_config_alone(setup, tmp_path):
+    checkpoint, _ = setup
+    out = tmp_path / "from_config"
+    config = config_alone(tmp_path, checkpoint, method="RTN", out_dir=str(out))
+    assert main(["quantize", "--config", config]) == 0
+    assert json.loads((out / "report.json").read_text())["method"] == "RTN"
+
+
 def test_missing_checkpoint(setup, tmp_path):
     _, flags = setup
     assert main(["quantize", "--checkpoint", str(tmp_path / "absent.oack"), *flags]) == 3

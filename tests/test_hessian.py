@@ -14,9 +14,7 @@ from oacal.hessian import (
     HessianMode,
     LogisticModel,
     accumulate_adaptive,
-    accumulate_agnostic,
     accumulate_agnostic_batch,
-    aggregate_row_hessians,
     finalize,
     fisher_expected_outer,
     fisher_sampled_outer,
@@ -24,23 +22,31 @@ from oacal.hessian import (
     logistic_gradient,
     logistic_loss,
     regularize,
-    row_hessians,
     sigmoid,
 )
 from oacal.linalg import cholesky, symmetrize
 
 
+def row_blocks(gradient_samples):
+    """Per-row curvature blocks (1/N) sum_i G_i[j]^T G_i[j], one per row j."""
+    d_row = gradient_samples[0].shape[0]
+    return [
+        sum(np.outer(g[j], g[j]) for g in gradient_samples) / len(gradient_samples)
+        for j in range(d_row)
+    ]
+
+
 class TestAccumulators:
     def test_single_outer_product(self):
         acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
-        accumulate_agnostic(acc, [1.0, 0.0])
+        accumulate_agnostic_batch(acc, [[1.0, 0.0]])
         np.testing.assert_allclose(acc.sum, [[1.0, 0.0], [0.0, 0.0]])
         assert acc.n_samples == 1
 
     def test_doubling(self):
         acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
-        accumulate_agnostic(acc, [1.0, 2.0])
-        accumulate_agnostic(acc, [1.0, 2.0])
+        accumulate_agnostic_batch(acc, [[1.0, 2.0]])
+        accumulate_agnostic_batch(acc, [[1.0, 2.0]])
         np.testing.assert_allclose(acc.sum, [[2.0, 4.0], [4.0, 8.0]])
 
     def test_agnostic_matches_brute_force(self):
@@ -48,7 +54,7 @@ class TestAccumulators:
         xs = rng.standard_normal((100, 6))
         acc = HessianAccumulator(6, HessianMode.AGNOSTIC)
         for x in xs:
-            accumulate_agnostic(acc, x)
+            accumulate_agnostic_batch(acc, x[None, :])
         brute = np.zeros((6, 6))
         for x in xs:
             brute += np.outer(x, x)
@@ -60,7 +66,7 @@ class TestAccumulators:
         a = HessianAccumulator(5, HessianMode.AGNOSTIC)
         b = HessianAccumulator(5, HessianMode.AGNOSTIC)
         for x in xs:
-            accumulate_agnostic(a, x)
+            accumulate_agnostic_batch(a, x[None, :])
         accumulate_agnostic_batch(b, xs)
         np.testing.assert_allclose(a.sum, b.sum, atol=1e-10)
         assert b.n_samples == 40
@@ -88,13 +94,13 @@ class TestAccumulators:
         with pytest.raises(DimMismatch):
             accumulate_adaptive(acc, np.eye(2))
         with pytest.raises(DimMismatch):
-            accumulate_agnostic(acc, [1.0, 2.0, 3.0])
+            accumulate_agnostic_batch(acc, [[1.0, 2.0, 3.0]])
 
 
 class TestFinalize:
     def test_single_sample_sum_equals_mean(self):
         acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
-        accumulate_agnostic(acc, [3.0, -1.0])
+        accumulate_agnostic_batch(acc, [[3.0, -1.0]])
         np.testing.assert_allclose(finalize(acc), np.outer([3, -1], [3, -1]))
 
     def test_empty_accumulator(self):
@@ -281,7 +287,7 @@ class TestAggregation:
             for _ in range(d_row):
                 a = rng.standard_normal((d_col, d_col))
                 blocks.append(symmetrize(a @ a.T))
-            total = aggregate_row_hessians(blocks)
+            total = sum(blocks)
             delta = rng.standard_normal((d_row, d_col))
             lhs = float(np.sum((delta @ total) * delta))
             rhs = sum(
@@ -295,5 +301,5 @@ class TestAggregation:
         acc = HessianAccumulator(4, HessianMode.ADAPTIVE)
         for g in samples:
             accumulate_adaptive(acc, g)
-        via_rows = aggregate_row_hessians(row_hessians(samples))
+        via_rows = sum(row_blocks(samples))
         np.testing.assert_allclose(finalize(acc) / acc.n_samples, via_rows, atol=1e-10)

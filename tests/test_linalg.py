@@ -18,20 +18,20 @@ def random_spd(rng, dim):
 
 class TestCholesky:
     def test_diagonal_case(self):
-        f = cholesky(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(f.lower, np.diag([2.0, 3.0]))
+        lower = cholesky(np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(lower, np.diag([2.0, 3.0]))
 
     def test_identity(self):
-        f = cholesky(np.eye(3))
-        np.testing.assert_allclose(f.lower, np.eye(3))
+        lower = cholesky(np.eye(3))
+        np.testing.assert_allclose(lower, np.eye(3))
 
     def test_two_by_two_analytic(self):
         # lower entries follow from l11 = sqrt(2), l21 = 1/l11, l22 = sqrt(2 - 1/2)
-        f = cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        lower = cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]))
         expected = np.array([[1.41421356, 0.0], [0.70710678, 1.22474487]])
-        np.testing.assert_allclose(f.lower, expected, atol=1e-8)
+        np.testing.assert_allclose(lower, expected, atol=1e-8)
         np.testing.assert_allclose(
-            f.reconstruct(), [[2.0, 1.0], [1.0, 2.0]], atol=1e-12
+            lower @ lower.T, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12
         )
 
     def test_recompose_corpus(self):
@@ -39,7 +39,8 @@ class TestCholesky:
         for _ in range(200):
             dim = int(rng.integers(1, 33))
             m = random_spd(rng, dim)
-            rec = cholesky(m).reconstruct()
+            lower = cholesky(m)
+            rec = lower @ lower.T
             rel = np.linalg.norm(rec - m) / np.linalg.norm(m)
             assert rel < 1e-8
 

@@ -265,11 +265,11 @@ class TestSplittingSearch:
         assert t == 0.5
 
     @staticmethod
-    def candidates(mags, n_candidates=64):
+    def candidates(mags):
         distinct = np.unique(mags)
-        if distinct.size <= n_candidates:
+        if distinct.size <= 64:
             return distinct
-        qs = np.linspace(0.0, 1.0, n_candidates)
+        qs = np.linspace(0.0, 1.0, 64)
         return np.unique(np.quantile(distinct, qs))
 
     @pytest.mark.parametrize("size", [7, 40, 64, 65, 300])

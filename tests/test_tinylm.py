@@ -6,13 +6,8 @@ import pytest
 
 import oacal.tinylm as tinylm
 from oacal.errors import ArchitectureMismatch, DimMismatch
-from oacal.hessian import (
-    aggregate_row_hessians,
-    finalize,
-    row_hessians,
-)
+from oacal.hessian import finalize
 from oacal.tinylm import (
-    CalibSample,
     ModelConfig,
     TrainConfig,
     block_forward,
@@ -28,7 +23,6 @@ from oacal.tinylm import (
     load_checkpoint,
     save_checkpoint,
     train_tiny_lm,
-    with_weights,
 )
 
 TINY = ModelConfig(vocab_size=16, d_model=8, d_ff=12, n_blocks=2, context_length=7)
@@ -44,10 +38,7 @@ def scaled_model(config, seed, scale=15.0):
 
 def windows(config, n, seed):
     rng = np.random.default_rng(seed)
-    return [
-        CalibSample(rng.integers(0, config.vocab_size, config.context_length), i)
-        for i in range(n)
-    ]
+    return [rng.integers(0, config.vocab_size, config.context_length) for _ in range(n)]
 
 
 class TestGradients:
@@ -55,12 +46,12 @@ class TestGradients:
     def test_finite_differences(self, name):
         model = scaled_model(TINY, 1)
         sample = windows(TINY, 1, 2)[0]
-        grad = lm_backward(model, lm_forward(model, sample.ids)[1])[name]
+        grad = lm_backward(model, lm_forward(model, sample)[1])[name]
         rng = np.random.default_rng(3)
         entries = [tuple(int(rng.integers(0, n)) for n in grad.shape) for _ in range(12)]
         if name == "embed":
             # rows of tokens that occur in the window carry the gradient
-            entries += [(int(sample.ids[0]), 0), (int(sample.ids[-1]), 3)]
+            entries += [(int(sample[0]), 0), (int(sample[-1]), 3)]
         eps = 1e-6
         for idx in entries:
             param = model.params[name]
@@ -75,13 +66,13 @@ class TestGradients:
 
     def test_every_parameter_has_a_gradient(self):
         model = init_model(TINY, 0)
-        grads = lm_backward(model, lm_forward(model, windows(TINY, 1, 0)[0].ids)[1])
+        grads = lm_backward(model, lm_forward(model, windows(TINY, 1, 0)[0])[1])
         assert sorted(grads) == sorted(model.params)
 
     @pytest.mark.parametrize("block", range(THREE.n_blocks))
     def test_block_restriction_is_bit_identical(self, block):
         model = scaled_model(THREE, 4, scale=5.0)
-        _, cache = lm_forward(model, windows(THREE, 1, 5)[0].ids)
+        _, cache = lm_forward(model, windows(THREE, 1, 5)[0])
         full = lm_backward(model, cache)
         part = lm_backward(model, cache, blocks=[block])
         assert sorted(part) == sorted(block_layer_names(block))
@@ -103,7 +94,7 @@ class TestPerBlockForward:
     def test_propagated_input_matches_full_forward(self):
         model = scaled_model(THREE, 6, scale=5.0)
         sample = windows(THREE, 1, 7)[0]
-        probs, cache = lm_forward(model, sample.ids)
+        probs, cache = lm_forward(model, sample)
         x = embed_windows(model, [sample]).xs[0]
         for b in range(THREE.n_blocks):
             np.testing.assert_array_equal(x, cache["blocks"][b]["x_in"])
@@ -131,7 +122,7 @@ def reference_agnostic(model, samples, block):
     """X^T X per layer from whole-model forwards on token ids."""
     sums = {}
     for s in samples:
-        blk = lm_forward(model, s.ids)[1]["blocks"][block]
+        blk = lm_forward(model, s)[1]["blocks"][block]
         for name, source in layer_input_name_map(block).items():
             x = blk[source]
             sums[name] = sums.get(name, 0.0) + x.T @ x
@@ -142,7 +133,7 @@ def reference_adaptive(model, samples, block):
     """G^T G per layer from whole-model forwards and block backwards."""
     sums = {}
     for s in samples:
-        grads = lm_backward(model, lm_forward(model, s.ids)[1], blocks=[block])
+        grads = lm_backward(model, lm_forward(model, s)[1], blocks=[block])
         for name in block_layer_names(block):
             g = grads[name]
             sums[name] = sums.get(name, 0.0) + g.T @ g
@@ -162,11 +153,14 @@ class TestCollectors:
     def test_propagated_inputs_match_forwards_from_ids(self, collector, reference):
         model = scaled_model(THREE, 8, scale=5.0)
         rng = np.random.default_rng(9)
-        swapped = with_weights(
-            model,
+        swapped = tinylm.TinyLM(
+            THREE,
             {
-                name: model.params[name] + 0.01 * rng.standard_normal(model.params[name].shape)
-                for name in block_layer_names(0)
+                **model.params,
+                **{
+                    name: model.params[name] + 0.01 * rng.standard_normal(model.params[name].shape)
+                    for name in block_layer_names(0)
+                },
             },
         )
         samples = windows(THREE, 4, 10)
@@ -200,10 +194,13 @@ class TestCollectors:
         block = 1
         accs = harvest_block_gradients(model, block, embed_windows(model, samples))
         per_window = [
-            lm_backward(model, lm_forward(model, s.ids)[1], blocks=[block]) for s in samples
+            lm_backward(model, lm_forward(model, s)[1], blocks=[block]) for s in samples
         ]
         for name in block_layer_names(block):
-            expected = aggregate_row_hessians(row_hessians([g[name] for g in per_window]))
+            # the mean over windows of the per-row curvature blocks, summed over rows
+            expected = sum(
+                np.outer(row, row) for g in per_window for row in g[name]
+            ) / len(per_window)
             got = finalize(accs[name]) / accs[name].n_samples
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
 
