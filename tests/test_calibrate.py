@@ -12,7 +12,7 @@ from oacal.calibrate import (
 )
 from oacal.errors import ConfigError, NonPositiveDiagonal, NotPositiveDefinite
 from oacal.hessian import HessianMode, regularize
-from oacal.linalg import symmetrize
+from oacal.linalg import inverse_upper_factor, symmetrize
 from oacal.pipeline import direct_solver_calibrate
 from oacal.quant import rtn_quantize
 
@@ -91,6 +91,60 @@ class TestDetectOutliers:
         spec = CalibSpec(bits=2, group_size=4, tau=3.5, backend=Backend.SPQR)
         mask = detect_outliers(np.zeros((4, 8)), np.ones(8), spec)
         assert not mask.any()
+
+
+def pin_column(w, h, q, residual, block_size):
+    """Run the production sweep with column q pinned to w[:, q] - residual.
+
+    Every other column is quantized to its current working value (a zero
+    residual), so the only compensation is the rank-1 update for column q.
+    Returns the swept matrix, whose columns hold the compensated weights.
+    """
+
+    def codec(k, col):
+        return col - residual if k == q else col.copy()
+
+    upper = inverse_upper_factor(symmetrize(h))
+    w_hat, _ = oacal.calibrate._sweep(w.copy(), upper, block_size, codec)
+    return w_hat
+
+
+class TestOptimalUpdate:
+    def test_diagonal_h_touches_only_q(self):
+        w = np.arange(6.0).reshape(2, 3)
+        residual = np.array([1.0, -2.0])
+        w_hat = pin_column(w, np.diag([2.0, 4.0, 0.5]), 1, residual, 3)
+        np.testing.assert_allclose(w_hat[:, 1] - w[:, 1], -residual)
+        assert np.all(w_hat[:, [0, 2]] == w[:, [0, 2]])
+
+    def test_zero_residual_noop(self):
+        w = np.arange(6.0).reshape(3, 2)
+        h = symmetrize(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        w_hat = pin_column(w, h, 0, np.zeros(3), 2)
+        assert np.all(w_hat == w)
+
+    def test_matches_constrained_least_squares(self):
+        # direct KKT solve: columns < q stay, delta[:, q] is pinned, the
+        # columns > q minimize tr(dW H dW^T)
+        rng = np.random.default_rng(53)
+        for _ in range(25):
+            d_col = int(rng.integers(2, 7))
+            d_row = int(rng.integers(1, 5))
+            h = random_spd(rng, d_col, jitter=0.5)
+            w = rng.standard_normal((d_row, d_col))
+            residual = rng.standard_normal(d_row)
+            q = int(rng.integers(0, d_col))
+            block_size = int(rng.integers(1, d_col + 1))
+            w_hat = pin_column(w, h, q, residual, block_size)
+            free = list(range(q + 1, d_col))
+            expected = np.zeros((d_row, d_col))
+            expected[:, q] = -residual
+            if free:
+                sol = np.linalg.solve(
+                    h[np.ix_(free, free)], -h[np.ix_(free, [q])] @ (-residual[None, :])
+                )
+                expected[:, free] = sol.T
+            np.testing.assert_allclose(w_hat - w, expected, atol=1e-8)
 
 
 class TestCalibrateLayer:
