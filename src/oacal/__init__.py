@@ -6,8 +6,8 @@ Modules by responsibility:
 * hessian          - batched agnostic and adaptive curvature sums, logistic oracle
 * quant            - affine, double-quantized, and binary weight codecs
 * calibrate        - one column sweep for every backend, outlier isolation
-* tinylm           - toy byte-level transformer with manual backprop and the
-                     per-block Hessian collectors
+* tinylm           - toy byte-level transformer with manual backprop over
+                     stacked (B, T) windows, and the per-block Hessian collectors
 * pipeline, cli    - end-to-end runs, alpha sweeps, reports, and the oracle
                      bundle with its direct-solver reference
 * errors           - typed errors behind the CLI exit codes

@@ -94,16 +94,14 @@ def _run_config(args) -> "RunConfig":
         "seed": args.seed,
         "out_dir": args.out,
     }
+    if args.command == "eval" and args.out is None:
+        overrides["out_dir"] = "runs/out"  # eval writes nothing
     if args.config:
         return RunConfig.from_json(args.config, **overrides)
-    needed = ["checkpoint", "corpus_train", "corpus_valid", "corpus_test"]
-    if args.command != "eval":  # eval writes nothing
-        needed.append("out_dir")
+    needed = ["checkpoint", "corpus_train", "corpus_valid", "corpus_test", "out_dir"]
     missing = [k for k in needed if overrides[k] is None]
     if missing:
         raise ConfigError(f"missing required settings (no --config): {missing}")
-    if overrides["out_dir"] is None:
-        overrides["out_dir"] = "runs/out"
     return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 

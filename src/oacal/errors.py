@@ -42,7 +42,7 @@ class EmptyGroup(OacalError):
 
 
 class MalformedArchive(OacalError):
-    """Bad magic, unsupported version, or truncated tensor archive."""
+    """Bad magic, unsupported version, truncated tensor archive, or bad checkpoint sidecar."""
 
 
 class DuplicateName(OacalError):

@@ -7,8 +7,17 @@ derivative is checked against finite differences in the tests. One
 per-block forward (`block_forward`) serves the whole model and the
 calibration collectors, which carry each window's block input forward.
 
-Activations are row vectors; a linear layer with weight W (d_out x d_in)
+Every model function takes a stack of windows: token ids (B, T), activations
+(B, T, d) and, from `lm_backward`, per-window gradients (B, *param.shape).
+Training sums gradients over axis 0; the collectors fold each window into
+their Hessians in window order, so all sums equal a one-window loop bit for
+bit. Activations are row vectors; a linear layer with weight W (d_out x d_in)
 computes x @ W.T, so W's columns line up with the layer's input dimension.
+
+Eval and the collectors run CHUNK_ROWS token rows at a time: 2 windows of
+the toy's 64 positions, 1 of the M shape's 128. At 256 rows, peak RSS (one
+BLAS thread) rose from 74 to 82 MiB on the toy alpha sweep, 11% against the
+benchmark's 12% bound, and from 210 to 223 MiB on M with OAC_SpQR.
 """
 from __future__ import annotations
 
@@ -21,8 +30,10 @@ import numpy as np
 from .archive import archive_read, archive_write
 from .errors import (
     ArchitectureMismatch,
+    ConfigError,
     CorpusTooSmall,
     DimMismatch,
+    MalformedArchive,
     TokenOutOfRange,
 )
 from .hessian import (
@@ -33,6 +44,7 @@ from .hessian import (
 )
 
 RMS_EPS = 1e-6
+CHUNK_ROWS = 128  # token rows per stacked forward/backward; see the module docstring
 
 __all__ = [
     "ModelConfig",
@@ -78,6 +90,14 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("learning_rate", "grad_clip"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+
 
 @dataclass
 class TinyLM:
@@ -90,32 +110,24 @@ def tokenize(data: bytes) -> np.ndarray:
     return (np.frombuffer(data, dtype=np.uint8) % 128).astype(np.int64)
 
 
-def _check_ids(ids, vocab_size: int) -> np.ndarray:
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.ndim != 1:
-        raise DimMismatch("token ids must be a 1-D sequence")
-    if arr.size and (arr.min() < 0 or arr.max() >= vocab_size):
-        raise TokenOutOfRange(f"token ids must lie in [0, {vocab_size})")
-    return arr
+# each linear layer of a block, in order, and the cached activation it reads
+_LAYER_INPUTS = {
+    "attn.wq": "attn_in", "attn.wk": "attn_in", "attn.wv": "attn_in",
+    "attn.wo": "attn_mix", "mlp.fc1": "mlp_in", "mlp.fc2": "mlp_act",
+}
 
 
 def block_layer_names(block: int) -> list[str]:
-    base = f"blk{block}"
-    return [
-        f"{base}.attn.wq",
-        f"{base}.attn.wk",
-        f"{base}.attn.wv",
-        f"{base}.attn.wo",
-        f"{base}.mlp.fc1",
-        f"{base}.mlp.fc2",
-    ]
+    return [f"blk{block}.{layer}" for layer in _LAYER_INPUTS]
+
+
+def layer_input_name_map(block: int) -> dict[str, str]:
+    """Which cached activation feeds each linear layer of a block."""
+    return {f"blk{block}.{layer}": source for layer, source in _LAYER_INPUTS.items()}
 
 
 def quantizable_layers(model: TinyLM) -> list[str]:
-    names = []
-    for b in range(model.config.n_blocks):
-        names.extend(block_layer_names(b))
-    return names
+    return [name for b in range(model.config.n_blocks) for name in block_layer_names(b)]
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
@@ -165,40 +177,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def layer_input_name_map(block: int) -> dict[str, str]:
-    """Which cached activation feeds each linear layer of a block."""
-    base = f"blk{block}"
-    return {
-        f"{base}.attn.wq": "attn_in",
-        f"{base}.attn.wk": "attn_in",
-        f"{base}.attn.wv": "attn_in",
-        f"{base}.attn.wo": "attn_mix",
-        f"{base}.mlp.fc1": "mlp_in",
-        f"{base}.mlp.fc2": "mlp_act",
-    }
-
-
-def _embed(model: TinyLM, ids) -> tuple[np.ndarray, np.ndarray]:
-    """Checked token ids and their residual-stream input to block 0."""
-    cfg = model.config
-    ids = _check_ids(ids, cfg.vocab_size)
-    t = ids.shape[0]
-    if t > cfg.context_length:
-        raise DimMismatch(f"sequence length {t} exceeds context {cfg.context_length}")
-    return ids, model.params["embed"][ids] + _positions(cfg.context_length, cfg.d_model)[:t]
-
-
 def block_forward(model: TinyLM, block: int, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """One pre-norm block on residual-stream rows `x`: its output and backward cache."""
+    """One pre-norm block on residual-stream rows x (B, T, d): its output and backward cache."""
     p = model.params
     base = f"blk{block}"
-    t = x.shape[0]
+    t = x.shape[1]
     scale = 1.0 / np.sqrt(model.config.d_model)
     a, ra = _rms_norm(x)
     q = a @ p[f"{base}.attn.wq"].T
     k = a @ p[f"{base}.attn.wk"].T
     v = a @ p[f"{base}.attn.wv"].T
-    att = _softmax(q @ k.T * scale + np.triu(np.full((t, t), -np.inf), k=1))
+    att = _softmax(q @ k.swapaxes(1, 2) * scale + np.triu(np.full((t, t), -np.inf), k=1))
     mix = att @ v
     x_mid = x + mix @ p[f"{base}.attn.wo"].T
     m_in, rm = _rms_norm(x_mid)
@@ -229,31 +218,28 @@ def _forward_from(model: TinyLM, ids: np.ndarray, first: int, x: np.ndarray):
 
 
 def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
-    """Next-token probabilities per position plus the backward cache."""
-    ids, x = _embed(model, ids)
-    return _forward_from(model, ids, 0, x)
+    """Next-token probabilities (B, T, vocab) of (B, T) ids plus the backward cache."""
+    inputs = embed_windows(model, ids)
+    return _forward_from(model, inputs.ids, 0, inputs.xs)
 
 
-def _mean_ce_from_logits(logits: np.ndarray, targets: np.ndarray) -> float:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return float(-np.mean(logp[np.arange(targets.shape[0]), targets]))
-
-
-def lm_forward_loss(model: TinyLM, ids) -> float:
-    """Mean next-token cross-entropy over the window's positions."""
-    ids = _check_ids(ids, model.config.vocab_size)
-    if ids.shape[0] < 2:
-        raise DimMismatch("need at least two tokens for a next-token loss")
+def lm_forward_loss(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
+    """Each window's mean next-token cross-entropy, shape (B,), and the forward's cache."""
     _, cache = lm_forward(model, ids)
-    return _mean_ce_from_logits(cache["logits"][:-1], ids[1:])
+    z = cache["logits"][:, :-1]
+    z = z - z.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(logp, cache["ids"][:, 1:, None], axis=-1)[..., 0]
+    return -np.mean(picked, axis=-1), cache
 
 
 def lm_backward(
     model: TinyLM, cache: dict, blocks: list[int] | None = None
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of the mean cross-entropy from a forward's `cache`.
+    """Exact gradients of each window's mean cross-entropy from a forward's `cache`.
 
+    Every gradient is a stack (B, *param.shape) with one entry per window of
+    the forward; summing over axis 0 gives the gradient of the summed loss.
     With `blocks` given, only those blocks' layer gradients are produced and
     backpropagation stops once the earliest requested block is done; the
     other blocks stay frozen, as in per-block gradient harvesting. A forward
@@ -262,9 +248,7 @@ def lm_backward(
     cfg = model.config
     p = model.params
     ids = cache["ids"]
-    t = ids.shape[0]
-    if t < 2:
-        raise DimMismatch("need at least two tokens for a next-token loss")
+    n, t = ids.shape
     want_all = blocks is None
     wanted = set(range(cfg.n_blocks)) if want_all else set(blocks)
     bad = [b for b in wanted if b not in cache["blocks"]]
@@ -274,14 +258,14 @@ def lm_backward(
 
     n_pred = t - 1
     dlogits = cache["probs"].copy()
-    dlogits[np.arange(n_pred), ids[1:]] -= 1.0
-    dlogits[:n_pred] /= n_pred
-    dlogits[n_pred:] = 0.0
+    dlogits[np.arange(n)[:, None], np.arange(n_pred), ids[:, 1:]] -= 1.0
+    dlogits[:, :n_pred] /= n_pred
+    dlogits[:, n_pred:] = 0.0
 
     grads: dict[str, np.ndarray] = {}
     f = cache["final_norm"]
     if want_all:
-        grads["head"] = dlogits.T @ f
+        grads["head"] = dlogits.swapaxes(1, 2) @ f
     dx = _rms_backward(dlogits @ p["head"], cache["final_in"], cache["r_final"])
 
     scale = 1.0 / np.sqrt(cfg.d_model)
@@ -294,25 +278,25 @@ def lm_backward(
         dh_act = dx @ p[f"{base}.mlp.fc2"]
         dh_pre = dh_act * (1.0 - blk["mlp_act"] ** 2)
         if take:
-            grads[f"{base}.mlp.fc2"] = dx.T @ blk["mlp_act"]
-            grads[f"{base}.mlp.fc1"] = dh_pre.T @ blk["mlp_in"]
+            grads[f"{base}.mlp.fc2"] = dx.swapaxes(1, 2) @ blk["mlp_act"]
+            grads[f"{base}.mlp.fc1"] = dh_pre.swapaxes(1, 2) @ blk["mlp_in"]
         dm_in = dh_pre @ p[f"{base}.mlp.fc1"]
         dx_mid = dx + _rms_backward(dm_in, blk["x_mid"], blk["r_mlp"])
 
         # attention half: x_mid = x_in + (att @ v) @ Wo.T
         dmix = dx_mid @ p[f"{base}.attn.wo"]
         if take:
-            grads[f"{base}.attn.wo"] = dx_mid.T @ blk["attn_mix"]
-        datt = dmix @ blk["v"].T
-        dv = blk["att"].T @ dmix
+            grads[f"{base}.attn.wo"] = dx_mid.swapaxes(1, 2) @ blk["attn_mix"]
+        datt = dmix @ blk["v"].swapaxes(1, 2)
+        dv = blk["att"].swapaxes(1, 2) @ dmix
         att = blk["att"]
         dlogit_att = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
         dq = dlogit_att @ blk["k"] * scale
-        dk = dlogit_att.T @ blk["q"] * scale
+        dk = dlogit_att.swapaxes(1, 2) @ blk["q"] * scale
         if take:
-            grads[f"{base}.attn.wq"] = dq.T @ blk["attn_in"]
-            grads[f"{base}.attn.wk"] = dk.T @ blk["attn_in"]
-            grads[f"{base}.attn.wv"] = dv.T @ blk["attn_in"]
+            grads[f"{base}.attn.wq"] = dq.swapaxes(1, 2) @ blk["attn_in"]
+            grads[f"{base}.attn.wk"] = dk.swapaxes(1, 2) @ blk["attn_in"]
+            grads[f"{base}.attn.wv"] = dv.swapaxes(1, 2) @ blk["attn_in"]
         if not want_all and b == lowest:
             return grads
         da = (
@@ -323,36 +307,50 @@ def lm_backward(
         dx = dx_mid + _rms_backward(da, blk["x_in"], blk["r_attn"])
 
     if want_all:
-        dembed = np.zeros_like(p["embed"])
-        np.add.at(dembed, ids, dx)
+        dembed = np.zeros((n, *p["embed"].shape))
+        np.add.at(dembed, (np.arange(n)[:, None], ids), dx)
         grads["embed"] = dembed
     return grads
 
 
 @dataclass
 class BlockInputs:
-    """Calibration windows at their residual-stream input to `block`; the
-    collectors move `xs` in place through the (installed) blocks on the way."""
+    """Calibration windows: token ids (N, T) and their residual-stream input
+    xs (N, T, d) to `block`. The collectors move `xs` in place through the
+    (installed) blocks on the way."""
 
-    ids: list[np.ndarray]
-    xs: list[np.ndarray]
+    ids: np.ndarray
+    xs: np.ndarray
     block: int = 0
 
 
-def embed_windows(model: TinyLM, windows: list[np.ndarray]) -> BlockInputs:
-    """Embed every calibration window (token ids) once, as inputs to block 0."""
-    if not windows:
-        raise DimMismatch("need at least one calibration sample")
-    ids, xs = zip(*(_embed(model, w) for w in windows))
-    return BlockInputs(list(ids), list(xs))
+def _chunks(n_windows: int, t: int):
+    """Consecutive window slices of at most CHUNK_ROWS token rows (at least one window)."""
+    step = max(1, CHUNK_ROWS // t)
+    return [slice(i, i + step) for i in range(0, n_windows, step)]
+
+
+def embed_windows(model: TinyLM, windows) -> BlockInputs:
+    """Check (N, T) token ids and embed them once, as inputs to block 0."""
+    cfg = model.config
+    ids = np.asarray(windows, dtype=np.int64)
+    ctx = cfg.context_length
+    # a next-token loss needs two positions
+    if ids.ndim != 2 or ids.shape[0] < 1 or not 2 <= ids.shape[1] <= ctx:
+        raise DimMismatch(f"need 1+ windows of 2..{ctx} token ids, got shape {ids.shape}")
+    if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+        raise TokenOutOfRange(f"token ids must lie in [0, {cfg.vocab_size})")
+    xs = model.params["embed"][ids]
+    xs += _positions(ctx, cfg.d_model)[: ids.shape[1]]
+    return BlockInputs(ids, xs)
 
 
 def _advance(model: TinyLM, inputs: BlockInputs, block_index: int) -> None:
     if not inputs.block <= block_index < model.config.n_blocks:
         raise DimMismatch(f"inputs at block {inputs.block} cannot serve {block_index}")
     for b in range(inputs.block, block_index):
-        for i, x in enumerate(inputs.xs):
-            inputs.xs[i] = block_forward(model, b, x)[0]
+        for rows in _chunks(*inputs.ids.shape):
+            inputs.xs[rows] = block_forward(model, b, inputs.xs[rows])[0]
     inputs.block = block_index
 
 
@@ -363,19 +361,22 @@ def harvest_block_gradients(
 ) -> dict[str, HessianAccumulator]:
     """Adaptive Hessian accumulators for one block's linear layers.
 
-    Each window runs from its stored input to block `block_index` through the
-    head and back (other blocks stay frozen), adding one G^T G per layer.
+    Each chunk of windows runs from its stored inputs to block `block_index`
+    through the head and back (other blocks stay frozen); every window then
+    adds its own G^T G per layer, in window order.
     """
     _advance(model, inputs, block_index)
     accs = {
         name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
         for name in block_layer_names(block_index)
     }
-    for ids, x in zip(inputs.ids, inputs.xs):
-        # the forward cache dies with the backward, not at the next window
+    for rows in _chunks(*inputs.ids.shape):
+        # the forward cache dies with the backward, not at the next chunk
+        ids, x = inputs.ids[rows], inputs.xs[rows]
         grads = lm_backward(model, _forward_from(model, ids, block_index, x)[1], [block_index])
         for name, acc in accs.items():
-            accumulate_adaptive(acc, grads[name])
+            for g in grads[name]:
+                accumulate_adaptive(acc, g)
     return accs
 
 
@@ -387,44 +388,46 @@ def collect_agnostic_accumulators(
     """Classic input-outer-product accumulators for one block's layers.
 
     Only block `block_index` runs, on the stored inputs; every position adds
-    one x x^T, and layers reading the same input share one accumulator.
+    one x x^T, one window at a time in window order, and layers reading the
+    same input share one accumulator.
     """
     _advance(model, inputs, block_index)
     sources = layer_input_name_map(block_index)
     dims = {source: model.params[name].shape[1] for name, source in sources.items()}
     by_input = {s: HessianAccumulator(d, HessianMode.AGNOSTIC) for s, d in dims.items()}
-    for x in inputs.xs:
-        _, blk = block_forward(model, block_index, x)
+    for rows in _chunks(*inputs.ids.shape):
+        _, blk = block_forward(model, block_index, inputs.xs[rows])
         for source, acc in by_input.items():
-            accumulate_agnostic_batch(acc, blk[source])
+            for x in blk[source]:
+                accumulate_agnostic_batch(acc, x)
     return {name: by_input[source] for name, source in sources.items()}
 
 
 def perplexity(model: TinyLM, tokens) -> float:
     """exp(mean next-token cross-entropy) over non-overlapping windows."""
     cfg = model.config
-    ids = _check_ids(tokens, cfg.vocab_size)
     ctx = cfg.context_length
-    if ids.shape[0] <= ctx:
-        raise DimMismatch("need more eval tokens than one context window")
-    total = 0.0
-    count = 0
-    for start in range(0, ids.shape[0] - ctx + 1, ctx):
-        window = ids[start : start + ctx]
-        total = total + lm_forward_loss(model, window) * (ctx - 1)
-        count += ctx - 1
-    return float(np.exp(total / count))
+    ids = np.asarray(tokens, dtype=np.int64)
+    if ids.ndim != 1 or ids.shape[0] <= ctx:
+        raise DimMismatch("need a 1-D eval token stream longer than one context window")
+    windows = ids[: ids.shape[0] // ctx * ctx].reshape(-1, ctx)
+    losses = np.concatenate(
+        [lm_forward_loss(model, windows[rows])[0] for rows in _chunks(*windows.shape)]
+    )
+    # a running sum keeps the one-window-at-a-time summation order
+    total = np.cumsum(losses * (ctx - 1))[-1]
+    return float(np.exp(total / (losses.shape[0] * (ctx - 1))))
 
 
 def sample_calibration_windows(
     tokens, n_samples: int, context_length: int, rng
-) -> list[np.ndarray]:
-    """Token-id windows at random offsets, in ascending offset order."""
+) -> np.ndarray:
+    """(n_samples, T) token-id windows at random offsets, in ascending offset order."""
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.shape[0] < context_length + 1:
         raise CorpusTooSmall("not enough tokens for one calibration window")
     offsets = rng.integers(0, ids.shape[0] - context_length, size=n_samples)
-    return [ids[o : o + context_length].copy() for o in np.sort(offsets)]
+    return ids[np.sort(offsets)[:, None] + np.arange(context_length)]
 
 
 def train_tiny_lm(
@@ -448,16 +451,9 @@ def train_tiny_lm(
     ctx = config.context_length
     for step in range(1, train.steps + 1):
         offsets = rng.integers(0, tokens.shape[0] - ctx, size=train.batch_size)
-        total_loss = 0.0
-        grad_sum: dict[str, np.ndarray] = {
-            k: np.zeros_like(v) for k, v in model.params.items()
-        }
-        for off in offsets:
-            ids = tokens[off : off + ctx]
-            _, cache = lm_forward(model, ids)
-            total_loss += _mean_ce_from_logits(cache["logits"][:-1], ids[1:])
-            for k, g in lm_backward(model, cache).items():
-                grad_sum[k] += g
+        losses, cache = lm_forward_loss(model, tokens[offsets[:, None] + np.arange(ctx)])
+        grads = lm_backward(model, cache)
+        grad_sum = {k: grads[k].sum(axis=0) for k in model.params}
         inv_b = 1.0 / train.batch_size
         gnorm = np.sqrt(
             sum(float(np.sum((g * inv_b) ** 2)) for g in grad_sum.values())
@@ -474,8 +470,9 @@ def train_tiny_lm(
             model.params[k] -= (
                 train.learning_rate * m_hat / (np.sqrt(v_hat) + train.adam_eps)
             )
-        history["loss"].append(total_loss * inv_b)
-    history["final_loss"] = history["loss"][-1] if history["loss"] else None
+        # a running sum adds the windows' losses in batch order
+        history["loss"].append(float(np.cumsum(losses)[-1] * inv_b))
+    history["final_loss"] = history["loss"][-1]
     return model, history
 
 
@@ -492,19 +489,21 @@ def save_checkpoint(model: TinyLM, path) -> None:
 
 
 def load_checkpoint(path) -> TinyLM:
-    with open(str(path) + ".json", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    config = ModelConfig(**sidecar["architecture"])
+    try:
+        with open(str(path) + ".json", encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        config = ModelConfig(**sidecar["architecture"])
+        if not all(type(v) is int and v > 0 for v in asdict(config).values()):
+            raise MalformedArchive(f"checkpoint sidecar {path}.json: bad sizes {config}")
+        names = list(sidecar["params"])
+    except (ValueError, TypeError, KeyError) as exc:  # not JSON, bad or missing keys
+        raise MalformedArchive(f"checkpoint sidecar {path}.json: {exc!r}") from exc
     tensors = archive_read(path)
     params: dict[str, np.ndarray] = {}
-    for name in sidecar["params"]:
-        key = f"param/{name}"
-        if key not in tensors:
-            raise ArchitectureMismatch(f"checkpoint is missing tensor {key!r}")
-        params[name] = tensors[key].astype(np.float64)
     for name, shape in _param_shapes(config).items():
-        if name not in params:
-            raise ArchitectureMismatch(f"sidecar is missing layer {name!r}")
+        if name not in names or f"param/{name}" not in tensors:
+            raise ArchitectureMismatch(f"checkpoint is missing layer {name!r}")
+        params[name] = tensors[f"param/{name}"].astype(np.float64)
         if params[name].shape != shape:
             raise ArchitectureMismatch(
                 f"{name}: checkpoint shape {params[name].shape} != {shape}"

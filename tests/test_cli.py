@@ -110,6 +110,46 @@ def test_bad_magic_checkpoint(setup):
     assert main(["quantize", "--checkpoint", str(checkpoint), *flags]) == 3
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda text: text[:-1],  # not JSON any more
+     lambda text: json.dumps({**json.loads(text), "architecture": {"d_modl": 16}}),
+     lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "params"}),
+     lambda text: text.replace('"context_length": 32', '"context_length": "32"')],
+    ids=["not-json", "unknown-architecture-key", "no-params-key", "size-not-an-int"],
+)
+def test_malformed_sidecar(setup, capsys, edit):
+    checkpoint, flags = setup
+    sidecar = Path(str(checkpoint) + ".json")
+    sidecar.write_text(edit(sidecar.read_text()))
+    assert main(["quantize", "--checkpoint", str(checkpoint), *flags]) == 3
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+
+
+def test_eval_from_config_without_out_dir(setup, tmp_path, capsys):
+    checkpoint, _ = setup
+    corpus = str(tmp_path / "corpus.txt")
+    config = write_config(
+        tmp_path / "config.json",
+        {"checkpoint": str(checkpoint), "corpus_train": corpus,
+         "corpus_valid": corpus, "corpus_test": corpus},
+    )
+    assert main(["eval", "--config", config, "--eval-checkpoint", str(checkpoint)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid_perplexity"] > 1
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--steps", "0"), ("--batch-size", "0")]
+)
+def test_invalid_training_setting(tmp_path, capsys, flag, value):
+    out = tmp_path / "toy.oack"
+    argv = ["train-toy", "--corpus", str(CORPUS), "--out", str(out), flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
 def test_sweep_alpha_writes_its_winner(setup, tmp_path):
     checkpoint, flags = setup
     config = write_config(

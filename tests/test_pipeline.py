@@ -28,8 +28,8 @@ CONFIG = ModelConfig(vocab_size=128, d_model=16, d_ff=32, n_blocks=3, context_le
 N_WINDOWS = 3
 
 
-def block_forwards_per_window(method: str, n: int) -> tuple[int, int]:
-    """Block forwards and heads one calibration window costs for `n` blocks.
+def block_forwards_per_chunk(method: str, n: int) -> tuple[int, int]:
+    """Block forwards and heads one chunk of calibration windows costs for `n` blocks.
 
     Agnostic: block b runs once, and the stored inputs move through every
     block but the last. Adaptive: each block's harvest runs from that block
@@ -38,6 +38,12 @@ def block_forwards_per_window(method: str, n: int) -> tuple[int, int]:
     if method.startswith("OAC_"):
         return n * (n + 1) // 2 + n - 1, n
     return n + n - 1, 0
+
+
+def n_chunks(n_windows: int) -> int:
+    """Stacked forwards over `n_windows` windows of CONFIG's context."""
+    per_chunk = tinylm.CHUNK_ROWS // CONFIG.context_length
+    return -(-n_windows // per_chunk)
 
 
 @pytest.fixture
@@ -88,15 +94,15 @@ def test_quantize_run(method, tmp_path, counted):
             installed.params[name].astype(np.float32).tobytes()
         )
 
-    # eval runs whole-model forwards over non-overlapping windows
+    # eval runs whole-model forwards over chunks of non-overlapping windows
     ctx = CONFIG.context_length
     streams = load_token_streams(config)
-    eval_windows = sum(
-        len(range(0, streams[s].shape[0] - ctx + 1, ctx)) for s in ("valid", "test")
+    eval_chunks = sum(
+        n_chunks(len(range(0, streams[s].shape[0] - ctx + 1, ctx))) for s in ("valid", "test")
     )
-    blocks, heads = block_forwards_per_window(method, CONFIG.n_blocks)
-    assert counted["block"] == N_WINDOWS * blocks + eval_windows * CONFIG.n_blocks
-    assert counted["head"] == N_WINDOWS * heads + eval_windows
+    blocks, heads = block_forwards_per_chunk(method, CONFIG.n_blocks)
+    assert counted["block"] == n_chunks(N_WINDOWS) * blocks + eval_chunks * CONFIG.n_blocks
+    assert counted["head"] == n_chunks(N_WINDOWS) * heads + eval_chunks
 
 
 @pytest.fixture

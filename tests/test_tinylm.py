@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oacal.tinylm as tinylm
-from oacal.errors import ArchitectureMismatch, DimMismatch
+from oacal.errors import ArchitectureMismatch, ConfigError, DimMismatch
 from oacal.hessian import finalize
 from oacal.tinylm import (
     ModelConfig,
@@ -28,6 +28,7 @@ from oacal.tinylm import (
 TINY = ModelConfig(vocab_size=16, d_model=8, d_ff=12, n_blocks=2, context_length=7)
 THREE = ModelConfig(vocab_size=32, d_model=8, d_ff=16, n_blocks=3, context_length=10)
 BYTES = ModelConfig(vocab_size=128, d_model=8, d_ff=12, n_blocks=1, context_length=8)
+PER_CHUNK = tinylm.CHUNK_ROWS // THREE.context_length  # THREE's windows in one stacked pass
 
 
 def scaled_model(config, seed, scale=15.0):
@@ -36,43 +37,49 @@ def scaled_model(config, seed, scale=15.0):
     return tinylm.TinyLM(config, {k: v * scale for k, v in model.params.items()})
 
 
+def window_loss(model, window):
+    """Mean next-token cross-entropy of one (1, T) window."""
+    return lm_forward_loss(model, window)[0][0]
+
+
 def windows(config, n, seed):
+    """An (n, T) stack of random token-id windows."""
     rng = np.random.default_rng(seed)
-    return [rng.integers(0, config.vocab_size, config.context_length) for _ in range(n)]
+    return np.array([rng.integers(0, config.vocab_size, config.context_length) for _ in range(n)])
 
 
 class TestGradients:
     @pytest.mark.parametrize("name", sorted(init_model(TINY, 0).params))
     def test_finite_differences(self, name):
         model = scaled_model(TINY, 1)
-        sample = windows(TINY, 1, 2)[0]
-        grad = lm_backward(model, lm_forward(model, sample)[1])[name]
+        sample = windows(TINY, 1, 2)
+        grad = lm_backward(model, lm_forward(model, sample)[1])[name][0]
         rng = np.random.default_rng(3)
         entries = [tuple(int(rng.integers(0, n)) for n in grad.shape) for _ in range(12)]
         if name == "embed":
             # rows of tokens that occur in the window carry the gradient
-            entries += [(int(sample[0]), 0), (int(sample[-1]), 3)]
+            entries += [(int(sample[0, 0]), 0), (int(sample[0, -1]), 3)]
         eps = 1e-6
         for idx in entries:
             param = model.params[name]
             keep = param[idx]
             param[idx] = keep + eps
-            up = lm_forward_loss(model, sample)
+            up = window_loss(model, sample)
             param[idx] = keep - eps
-            down = lm_forward_loss(model, sample)
+            down = window_loss(model, sample)
             param[idx] = keep
             numeric = (up - down) / (2 * eps)
             assert grad[idx] == pytest.approx(numeric, rel=1e-5, abs=1e-9), idx
 
     def test_every_parameter_has_a_gradient(self):
         model = init_model(TINY, 0)
-        grads = lm_backward(model, lm_forward(model, windows(TINY, 1, 0)[0])[1])
+        grads = lm_backward(model, lm_forward(model, windows(TINY, 1, 0))[1])
         assert sorted(grads) == sorted(model.params)
 
     @pytest.mark.parametrize("block", range(THREE.n_blocks))
     def test_block_restriction_is_bit_identical(self, block):
         model = scaled_model(THREE, 4, scale=5.0)
-        _, cache = lm_forward(model, windows(THREE, 1, 5)[0])
+        _, cache = lm_forward(model, windows(THREE, 1, 5))
         full = lm_backward(model, cache)
         part = lm_backward(model, cache, blocks=[block])
         assert sorted(part) == sorted(block_layer_names(block))
@@ -82,8 +89,8 @@ class TestGradients:
     def test_block_outside_the_forward_is_rejected(self):
         model = init_model(THREE, 0)
         inputs = embed_windows(model, windows(THREE, 1, 0))
-        x, _ = block_forward(model, 0, inputs.xs[0])
-        _, cache = tinylm._forward_from(model, inputs.ids[0], 1, x)
+        x, _ = block_forward(model, 0, inputs.xs)
+        _, cache = tinylm._forward_from(model, inputs.ids, 1, x)
         with pytest.raises(DimMismatch):
             lm_backward(model, cache, blocks=[0])
         with pytest.raises(DimMismatch):
@@ -93,9 +100,9 @@ class TestGradients:
 class TestPerBlockForward:
     def test_propagated_input_matches_full_forward(self):
         model = scaled_model(THREE, 6, scale=5.0)
-        sample = windows(THREE, 1, 7)[0]
+        sample = windows(THREE, 1, 7)
         probs, cache = lm_forward(model, sample)
-        x = embed_windows(model, [sample]).xs[0]
+        x = embed_windows(model, sample).xs
         for b in range(THREE.n_blocks):
             np.testing.assert_array_equal(x, cache["blocks"][b]["x_in"])
             x, blk = block_forward(model, b, x)
@@ -109,22 +116,32 @@ class TestPerBlockForward:
         assert tinylm._positions(10, 8) is tinylm._positions(10, 8)
         assert not tinylm._positions(10, 8).flags.writeable
 
-    def test_training_runs_one_forward_per_window(self, monkeypatch):
+    def test_training_runs_one_forward_per_step(self, monkeypatch):
         calls = []
         forward = tinylm.lm_forward
         monkeypatch.setattr(tinylm, "lm_forward", lambda *a: calls.append(1) or forward(*a))
         corpus = bytes(range(256)) * 256
         train_tiny_lm(corpus, BYTES, TrainConfig(steps=2, batch_size=3), seed=0)
-        assert len(calls) == 2 * 3
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("steps", 0), ("batch_size", 0), ("learning_rate", 0.0), ("grad_clip", -1.0),
+     ("learning_rate", float("nan"))],
+)
+def test_train_config_ranges(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value})
 
 
 def reference_agnostic(model, samples, block):
     """X^T X per layer from whole-model forwards on token ids."""
     sums = {}
     for s in samples:
-        blk = lm_forward(model, s)[1]["blocks"][block]
+        blk = lm_forward(model, s[None])[1]["blocks"][block]
         for name, source in layer_input_name_map(block).items():
-            x = blk[source]
+            x = blk[source][0]
             sums[name] = sums.get(name, 0.0) + x.T @ x
     return sums
 
@@ -133,9 +150,9 @@ def reference_adaptive(model, samples, block):
     """G^T G per layer from whole-model forwards and block backwards."""
     sums = {}
     for s in samples:
-        grads = lm_backward(model, lm_forward(model, s)[1], blocks=[block])
+        grads = lm_backward(model, lm_forward(model, s[None])[1], blocks=[block])
         for name in block_layer_names(block):
-            g = grads[name]
+            g = grads[name][0]
             sums[name] = sums.get(name, 0.0) + g.T @ g
     return sums
 
@@ -193,16 +210,93 @@ class TestCollectors:
         samples = windows(THREE, 5, 12)
         block = 1
         accs = harvest_block_gradients(model, block, embed_windows(model, samples))
-        per_window = [
-            lm_backward(model, lm_forward(model, s)[1], blocks=[block]) for s in samples
-        ]
+        grads = lm_backward(model, lm_forward(model, samples)[1], blocks=[block])
         for name in block_layer_names(block):
             # the mean over windows of the per-row curvature blocks, summed over rows
             expected = sum(
-                np.outer(row, row) for g in per_window for row in g[name]
-            ) / len(per_window)
+                np.outer(row, row) for g in grads[name] for row in g
+            ) / len(samples)
             got = finalize(accs[name]) / accs[name].n_samples
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
+
+
+class TestStackedWindows:
+    """A (B, T) stack gives exactly what B one-window calls give."""
+
+    def test_forward_and_backward_match_per_window(self):
+        model = scaled_model(THREE, 14, scale=5.0)
+        samples = windows(THREE, 5, 15)
+        probs, cache = lm_forward(model, samples)
+        grads = lm_backward(model, cache)
+        for i, s in enumerate(samples):
+            one_probs, one = lm_forward(model, s[None])
+            np.testing.assert_array_equal(probs[i], one_probs[0])
+            for key, value in one.items():
+                if key != "blocks":
+                    np.testing.assert_array_equal(cache[key][i], value[0])
+            for b, blk in one["blocks"].items():
+                for key, value in blk.items():
+                    np.testing.assert_array_equal(cache["blocks"][b][key][i], value[0])
+            for name, g in lm_backward(model, one).items():
+                np.testing.assert_array_equal(grads[name][i], g[0])
+
+    @pytest.mark.parametrize("n", [1, PER_CHUNK + 1])
+    @pytest.mark.parametrize("collector", [collect_agnostic_accumulators, harvest_block_gradients])
+    def test_collectors_match_one_window_at_a_time(self, collector, n):
+        """Covers a ragged last chunk: the sums fold the windows in order."""
+        model = scaled_model(THREE, 16, scale=5.0)
+        samples = windows(THREE, n, 17)
+        inputs = embed_windows(model, samples)
+        singles = [embed_windows(model, s[None]) for s in samples]
+        for block in range(THREE.n_blocks):
+            accs = collector(model, block, inputs)
+            for name, acc in accs.items():
+                expected = np.zeros_like(acc.sum)
+                for single in singles:
+                    expected += collector(model, block, single)[name].sum
+                np.testing.assert_array_equal(acc.sum, expected)
+
+    # 3 chunks and a window: enough terms that a pairwise sum would differ
+    @pytest.mark.parametrize("n", [1, PER_CHUNK + 1, 3 * PER_CHUNK + 1])
+    def test_perplexity_matches_one_window_at_a_time(self, n):
+        model = scaled_model(THREE, 18, scale=5.0)
+        ctx = THREE.context_length
+        tokens = windows(THREE, n + 1, 19).ravel()[: n * ctx + ctx // 2]
+        total = 0.0
+        for start in range(0, n * ctx, ctx):
+            total = total + window_loss(model, tokens[None, start : start + ctx]) * (ctx - 1)
+        assert tinylm.perplexity(model, tokens) == float(np.exp(total / (n * (ctx - 1))))
+
+    def test_training_matches_one_window_at_a_time(self):
+        train = TrainConfig(steps=3, batch_size=4)
+        corpus = np.random.default_rng(20).integers(0, 256, 64 * 1024, dtype=np.uint8).tobytes()
+        trained, _ = train_tiny_lm(corpus, BYTES, train, seed=5)
+
+        tokens = tinylm.tokenize(corpus)
+        model = init_model(BYTES, 5)
+        rng = np.random.default_rng(5 + 1)
+        m_state = {k: np.zeros_like(v) for k, v in model.params.items()}
+        v_state = {k: np.zeros_like(v) for k, v in model.params.items()}
+        ctx = BYTES.context_length
+        for step in range(1, train.steps + 1):
+            offsets = rng.integers(0, tokens.shape[0] - ctx, size=train.batch_size)
+            grad_sum = {k: np.zeros_like(v) for k, v in model.params.items()}
+            for off in offsets:
+                grads = lm_backward(model, lm_forward(model, tokens[None, off : off + ctx])[1])
+                for k, g in grads.items():
+                    grad_sum[k] += g[0]
+            inv_b = 1.0 / train.batch_size
+            gnorm = np.sqrt(sum(float(np.sum((g * inv_b) ** 2)) for g in grad_sum.values()))
+            clip = min(1.0, train.grad_clip / max(gnorm, 1e-12))
+            for k in model.params:
+                g = grad_sum[k] * inv_b * clip
+                m_state[k] = train.adam_beta1 * m_state[k] + (1 - train.adam_beta1) * g
+                v_state[k] = train.adam_beta2 * v_state[k] + (1 - train.adam_beta2) * (g * g)
+                m_hat = m_state[k] / (1 - train.adam_beta1**step)
+                v_hat = v_state[k] / (1 - train.adam_beta2**step)
+                model.params[k] -= train.learning_rate * m_hat / (np.sqrt(v_hat) + train.adam_eps)
+        for k, value in model.params.items():
+            np.testing.assert_array_equal(trained.params[k], value)
 
 
 class TestCheckpoint:
