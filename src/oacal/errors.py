@@ -42,7 +42,7 @@ class EmptyGroup(OacalError):
 
 
 class MalformedArchive(OacalError):
-    """Bad magic, unsupported version, truncated tensor archive, or bad checkpoint sidecar."""
+    """Bad magic or version, truncated archive, bad checkpoint sidecar or run report."""
 
 
 class DuplicateName(OacalError):

@@ -4,7 +4,9 @@ Two Hessian flavours share one accumulator type:
 
 * agnostic  - running sum of layer-input outer products x x^T, added a batch
               of input rows at a time
-* adaptive  - running sum of per-sample gradient Gram matrices G^T G
+* adaptive  - running sum of per-window gradient Grams G^T G, each added as
+              X^T (dY dY^T) X from the factors of G = dY^T X (layer input X,
+              T x d_col; output gradient dY, T x d_row), never forming G
 
 The logistic-regression half provides exact, analytic, and sampled versions
 of the same curvature matrix so the gradient-outer-product approximation can
@@ -71,12 +73,13 @@ def accumulate_agnostic_batch(acc: HessianAccumulator, xs) -> None:
     acc.n_samples += m.shape[0]
 
 
-def accumulate_adaptive(acc: HessianAccumulator, g) -> None:
-    """Add one per-sample gradient Gram matrix G^T G."""
+def accumulate_adaptive(acc: HessianAccumulator, x, dy) -> None:
+    """Add one window's G^T G, with G = dy^T x, as x^T (dy dy^T) x."""
     if acc.mode is not HessianMode.ADAPTIVE:
         raise DimMismatch("accumulator mode is not adaptive")
-    m = as_matrix(g, cols=acc.dim)
-    acc.sum += m.T @ m
+    x = as_matrix(x, cols=acc.dim)
+    dy = as_matrix(dy, rows=x.shape[0])
+    acc.sum += x.T @ ((dy @ dy.T) @ x)
     acc.n_samples += 1
 
 

@@ -25,7 +25,7 @@ from .calibrate import (
     calibrate_layer,
     calibrate_layer_binary,
 )
-from .errors import ConfigError, OacalError
+from .errors import ConfigError, MalformedArchive, OacalError
 from .hessian import HessianMode, finalize
 from .quant import fit_affine, layer_to_tensors, quantize_dequantize, rtn_quantize
 from .tinylm import (
@@ -54,6 +54,7 @@ _METHOD_TABLE = {
 METHODS = tuple(_METHOD_TABLE)
 
 DEFAULT_ALPHA_GRID = (0.001, 0.01, 0.1, 1.0)
+_SUMMARY_COLUMNS = ["method", "seed", "alpha", "avg_bits", "valid_ppl", "test_ppl"]
 
 __all__ = [
     "METHODS",
@@ -376,9 +377,7 @@ def _append_summary_row(path, report: RunReport) -> None:
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if not exists:
-            writer.writerow(
-                ["method", "seed", "alpha", "avg_bits", "valid_ppl", "test_ppl"]
-            )
+            writer.writerow(_SUMMARY_COLUMNS)
         writer.writerow(
             [
                 report.method,
@@ -561,10 +560,11 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
         bound_ok &= lhs >= rhs - 1e-9
     results["aggregation_bound"] = {"worst_margin": worst_gap, "pass": bool(bound_ok)}
 
-    samples = [rng.standard_normal((5, 4)) for _ in range(6)]
+    pairs = [(rng.standard_normal((3, 4)), rng.standard_normal((3, 5))) for _ in range(6)]
+    samples = [dy.T @ x for x, dy in pairs]
     acc = HessianAccumulator(4, HessianMode.ADAPTIVE)
-    for g in samples:
-        accumulate_adaptive(acc, g)
+    for x, dy in pairs:
+        accumulate_adaptive(acc, x, dy)
     mean = finalize(acc) / acc.n_samples
     rows = [sum(np.outer(g[j], g[j]) for g in samples) / len(samples) for j in range(5)]
     gram_dev = float(np.max(np.abs(mean - sum(rows))))
@@ -578,22 +578,25 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
 
 
 def render_report_table(report_paths, fmt: str = "markdown") -> str:
-    """CSV or Markdown table across run reports."""
+    """CSV or Markdown table across run reports; MalformedArchive for a bad report."""
     rows = []
     for path in report_paths:
-        with open(path, encoding="utf-8") as fh:
-            rep = json.load(fh)
-        rows.append(
-            {
-                "method": rep["method"],
-                "seed": rep["seed"],
-                "alpha": rep["config"]["alpha"],
-                "avg_bits": f"{rep['global_avg_bits']:.4f}",
-                "valid_ppl": f"{rep['valid_perplexity']:.4f}",
-                "test_ppl": f"{rep['test_perplexity']:.4f}",
-            }
-        )
-    headers = ["method", "seed", "alpha", "avg_bits", "valid_ppl", "test_ppl"]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                rep = json.load(fh)
+            rows.append(
+                {
+                    "method": rep["method"],
+                    "seed": rep["seed"],
+                    "alpha": rep["config"]["alpha"],
+                    "avg_bits": f"{rep['global_avg_bits']:.4f}",
+                    "valid_ppl": f"{rep['valid_perplexity']:.4f}",
+                    "test_ppl": f"{rep['test_perplexity']:.4f}",
+                }
+            )
+        except (ValueError, KeyError, TypeError) as exc:  # not JSON, missing or mistyped keys
+            raise MalformedArchive(f"{path}: malformed run report: {exc!r}") from exc
+    headers = _SUMMARY_COLUMNS
     if fmt == "csv":
         lines = [",".join(headers)]
         lines += [",".join(str(r[h]) for h in headers) for r in rows]

@@ -1,23 +1,25 @@
 """Byte-level toy transformer with hand-written backpropagation.
 
 The model is deliberately small (vocab 128, d_model 64, two pre-norm blocks
-of single-head attention plus a tanh MLP) so that exact per-sample weight
-gradients are cheap: they feed the adaptive Hessian accumulators, and every
-derivative is checked against finite differences in the tests. One
-per-block forward (`block_forward`) serves the whole model and the
-calibration collectors, which carry each window's block input forward.
+of single-head attention plus a tanh MLP) so that exact per-window gradients
+are cheap: they feed the adaptive Hessian accumulators, and every derivative
+is checked against finite differences in the tests. One per-block forward
+(`block_forward`) serves the whole model and the calibration collectors,
+which carry each window's block input forward.
 
-Every model function takes a stack of windows: token ids (B, T), activations
-(B, T, d) and, from `lm_backward`, per-window gradients (B, *param.shape).
-Training sums gradients over axis 0; the collectors fold each window into
-their Hessians in window order, so all sums equal a one-window loop bit for
-bit. Activations are row vectors; a linear layer with weight W (d_out x d_in)
-computes x @ W.T, so W's columns line up with the layer's input dimension.
+Every model function takes a stack of windows: token ids (B, T) and
+activations (B, T, d). `lm_backward` returns each linear layer's gradient
+factors, input X (B, T, d_in) and output gradient dY (B, T, d_out), not its
+weight gradient dY^T X: training forms those and sums them over axis 0, and
+the adaptive collector folds each window's G^T G from its pair in window
+order, so all sums equal a one-window loop bit for bit. Activations are row
+vectors; a linear layer with weight W (d_out x d_in) computes x @ W.T, so
+W's columns line up with the layer's input dimension.
 
-Eval and the collectors run CHUNK_ROWS token rows at a time: 2 windows of
-the toy's 64 positions, 1 of the M shape's 128. At 256 rows, peak RSS (one
-BLAS thread) rose from 74 to 82 MiB on the toy alpha sweep, 11% against the
-benchmark's 12% bound, and from 210 to 223 MiB on M with OAC_SpQR.
+Eval and the collectors run CHUNK_ROWS token rows at a time: 2 windows of the
+toy's 64 positions, 1 of the M shape's 128. Peak RSS (one BLAS thread) after
+the first toy OAC_OPTQ harvest is 68/70/75/84 MiB at 64/128/256/512 rows; at
+256 rows the toy alpha sweep's peak rose 6% (75 to 79 MiB), half the 12% bound.
 """
 from __future__ import annotations
 
@@ -235,12 +237,13 @@ def lm_forward_loss(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
 
 def lm_backward(
     model: TinyLM, cache: dict, blocks: list[int] | None = None
-) -> dict[str, np.ndarray]:
-    """Exact gradients of each window's mean cross-entropy from a forward's `cache`.
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Gradient factors of each window's mean cross-entropy from a forward's `cache`.
 
-    Every gradient is a stack (B, *param.shape) with one entry per window of
-    the forward; summing over axis 0 gives the gradient of the summed loss.
-    With `blocks` given, only those blocks' layer gradients are produced and
+    Each linear layer maps to (X, dY), its cached input (B, T, d_in) and its
+    output gradient (B, T, d_out); window i's weight gradient is dY[i].T @ X[i].
+    "embed" maps to the ids (B, T) and the embedded rows' gradient (B, T, d).
+    With `blocks` given, only those blocks' layers get entries and
     backpropagation stops once the earliest requested block is done; the
     other blocks stay frozen, as in per-block gradient harvesting. A forward
     started at a stored block input can serve only its own blocks.
@@ -262,55 +265,41 @@ def lm_backward(
     dlogits[:, :n_pred] /= n_pred
     dlogits[:, n_pred:] = 0.0
 
-    grads: dict[str, np.ndarray] = {}
-    f = cache["final_norm"]
+    factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     if want_all:
-        grads["head"] = dlogits.swapaxes(1, 2) @ f
+        factors["head"] = (cache["final_norm"], dlogits)
     dx = _rms_backward(dlogits @ p["head"], cache["final_in"], cache["r_final"])
 
     scale = 1.0 / np.sqrt(cfg.d_model)
     for b in sorted(cache["blocks"], reverse=True):
         blk = cache["blocks"][b]
         base = f"blk{b}"
-        take = b in wanted
 
         # MLP half: x_out = x_mid + tanh(m_in @ W1.T) @ W2.T
         dh_act = dx @ p[f"{base}.mlp.fc2"]
         dh_pre = dh_act * (1.0 - blk["mlp_act"] ** 2)
-        if take:
-            grads[f"{base}.mlp.fc2"] = dx.swapaxes(1, 2) @ blk["mlp_act"]
-            grads[f"{base}.mlp.fc1"] = dh_pre.swapaxes(1, 2) @ blk["mlp_in"]
         dm_in = dh_pre @ p[f"{base}.mlp.fc1"]
         dx_mid = dx + _rms_backward(dm_in, blk["x_mid"], blk["r_mlp"])
 
         # attention half: x_mid = x_in + (att @ v) @ Wo.T
         dmix = dx_mid @ p[f"{base}.attn.wo"]
-        if take:
-            grads[f"{base}.attn.wo"] = dx_mid.swapaxes(1, 2) @ blk["attn_mix"]
         datt = dmix @ blk["v"].swapaxes(1, 2)
         dv = blk["att"].swapaxes(1, 2) @ dmix
         att = blk["att"]
         dlogit_att = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
         dq = dlogit_att @ blk["k"] * scale
         dk = dlogit_att.swapaxes(1, 2) @ blk["q"] * scale
-        if take:
-            grads[f"{base}.attn.wq"] = dq.swapaxes(1, 2) @ blk["attn_in"]
-            grads[f"{base}.attn.wk"] = dk.swapaxes(1, 2) @ blk["attn_in"]
-            grads[f"{base}.attn.wv"] = dv.swapaxes(1, 2) @ blk["attn_in"]
+        if b in wanted:  # output gradients in _LAYER_INPUTS order
+            for (layer, source), dy in zip(_LAYER_INPUTS.items(), (dq, dk, dv, dx_mid, dh_pre, dx)):
+                factors[f"{base}.{layer}"] = (blk[source], dy)
         if not want_all and b == lowest:
-            return grads
-        da = (
-            dq @ p[f"{base}.attn.wq"]
-            + dk @ p[f"{base}.attn.wk"]
-            + dv @ p[f"{base}.attn.wv"]
-        )
+            return factors
+        da = dq @ p[f"{base}.attn.wq"] + dk @ p[f"{base}.attn.wk"] + dv @ p[f"{base}.attn.wv"]
         dx = dx_mid + _rms_backward(da, blk["x_in"], blk["r_attn"])
 
     if want_all:
-        dembed = np.zeros((n, *p["embed"].shape))
-        np.add.at(dembed, (np.arange(n)[:, None], ids), dx)
-        grads["embed"] = dembed
-    return grads
+        factors["embed"] = (ids, dx)
+    return factors
 
 
 @dataclass
@@ -363,7 +352,7 @@ def harvest_block_gradients(
 
     Each chunk of windows runs from its stored inputs to block `block_index`
     through the head and back (other blocks stay frozen); every window then
-    adds its own G^T G per layer, in window order.
+    adds its own G^T G per layer from its factor pair, in window order.
     """
     _advance(model, inputs, block_index)
     accs = {
@@ -373,10 +362,11 @@ def harvest_block_gradients(
     for rows in _chunks(*inputs.ids.shape):
         # the forward cache dies with the backward, not at the next chunk
         ids, x = inputs.ids[rows], inputs.xs[rows]
-        grads = lm_backward(model, _forward_from(model, ids, block_index, x)[1], [block_index])
+        factors = lm_backward(model, _forward_from(model, ids, block_index, x)[1], [block_index])
         for name, acc in accs.items():
-            for g in grads[name]:
-                accumulate_adaptive(acc, g)
+            for x_i, dy_i in zip(*factors[name]):
+                accumulate_adaptive(acc, x_i, dy_i)
+        del factors  # they hold some of the cache's arrays
     return accs
 
 
@@ -452,7 +442,11 @@ def train_tiny_lm(
     for step in range(1, train.steps + 1):
         offsets = rng.integers(0, tokens.shape[0] - ctx, size=train.batch_size)
         losses, cache = lm_forward_loss(model, tokens[offsets[:, None] + np.arange(ctx)])
-        grads = lm_backward(model, cache)
+        factors = lm_backward(model, cache)
+        ids, dx = factors.pop("embed")
+        grads = {k: dy.swapaxes(1, 2) @ x for k, (x, dy) in factors.items()}
+        grads["embed"] = np.zeros((train.batch_size, *model.params["embed"].shape))
+        np.add.at(grads["embed"], (np.arange(train.batch_size)[:, None], ids), dx)
         grad_sum = {k: grads[k].sum(axis=0) for k in model.params}
         inv_b = 1.0 / train.batch_size
         gnorm = np.sqrt(

@@ -126,6 +126,27 @@ def test_malformed_sidecar(setup, capsys, edit):
     assert capsys.readouterr().err.startswith("i/o failure: ")
 
 
+REPORT_FIELDS = {"method": "RTN", "seed": 0, "config": {"alpha": 0.01},
+                 "global_avg_bits": 4.0, "valid_perplexity": 3.0, "test_perplexity": 3.1}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [json.dumps(REPORT_FIELDS)[:-1],
+     json.dumps({k: v for k, v in REPORT_FIELDS.items() if k != "method"})],
+    ids=["not-json", "no-method-key"],
+)
+def test_malformed_report(tmp_path, capsys, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(REPORT_FIELDS))
+    assert main(["report", str(good)]) == 0
+    assert "RTN" in capsys.readouterr().out
+    bad = tmp_path / "report.json"
+    bad.write_text(text)
+    assert main(["report", str(good), str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"i/o failure: {bad}: ")
+
+
 def test_eval_from_config_without_out_dir(setup, tmp_path, capsys):
     checkpoint, _ = setup
     corpus = str(tmp_path / "corpus.txt")

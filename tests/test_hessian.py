@@ -8,6 +8,7 @@ from oacal.errors import (
     EmptyAccumulator,
     EmptyInput,
     NegativeAlpha,
+    NonFinite,
 )
 from oacal.hessian import (
     HessianAccumulator,
@@ -34,6 +35,12 @@ def row_blocks(gradient_samples):
         sum(np.outer(g[j], g[j]) for g in gradient_samples) / len(gradient_samples)
         for j in range(d_row)
     ]
+
+
+def add_gradient(acc, g):
+    """Add G^T G through the factor pair (x, dy) = (G, I), whose dy^T x is G."""
+    g = np.asarray(g, dtype=np.float64)
+    accumulate_adaptive(acc, g, np.eye(g.shape[0]))
 
 
 class TestAccumulators:
@@ -73,28 +80,72 @@ class TestAccumulators:
 
     def test_adaptive_rank_one(self):
         acc = HessianAccumulator(2, HessianMode.ADAPTIVE)
-        accumulate_adaptive(acc, [[1.0, 2.0]])
+        add_gradient(acc, [[1.0, 2.0]])
         np.testing.assert_allclose(acc.sum, [[1.0, 2.0], [2.0, 4.0]])
 
     def test_adaptive_orthonormal_rows(self):
         acc = HessianAccumulator(2, HessianMode.ADAPTIVE)
-        accumulate_adaptive(acc, np.eye(2))
+        add_gradient(acc, np.eye(2))
         np.testing.assert_allclose(acc.sum, np.eye(2))
 
     def test_adaptive_equals_row_sum(self):
         rng = np.random.default_rng(6)
         g = rng.standard_normal((4, 3))
         acc = HessianAccumulator(3, HessianMode.ADAPTIVE)
-        accumulate_adaptive(acc, g)
+        add_gradient(acc, g)
         by_rows = sum(np.outer(row, row) for row in g)
         np.testing.assert_allclose(acc.sum, by_rows, atol=1e-12)
 
     def test_mode_and_dim_checks(self):
         acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
         with pytest.raises(DimMismatch):
-            accumulate_adaptive(acc, np.eye(2))
+            add_gradient(acc, np.eye(2))
         with pytest.raises(DimMismatch):
             accumulate_agnostic_batch(acc, [[1.0, 2.0, 3.0]])
+
+    def test_adaptive_row_count_mismatch(self):
+        acc = HessianAccumulator(3, HessianMode.ADAPTIVE)
+        with pytest.raises(DimMismatch):
+            accumulate_adaptive(acc, np.ones((4, 3)), np.ones((5, 2)))
+        with pytest.raises(DimMismatch):
+            accumulate_adaptive(acc, np.ones((4, 2)), np.ones((4, 2)))
+        assert acc.n_samples == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_adaptive_non_finite_factor(self, bad):
+        acc = HessianAccumulator(3, HessianMode.ADAPTIVE)
+        x, dy = np.ones((4, 3)), np.ones((4, 2))
+        dy[2, 1] = bad
+        with pytest.raises(NonFinite):
+            accumulate_adaptive(acc, x, dy)
+        x[1, 0] = bad
+        with pytest.raises(NonFinite):
+            accumulate_adaptive(acc, x, np.ones((4, 2)))
+        assert acc.n_samples == 0
+        assert not acc.sum.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 12),
+        d_row=st.integers(1, 12),
+        d_col=st.integers(1, 8),
+        zero_last_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_form_equals_explicit_gram(self, t, d_row, d_col, zero_last_row, seed):
+        """T below, at and above d_row; a zero last row of dy (a position with no loss)."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((t, d_col))
+        dy = rng.standard_normal((t, d_row))
+        if zero_last_row:
+            dy[-1] = 0.0
+        acc = HessianAccumulator(d_col, HessianMode.ADAPTIVE)
+        accumulate_adaptive(acc, x, dy)
+        g = dy.T @ x
+        expected = g.T @ g
+        scale = max(np.linalg.norm(expected), np.finfo(float).tiny)
+        assert np.linalg.norm(acc.sum - expected) <= 1e-12 * scale
+        assert acc.n_samples == 1
 
 
 class TestFinalize:
@@ -113,7 +164,7 @@ class TestFinalize:
             dim = int(rng.integers(1, 9))
             acc = HessianAccumulator(dim, HessianMode.ADAPTIVE)
             for _ in range(int(rng.integers(1, 6))):
-                accumulate_adaptive(
+                add_gradient(
                     acc, rng.standard_normal((int(rng.integers(1, 5)), dim))
                 )
             eigs = np.linalg.eigvalsh(finalize(acc))
@@ -300,6 +351,6 @@ class TestAggregation:
         samples = [rng.standard_normal((5, 4)) for _ in range(7)]
         acc = HessianAccumulator(4, HessianMode.ADAPTIVE)
         for g in samples:
-            accumulate_adaptive(acc, g)
+            add_gradient(acc, g)
         via_rows = sum(row_blocks(samples))
         np.testing.assert_allclose(finalize(acc) / acc.n_samples, via_rows, atol=1e-10)

@@ -6,7 +6,7 @@ import pytest
 
 import oacal.tinylm as tinylm
 from oacal.errors import ArchitectureMismatch, ConfigError, DimMismatch
-from oacal.hessian import finalize
+from oacal.hessian import HessianAccumulator, HessianMode, accumulate_adaptive, finalize
 from oacal.tinylm import (
     ModelConfig,
     TrainConfig,
@@ -42,6 +42,22 @@ def window_loss(model, window):
     return lm_forward_loss(model, window)[0][0]
 
 
+def gradients(model, factors):
+    """Per-window weight gradients (B, *param.shape), formed explicitly from
+    `lm_backward`'s factor pairs: dY^T X for a linear layer, and for the
+    embedding each position's row gradient added to its token's row."""
+    grads = {}
+    for name, (x, dy) in factors.items():
+        if name == "embed":
+            grads[name] = np.zeros((x.shape[0], *model.params[name].shape))
+            for i, window in enumerate(x):
+                for pos, token in enumerate(window):
+                    grads[name][i, token] += dy[i, pos]
+        else:
+            grads[name] = dy.swapaxes(1, 2) @ x
+    return grads
+
+
 def windows(config, n, seed):
     """An (n, T) stack of random token-id windows."""
     rng = np.random.default_rng(seed)
@@ -53,7 +69,7 @@ class TestGradients:
     def test_finite_differences(self, name):
         model = scaled_model(TINY, 1)
         sample = windows(TINY, 1, 2)
-        grad = lm_backward(model, lm_forward(model, sample)[1])[name][0]
+        grad = gradients(model, lm_backward(model, lm_forward(model, sample)[1]))[name][0]
         rng = np.random.default_rng(3)
         entries = [tuple(int(rng.integers(0, n)) for n in grad.shape) for _ in range(12)]
         if name == "embed":
@@ -83,8 +99,9 @@ class TestGradients:
         full = lm_backward(model, cache)
         part = lm_backward(model, cache, blocks=[block])
         assert sorted(part) == sorted(block_layer_names(block))
-        for name, g in part.items():
-            np.testing.assert_array_equal(g, full[name])
+        for name, (x, dy) in part.items():
+            np.testing.assert_array_equal(x, full[name][0])
+            np.testing.assert_array_equal(dy, full[name][1])
 
     def test_block_outside_the_forward_is_rejected(self):
         model = init_model(THREE, 0)
@@ -147,14 +164,42 @@ def reference_agnostic(model, samples, block):
 
 
 def reference_adaptive(model, samples, block):
-    """G^T G per layer from whole-model forwards and block backwards."""
+    """G^T G per layer, each G formed explicitly from whole-model forwards and block backwards."""
     sums = {}
     for s in samples:
-        grads = lm_backward(model, lm_forward(model, s[None])[1], blocks=[block])
+        grads = gradients(model, lm_backward(model, lm_forward(model, s[None])[1], blocks=[block]))
         for name in block_layer_names(block):
             g = grads[name][0]
             sums[name] = sums.get(name, 0.0) + g.T @ g
     return sums
+
+
+def reference_adaptive_factors(model, samples, block):
+    """The harvest's own factor-form sums, from whole-model forwards and block backwards."""
+    accs = {
+        name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
+        for name in block_layer_names(block)
+    }
+    for s in samples:
+        factors = lm_backward(model, lm_forward(model, s[None])[1], blocks=[block])
+        for name, acc in accs.items():
+            accumulate_adaptive(acc, factors[name][0][0], factors[name][1][0])
+    return {name: acc.sum for name, acc in accs.items()}
+
+
+def swapped_block0(model, seed):
+    """`model` with block 0's layers perturbed, as the quantize pipeline installs them."""
+    rng = np.random.default_rng(seed)
+    return tinylm.TinyLM(
+        model.config,
+        {
+            **model.params,
+            **{
+                name: model.params[name] + 0.01 * rng.standard_normal(model.params[name].shape)
+                for name in block_layer_names(0)
+            },
+        },
+    )
 
 
 class TestCollectors:
@@ -164,22 +209,12 @@ class TestCollectors:
         "collector,reference",
         [
             (collect_agnostic_accumulators, reference_agnostic),
-            (harvest_block_gradients, reference_adaptive),
+            (harvest_block_gradients, reference_adaptive_factors),
         ],
     )
     def test_propagated_inputs_match_forwards_from_ids(self, collector, reference):
         model = scaled_model(THREE, 8, scale=5.0)
-        rng = np.random.default_rng(9)
-        swapped = tinylm.TinyLM(
-            THREE,
-            {
-                **model.params,
-                **{
-                    name: model.params[name] + 0.01 * rng.standard_normal(model.params[name].shape)
-                    for name in block_layer_names(0)
-                },
-            },
-        )
+        swapped = swapped_block0(model, 9)
         samples = windows(THREE, 4, 10)
         inputs = embed_windows(model, samples)
         # block 0 on the original weights, then blocks 1 and 2 after block 0
@@ -191,6 +226,20 @@ class TestCollectors:
             for name, acc in accs.items():
                 np.testing.assert_array_equal(acc.sum, expected[name])
             assert inputs.block == block
+
+    def test_harvest_equals_explicit_gradient_grams(self):
+        """Every layer's factor-form Hessian is sum_i G_i^T G_i with each G_i formed."""
+        model = scaled_model(THREE, 21, scale=5.0)
+        swapped = swapped_block0(model, 22)
+        samples = windows(THREE, PER_CHUNK + 3, 23)
+        inputs = embed_windows(model, samples)
+        for block, current in [(0, model), (1, swapped), (2, swapped)]:
+            accs = harvest_block_gradients(current, block, inputs)
+            expected = reference_adaptive(current, samples, block)
+            for name, acc in accs.items():
+                assert acc.n_samples == len(samples)
+                gap = np.linalg.norm(acc.sum - expected[name])
+                assert gap <= 1e-12 * np.linalg.norm(expected[name]), name
 
     def test_inputs_cannot_move_backwards(self):
         model = init_model(THREE, 0)
@@ -210,7 +259,7 @@ class TestCollectors:
         samples = windows(THREE, 5, 12)
         block = 1
         accs = harvest_block_gradients(model, block, embed_windows(model, samples))
-        grads = lm_backward(model, lm_forward(model, samples)[1], blocks=[block])
+        grads = gradients(model, lm_backward(model, lm_forward(model, samples)[1], blocks=[block]))
         for name in block_layer_names(block):
             # the mean over windows of the per-row curvature blocks, summed over rows
             expected = sum(
@@ -227,7 +276,8 @@ class TestStackedWindows:
         model = scaled_model(THREE, 14, scale=5.0)
         samples = windows(THREE, 5, 15)
         probs, cache = lm_forward(model, samples)
-        grads = lm_backward(model, cache)
+        factors = lm_backward(model, cache)
+        grads = gradients(model, factors)
         for i, s in enumerate(samples):
             one_probs, one = lm_forward(model, s[None])
             np.testing.assert_array_equal(probs[i], one_probs[0])
@@ -237,7 +287,11 @@ class TestStackedWindows:
             for b, blk in one["blocks"].items():
                 for key, value in blk.items():
                     np.testing.assert_array_equal(cache["blocks"][b][key][i], value[0])
-            for name, g in lm_backward(model, one).items():
+            one_factors = lm_backward(model, one)
+            for name, (x, dy) in one_factors.items():
+                np.testing.assert_array_equal(factors[name][0][i], x[0])
+                np.testing.assert_array_equal(factors[name][1][i], dy[0])
+            for name, g in gradients(model, one_factors).items():
                 np.testing.assert_array_equal(grads[name][i], g[0])
 
     @pytest.mark.parametrize("n", [1, PER_CHUNK + 1])
@@ -282,8 +336,8 @@ class TestStackedWindows:
             offsets = rng.integers(0, tokens.shape[0] - ctx, size=train.batch_size)
             grad_sum = {k: np.zeros_like(v) for k, v in model.params.items()}
             for off in offsets:
-                grads = lm_backward(model, lm_forward(model, tokens[None, off : off + ctx])[1])
-                for k, g in grads.items():
+                factors = lm_backward(model, lm_forward(model, tokens[None, off : off + ctx])[1])
+                for k, g in gradients(model, factors).items():
                     grad_sum[k] += g[0]
             inv_b = 1.0 / train.batch_size
             gnorm = np.sqrt(sum(float(np.sum((g * inv_b) ** 2)) for g in grad_sum.values()))
