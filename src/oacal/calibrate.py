@@ -1,10 +1,14 @@
 """Hessian-driven layer calibration.
 
-Every backend runs the same column sweep (`_sweep`). Columns are quantized
-left to right by a per-column codec: affine group codes (with isolated
-outliers and double-quantized statistics for the SpQR-style backend) or
-binary planes. Quantizing column q forces a residual delta on that column;
-the unquantized columns to the right absorb the compensation
+`calibrate_layer` is the one entry point for all four backends: RTN (group
+round-to-nearest, no Hessian), OPTQ, SpQR and BINARY. OAC changes only the
+Hessian a backend receives, never the backend.
+
+Every Hessian backend runs the same column sweep (`_sweep`). Columns are
+quantized left to right by a per-column codec: affine group codes (with
+isolated outliers and double-quantized statistics for the SpQR-style
+backend) or binary planes. Quantizing column q forces a residual delta on
+that column; the unquantized columns to the right absorb the compensation
 
     update_q = -(residual / inv_qq) * inv_q_row
 
@@ -17,12 +21,13 @@ immediately, everything to the right receives the accumulated block update
 when the block closes. Without compensation the same codec runs over the
 columns as they are.
 
-Every backend accepts both Hessian flavours through the same interface.
+Every Hessian backend accepts both Hessian flavours through the same
+interface.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,15 +41,14 @@ from .linalg import as_matrix, as_sym_matrix, inverse_upper_factor
 from .quant import (
     BinaryLayer,
     QuantizedLayer,
-    SCALE_FLOOR,
     affine_bit_account,
     binary_bit_account,
     double_quantize_stats,
     group_edges,
     residual_binarize,
-    round_half_away,
     rtn_quantize,
     splitting_search,
+    _code_group,
     _fit_group_rows,
     _signs,
 )
@@ -61,6 +65,7 @@ __all__ = [
 
 
 class Backend(enum.Enum):
+    RTN = "rtn"
     OPTQ = "optq"
     SPQR = "spqr"
     BINARY = "binary"
@@ -90,6 +95,10 @@ class CalibSpec:
             raise ConfigError("tau must be > 0 for the outlier-isolating backend")
         if not 0.0 <= self.salient_fraction <= 1.0:
             raise ConfigError("salient_fraction must be in [0, 1]")
+        if not 2 <= self.stat_bits <= 8:
+            raise ConfigError(f"stat_bits must be in [2, 8], got {self.stat_bits}")
+        if self.stat_group < 1:
+            raise ConfigError(f"stat_group must be >= 1, got {self.stat_group}")
 
 
 @dataclass
@@ -108,18 +117,27 @@ class CalibReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "proxy_error": self.proxy_error,
-            "outlier_count": self.outlier_count,
-            "outlier_rate": self.outlier_rate,
-            "column_update_norms": self.column_update_norms,
-            "avg_bits_per_weight": self.avg_bits_per_weight,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "tau_normalization": self.tau_normalization,
-            **self.extra,
-        }
+        out = asdict(self)
+        out.update(out.pop("extra"))
+        return out
+
+
+def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms,
+            n_outliers: int = 0, **extra) -> CalibReport:
+    """The one CalibReport builder; echoes the spec's backend, Hessian mode,
+    damping (0 for RTN, which has none) and tau (SpQR only)."""
+    return CalibReport(
+        layer=name,
+        proxy_error=proxy,
+        outlier_count=n_outliers,
+        outlier_rate=n_outliers / (layer.d_row * layer.d_col),
+        column_update_norms=update_norms,
+        avg_bits_per_weight=layer.accounting.avg_bits_per_weight,
+        alpha=0.0 if spec.backend is Backend.RTN else spec.alpha,
+        tau=spec.tau if spec.backend is Backend.SPQR else None,
+        extra={"backend": spec.backend.value, "hessian_mode": spec.hessian_mode.value,
+               **extra},
+    )
 
 
 def saliency(w, w_hat, inv_diag):
@@ -219,8 +237,13 @@ def calibrate_layer(
     layer_name: str = "layer",
     trace: list | None = None,
     guard: bool = True,
-) -> tuple[QuantizedLayer, CalibReport]:
-    """Column-wise calibrated group quantization under any Hessian source.
+) -> tuple[QuantizedLayer | BinaryLayer, CalibReport]:
+    """Quantize one layer with the backend `spec` names; the one entry point.
+
+    RTN returns `rtn_quantize`'s layer and never reads `h` (None will do).
+    BINARY returns `calibrate_layer_binary`'s result; `trace` does not
+    apply to it. OPTQ and SPQR run column-wise calibrated group quantization
+    under either Hessian source, as follows.
 
     With `guard` enabled (the default) the result is compared against plain
     group RTN under the same damped-Hessian objective and the better of the
@@ -236,16 +259,18 @@ def calibrate_layer(
     every block flush (per column with block_size=1), which lets tests check
     the sequential updates against a direct constrained solver step by step.
     """
+    if spec.backend is Backend.RTN:
+        layer = rtn_quantize(w, spec.bits, spec.group_size)
+        return layer, _report(spec, layer_name, layer, 0.0, [0.0] * layer.d_col)
     if spec.backend is Backend.BINARY:
-        raise ConfigError("use calibrate_layer_binary for the binary backend")
+        return calibrate_layer_binary(w, h, spec, layer_name, guard=guard)
     m, damped, inv_diag, upper = _prepare(w, h, spec)
     d_row, d_col = m.shape
     bits = spec.bits
-    maxq = (1 << bits) - 1
-
-    outlier_mask = np.zeros(m.shape, dtype=bool)
-    if spec.backend is Backend.SPQR:
-        outlier_mask = detect_outliers(m, inv_diag, spec)
+    spqr = spec.backend is Backend.SPQR
+    outlier_mask = (
+        detect_outliers(m, inv_diag, spec) if spqr else np.zeros(m.shape, dtype=bool)
+    )
 
     edges = group_edges(d_col, spec.group_size)
     col_group = np.repeat(np.arange(len(edges)), [c1 - c0 for c0, c1 in edges])
@@ -255,7 +280,7 @@ def calibrate_layer(
     scales = np.empty((d_row, len(edges)))
     zeros = np.empty((d_row, len(edges)))
     mins = np.empty((d_row, len(edges)))
-    stats_records = [] if spec.backend is Backend.SPQR else None
+    stats_records = [] if spqr else None
 
     def codec(q, col):
         g = col_group[q]
@@ -264,7 +289,7 @@ def calibrate_layer(
             scale, zero, mn = _fit_group_rows(
                 work[:, c0:c1], bits, valid=~outlier_mask[:, c0:c1]
             )
-            if spec.backend is Backend.SPQR:
+            if spqr:
                 record, scale, zero = double_quantize_stats(
                     scale, zero, spec.stat_bits, spec.stat_group
                 )
@@ -272,32 +297,24 @@ def calibrate_layer(
             scales[:, g] = scale
             zeros[:, g] = zero
             mins[:, g] = mn
-        s_col = scales[:, g]
-        z_col = zeros[:, g]
-        code = np.clip(round_half_away(col / s_col + z_col), 0, maxq)
-        deq = (code - z_col) * s_col
-        const = s_col <= SCALE_FLOOR
-        if np.any(const):
-            deq = np.where(const, mins[:, g], deq)
-        out_rows = outlier_mask[:, q]
-        if np.any(out_rows):
-            deq = np.where(out_rows, m[:, q], deq)
-        codes[:, q] = code
-        return deq
+        code, deq = _code_group(
+            col[:, None], scales[:, g], zeros[:, g], mins[:, g], bits
+        )
+        codes[:, q] = code[:, 0]
+        return np.where(outlier_mask[:, q], m[:, q], deq[:, 0])
 
     w_hat, update_norms = _sweep(work, upper, spec.block_size, codec, trace)
 
     outliers = [
         (int(r), int(c), float(m[r, c])) for r, c in np.argwhere(outlier_mask)
     ]
-    n_out = len(outliers)
     account = affine_bit_account(
         d_row,
         d_col,
         bits,
         spec.group_size,
-        n_out,
-        stat_bits=spec.stat_bits if spec.backend is Backend.SPQR else None,
+        len(outliers),
+        stat_bits=spec.stat_bits if spqr else None,
         stat_group=spec.stat_group,
     )
     layer = QuantizedLayer(
@@ -312,27 +329,15 @@ def calibrate_layer(
         accounting=account,
     )
     proxy = _proxy_error(w_hat - m, damped)
-    extra = {"backend": spec.backend.value, "hessian_mode": spec.hessian_mode.value}
+    extra = {}
     if guard:
         rtn_layer = rtn_quantize(m, bits, spec.group_size)
         rtn_proxy = _proxy_error(rtn_layer.dequantize() - m, damped)
         if rtn_proxy < proxy:
-            layer = rtn_layer
-            proxy = rtn_proxy
-            n_out = 0
-            update_norms = [0.0] * d_col
-            account = rtn_layer.accounting
+            layer, proxy, update_norms = rtn_layer, rtn_proxy, [0.0] * d_col
             extra["fallback"] = "rtn"
-    report = CalibReport(
-        layer=layer_name,
-        proxy_error=proxy,
-        outlier_count=n_out,
-        outlier_rate=n_out / m.size,
-        column_update_norms=update_norms,
-        avg_bits_per_weight=account.avg_bits_per_weight,
-        alpha=spec.alpha,
-        tau=spec.tau if spec.backend is Backend.SPQR else None,
-        extra=extra,
+    report = _report(
+        spec, layer_name, layer, proxy, update_norms, len(layer.outliers), **extra
     )
     return layer, report
 
@@ -427,8 +432,6 @@ def calibrate_layer_binary(
 
     layer, proxy, update_norms = binarize(upper if compensate else None)
     extra = {
-        "backend": spec.backend.value,
-        "hessian_mode": spec.hessian_mode.value,
         "salient_fraction": spec.salient_fraction,
         "n_salient_cols": int(np.sum(salient)),
         "split_threshold": float(threshold),
@@ -438,15 +441,4 @@ def calibrate_layer_binary(
         if plain_proxy < proxy:
             layer, proxy, update_norms = plain_layer, plain_proxy, plain_norms
             extra["fallback"] = "no_compensation"
-    report = CalibReport(
-        layer=layer_name,
-        proxy_error=proxy,
-        outlier_count=0,
-        outlier_rate=0.0,
-        column_update_norms=update_norms,
-        avg_bits_per_weight=account.avg_bits_per_weight,
-        alpha=spec.alpha,
-        tau=None,
-        extra=extra,
-    )
-    return layer, report
+    return layer, _report(spec, layer_name, layer, proxy, update_norms, **extra)

@@ -74,7 +74,12 @@ def accumulate_agnostic_batch(acc: HessianAccumulator, xs) -> None:
 
 
 def accumulate_adaptive(acc: HessianAccumulator, x, dy) -> None:
-    """Add one window's G^T G, with G = dy^T x, as x^T (dy dy^T) x."""
+    """Add one window's G^T G, with G = dy^T x, as x^T (dy dy^T) x.
+
+    Accurate to the magnitudes summed, elementwise A^T A with A = |dy|^T |x|,
+    not to the result: where dy^T x cancels, an entry carries more relative
+    error than the explicit G^T G would.
+    """
     if acc.mode is not HessianMode.ADAPTIVE:
         raise DimMismatch("accumulator mode is not adaptive")
     x = as_matrix(x, cols=acc.dim)

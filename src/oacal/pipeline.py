@@ -1,11 +1,14 @@
 """End-to-end quantization runs: config, per-block two-phase loop, reports.
 
-A run walks the transformer blocks in order. Phase 1 builds each layer's
-Hessian on the current model state (earlier blocks already quantized, so
-later statistics see the propagated error): the calibration windows are
-embedded once and carried from block to block through the installed weights.
-Phase 2 calibrates and installs the dequantized float32 weights. Everything
-numeric that affects the output is echoed into the JSON report.
+A method is a backend plus a Hessian flavour (`_METHOD_TABLE`). A run walks
+the transformer blocks in order. Phase 1 builds each layer's Hessian on the
+current model state (earlier blocks already quantized, so later statistics
+see the propagated error): the calibration windows are embedded once and
+carried from block to block through the installed weights. RTN needs no
+Hessian and skips phase 1. Phase 2 calibrates every layer through one
+`calibrate_layer` call, whatever the method, and installs the dequantized
+float32 weights. Everything numeric that affects the output is echoed into
+the JSON report.
 """
 from __future__ import annotations
 
@@ -18,16 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from .archive import archive_write
-from .calibrate import (
-    Backend,
-    CalibReport,
-    CalibSpec,
-    calibrate_layer,
-    calibrate_layer_binary,
-)
+from .calibrate import Backend, CalibSpec, calibrate_layer
 from .errors import ConfigError, MalformedArchive, OacalError
 from .hessian import HessianMode, finalize
-from .quant import fit_affine, layer_to_tensors, quantize_dequantize, rtn_quantize
+from .quant import fit_affine, layer_to_tensors, quantize_dequantize
 from .tinylm import (
     TinyLM,
     block_layer_names,
@@ -42,7 +39,7 @@ from .tinylm import (
 )
 
 _METHOD_TABLE = {
-    "RTN": (None, HessianMode.AGNOSTIC),
+    "RTN": (Backend.RTN, HessianMode.AGNOSTIC),
     "OPTQ": (Backend.OPTQ, HessianMode.AGNOSTIC),
     "SpQR": (Backend.SPQR, HessianMode.AGNOSTIC),
     "OAC_OPTQ": (Backend.OPTQ, HessianMode.ADAPTIVE),
@@ -123,7 +120,7 @@ class RunConfig:
             tau=self.tau,
             alpha=self.alpha if alpha is None else alpha,
             block_size=self.block_size,
-            backend=backend or Backend.OPTQ,
+            backend=backend,
             hessian_mode=mode,
             stat_bits=self.stat_bits,
             stat_group=self.stat_group,
@@ -279,15 +276,15 @@ def run_quantize(config: RunConfig, alpha: float | None = None) -> QuantizedRun:
         rng,
     )
     spec = config.calib_spec(alpha)
-    backend, mode = _METHOD_TABLE[config.method]
-    adaptive = mode is HessianMode.ADAPTIVE
+    hessians = spec.backend is not Backend.RTN
+    adaptive = spec.hessian_mode is HessianMode.ADAPTIVE
 
     report = RunReport(
         config={**asdict(config), "alpha": spec.alpha, "alpha_grid": list(config.alpha_grid)},
         seed=config.seed,
         method=config.method,
     )
-    inputs = None if backend is None else embed_windows(current, samples)
+    inputs = embed_windows(current, samples) if hessians else None
     layer_artifacts: dict[str, np.ndarray] = {}
     layer_meta: dict[str, dict] = {}
     phase1 = phase2 = 0.0
@@ -296,7 +293,7 @@ def run_quantize(config: RunConfig, alpha: float | None = None) -> QuantizedRun:
     for b in range(current.config.n_blocks):
         t0 = time.perf_counter()
         accs = None
-        if backend is not None:
+        if hessians:
             collector = (
                 harvest_block_gradients if adaptive else collect_agnostic_accumulators
             )
@@ -310,27 +307,9 @@ def run_quantize(config: RunConfig, alpha: float | None = None) -> QuantizedRun:
         for name in block_layer_names(b):
             w = current.params[name]
             try:
-                if backend is None:
-                    layer = rtn_quantize(w, config.bits, config.group_size)
-                    cal_report = CalibReport(
-                        layer=name,
-                        proxy_error=0.0,
-                        outlier_count=0,
-                        outlier_rate=0.0,
-                        column_update_norms=[0.0] * w.shape[1],
-                        avg_bits_per_weight=layer.accounting.avg_bits_per_weight,
-                        alpha=0.0,
-                        tau=None,
-                        extra={"backend": "rtn", "hessian_mode": mode.value},
-                    )
-                elif backend is Backend.BINARY:
-                    layer, cal_report = calibrate_layer_binary(
-                        w, finalize(accs[name]), spec, name
-                    )
-                else:
-                    layer, cal_report = calibrate_layer(
-                        w, finalize(accs[name]), spec, name
-                    )
+                layer, cal_report = calibrate_layer(
+                    w, None if accs is None else finalize(accs[name]), spec, name
+                )
             except OacalError as exc:
                 raise OacalError(f"layer {name!r}: {exc}") from exc
             tensors, meta = layer_to_tensors(name, layer)

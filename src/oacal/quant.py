@@ -18,7 +18,7 @@ least-squares magnitudes, and float32 would change the reconstruction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -113,6 +113,12 @@ def fit_affine(values, bits: int) -> AffineParams:
     return AffineParams(scale=scale, zero=zero, min_val=mn)
 
 
+def _decode(codes, scale, zero, mins):
+    """The affine reconstruction (codes - zero) * scale, broadcast elementwise;
+    a constant group (scale at the floor) reconstructs as its min instead."""
+    return np.where(scale <= SCALE_FLOOR, mins, (codes - zero) * scale)
+
+
 def quantize_dequantize(v, p: AffineParams, bits: int):
     """Quantize value(s) under `p`; returns (integer codes, reconstruction).
 
@@ -122,10 +128,7 @@ def quantize_dequantize(v, p: AffineParams, bits: int):
     maxq = (1 << bits) - 1
     x = np.asarray(v, dtype=np.float64)
     code = np.clip(round_half_away(x / p.scale + p.zero), 0, maxq)
-    if p.scale <= SCALE_FLOOR:
-        deq = np.full_like(x, p.min_val)
-    else:
-        deq = (code - p.zero) * p.scale
+    deq = _decode(code, p.scale, p.zero, p.min_val)
     if x.ndim == 0:
         return int(code), float(deq)
     return code.astype(np.int64), deq
@@ -237,16 +240,14 @@ class QuantizedLayer:
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the weight matrix; outliers return their stored value."""
-        edges = group_edges(self.d_col, self.group_size)
         out = np.empty(self.codes.shape)
-        for g, (c0, c1) in enumerate(edges):
-            scale = self.scales[:, g : g + 1]
-            zero = self.zeros[:, g : g + 1]
-            deq = (self.codes[:, c0:c1] - zero) * scale
-            const = (scale <= SCALE_FLOOR).ravel()
-            if np.any(const):
-                deq[const] = self.mins[const, g : g + 1]
-            out[:, c0:c1] = deq
+        for g, (c0, c1) in enumerate(group_edges(self.d_col, self.group_size)):
+            out[:, c0:c1] = _decode(
+                self.codes[:, c0:c1],
+                self.scales[:, g, None],
+                self.zeros[:, g, None],
+                self.mins[:, g, None],
+            )
         for r, c, val in self.outliers:
             out[r, c] = val
         return out
@@ -281,13 +282,12 @@ def _fit_group_rows(block: np.ndarray, bits: int, valid: np.ndarray | None = Non
     return scale, zero, mn.astype(np.float32).astype(np.float64)
 
 
-def _code_group(block, scale, zero, bits):
+def _code_group(block, scale, zero, mins, bits):
+    """Codes and reconstruction of `block`'s rows under per-row statistics."""
     maxq = (1 << bits) - 1
-    codes = np.clip(
-        round_half_away(block / scale[:, None] + zero[:, None]), 0, maxq
-    ).astype(np.int64)
-    deq = (codes - zero[:, None]) * scale[:, None]
-    return codes, deq
+    scale, zero, mins = scale[:, None], zero[:, None], mins[:, None]
+    codes = np.clip(round_half_away(block / scale + zero), 0, maxq).astype(np.int64)
+    return codes, _decode(codes, scale, zero, mins)
 
 
 def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
@@ -301,7 +301,7 @@ def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
     mins = np.empty((d_row, len(edges)))
     for g, (c0, c1) in enumerate(edges):
         scale, zero, mn = _fit_group_rows(m[:, c0:c1], bits)
-        codes[:, c0:c1], _ = _code_group(m[:, c0:c1], scale, zero, bits)
+        codes[:, c0:c1], _ = _code_group(m[:, c0:c1], scale, zero, mn, bits)
         scales[:, g] = scale
         zeros[:, g] = zero
         mins[:, g] = mn
@@ -353,10 +353,11 @@ def _dq_runs(values: np.ndarray, stat_bits: int, stat_group: int):
     runs = runs.reshape(-1, stat_group)
     bases = runs.min(axis=1)
     shifted = runs - bases[:, None]
-    steps, points, _ = _fit_group_rows(shifted, stat_bits)
-    codes, deq = _code_group(shifted, steps, points, stat_bits)
-    # A run whose range is below the floor dequantizes to its base.
-    deq = np.where(steps[:, None] <= SCALE_FLOOR, 0.0, deq) + bases[:, None]
+    # A shifted run's min is 0, so a run whose range is below the floor
+    # dequantizes to its base.
+    steps, points, zero_mins = _fit_group_rows(shifted, stat_bits)
+    codes, deq = _code_group(shifted, steps, points, zero_mins, stat_bits)
+    deq = deq + bases[:, None]
     n = values.size
     return codes.ravel()[:n], deq.ravel()[:n], steps, points, bases
 
@@ -510,14 +511,8 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
     (split threshold, low/high alphas and the per-column salient alphas) is
     float64, because the binary alphas are unrounded least-squares values.
     """
-    account = layer.accounting
     meta = {
-        "accounting": {
-            "weight_bits": account.weight_bits,
-            "stats_bits": account.stats_bits,
-            "outlier_bits": account.outlier_bits,
-            "avg_bits_per_weight": account.avg_bits_per_weight,
-        },
+        "accounting": asdict(layer.accounting),
         "d_row": layer.d_row,
         "d_col": layer.d_col,
     }
@@ -568,17 +563,12 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
 
 def layer_from_tensors(name: str, tensors: dict, meta: dict):
     """Rebuild a layer from archive tensors; inverse of layer_to_tensors."""
+    account = BitAccount(**meta["accounting"])
     if meta["kind"] == "affine":
         outliers_arr = np.asarray(tensors[f"outliers/{name}"], dtype=np.float64)
         outliers = [
             (int(r), int(c), float(v)) for r, c, v in outliers_arr.reshape(-1, 3)
         ]
-        account = BitAccount(
-            meta["accounting"]["weight_bits"],
-            meta["accounting"]["stats_bits"],
-            meta["accounting"]["outlier_bits"],
-            meta["accounting"]["avg_bits_per_weight"],
-        )
         return QuantizedLayer(
             bits=meta["bits"],
             group_size=meta["group_size"],
@@ -593,12 +583,6 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
     if meta["kind"] == "binary":
         alphas = np.asarray(tensors[f"binalphas/{name}"], dtype=np.float64)
         d_col = np.asarray(tensors[f"binsalient/{name}"]).shape[0]
-        account = BitAccount(
-            meta["accounting"]["weight_bits"],
-            meta["accounting"]["stats_bits"],
-            meta["accounting"]["outlier_bits"],
-            meta["accounting"]["avg_bits_per_weight"],
-        )
         return BinaryLayer(
             split_threshold=float(alphas[0]),
             alpha_low=float(alphas[1]),

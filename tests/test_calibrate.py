@@ -1,16 +1,19 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import oacal.calibrate
 from oacal.calibrate import (
     Backend,
+    CalibReport,
     CalibSpec,
     calibrate_layer,
     calibrate_layer_binary,
     detect_outliers,
     saliency,
 )
-from oacal.errors import ConfigError, NonPositiveDiagonal, NotPositiveDefinite
+from oacal.errors import NonPositiveDiagonal, NotPositiveDefinite
 from oacal.hessian import HessianMode, regularize
 from oacal.linalg import inverse_upper_factor, symmetrize
 from oacal.pipeline import direct_solver_calibrate
@@ -283,24 +286,39 @@ class TestCalibrateLayer:
             HessianMode.AGNOSTIC: make_agnostic_h(rng, 8),
             HessianMode.ADAPTIVE: make_adaptive_h(rng, 6, 8),
         }
-        for backend in (Backend.OPTQ, Backend.SPQR, Backend.BINARY):
+        for backend in Backend:
             for mode, h in hs.items():
                 spec = CalibSpec(
                     bits=2, group_size=4, alpha=0.1, backend=backend,
                     hessian_mode=mode,
                 )
-                if backend is Backend.BINARY:
-                    _, report = calibrate_layer_binary(w, h, spec)
-                else:
-                    _, report = calibrate_layer(w, h, spec)
+                _, report = calibrate_layer(w, h, spec)
+                assert report.extra["backend"] == backend.value
                 assert report.extra["hessian_mode"] == mode.value
                 assert report.proxy_error >= -1e-9
 
-    def test_binary_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            calibrate_layer(
-                np.zeros((2, 2)), np.eye(2), CalibSpec(backend=Backend.BINARY)
+    @pytest.mark.parametrize("backend", [Backend.RTN, Backend.BINARY], ids=["rtn", "binary"])
+    def test_dispatch(self, backend):
+        """RTN and BINARY specs return exactly what their own functions return;
+        RTN reads no Hessian and reports no damping."""
+        rng = np.random.default_rng(62)
+        w = rng.standard_normal((6, 10))
+        spec = CalibSpec(bits=3, group_size=4, alpha=0.1, backend=backend)
+        if backend is Backend.RTN:
+            h = None
+            expected = rtn_quantize(w, 3, 4)
+            expected_report = CalibReport(
+                "l", 0.0, 0, 0.0, [0.0] * 10, expected.accounting.avg_bits_per_weight,
+                alpha=0.0, tau=None, extra={"backend": "rtn", "hessian_mode": "agnostic"},
             )
+        else:
+            h = make_agnostic_h(rng, 10)
+            expected, expected_report = calibrate_layer_binary(w, h, spec, "l")
+        layer, report = calibrate_layer(w, h, spec, "l")
+        assert type(layer) is type(expected)
+        for f in fields(layer):
+            assert np.array_equal(getattr(layer, f.name), getattr(expected, f.name))
+        assert report == expected_report
 
 
 class TestCalibrateLayerBinary:

@@ -80,7 +80,10 @@ def config_alone(tmp_path, checkpoint, **data) -> str:
     "data, message",
     [({"bits": "two"}, "bits"),
      ({"method": "OPTQ", "group_size": 0}, "group_size"),
-     ({"method": "OPTQ", "n_calibration_samples": 0}, "n_calibration_samples")],
+     ({"method": "OPTQ", "n_calibration_samples": 0}, "n_calibration_samples"),
+     ({"stat_group": 0}, "stat_group"),
+     ({"stat_bits": 1}, "stat_bits"),
+     ({"stat_bits": 9}, "stat_bits")],
 )
 def test_invalid_config_value(setup, tmp_path, capsys, data, message):
     checkpoint, _ = setup

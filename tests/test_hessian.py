@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oacal.errors import (
@@ -132,8 +132,15 @@ class TestAccumulators:
         zero_last_row=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(t=11, d_row=1, d_col=1, zero_last_row=False, seed=999_999_999)
     def test_factor_form_equals_explicit_gram(self, t, d_row, d_col, zero_last_row, seed):
-        """T below, at and above d_row; a zero last row of dy (a position with no loss)."""
+        """T below, at and above d_row; a zero last row of dy (a position with no loss).
+
+        The bound is the forward-error scale of x^T (dy dy^T) x, elementwise
+        A^T A with A = |dy|^T |x|: a G^T G entry that cancels far below it (the
+        pinned example has G = 0.0100 against A = 6.78) is not held to its own
+        relative accuracy.
+        """
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((t, d_col))
         dy = rng.standard_normal((t, d_row))
@@ -143,8 +150,8 @@ class TestAccumulators:
         accumulate_adaptive(acc, x, dy)
         g = dy.T @ x
         expected = g.T @ g
-        scale = max(np.linalg.norm(expected), np.finfo(float).tiny)
-        assert np.linalg.norm(acc.sum - expected) <= 1e-12 * scale
+        a = np.abs(dy).T @ np.abs(x)
+        assert np.all(np.abs(acc.sum - expected) <= 1e-12 * (a.T @ a))
         assert acc.n_samples == 1
 
 

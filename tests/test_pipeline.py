@@ -31,10 +31,12 @@ N_WINDOWS = 3
 def block_forwards_per_chunk(method: str, n: int) -> tuple[int, int]:
     """Block forwards and heads one chunk of calibration windows costs for `n` blocks.
 
-    Agnostic: block b runs once, and the stored inputs move through every
-    block but the last. Adaptive: each block's harvest runs from that block
-    to the head, plus the same moves.
+    RTN builds no Hessian and runs none. Agnostic: block b runs once, and the
+    stored inputs move through every block but the last. Adaptive: each
+    block's harvest runs from that block to the head, plus the same moves.
     """
+    if method == "RTN":
+        return 0, 0
     if method.startswith("OAC_"):
         return n * (n + 1) // 2 + n - 1, n
     return n + n - 1, 0
@@ -64,7 +66,7 @@ def counted(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("method", ["SpQR", "OAC_OPTQ"])
+@pytest.mark.parametrize("method", ["RTN", "SpQR", "OAC_OPTQ", "Binary_BiLLM_style"])
 def test_quantize_run(method, tmp_path, counted):
     checkpoint = tmp_path / "tiny.oack"
     save_checkpoint(init_model(CONFIG, seed=0), checkpoint)
