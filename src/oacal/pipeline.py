@@ -9,6 +9,13 @@ Hessian and skips phase 1. Phase 2 calibrates every layer through one
 `calibrate_layer` call, whatever the method, and installs the dequantized
 float32 weights. Everything numeric that affects the output is echoed into
 the JSON report.
+
+An alpha sweep collects block 0's Hessians once: block 0 is collected on the
+unquantized checkpoint from the same seeded windows whatever the damping, so
+the sweep's first candidate leaves its block-0 accumulators in a dict the
+sweep owns, and every later candidate's `run_quantize` takes them from there.
+Blocks 1 and later are still collected by each candidate on its own
+partially quantized model.
 """
 from __future__ import annotations
 
@@ -23,7 +30,7 @@ import numpy as np
 from .archive import archive_write
 from .calibrate import Backend, CalibSpec, calibrate_layer
 from .errors import ConfigError, MalformedArchive, OacalError
-from .hessian import HessianMode, finalize
+from .hessian import HessianAccumulator, HessianMode, finalize
 from .quant import fit_affine, layer_to_tensors, quantize_dequantize
 from .tinylm import (
     TinyLM,
@@ -258,12 +265,20 @@ class QuantizedRun:
     layer_meta: dict[str, dict]
 
 
-def run_quantize(config: RunConfig, alpha: float | None = None) -> QuantizedRun:
+def run_quantize(
+    config: RunConfig,
+    alpha: float | None = None,
+    block0: dict[str, HessianAccumulator] | None = None,
+) -> QuantizedRun:
     """Quantize every block layer of the checkpointed model; write nothing.
 
     Blocks are processed front to back; each block's Hessians are built on
     the current (partially quantized) model immediately before that block is
-    calibrated. `write_run` puts the result on disk.
+    calibrated. `block0`, when given, carries block 0's accumulators between
+    runs of this one config, which alpha cannot change: an empty dict is
+    filled with the ones this run collects, a filled one is used instead of
+    collecting. They are only read after that. `write_run` puts the result
+    on disk.
     """
     t_start = time.perf_counter()
     current = load_checkpoint(config.checkpoint)
@@ -297,7 +312,12 @@ def run_quantize(config: RunConfig, alpha: float | None = None) -> QuantizedRun:
             collector = (
                 harvest_block_gradients if adaptive else collect_agnostic_accumulators
             )
-            accs = collector(current, b, inputs)
+            if b == 0 and block0 is not None:
+                if not block0:
+                    block0.update(collector(current, 0, inputs))
+                accs = block0
+            else:
+                accs = collector(current, b, inputs)
             if b == current.config.n_blocks - 1:
                 inputs = None  # the propagated inputs are not needed any more
         phase1 += time.perf_counter() - t0
@@ -383,6 +403,15 @@ def run_eval(config: RunConfig, checkpoint_path) -> dict:
 def run_alpha_sweep(config: RunConfig) -> dict:
     """One quantize+eval run per grid alpha; best = lowest validation ppl.
 
+    Block 0's Hessian accumulators are collected once per sweep, by the
+    first candidate that gets that far, with the method's own collector
+    (none for RTN), and handed to every later candidate. Each candidate
+    still loads its own model, embeds its own windows and collects blocks 1
+    and later itself, so its report equals a standalone
+    `run_quantize(config, alpha)` apart from `phase_seconds`; the block-0
+    build's seconds stay in the first candidate's `phase1_hessians`. A
+    block-0 failure leaves nothing to share, so each candidate meets it.
+
     Each candidate runs once. Only the best run so far is kept, and a losing
     run is dropped before the next candidate starts; the winner's own run is
     the one `write_run` writes, next to sweep.json. Ties resolve to the
@@ -392,11 +421,12 @@ def run_alpha_sweep(config: RunConfig) -> dict:
     if not config.alpha_grid:
         raise ConfigError("alpha grid must be nonempty")
     candidates = {}
+    block0: dict[str, HessianAccumulator] = {}
     best = None
     best_valid = np.inf
     for a in sorted(config.alpha_grid):
         try:
-            run = run_quantize(config, alpha=float(a))
+            run = run_quantize(config, alpha=float(a), block0=block0)
         except OacalError as exc:
             candidates[float(a)] = {"status": "failed", "error": str(exc)}
             continue

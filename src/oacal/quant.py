@@ -374,6 +374,8 @@ def double_quantize_stats(
     """
     if not 2 <= stat_bits <= 8:
         raise DimMismatch(f"stat_bits must be in [2, 8], got {stat_bits}")
+    if stat_group < 1:
+        raise DimMismatch(f"stat_group must be >= 1, got {stat_group}")
     scales = np.asarray(scales, dtype=np.float64).ravel()
     zeros = np.asarray(zeros, dtype=np.float64).ravel()
     if scales.size == 0:

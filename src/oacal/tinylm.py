@@ -162,6 +162,14 @@ def _positions(context: int, d_model: int) -> np.ndarray:
     return enc
 
 
+@functools.lru_cache(maxsize=None)
+def _causal_mask(t: int) -> np.ndarray:
+    """Additive (t, t) attention mask: -inf above the diagonal, 0 elsewhere."""
+    mask = np.triu(np.full((t, t), -np.inf), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
 def _rms_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
     return x / r, r
@@ -189,7 +197,7 @@ def block_forward(model: TinyLM, block: int, x: np.ndarray) -> tuple[np.ndarray,
     q = a @ p[f"{base}.attn.wq"].T
     k = a @ p[f"{base}.attn.wk"].T
     v = a @ p[f"{base}.attn.wv"].T
-    att = _softmax(q @ k.swapaxes(1, 2) * scale + np.triu(np.full((t, t), -np.inf), k=1))
+    att = _softmax(q @ k.swapaxes(1, 2) * scale + _causal_mask(t))
     mix = att @ v
     x_mid = x + mix @ p[f"{base}.attn.wo"].T
     m_in, rm = _rms_norm(x_mid)

@@ -1,7 +1,9 @@
 """End-to-end quantize runs and alpha sweeps on tiny models."""
+import functools
 import json
 import weakref
-from dataclasses import replace
+from collections import Counter
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +13,7 @@ import pytest
 import oacal.pipeline as pipeline
 import oacal.tinylm as tinylm
 from oacal.archive import archive_read
-from oacal.errors import ConfigError, NotPositiveDefinite
+from oacal.errors import ConfigError, NonFinite, NotPositiveDefinite
 from oacal.pipeline import (
     REPORT_SCHEMA,
     RunConfig,
@@ -109,20 +111,20 @@ def test_quantize_run(method, tmp_path, counted):
 
 @pytest.fixture
 def sweep_config(tmp_path):
-    """OAC_OPTQ on a 2-block model; a 20 kB corpus keeps each eval short."""
+    """OAC_OPTQ (or `method`) on a 2-block model; a 20 kB corpus keeps each eval short."""
     checkpoint = tmp_path / "tiny.oack"
     save_checkpoint(init_model(replace(CONFIG, n_blocks=2), seed=0), checkpoint)
     corpus = tmp_path / "corpus.txt"
     corpus.write_bytes(Path(CORPUS).read_bytes()[:20_000])
 
-    def make(grid):
+    def make(grid, method="OAC_OPTQ"):
         return RunConfig(
             checkpoint=str(checkpoint),
             corpus_train=str(corpus),
             corpus_valid=str(corpus),
             corpus_test=str(corpus),
             out_dir=str(tmp_path / "out"),
-            method="OAC_OPTQ",
+            method=method,
             n_calibration_samples=N_WINDOWS,
             alpha_grid=tuple(grid),
         )
@@ -131,11 +133,58 @@ def sweep_config(tmp_path):
 
 
 def patch_run_quantize(monkeypatch, wrap):
-    """Route the sweep's run_quantize calls through `wrap(original, config, alpha)`."""
+    """Route the sweep's run_quantize calls through `wrap(original, config, alpha)`;
+    the shared block-0 accumulators are passed through to `original`."""
     original = pipeline.run_quantize
     monkeypatch.setattr(
-        pipeline, "run_quantize", lambda config, alpha=None: wrap(original, config, alpha)
+        pipeline,
+        "run_quantize",
+        lambda config, alpha=None, block0=None: wrap(
+            functools.partial(original, block0=block0), config, alpha
+        ),
     )
+
+
+@pytest.mark.parametrize(
+    "method, collector",
+    [("OAC_OPTQ", "harvest_block_gradients"), ("OPTQ", "collect_agnostic_accumulators")],
+)
+def test_sweep_collects_block0_once(sweep_config, monkeypatch, method, collector):
+    grid = [0.001, 0.1, 1.0]
+    calls = Counter()
+    original = getattr(pipeline, collector)
+
+    def counted(model, block_index, inputs):
+        calls[block_index] += 1
+        return original(model, block_index, inputs)
+
+    monkeypatch.setattr(pipeline, collector, counted)
+    config = sweep_config(grid, method)
+    result = run_alpha_sweep(config)
+    assert calls == {0: 1, 1: len(grid)}
+
+    for a in grid:  # each candidate is the standalone run, timings apart
+        shared = result["candidates"][a]["report"]
+        alone = asdict(run_quantize(config, alpha=a).report)
+        assert {**shared, "phase_seconds": None} == {**alone, "phase_seconds": None}
+
+
+def test_sweep_block0_failure_fails_every_candidate(sweep_config, monkeypatch):
+    original = pipeline.harvest_block_gradients
+
+    def fail_block0(model, block_index, inputs):
+        if block_index == 0:
+            raise NonFinite("forced")
+        return original(model, block_index, inputs)
+
+    monkeypatch.setattr(pipeline, "harvest_block_gradients", fail_block0)
+    grid = [0.001, 0.1, 1.0]
+    config = sweep_config(grid)
+    with pytest.raises(ConfigError) as excinfo:
+        run_alpha_sweep(config)
+    failed = {a: {"status": "failed", "error": "forced"} for a in grid}
+    assert str(excinfo.value) == f"every alpha candidate failed: {failed}"
+    assert not Path(config.out_dir).exists()
 
 
 def test_sweep_one_alpha_grid(sweep_config):

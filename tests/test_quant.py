@@ -10,7 +10,7 @@ from oacal.calibrate import (
     calibrate_layer,
     calibrate_layer_binary,
 )
-from oacal.errors import EmptyGroup
+from oacal.errors import DimMismatch, EmptyGroup
 from oacal.quant import (
     SCALE_FLOOR,
     AffineParams,
@@ -190,6 +190,11 @@ class TestDoubleQuantizeStats:
             account.weight_bits + account.stats_bits + account.outlier_bits
         ) / n
         assert account.avg_bits_per_weight == pytest.approx(recomputed, abs=0)
+
+    @pytest.mark.parametrize("stat_group", [0, -1])
+    def test_stat_group_below_one_rejected(self, stat_group):
+        with pytest.raises(DimMismatch, match="stat_group"):
+            double_quantize_stats(np.ones(4), np.zeros(4), 3, stat_group)
 
     def test_dequantized_scales_stay_positive(self):
         _, new_scales, _ = double_quantize_stats(
