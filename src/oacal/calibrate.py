@@ -27,6 +27,7 @@ interface.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -89,8 +90,10 @@ class CalibSpec:
     def __post_init__(self):
         if self.block_size < 1:
             raise ConfigError("block_size must be >= 1")
-        if self.alpha < 0.0:
-            raise ConfigError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if math.isnan(self.tau):
+            raise ConfigError("tau must not be NaN")
         if self.backend is Backend.SPQR and self.tau <= 0.0:
             raise ConfigError("tau must be > 0 for the outlier-isolating backend")
         if not 0.0 <= self.salient_fraction <= 1.0:

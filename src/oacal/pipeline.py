@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -117,6 +118,11 @@ class RunConfig:
             raise ConfigError(
                 f"n_calibration_samples must be >= 1, got {self.n_calibration_samples}"
             )
+        for a in self.alpha_grid:
+            if not (math.isfinite(a) and a >= 0.0):
+                raise ConfigError(f"alpha_grid entries must be finite and >= 0, got {a}")
+        if len(set(self.alpha_grid)) != len(self.alpha_grid):
+            raise ConfigError(f"alpha_grid has duplicate entries: {list(self.alpha_grid)}")
         self.calib_spec()  # CalibSpec's own checks
 
     def calib_spec(self, alpha: float | None = None) -> CalibSpec:
@@ -586,6 +592,11 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
     return results
 
 
+def _cell(value) -> str:
+    """A table cell for a perplexity the schema allows to be null."""
+    return "NA" if value is None else f"{value:.4f}"
+
+
 def render_report_table(report_paths, fmt: str = "markdown") -> str:
     """CSV or Markdown table across run reports; MalformedArchive for a bad report."""
     rows = []
@@ -599,8 +610,8 @@ def render_report_table(report_paths, fmt: str = "markdown") -> str:
                     "seed": rep["seed"],
                     "alpha": rep["config"]["alpha"],
                     "avg_bits": f"{rep['global_avg_bits']:.4f}",
-                    "valid_ppl": f"{rep['valid_perplexity']:.4f}",
-                    "test_ppl": f"{rep['test_perplexity']:.4f}",
+                    "valid_ppl": _cell(rep["valid_perplexity"]),
+                    "test_ppl": _cell(rep["test_perplexity"]),
                 }
             )
         except (ValueError, KeyError, TypeError) as exc:  # not JSON, missing or mistyped keys

@@ -2,11 +2,13 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from oacal.archive import archive_read
 from oacal.cli import main
+from oacal.pipeline import REPORT_SCHEMA
 from oacal.quant import layer_from_tensors
 from oacal.tinylm import (
     ModelConfig,
@@ -83,7 +85,15 @@ def config_alone(tmp_path, checkpoint, **data) -> str:
      ({"method": "OPTQ", "n_calibration_samples": 0}, "n_calibration_samples"),
      ({"stat_group": 0}, "stat_group"),
      ({"stat_bits": 1}, "stat_bits"),
-     ({"stat_bits": 9}, "stat_bits")],
+     ({"stat_bits": 9}, "stat_bits"),
+     ({"alpha": float("nan")}, "alpha"),
+     ({"alpha": float("inf")}, "alpha"),
+     ({"tau": float("nan")}, "tau"),
+     ({"method": "OPTQ", "tau": float("nan")}, "tau"),
+     ({"alpha_grid": [0.1, -0.01]}, "alpha_grid"),
+     ({"alpha_grid": [0.1, float("nan")]}, "alpha_grid"),
+     ({"alpha_grid": [float("inf")]}, "alpha_grid"),
+     ({"alpha_grid": [0.1, 1, 1.0]}, "alpha_grid")],
 )
 def test_invalid_config_value(setup, tmp_path, capsys, data, message):
     checkpoint, _ = setup
@@ -148,6 +158,18 @@ def test_malformed_report(tmp_path, capsys, text):
     bad.write_text(text)
     assert main(["report", str(good), str(bad)]) == 3
     assert capsys.readouterr().err.startswith(f"i/o failure: {bad}: ")
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_report_with_null_perplexity(tmp_path, capsys, fmt):
+    report = {**REPORT_FIELDS, "layer_reports": [], "phase_seconds": {},
+              "valid_perplexity": None, "test_perplexity": None}
+    jsonschema.validate(report, REPORT_SCHEMA)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["report", "--format", fmt, str(path)]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert "RTN" in row and "NA" in row
 
 
 def test_eval_from_config_without_out_dir(setup, tmp_path, capsys):

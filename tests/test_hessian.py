@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -54,7 +56,7 @@ class TestAccumulators:
         acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
         accumulate_agnostic_batch(acc, [[1.0, 2.0]])
         accumulate_agnostic_batch(acc, [[1.0, 2.0]])
-        np.testing.assert_allclose(acc.sum, [[2.0, 4.0], [4.0, 8.0]])
+        np.testing.assert_allclose(finalize(acc), [[2.0, 4.0], [4.0, 8.0]])
 
     def test_agnostic_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -65,7 +67,7 @@ class TestAccumulators:
         brute = np.zeros((6, 6))
         for x in xs:
             brute += np.outer(x, x)
-        np.testing.assert_allclose(acc.sum, brute, atol=1e-10)
+        np.testing.assert_allclose(finalize(acc), brute, atol=1e-10)
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(15)
@@ -77,6 +79,34 @@ class TestAccumulators:
         accumulate_agnostic_batch(b, xs)
         np.testing.assert_allclose(a.sum, b.sum, atol=1e-10)
         assert b.n_samples == 40
+
+    @pytest.mark.parametrize("d", [64, 256, 1024])
+    @pytest.mark.parametrize("t", [64, 128])
+    def test_agnostic_equals_gram_running_sum_bit_for_bit(self, t, d):
+        rng = np.random.default_rng(t + d)
+        acc = HessianAccumulator(d, HessianMode.AGNOSTIC)
+        expected = np.zeros((d, d))
+        for _ in range(3):
+            m = rng.standard_normal((t, d))
+            accumulate_agnostic_batch(acc, m)
+            expected += m.T @ m
+        h = finalize(acc)
+        np.testing.assert_array_equal(h, expected)
+        np.testing.assert_array_equal(h, h.T)
+
+    def test_agnostic_batch_allocates_no_square_temporary(self):
+        """The fold updates the sum in place: one call at d = 1024 allocates < one d x d array."""
+        d = 1024
+        acc = HessianAccumulator(d, HessianMode.AGNOSTIC)
+        m = np.random.default_rng(7).standard_normal((128, d))
+        tracemalloc.start()
+        try:
+            accumulate_agnostic_batch(acc, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * np.dtype(np.float64).itemsize
+        assert acc.sum[d - 1, 0] != 0.0
 
     def test_adaptive_rank_one(self):
         acc = HessianAccumulator(2, HessianMode.ADAPTIVE)
