@@ -92,8 +92,8 @@ class CalibSpec:
             raise ConfigError("block_size must be >= 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if math.isnan(self.tau):
-            raise ConfigError("tau must not be NaN")
+        if not math.isfinite(self.tau):  # report.json must stay valid JSON
+            raise ConfigError(f"tau must be finite, got {self.tau}")
         if self.backend is Backend.SPQR and self.tau <= 0.0:
             raise ConfigError("tau must be > 0 for the outlier-isolating backend")
         if not 0.0 <= self.salient_fraction <= 1.0:

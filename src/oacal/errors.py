@@ -26,7 +26,7 @@ class NonPositiveDiagonal(OacalError):
 
 
 class NegativeAlpha(OacalError):
-    """Damping factor must be >= 0."""
+    """Damping factor must be finite and >= 0."""
 
 
 class EmptyAccumulator(OacalError):

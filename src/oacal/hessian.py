@@ -20,6 +20,7 @@ be verified against a closed form.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,9 +127,9 @@ def finalize(acc: HessianAccumulator) -> np.ndarray:
 
 
 def regularize(h, alpha: float) -> np.ndarray:
-    """Add alpha * mean(diag(h)) to every diagonal entry."""
-    if alpha < 0.0:
-        raise NegativeAlpha(f"alpha must be >= 0, got {alpha}")
+    """Add alpha * mean(diag(h)) to every diagonal entry; alpha finite and >= 0."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
     sym = as_sym_matrix(h)
     out = sym.copy()
     out[np.diag_indices_from(out)] += alpha * float(np.mean(np.diag(sym)))

@@ -1,21 +1,25 @@
 """End-to-end quantization runs: config, per-block two-phase loop, reports.
 
 A method is a backend plus a Hessian flavour (`_METHOD_TABLE`). A run walks
-the transformer blocks in order. Phase 1 builds each layer's Hessian on the
-current model state (earlier blocks already quantized, so later statistics
-see the propagated error): the calibration windows are embedded once and
-carried from block to block through the installed weights. RTN needs no
-Hessian and skips phase 1. Phase 2 calibrates every layer through one
-`calibrate_layer` call, whatever the method, and installs the dequantized
-float32 weights. Everything numeric that affects the output is echoed into
-the JSON report.
+the transformer blocks in order. Phase 1 builds the layers' Hessians.
+Adaptive (OAC) methods harvest every layer's output-adaptive Hessian before
+the first block, from one forward and one backward of the unquantized
+checkpoint per chunk of calibration windows. Agnostic methods build each
+block's Hessians on the current model state (earlier blocks already
+quantized, so later statistics see the propagated error): the calibration
+windows are embedded once and carried from block to block through the
+installed weights. RTN needs no Hessian and skips phase 1. Phase 2
+calibrates every layer through one `calibrate_layer` call, whatever the
+method, and installs the dequantized float32 weights. Everything numeric
+that affects the output is echoed into the JSON report.
 
-An alpha sweep collects block 0's Hessians once: block 0 is collected on the
-unquantized checkpoint from the same seeded windows whatever the damping, so
-the sweep's first candidate leaves its block-0 accumulators in a dict the
-sweep owns, and every later candidate's `run_quantize` takes them from there.
-Blocks 1 and later are still collected by each candidate on its own
-partially quantized model.
+An alpha sweep shares what was collected on the unquantized checkpoint, from
+the same seeded windows whatever the damping: the sweep's first candidate
+leaves those accumulators in a dict the sweep owns, and every later
+candidate's `run_quantize` takes them from there. For adaptive methods that
+is every layer's Hessian, so the sweep harvests once; for agnostic methods
+it is block 0's, and blocks 1 and later are still collected by each
+candidate on its own partially quantized model.
 """
 from __future__ import annotations
 
@@ -274,17 +278,21 @@ class QuantizedRun:
 def run_quantize(
     config: RunConfig,
     alpha: float | None = None,
-    block0: dict[str, HessianAccumulator] | None = None,
+    shared: dict[str, HessianAccumulator] | None = None,
 ) -> QuantizedRun:
     """Quantize every block layer of the checkpointed model; write nothing.
 
-    Blocks are processed front to back; each block's Hessians are built on
-    the current (partially quantized) model immediately before that block is
-    calibrated. `block0`, when given, carries block 0's accumulators between
-    runs of this one config, which alpha cannot change: an empty dict is
-    filled with the ones this run collects, a filled one is used instead of
-    collecting. They are only read after that. `write_run` puts the result
-    on disk.
+    Blocks are processed front to back. Adaptive methods harvest every
+    layer's Hessian before the first block, in one pass over the unquantized
+    checkpoint. Agnostic methods build each block's Hessians on the current
+    (partially quantized) model immediately before that block is calibrated.
+    `shared`, when given, carries what was collected on the unquantized
+    checkpoint between runs of this one config, which alpha cannot change:
+    every layer's accumulators for adaptive methods, block 0's for agnostic
+    ones. An empty dict is filled with the ones this run collects, a filled
+    one is used instead of collecting; they are only read after that.
+    Without it, each block's accumulators are dropped once the block is
+    calibrated. `write_run` puts the result on disk.
     """
     t_start = time.perf_counter()
     current = load_checkpoint(config.checkpoint)
@@ -305,36 +313,37 @@ def run_quantize(
         seed=config.seed,
         method=config.method,
     )
-    inputs = embed_windows(current, samples) if hessians else None
+    t0 = time.perf_counter()
+    # accumulators collected on the unquantized checkpoint
+    unquantized = {} if shared is None else shared
+    if hessians and adaptive and not unquantized:
+        unquantized.update(harvest_block_gradients(current, samples))
+    inputs = embed_windows(current, samples) if hessians and not adaptive else None
+    phase1 = time.perf_counter() - t0
+    phase2 = 0.0
     layer_artifacts: dict[str, np.ndarray] = {}
     layer_meta: dict[str, dict] = {}
-    phase1 = phase2 = 0.0
     total_bits = 0.0
     total_weights = 0
     for b in range(current.config.n_blocks):
         t0 = time.perf_counter()
-        accs = None
-        if hessians:
-            collector = (
-                harvest_block_gradients if adaptive else collect_agnostic_accumulators
-            )
-            if b == 0 and block0 is not None:
-                if not block0:
-                    block0.update(collector(current, 0, inputs))
-                accs = block0
-            else:
-                accs = collector(current, b, inputs)
-            if b == current.config.n_blocks - 1:
-                inputs = None  # the propagated inputs are not needed any more
+        names = block_layer_names(b)
+        accs = unquantized
+        if hessians and names[0] not in unquantized:
+            accs = collect_agnostic_accumulators(current, b, inputs)
+            if b == 0:
+                unquantized.update(accs)
+        if b == current.config.n_blocks - 1:
+            inputs = None  # the propagated inputs are not needed any more
         phase1 += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         updates = {}
-        for name in block_layer_names(b):
+        for name in names:
             w = current.params[name]
             try:
                 layer, cal_report = calibrate_layer(
-                    w, None if accs is None else finalize(accs[name]), spec, name
+                    w, finalize(accs[name]) if hessians else None, spec, name
                 )
             except OacalError as exc:
                 raise OacalError(f"layer {name!r}: {exc}") from exc
@@ -346,6 +355,9 @@ def run_quantize(
             total_weights += w.size
             updates[name] = _f32(layer.dequantize())
         current.params.update(updates)  # in place: no second copy of the model
+        if shared is None:  # no later block or run reads this block's accumulators
+            for name in names:
+                unquantized.pop(name, None)
         phase2 += time.perf_counter() - t0
 
     report.global_avg_bits = total_bits / total_weights
@@ -409,14 +421,15 @@ def run_eval(config: RunConfig, checkpoint_path) -> dict:
 def run_alpha_sweep(config: RunConfig) -> dict:
     """One quantize+eval run per grid alpha; best = lowest validation ppl.
 
-    Block 0's Hessian accumulators are collected once per sweep, by the
-    first candidate that gets that far, with the method's own collector
-    (none for RTN), and handed to every later candidate. Each candidate
-    still loads its own model, embeds its own windows and collects blocks 1
+    What a run collects on the unquantized checkpoint is collected once per
+    sweep, by the first candidate that gets that far, and handed to every
+    later candidate: every layer's accumulators for adaptive methods (one
+    harvest per sweep), block 0's for agnostic ones (none for RTN). Each
+    candidate still loads its own model and collects its agnostic blocks 1
     and later itself, so its report equals a standalone
-    `run_quantize(config, alpha)` apart from `phase_seconds`; the block-0
+    `run_quantize(config, alpha)` apart from `phase_seconds`; the shared
     build's seconds stay in the first candidate's `phase1_hessians`. A
-    block-0 failure leaves nothing to share, so each candidate meets it.
+    failed build leaves nothing to share, so each candidate meets it.
 
     Each candidate runs once. Only the best run so far is kept, and a losing
     run is dropped before the next candidate starts; the winner's own run is
@@ -427,12 +440,12 @@ def run_alpha_sweep(config: RunConfig) -> dict:
     if not config.alpha_grid:
         raise ConfigError("alpha grid must be nonempty")
     candidates = {}
-    block0: dict[str, HessianAccumulator] = {}
+    shared: dict[str, HessianAccumulator] = {}
     best = None
     best_valid = np.inf
     for a in sorted(config.alpha_grid):
         try:
-            run = run_quantize(config, alpha=float(a), block0=block0)
+            run = run_quantize(config, alpha=float(a), shared=shared)
         except OacalError as exc:
             candidates[float(a)] = {"status": "failed", "error": str(exc)}
             continue

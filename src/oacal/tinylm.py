@@ -4,22 +4,24 @@ The model is deliberately small (vocab 128, d_model 64, two pre-norm blocks
 of single-head attention plus a tanh MLP) so that exact per-window gradients
 are cheap: they feed the adaptive Hessian accumulators, and every derivative
 is checked against finite differences in the tests. One per-block forward
-(`block_forward`) serves the whole model and the calibration collectors,
-which carry each window's block input forward.
+(`block_forward`) serves the whole model and the agnostic collector, which
+carries each window's block input forward. The adaptive harvest takes every
+block layer's Hessian from one whole-model forward and backward.
 
 Every model function takes a stack of windows: token ids (B, T) and
 activations (B, T, d). `lm_backward` returns each linear layer's gradient
 factors, input X (B, T, d_in) and output gradient dY (B, T, d_out), not its
 weight gradient dY^T X: training forms those and sums them over axis 0, and
-the adaptive collector folds each window's G^T G from its pair in window
+the adaptive harvest folds each window's G^T G from its pair in window
 order, so all sums equal a one-window loop bit for bit. Activations are row
 vectors; a linear layer with weight W (d_out x d_in) computes x @ W.T, so
 W's columns line up with the layer's input dimension.
 
-Eval and the collectors run CHUNK_ROWS token rows at a time: 2 windows of the
-toy's 64 positions, 1 of the M shape's 128. Peak RSS (one BLAS thread) after
-the first toy OAC_OPTQ harvest is 68/70/75/84 MiB at 64/128/256/512 rows; at
-256 rows the toy alpha sweep's peak rose 6% (75 to 79 MiB), half the 12% bound.
+Eval, the harvest and the agnostic collector run CHUNK_ROWS token rows at a
+time: 2 windows of the toy's 64 positions, 1 of the M shape's 128. Peak RSS
+(one BLAS thread) after the toy OAC_OPTQ harvest of 128 windows is
+65/68/73/82 MiB at 64/128/256/512 rows; at 256 rows the toy alpha sweep's
+peak rose 3% (71.1 to 73.2 MiB) and its CPU time did not fall.
 """
 from __future__ import annotations
 
@@ -217,20 +219,15 @@ def _head_forward(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, dict]:
     return probs, dict(final_in=x, r_final=rf, final_norm=f, logits=logits, probs=probs)
 
 
-def _forward_from(model: TinyLM, ids: np.ndarray, first: int, x: np.ndarray):
-    """Forward from block `first`'s input `x` to the head; cache keeps blocks >= first."""
-    blocks = {}
-    for b in range(first, model.config.n_blocks):
-        x, blocks[b] = block_forward(model, b, x)
-    probs, cache = _head_forward(model, x)
-    cache.update(ids=ids, blocks=blocks)
-    return probs, cache
-
-
 def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
     """Next-token probabilities (B, T, vocab) of (B, T) ids plus the backward cache."""
     inputs = embed_windows(model, ids)
-    return _forward_from(model, inputs.ids, 0, inputs.xs)
+    x, blocks = inputs.xs, {}
+    for b in range(model.config.n_blocks):
+        x, blocks[b] = block_forward(model, b, x)
+    probs, cache = _head_forward(model, x)
+    cache.update(ids=inputs.ids, blocks=blocks)
+    return probs, cache
 
 
 def lm_forward_loss(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
@@ -243,29 +240,17 @@ def lm_forward_loss(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
     return -np.mean(picked, axis=-1), cache
 
 
-def lm_backward(
-    model: TinyLM, cache: dict, blocks: list[int] | None = None
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Gradient factors of each window's mean cross-entropy from a forward's `cache`.
+def lm_backward(model: TinyLM, cache: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Gradient factors of each window's mean cross-entropy from `lm_forward`'s cache.
 
     Each linear layer maps to (X, dY), its cached input (B, T, d_in) and its
     output gradient (B, T, d_out); window i's weight gradient is dY[i].T @ X[i].
     "embed" maps to the ids (B, T) and the embedded rows' gradient (B, T, d).
-    With `blocks` given, only those blocks' layers get entries and
-    backpropagation stops once the earliest requested block is done; the
-    other blocks stay frozen, as in per-block gradient harvesting. A forward
-    started at a stored block input can serve only its own blocks.
+    Backpropagation always runs from the head through every block.
     """
-    cfg = model.config
     p = model.params
     ids = cache["ids"]
     n, t = ids.shape
-    want_all = blocks is None
-    wanted = set(range(cfg.n_blocks)) if want_all else set(blocks)
-    bad = [b for b in wanted if b not in cache["blocks"]]
-    if bad:
-        raise DimMismatch(f"block index out of range of the forward: {bad}")
-    lowest = min(wanted) if wanted else 0
 
     n_pred = t - 1
     dlogits = cache["probs"].copy()
@@ -273,13 +258,11 @@ def lm_backward(
     dlogits[:, :n_pred] /= n_pred
     dlogits[:, n_pred:] = 0.0
 
-    factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    if want_all:
-        factors["head"] = (cache["final_norm"], dlogits)
+    factors = {"head": (cache["final_norm"], dlogits)}
     dx = _rms_backward(dlogits @ p["head"], cache["final_in"], cache["r_final"])
 
-    scale = 1.0 / np.sqrt(cfg.d_model)
-    for b in sorted(cache["blocks"], reverse=True):
+    scale = 1.0 / np.sqrt(model.config.d_model)
+    for b in reversed(cache["blocks"]):
         blk = cache["blocks"][b]
         base = f"blk{b}"
 
@@ -297,24 +280,21 @@ def lm_backward(
         dlogit_att = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
         dq = dlogit_att @ blk["k"] * scale
         dk = dlogit_att.swapaxes(1, 2) @ blk["q"] * scale
-        if b in wanted:  # output gradients in _LAYER_INPUTS order
-            for (layer, source), dy in zip(_LAYER_INPUTS.items(), (dq, dk, dv, dx_mid, dh_pre, dx)):
-                factors[f"{base}.{layer}"] = (blk[source], dy)
-        if not want_all and b == lowest:
-            return factors
+        # output gradients in _LAYER_INPUTS order
+        for (layer, source), dy in zip(_LAYER_INPUTS.items(), (dq, dk, dv, dx_mid, dh_pre, dx)):
+            factors[f"{base}.{layer}"] = (blk[source], dy)
         da = dq @ p[f"{base}.attn.wq"] + dk @ p[f"{base}.attn.wk"] + dv @ p[f"{base}.attn.wv"]
         dx = dx_mid + _rms_backward(da, blk["x_in"], blk["r_attn"])
 
-    if want_all:
-        factors["embed"] = (ids, dx)
+    factors["embed"] = (ids, dx)
     return factors
 
 
 @dataclass
 class BlockInputs:
     """Calibration windows: token ids (N, T) and their residual-stream input
-    xs (N, T, d) to `block`. The collectors move `xs` in place through the
-    (installed) blocks on the way."""
+    xs (N, T, d) to `block`. The agnostic collector moves `xs` in place
+    through the (installed) blocks on the way."""
 
     ids: np.ndarray
     xs: np.ndarray
@@ -327,8 +307,8 @@ def _chunks(n_windows: int, t: int):
     return [slice(i, i + step) for i in range(0, n_windows, step)]
 
 
-def embed_windows(model: TinyLM, windows) -> BlockInputs:
-    """Check (N, T) token ids and embed them once, as inputs to block 0."""
+def _check_ids(model: TinyLM, windows) -> np.ndarray:
+    """(N, T) token ids of 1+ windows that the model can take."""
     cfg = model.config
     ids = np.asarray(windows, dtype=np.int64)
     ctx = cfg.context_length
@@ -337,8 +317,14 @@ def embed_windows(model: TinyLM, windows) -> BlockInputs:
         raise DimMismatch(f"need 1+ windows of 2..{ctx} token ids, got shape {ids.shape}")
     if ids.min() < 0 or ids.max() >= cfg.vocab_size:
         raise TokenOutOfRange(f"token ids must lie in [0, {cfg.vocab_size})")
+    return ids
+
+
+def embed_windows(model: TinyLM, windows) -> BlockInputs:
+    """Check (N, T) token ids and embed them once, as inputs to block 0."""
+    ids = _check_ids(model, windows)
     xs = model.params["embed"][ids]
-    xs += _positions(ctx, cfg.d_model)[: ids.shape[1]]
+    xs += _positions(model.config.context_length, model.config.d_model)[: ids.shape[1]]
     return BlockInputs(ids, xs)
 
 
@@ -351,30 +337,27 @@ def _advance(model: TinyLM, inputs: BlockInputs, block_index: int) -> None:
     inputs.block = block_index
 
 
-def harvest_block_gradients(
-    model: TinyLM,
-    block_index: int,
-    inputs: BlockInputs,
-) -> dict[str, HessianAccumulator]:
-    """Adaptive Hessian accumulators for one block's linear layers.
+def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
+    """Adaptive Hessian accumulators for every block layer, in one pass.
 
-    Each chunk of windows runs from its stored inputs to block `block_index`
-    through the head and back (other blocks stay frozen); every window then
-    adds its own G^T G per layer from its factor pair, in window order.
+    Each chunk of (N, T) token-id windows runs one `lm_forward` and one full
+    `lm_backward` of `model` as given; every window then adds its own G^T G
+    to each block layer's accumulator from its factor pair, in window order.
+    The pipeline passes the unquantized checkpoint, so no layer's Hessian
+    sees the quantization of the blocks before it.
     """
-    _advance(model, inputs, block_index)
+    ids = _check_ids(model, windows)
     accs = {
         name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
-        for name in block_layer_names(block_index)
+        for name in quantizable_layers(model)
     }
-    for rows in _chunks(*inputs.ids.shape):
+    for rows in _chunks(*ids.shape):
         # the forward cache dies with the backward, not at the next chunk
-        ids, x = inputs.ids[rows], inputs.xs[rows]
-        factors = lm_backward(model, _forward_from(model, ids, block_index, x)[1], [block_index])
+        factors = lm_backward(model, lm_forward(model, ids[rows])[1])
         for name, acc in accs.items():
             for x_i, dy_i in zip(*factors[name]):
                 accumulate_adaptive(acc, x_i, dy_i)
-        del factors  # they hold some of the cache's arrays
+        del factors  # they hold the cache's arrays
     return accs
 
 

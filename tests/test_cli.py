@@ -93,7 +93,8 @@ def config_alone(tmp_path, checkpoint, **data) -> str:
      ({"alpha_grid": [0.1, -0.01]}, "alpha_grid"),
      ({"alpha_grid": [0.1, float("nan")]}, "alpha_grid"),
      ({"alpha_grid": [float("inf")]}, "alpha_grid"),
-     ({"alpha_grid": [0.1, 1, 1.0]}, "alpha_grid")],
+     ({"alpha_grid": [0.1, 1, 1.0]}, "alpha_grid"),
+     ({"method": "SpQR", "tau": float("inf")}, "tau")],
 )
 def test_invalid_config_value(setup, tmp_path, capsys, data, message):
     checkpoint, _ = setup

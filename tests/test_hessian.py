@@ -221,6 +221,11 @@ class TestRegularize:
         with pytest.raises(NegativeAlpha):
             regularize(np.eye(2), -0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(NegativeAlpha):
+            regularize(np.eye(2), alpha)
+
     def test_alpha_one_makes_cholesky_succeed(self):
         rng = np.random.default_rng(12)
         for _ in range(100):

@@ -34,14 +34,21 @@ def block_forwards_per_chunk(method: str, n: int) -> tuple[int, int]:
     """Block forwards and heads one chunk of calibration windows costs for `n` blocks.
 
     RTN builds no Hessian and runs none. Agnostic: block b runs once, and the
-    stored inputs move through every block but the last. Adaptive: each
-    block's harvest runs from that block to the head, plus the same moves.
+    stored inputs move through every block but the last. Adaptive: the one
+    harvest runs the whole model once.
     """
     if method == "RTN":
         return 0, 0
     if method.startswith("OAC_"):
-        return n * (n + 1) // 2 + n - 1, n
+        return n, 1
     return n + n - 1, 0
+
+
+def rms_backwards_per_chunk(method: str, n: int) -> int:
+    """RMS-norm backwards one chunk of calibration windows costs for `n` blocks:
+    an adaptive harvest backpropagates through the head's norm and both norms
+    of every block; no other method runs a backward."""
+    return 1 + 2 * n if method.startswith("OAC_") else 0
 
 
 def n_chunks(n_windows: int) -> int:
@@ -52,19 +59,21 @@ def n_chunks(n_windows: int) -> int:
 
 @pytest.fixture
 def counted(monkeypatch):
-    counts = {"block": 0, "head": 0}
-    block_forward, head_forward = tinylm.block_forward, tinylm._head_forward
+    counts = Counter()
 
-    def count_block(*args):
-        counts["block"] += 1
-        return block_forward(*args)
+    def count(key, module, name):
+        original = getattr(module, name)
 
-    def count_head(*args):
-        counts["head"] += 1
-        return head_forward(*args)
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
 
-    monkeypatch.setattr(tinylm, "block_forward", count_block)
-    monkeypatch.setattr(tinylm, "_head_forward", count_head)
+        monkeypatch.setattr(module, name, wrapper)
+
+    count("block", tinylm, "block_forward")
+    count("head", tinylm, "_head_forward")
+    count("rms_backward", tinylm, "_rms_backward")
+    count("harvest", pipeline, "harvest_block_gradients")
     return counts
 
 
@@ -107,6 +116,45 @@ def test_quantize_run(method, tmp_path, counted):
     blocks, heads = block_forwards_per_chunk(method, CONFIG.n_blocks)
     assert counted["block"] == n_chunks(N_WINDOWS) * blocks + eval_chunks * CONFIG.n_blocks
     assert counted["head"] == n_chunks(N_WINDOWS) * heads + eval_chunks
+    backwards = rms_backwards_per_chunk(method, CONFIG.n_blocks)
+    assert counted["rms_backward"] == n_chunks(N_WINDOWS) * backwards
+    assert counted["harvest"] == method.startswith("OAC_")
+
+
+def test_adaptive_run_drops_each_block_hessians_once_calibrated(tmp_path, monkeypatch):
+    """All layers are harvested up front, but a block's accumulators do not
+    outlive its calibration."""
+    checkpoint = tmp_path / "tiny.oack"
+    save_checkpoint(init_model(CONFIG, seed=0), checkpoint)
+    harvested = {}
+    alive = {}
+    harvest, calibrate = pipeline.harvest_block_gradients, pipeline.calibrate_layer
+
+    def keep_refs(*args):
+        accs = harvest(*args)
+        harvested.update({name: weakref.ref(acc) for name, acc in accs.items()})
+        return accs
+
+    def count_alive(w, h, spec, name):
+        alive[name] = sorted(n for n, ref in harvested.items() if ref() is not None)
+        return calibrate(w, h, spec, name)
+
+    monkeypatch.setattr(pipeline, "harvest_block_gradients", keep_refs)
+    monkeypatch.setattr(pipeline, "calibrate_layer", count_alive)
+    config = RunConfig(
+        checkpoint=str(checkpoint),
+        corpus_train=CORPUS,
+        corpus_valid=CORPUS,
+        corpus_test=CORPUS,
+        out_dir=str(tmp_path / "out"),
+        method="OAC_OPTQ",
+        n_calibration_samples=N_WINDOWS,
+    )
+    run_quantize(config)
+    for b in range(CONFIG.n_blocks):
+        later = [n for c in range(b, CONFIG.n_blocks) for n in tinylm.block_layer_names(c)]
+        assert alive[f"blk{b}.attn.wq"] == sorted(later)
+    assert all(ref() is None for ref in harvested.values())
 
 
 @pytest.fixture
@@ -134,13 +182,13 @@ def sweep_config(tmp_path):
 
 def patch_run_quantize(monkeypatch, wrap):
     """Route the sweep's run_quantize calls through `wrap(original, config, alpha)`;
-    the shared block-0 accumulators are passed through to `original`."""
+    the shared accumulators are passed through to `original`."""
     original = pipeline.run_quantize
     monkeypatch.setattr(
         pipeline,
         "run_quantize",
-        lambda config, alpha=None, block0=None: wrap(
-            functools.partial(original, block0=block0), config, alpha
+        lambda config, alpha=None, shared=None: wrap(
+            functools.partial(original, shared=shared), config, alpha
         ),
     )
 
@@ -150,18 +198,23 @@ def patch_run_quantize(monkeypatch, wrap):
     [("OAC_OPTQ", "harvest_block_gradients"), ("OPTQ", "collect_agnostic_accumulators")],
 )
 def test_sweep_collects_block0_once(sweep_config, monkeypatch, method, collector):
+    """Adaptive: one harvest of every layer per sweep. Agnostic: block 0 once
+    per sweep, block 1 once per candidate."""
     grid = [0.001, 0.1, 1.0]
-    calls = Counter()
+    calls = []
     original = getattr(pipeline, collector)
 
-    def counted(model, block_index, inputs):
-        calls[block_index] += 1
-        return original(model, block_index, inputs)
+    def counted(model, *args):
+        calls.append(args[0] if collector == "collect_agnostic_accumulators" else "all")
+        return original(model, *args)
 
     monkeypatch.setattr(pipeline, collector, counted)
     config = sweep_config(grid, method)
     result = run_alpha_sweep(config)
-    assert calls == {0: 1, 1: len(grid)}
+    if method.startswith("OAC_"):
+        assert calls == ["all"]
+    else:
+        assert Counter(calls) == {0: 1, 1: len(grid)}
 
     for a in grid:  # each candidate is the standalone run, timings apart
         shared = result["candidates"][a]["report"]
@@ -170,14 +223,13 @@ def test_sweep_collects_block0_once(sweep_config, monkeypatch, method, collector
 
 
 def test_sweep_block0_failure_fails_every_candidate(sweep_config, monkeypatch):
-    original = pipeline.harvest_block_gradients
+    """A failed harvest (block 0's Hessians among every layer's) leaves
+    nothing to share, so every candidate meets it."""
 
-    def fail_block0(model, block_index, inputs):
-        if block_index == 0:
-            raise NonFinite("forced")
-        return original(model, block_index, inputs)
+    def fail(model, windows):
+        raise NonFinite("forced")
 
-    monkeypatch.setattr(pipeline, "harvest_block_gradients", fail_block0)
+    monkeypatch.setattr(pipeline, "harvest_block_gradients", fail)
     grid = [0.001, 0.1, 1.0]
     config = sweep_config(grid)
     with pytest.raises(ConfigError) as excinfo:

@@ -6,7 +6,7 @@ import pytest
 
 import oacal.tinylm as tinylm
 from oacal.errors import ArchitectureMismatch, ConfigError, DimMismatch
-from oacal.hessian import HessianAccumulator, HessianMode, accumulate_adaptive, finalize
+from oacal.hessian import finalize
 from oacal.tinylm import (
     ModelConfig,
     TrainConfig,
@@ -21,6 +21,7 @@ from oacal.tinylm import (
     lm_forward,
     lm_forward_loss,
     load_checkpoint,
+    quantizable_layers,
     save_checkpoint,
     train_tiny_lm,
 )
@@ -92,27 +93,6 @@ class TestGradients:
         grads = lm_backward(model, lm_forward(model, windows(TINY, 1, 0))[1])
         assert sorted(grads) == sorted(model.params)
 
-    @pytest.mark.parametrize("block", range(THREE.n_blocks))
-    def test_block_restriction_is_bit_identical(self, block):
-        model = scaled_model(THREE, 4, scale=5.0)
-        _, cache = lm_forward(model, windows(THREE, 1, 5))
-        full = lm_backward(model, cache)
-        part = lm_backward(model, cache, blocks=[block])
-        assert sorted(part) == sorted(block_layer_names(block))
-        for name, (x, dy) in part.items():
-            np.testing.assert_array_equal(x, full[name][0])
-            np.testing.assert_array_equal(dy, full[name][1])
-
-    def test_block_outside_the_forward_is_rejected(self):
-        model = init_model(THREE, 0)
-        inputs = embed_windows(model, windows(THREE, 1, 0))
-        x, _ = block_forward(model, 0, inputs.xs)
-        _, cache = tinylm._forward_from(model, inputs.ids, 1, x)
-        with pytest.raises(DimMismatch):
-            lm_backward(model, cache, blocks=[0])
-        with pytest.raises(DimMismatch):
-            lm_backward(model, cache)
-
 
 class TestPerBlockForward:
     def test_propagated_input_matches_full_forward(self):
@@ -163,28 +143,26 @@ def reference_agnostic(model, samples, block):
     return sums
 
 
-def reference_adaptive(model, samples, block):
-    """G^T G per layer, each G formed explicitly from whole-model forwards and block backwards."""
+def reference_adaptive(model, samples):
+    """G^T G per block layer, each G formed explicitly from one window's
+    whole-model forward and backward."""
     sums = {}
     for s in samples:
-        grads = gradients(model, lm_backward(model, lm_forward(model, s[None])[1], blocks=[block]))
-        for name in block_layer_names(block):
+        grads = gradients(model, lm_backward(model, lm_forward(model, s[None])[1]))
+        for name in quantizable_layers(model):
             g = grads[name][0]
             sums[name] = sums.get(name, 0.0) + g.T @ g
     return sums
 
 
-def reference_adaptive_factors(model, samples, block):
-    """The harvest's own factor-form sums, from whole-model forwards and block backwards."""
-    accs = {
-        name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
-        for name in block_layer_names(block)
+def all_agnostic(model, samples):
+    """Every block layer's agnostic accumulators, the blocks collected in order."""
+    inputs = embed_windows(model, samples)
+    return {
+        name: acc
+        for block in range(model.config.n_blocks)
+        for name, acc in collect_agnostic_accumulators(model, block, inputs).items()
     }
-    for s in samples:
-        factors = lm_backward(model, lm_forward(model, s[None])[1], blocks=[block])
-        for name, acc in accs.items():
-            accumulate_adaptive(acc, factors[name][0][0], factors[name][1][0])
-    return {name: acc.sum for name, acc in accs.items()}
 
 
 def swapped_block0(model, seed):
@@ -203,15 +181,10 @@ def swapped_block0(model, seed):
 
 
 class TestCollectors:
-    """Stored, propagated block inputs give the Hessians of whole forwards."""
+    """Stored, propagated block inputs give the Hessians of whole forwards;
+    the one-shot harvest gives the per-window gradient Grams of the model."""
 
-    @pytest.mark.parametrize(
-        "collector,reference",
-        [
-            (collect_agnostic_accumulators, reference_agnostic),
-            (harvest_block_gradients, reference_adaptive_factors),
-        ],
-    )
+    @pytest.mark.parametrize("collector,reference", [(collect_agnostic_accumulators, reference_agnostic)])
     def test_propagated_inputs_match_forwards_from_ids(self, collector, reference):
         model = scaled_model(THREE, 8, scale=5.0)
         swapped = swapped_block0(model, 9)
@@ -225,23 +198,21 @@ class TestCollectors:
             assert list(accs) == block_layer_names(block)
             for name, acc in accs.items():
                 # an agnostic sum holds only its lower triangle until finalize
-                got = finalize(acc) if acc.mode is HessianMode.AGNOSTIC else acc.sum
-                np.testing.assert_array_equal(got, expected[name])
+                np.testing.assert_array_equal(finalize(acc), expected[name])
             assert inputs.block == block
 
     def test_harvest_equals_explicit_gradient_grams(self):
-        """Every layer's factor-form Hessian is sum_i G_i^T G_i with each G_i formed."""
+        """Every block layer's factor-form Hessian is sum_i G_i^T G_i with each
+        G_i formed from window i's own forward and backward of the model."""
         model = scaled_model(THREE, 21, scale=5.0)
-        swapped = swapped_block0(model, 22)
         samples = windows(THREE, PER_CHUNK + 3, 23)
-        inputs = embed_windows(model, samples)
-        for block, current in [(0, model), (1, swapped), (2, swapped)]:
-            accs = harvest_block_gradients(current, block, inputs)
-            expected = reference_adaptive(current, samples, block)
-            for name, acc in accs.items():
-                assert acc.n_samples == len(samples)
-                gap = np.linalg.norm(acc.sum - expected[name])
-                assert gap <= 1e-12 * np.linalg.norm(expected[name]), name
+        accs = harvest_block_gradients(model, samples)
+        expected = reference_adaptive(model, samples)
+        assert list(accs) == quantizable_layers(model)
+        for name, acc in accs.items():
+            assert acc.n_samples == len(samples)
+            gap = np.linalg.norm(acc.sum - expected[name])
+            assert gap <= 1e-12 * np.linalg.norm(expected[name]), name
 
     def test_inputs_cannot_move_backwards(self):
         model = init_model(THREE, 0)
@@ -250,19 +221,20 @@ class TestCollectors:
         with pytest.raises(DimMismatch):
             collect_agnostic_accumulators(model, 0, inputs)
         with pytest.raises(DimMismatch):
-            harvest_block_gradients(model, THREE.n_blocks, inputs)
+            collect_agnostic_accumulators(model, THREE.n_blocks, inputs)
 
     def test_no_windows(self):
         with pytest.raises(DimMismatch):
             embed_windows(init_model(THREE, 0), [])
+        with pytest.raises(DimMismatch):
+            harvest_block_gradients(init_model(THREE, 0), [])
 
     def test_mean_harvest_matches_row_hessians(self):
         model = scaled_model(THREE, 11, scale=5.0)
         samples = windows(THREE, 5, 12)
-        block = 1
-        accs = harvest_block_gradients(model, block, embed_windows(model, samples))
-        grads = gradients(model, lm_backward(model, lm_forward(model, samples)[1], blocks=[block]))
-        for name in block_layer_names(block):
+        accs = harvest_block_gradients(model, samples)
+        grads = gradients(model, lm_backward(model, lm_forward(model, samples)[1]))
+        for name in quantizable_layers(model):
             # the mean over windows of the per-row curvature blocks, summed over rows
             expected = sum(
                 np.outer(row, row) for g in grads[name] for row in g
@@ -297,20 +269,25 @@ class TestStackedWindows:
                 np.testing.assert_array_equal(grads[name][i], g[0])
 
     @pytest.mark.parametrize("n", [1, PER_CHUNK + 1])
-    @pytest.mark.parametrize("collector", [collect_agnostic_accumulators, harvest_block_gradients])
-    def test_collectors_match_one_window_at_a_time(self, collector, n):
+    @pytest.mark.parametrize(
+        "collect",
+        [
+            pytest.param(all_agnostic, id="collect_agnostic_accumulators"),
+            pytest.param(harvest_block_gradients, id="harvest_block_gradients"),
+        ],
+    )
+    def test_collectors_match_one_window_at_a_time(self, collect, n):
         """Covers a ragged last chunk: the sums fold the windows in order."""
         model = scaled_model(THREE, 16, scale=5.0)
         samples = windows(THREE, n, 17)
-        inputs = embed_windows(model, samples)
-        singles = [embed_windows(model, s[None]) for s in samples]
-        for block in range(THREE.n_blocks):
-            accs = collector(model, block, inputs)
-            for name, acc in accs.items():
-                expected = np.zeros_like(acc.sum)
-                for single in singles:
-                    expected += collector(model, block, single)[name].sum
-                np.testing.assert_array_equal(acc.sum, expected)
+        accs = collect(model, samples)
+        singles = [collect(model, s[None]) for s in samples]
+        assert list(accs) == quantizable_layers(model)
+        for name, acc in accs.items():
+            expected = np.zeros_like(acc.sum)
+            for single in singles:
+                expected += single[name].sum
+            np.testing.assert_array_equal(acc.sum, expected)
 
     # 3 chunks and a window: enough terms that a pairwise sum would differ
     @pytest.mark.parametrize("n", [1, PER_CHUNK + 1, 3 * PER_CHUNK + 1])
