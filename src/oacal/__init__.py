@@ -3,13 +3,14 @@
 Modules by responsibility:
 
 * linalg, archive  - float64 Cholesky kernels and the bit-exact tensor format
-* hessian          - batched agnostic and adaptive curvature sums, logistic oracle
+* hessian          - batched agnostic and adaptive curvature sums
 * quant            - affine, double-quantized, and binary weight codecs
 * calibrate        - one column sweep for every backend, outlier isolation
 * tinylm           - toy byte-level transformer with manual backprop over
                      stacked (B, T) windows, and the per-block Hessian collectors
-* pipeline, cli    - end-to-end runs, alpha sweeps, reports, and the oracle
-                     bundle with its direct-solver reference
+* pipeline, cli    - end-to-end runs, alpha sweeps and reports
+* oracles          - the logistic Fisher oracle, the direct-solver reference
+                     for the column sweep, and the `verify-oracles` bundle
 * errors           - typed errors behind the CLI exit codes
 """
 

@@ -88,6 +88,10 @@ class CalibSpec:
     salient_fraction: float = 0.10
 
     def __post_init__(self):
+        if not 1 <= self.bits <= 8:
+            raise ConfigError(f"bits must be in [1, 8], got {self.bits}")
+        if self.group_size < 1:
+            raise ConfigError(f"group_size must be >= 1, got {self.group_size}")
         if self.block_size < 1:
             raise ConfigError("block_size must be >= 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):

@@ -209,7 +209,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "verify-oracles":
-        from .pipeline import run_verify_oracles
+        from .oracles import run_verify_oracles
 
         results = run_verify_oracles(args.seed, corrupt_update=args.corrupt_update)
         text = json.dumps(results, indent=2, sort_keys=True)

@@ -1,4 +1,4 @@
-"""Hessian accumulation for calibration plus the logistic-regression oracle.
+"""Hessian accumulation for calibration.
 
 Two Hessian flavours share one accumulator type:
 
@@ -12,10 +12,6 @@ Two Hessian flavours share one accumulator type:
 * adaptive  - running sum of per-window gradient Grams G^T G, each added as
               X^T (dY dY^T) X from the factors of G = dY^T X (layer input X,
               T x d_col; output gradient dY, T x d_row), never forming G
-
-The logistic-regression half provides exact, analytic, and sampled versions
-of the same curvature matrix so the gradient-outer-product approximation can
-be verified against a closed form.
 """
 from __future__ import annotations
 
@@ -25,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimMismatch,
-    EmptyAccumulator,
-    EmptyInput,
-    NegativeAlpha,
-)
+from .errors import DimMismatch, EmptyAccumulator, NegativeAlpha
 from .linalg import as_matrix, as_sym_matrix, require_finite, symmetrize
 
 # after .linalg, which imports scipy.linalg first: importing it from here
@@ -45,13 +36,6 @@ __all__ = [
     "accumulate_adaptive",
     "finalize",
     "regularize",
-    "LogisticModel",
-    "sigmoid",
-    "logistic_loss",
-    "logistic_gradient",
-    "logistic_exact_hessian",
-    "fisher_expected_outer",
-    "fisher_sampled_outer",
 ]
 
 
@@ -134,104 +118,3 @@ def regularize(h, alpha: float) -> np.ndarray:
     out = sym.copy()
     out[np.diag_indices_from(out)] += alpha * float(np.mean(np.diag(sym)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Binomial logistic regression oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogisticModel:
-    """Weights of a binomial logistic classifier, P(y=1|x) = sigmoid(w.x)."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=np.float64))
-        if self.w.ndim != 1:
-            raise DimMismatch("logistic weights must be a vector")
-        require_finite(self.w, "logistic weights")
-
-
-def sigmoid(t):
-    """Numerically stable sigmoid, branching on the sign of t."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out if out.ndim else float(out)
-
-
-def _check_x(m: LogisticModel, x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != m.w.shape:
-        raise DimMismatch(f"x has shape {v.shape}, weights {m.w.shape}")
-    return v
-
-
-def logistic_loss(m: LogisticModel, x, y: int) -> float:
-    """Per-sample cross-entropy -[y log pi + (1-y) log(1-pi)], overflow-safe."""
-    v = _check_x(m, x)
-    t = float(m.w @ v)
-    # log(1 + e^t) computed stably:  max(t, 0) + log1p(e^{-|t|})
-    softplus = max(t, 0.0) + np.log1p(np.exp(-abs(t)))
-    return softplus - y * t
-
-
-def logistic_gradient(m: LogisticModel, x, y: int) -> np.ndarray:
-    """Per-sample gradient x * (pi - y)."""
-    v = _check_x(m, x)
-    pi = sigmoid(float(m.w @ v))
-    return v * (pi - y)
-
-
-def _as_sample_block(m: LogisticModel, xs) -> np.ndarray:
-    block = np.asarray(xs, dtype=np.float64)
-    if block.ndim != 2 or block.shape[0] == 0:
-        raise EmptyInput("need a nonempty list of input vectors")
-    if block.shape[1] != m.w.shape[0]:
-        raise DimMismatch(
-            f"inputs have dim {block.shape[1]}, weights {m.w.shape[0]}"
-        )
-    require_finite(block, "inputs")
-    return block
-
-
-def logistic_exact_hessian(m: LogisticModel, xs) -> np.ndarray:
-    """Closed-form mean Hessian (1/N) sum_i x_i pi(1-pi) x_i^T."""
-    block = _as_sample_block(m, xs)
-    pi = sigmoid(block @ m.w)
-    weights = pi * (1.0 - pi)
-    h = (block * weights[:, None]).T @ block / block.shape[0]
-    return symmetrize(h)
-
-
-def fisher_expected_outer(m: LogisticModel, xs) -> np.ndarray:
-    """Mean over samples of E_{y|x}[g g^T], summing y in {0, 1} analytically."""
-    block = _as_sample_block(m, xs)
-    pi = sigmoid(block @ m.w)
-    # E_y[(pi - y)^2] expanded literally: P(y=0) pi^2 + P(y=1) (pi-1)^2
-    weights = (1.0 - pi) * pi**2 + pi * (pi - 1.0) ** 2
-    h = (block * weights[:, None]).T @ block / block.shape[0]
-    return symmetrize(h)
-
-
-def fisher_sampled_outer(m: LogisticModel, xs, n_draws: int, rng) -> np.ndarray:
-    """Monte-Carlo estimate of the Fisher matrix.
-
-    Draws (x, y) pairs with x uniform over the rows of `xs` and
-    y ~ Bernoulli(sigmoid(w.x)), then averages the gradient outer products.
-    """
-    block = _as_sample_block(m, xs)
-    if n_draws < 1:
-        raise EmptyInput("need at least one draw")
-    idx = rng.integers(0, block.shape[0], size=n_draws)
-    chosen = block[idx]
-    pi = sigmoid(chosen @ m.w)
-    y = (rng.random(n_draws) < pi).astype(np.float64)
-    scaled = chosen * (pi - y)[:, None]
-    return symmetrize(scaled.T @ scaled / n_draws)
-

@@ -1,4 +1,5 @@
-"""End-to-end quantization runs: config, per-block two-phase loop, reports.
+"""End-to-end quantization runs: config, per-block two-phase loop, alpha
+sweeps, eval and reports.
 
 A method is a backend plus a Hessian flavour (`_METHOD_TABLE`). A run walks
 the transformer blocks in order. Phase 1 builds the layers' Hessians.
@@ -36,7 +37,7 @@ from .archive import archive_write
 from .calibrate import Backend, CalibSpec, calibrate_layer
 from .errors import ConfigError, MalformedArchive, OacalError
 from .hessian import HessianAccumulator, HessianMode, finalize
-from .quant import fit_affine, layer_to_tensors, quantize_dequantize
+from .quant import layer_to_tensors
 from .tinylm import (
     TinyLM,
     block_layer_names,
@@ -75,8 +76,6 @@ __all__ = [
     "write_run",
     "run_eval",
     "run_alpha_sweep",
-    "run_verify_oracles",
-    "direct_solver_calibrate",
     "load_token_streams",
     "render_report_table",
     "REPORT_SCHEMA",
@@ -114,10 +113,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from {METHODS}"
             )
-        if not 1 <= self.bits <= 8:
-            raise ConfigError(f"bits must be in [1, 8], got {self.bits}")
-        if self.group_size < 1:
-            raise ConfigError(f"group_size must be >= 1, got {self.group_size}")
         if self.n_calibration_samples < 1:
             raise ConfigError(
                 f"n_calibration_samples must be >= 1, got {self.n_calibration_samples}"
@@ -465,144 +460,6 @@ def run_alpha_sweep(config: RunConfig) -> dict:
     with open(Path(config.out_dir) / "sweep.json", "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Oracle bundle
-# ---------------------------------------------------------------------------
-
-
-def direct_solver_calibrate(w, h, bits: int, group_size: int):
-    """Reference for the column sweep: a direct constrained solve at every step.
-
-    At step q the columns < q are pinned at their quantized values and the
-    free columns re-solve tr(dW H dW^T) from scratch; group statistics are
-    refitted from the resulting working weights exactly like the production
-    loop does. Returns the quantized matrix and, per step, the working matrix
-    with the quantized columns so far.
-    """
-    d_row, d_col = w.shape
-    w_hat = np.empty_like(w)
-    states = []
-    params = [None] * d_row
-    for q in range(d_col):
-        if q == 0:
-            work = w.copy()
-        else:
-            delta_c = w_hat[:, :q] - w[:, :q]
-            delta_f = np.linalg.solve(h[q:, q:], -h[q:, :q] @ delta_c.T).T
-            work = w.copy()
-            work[:, :q] = w_hat[:, :q]
-            work[:, q:] = w[:, q:] + delta_f
-        if q % group_size == 0:
-            hi = min(q + group_size, d_col)
-            params = [fit_affine(work[r, q:hi], bits) for r in range(d_row)]
-        for r in range(d_row):
-            _, w_hat[r, q] = quantize_dequantize(work[r, q], params[r], bits)
-        states.append((work.copy(), w_hat[:, : q + 1].copy()))
-    return w_hat, states
-
-
-def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
-    """Self-contained property checks with measured error magnitudes.
-
-    `corrupt_update` is a negative-control hook: it perturbs the Hessian fed
-    to the production column loop (but not the reference solver), which must
-    make the update-optimality oracle fail.
-    """
-    from .hessian import (
-        HessianAccumulator,
-        LogisticModel,
-        accumulate_adaptive,
-        fisher_expected_outer,
-        fisher_sampled_outer,
-        logistic_exact_hessian,
-    )
-    from .linalg import symmetrize
-
-    rng = np.random.default_rng(seed)
-    results = {}
-
-    worst = 0.0
-    for _ in range(50):
-        d = int(rng.integers(1, 17))
-        m = LogisticModel(rng.standard_normal(d))
-        xs = rng.standard_normal((int(rng.integers(1, 30)), d))
-        worst = max(
-            worst,
-            float(
-                np.max(
-                    np.abs(fisher_expected_outer(m, xs) - logistic_exact_hessian(m, xs))
-                )
-            ),
-        )
-    results["fisher_identity_exact"] = {"max_abs_err": worst, "pass": worst < 1e-12}
-
-    wins = 0
-    for trial in range(20):
-        trial_rng = np.random.default_rng(seed * 1000 + trial)
-        d = 4
-        m = LogisticModel(trial_rng.standard_normal(d))
-        xs = trial_rng.standard_normal((32, d))
-        exact = logistic_exact_hessian(m, xs)
-        e_small = float(np.max(np.abs(fisher_sampled_outer(m, xs, 100, trial_rng) - exact)))
-        e_big = float(np.max(np.abs(fisher_sampled_outer(m, xs, 10_000, trial_rng) - exact)))
-        wins += e_big < e_small
-    results["fisher_sampled_convergence"] = {"wins": wins, "trials": 20, "pass": wins >= 19}
-
-    worst_dev = 0.0
-    for _ in range(100):
-        d_row = int(rng.integers(1, 9))
-        d_col = int(rng.integers(2, 7))
-        w = rng.standard_normal((d_row, d_col))
-        a = rng.standard_normal((d_col, d_col))
-        h = symmetrize(a @ a.T + d_col * np.eye(d_col))
-        h_prod = h.copy()
-        if corrupt_update:
-            h_prod = symmetrize(h_prod + 0.35 * np.diag(np.arange(d_col) + 1.0))
-        spec = CalibSpec(bits=2, group_size=d_col, alpha=0.0, block_size=1)
-        layer, _ = calibrate_layer(w, h_prod, spec, guard=False)
-        got = layer.dequantize()
-        w_hat, _ = direct_solver_calibrate(w, h, 2, d_col)
-        worst_dev = max(worst_dev, float(np.max(np.abs(got - w_hat))))
-    results["update_optimality"] = {
-        "max_abs_dev": worst_dev,
-        "pass": worst_dev < 1e-8,
-        "corrupt_update": corrupt_update,
-    }
-
-    bound_ok = True
-    worst_gap = 0.0
-    for _ in range(100):
-        d_row = int(rng.integers(1, 6))
-        d_col = int(rng.integers(1, 6))
-        blocks = []
-        for _ in range(d_row):
-            a = rng.standard_normal((d_col, d_col))
-            blocks.append(symmetrize(a @ a.T))
-        total = sum(blocks)
-        delta = rng.standard_normal((d_row, d_col))
-        lhs = float(np.sum((delta @ total) * delta))
-        rhs = sum(float(delta[j] @ blocks[j] @ delta[j]) for j in range(d_row))
-        worst_gap = min(worst_gap, lhs - rhs)
-        bound_ok &= lhs >= rhs - 1e-9
-    results["aggregation_bound"] = {"worst_margin": worst_gap, "pass": bool(bound_ok)}
-
-    pairs = [(rng.standard_normal((3, 4)), rng.standard_normal((3, 5))) for _ in range(6)]
-    samples = [dy.T @ x for x, dy in pairs]
-    acc = HessianAccumulator(4, HessianMode.ADAPTIVE)
-    for x, dy in pairs:
-        accumulate_adaptive(acc, x, dy)
-    mean = finalize(acc) / acc.n_samples
-    rows = [sum(np.outer(g[j], g[j]) for g in samples) / len(samples) for j in range(5)]
-    gram_dev = float(np.max(np.abs(mean - sum(rows))))
-    results["aggregation_equivalence"] = {"max_abs_dev": gram_dev, "pass": gram_dev < 1e-10}
-
-    results["all_pass"] = all(
-        v["pass"] for k, v in results.items() if isinstance(v, dict)
-    )
-    results["seed"] = seed
-    return results
 
 
 def _cell(value) -> str:

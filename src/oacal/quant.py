@@ -1,9 +1,11 @@
-"""Scalar, group, and binary weight quantizers plus bit accounting.
+"""Group-affine and binary weight quantizers plus bit accounting.
 
-Affine quantization follows the asymmetric min-max scheme:
+The one affine rule, vectorized over a group's rows, is `_fit_group_rows`
+(statistics), `_code_group` (codes) and `_decode` (reconstruction): the
+asymmetric min-max scheme, with the range widened to include zero:
 
-    scale = (max - min) / (2^bits - 1)        (floored for constant groups)
-    zero  = clamp(round(-min / scale), 0, 2^bits - 1)
+    scale = (max(max, 0) - min(min, 0)) / (2^bits - 1)  (floored for constant groups)
+    zero  = clamp(round(-min(min, 0) / scale), 0, 2^bits - 1)
     code  = clamp(round(v / scale + zero), 0, 2^bits - 1)
     v_hat = (code - zero) * scale
 
@@ -22,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyGroup, NonFinite
+from .errors import DimMismatch, EmptyGroup
 from .linalg import as_matrix
 
 # Snapped to float32 so the constant-group flag survives serialization.
@@ -36,9 +38,6 @@ OUTLIER_INDEX_BITS = 16
 __all__ = [
     "SCALE_FLOOR",
     "round_half_away",
-    "AffineParams",
-    "fit_affine",
-    "quantize_dequantize",
     "BitAccount",
     "affine_bit_account",
     "binary_bit_account",
@@ -58,8 +57,7 @@ __all__ = [
 def round_half_away(x):
     """Round to nearest integer, ties away from zero (np.round ties to even)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    return out if out.ndim else float(out)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
 def _f32_round_up(x):
@@ -69,69 +67,13 @@ def _f32_round_up(x):
     bump = y.astype(np.float64) < x
     if np.any(bump):
         y = np.where(bump, np.nextafter(y, np.float32(np.inf)), y)
-    return y.astype(np.float64) if y.ndim else float(np.float64(y))
-
-
-@dataclass(frozen=True)
-class AffineParams:
-    """Per-group affine parameters.
-
-    `zero` is an integer-valued float after fitting; fractional values appear
-    only after the statistics themselves have been double-quantized.
-    `min_val` is the group minimum, used to dequantize constant groups exactly.
-    """
-
-    scale: float
-    zero: float
-    min_val: float
-
-
-def fit_affine(values, bits: int) -> AffineParams:
-    """Fit asymmetric min-max parameters for one group of values.
-
-    The fitted range is widened to include zero (except for constant groups,
-    which take the floored scale and dequantize through the stored min), so
-    the integer zero point always lands inside the code range and the
-    half-step error bound holds for every input.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise EmptyGroup("cannot fit affine params on an empty group")
-    if not 1 <= bits <= 8:
-        raise DimMismatch(f"bits must be in [1, 8], got {bits}")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite("group contains NaN or Inf")
-    mn = float(v.min())
-    mx = float(v.max())
-    maxq = (1 << bits) - 1
-    if mx == mn:
-        return AffineParams(scale=SCALE_FLOOR, zero=0.0, min_val=mn)
-    lo = min(mn, 0.0)
-    hi = max(mx, 0.0)
-    scale = _f32_round_up((hi - lo) / maxq)
-    zero = float(np.clip(round_half_away(-lo / scale), 0, maxq))
-    return AffineParams(scale=scale, zero=zero, min_val=mn)
+    return y.astype(np.float64)
 
 
 def _decode(codes, scale, zero, mins):
     """The affine reconstruction (codes - zero) * scale, broadcast elementwise;
     a constant group (scale at the floor) reconstructs as its min instead."""
     return np.where(scale <= SCALE_FLOOR, mins, (codes - zero) * scale)
-
-
-def quantize_dequantize(v, p: AffineParams, bits: int):
-    """Quantize value(s) under `p`; returns (integer codes, reconstruction).
-
-    Constant groups (scale at the floor) dequantize to the stored group min,
-    whatever the code says.
-    """
-    maxq = (1 << bits) - 1
-    x = np.asarray(v, dtype=np.float64)
-    code = np.clip(round_half_away(x / p.scale + p.zero), 0, maxq)
-    deq = _decode(code, p.scale, p.zero, p.min_val)
-    if x.ndim == 0:
-        return int(code), float(deq)
-    return code.astype(np.int64), deq
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +196,10 @@ class QuantizedLayer:
 
 
 def _fit_group_rows(block: np.ndarray, bits: int, valid: np.ndarray | None = None):
-    """Vectorized fit_affine per row over one group's columns.
+    """Per-row affine statistics (scale, zero, min) of one group's columns.
 
+    Widening each range to include zero keeps the zero point in the code
+    range, so the half-step error bound holds for every input.
     `valid` masks entries allowed to shape the range (outliers excluded);
     rows whose entries are all masked fall back to the full row.
     """

@@ -13,10 +13,10 @@ from oacal.calibrate import (
     detect_outliers,
     saliency,
 )
-from oacal.errors import NonPositiveDiagonal, NotPositiveDefinite
+from oacal.errors import ConfigError, NonPositiveDiagonal, NotPositiveDefinite
 from oacal.hessian import HessianMode, regularize
 from oacal.linalg import inverse_upper_factor, symmetrize
-from oacal.pipeline import direct_solver_calibrate
+from oacal.oracles import direct_solver_calibrate
 from oacal.quant import rtn_quantize
 
 
@@ -217,6 +217,20 @@ class TestCalibrateLayer:
                         got[:, q + 1 :], nxt[:, q + 1 :], atol=1e-8
                     )
 
+    @pytest.mark.parametrize("d_col, group", [(5, 2), (4, 3), (3, 1), (6, 4), (5, 5)])
+    def test_direct_solver_matches_production_to_rounding(self, d_col, group):
+        # one-column tail groups (5 by 2, 4 by 3) and group 1 are constant
+        # groups, which both sides must rebuild as the float32-rounded min
+        rng = np.random.default_rng(560 + 10 * d_col + group)
+        for trial in range(30):
+            d_row = int(rng.integers(1, 9))
+            w = rng.standard_normal((d_row, d_col))
+            h = random_spd(rng, d_col, jitter=1.0)
+            spec = CalibSpec(bits=2, group_size=group, alpha=0.0, block_size=1)
+            layer, _ = calibrate_layer(w, h, spec, guard=False)
+            w_hat_oracle, _ = direct_solver_calibrate(w, h, 2, group)
+            np.testing.assert_allclose(layer.dequantize(), w_hat_oracle, rtol=0, atol=1e-12)
+
     def test_block_batching_equivalent(self):
         rng = np.random.default_rng(57)
         w = rng.standard_normal((8, 24))
@@ -319,6 +333,19 @@ class TestCalibrateLayer:
         for f in fields(layer):
             assert np.array_equal(getattr(layer, f.name), getattr(expected, f.name))
         assert report == expected_report
+
+
+class TestCalibSpec:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("bits", 0, "bits must be in [1, 8], got 0"),
+         ("bits", 9, "bits must be in [1, 8], got 9"),
+         ("group_size", 0, "group_size must be >= 1, got 0")],
+    )
+    def test_rejects_out_of_range(self, field, value, message):
+        with pytest.raises(ConfigError) as excinfo:
+            CalibSpec(**{field: value})
+        assert str(excinfo.value) == message
 
 
 class TestCalibrateLayerBinary:

@@ -50,6 +50,14 @@ def test_corrupt_update_fails_the_oracles(capsys):
     assert json.loads(capsys.readouterr().out)["update_optimality"]["pass"] is False
 
 
+def test_verify_oracles_out_writes_what_it_prints(tmp_path, capsys):
+    out = tmp_path / "a" / "o.json"
+    assert main(["verify-oracles", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text(encoding="utf-8") + "\n"
+    assert json.loads(printed)["all_pass"] is True
+
+
 def test_unknown_method(setup, capsys):
     checkpoint, flags = setup
     assert main(["quantize", "--method", "GPTQ", "--checkpoint", str(checkpoint), *flags]) == 1

@@ -15,19 +15,21 @@ from oacal.errors import (
 from oacal.hessian import (
     HessianAccumulator,
     HessianMode,
-    LogisticModel,
     accumulate_adaptive,
     accumulate_agnostic_batch,
     finalize,
+    regularize,
+)
+from oacal.linalg import cholesky, symmetrize
+from oacal.oracles import (
+    LogisticModel,
     fisher_expected_outer,
     fisher_sampled_outer,
     logistic_exact_hessian,
     logistic_gradient,
     logistic_loss,
-    regularize,
     sigmoid,
 )
-from oacal.linalg import cholesky, symmetrize
 
 
 def row_blocks(gradient_samples):

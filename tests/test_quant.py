@@ -13,15 +13,14 @@ from oacal.calibrate import (
 from oacal.errors import DimMismatch, EmptyGroup
 from oacal.quant import (
     SCALE_FLOOR,
-    AffineParams,
+    _code_group,
+    _fit_group_rows,
     affine_bit_account,
     binarize_region,
     binary_bit_account,
     double_quantize_stats,
-    fit_affine,
     layer_from_tensors,
     layer_to_tensors,
-    quantize_dequantize,
     residual_binarize,
     round_half_away,
     rtn_quantize,
@@ -36,42 +35,47 @@ def test_round_half_away():
     )
 
 
+def one_group(values, bits):
+    """RTN of `values` as one row and one group: (scale, zero, codes, reconstruction)."""
+    vals = np.asarray(values, dtype=np.float64)
+    layer = rtn_quantize(vals[None, :], bits, group_size=vals.size)
+    return layer.scales[0, 0], layer.zeros[0, 0], layer.codes[0], layer.dequantize()[0]
+
+
 class TestFitAffine:
     def test_exactly_representable(self):
-        p = fit_affine([0.0, 1.0, 2.0, 3.0], bits=2)
-        assert p.scale == 1.0
-        assert p.zero == 0.0
+        scale, zero, _, _ = one_group([0.0, 1.0, 2.0, 3.0], bits=2)
+        assert scale == 1.0
+        assert zero == 0.0
 
     def test_constant_group(self):
-        p = fit_affine([5.0, 5.0, 5.0], bits=2)
-        assert p.scale == SCALE_FLOOR
-        assert p.zero == 0.0
-        _, deq = quantize_dequantize(np.array([5.0, 5.0]), p, bits=2)
-        np.testing.assert_array_equal(deq, [5.0, 5.0])
+        scale, zero, _, deq = one_group([5.0, 5.0, 5.0], bits=2)
+        assert scale == SCALE_FLOOR
+        assert zero == 0.0
+        np.testing.assert_array_equal(deq, [5.0, 5.0, 5.0])
 
     def test_symmetric_group_hand_evaluated(self):
         # scale (3 - -3)/3 = 2; zero round(3/2) = 2 with half away from zero
-        p = fit_affine([-3.0, 0.0, 3.0], bits=2)
-        assert p.scale == 2.0
-        assert p.zero == 2.0
+        scale, zero, _, _ = one_group([-3.0, 0.0, 3.0], bits=2)
+        assert scale == 2.0
+        assert zero == 2.0
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
-            fit_affine([], bits=2)
+            _fit_group_rows(np.empty((1, 0)), bits=2)
 
 
 class TestQuantizeDequantize:
     def test_zero_point_exact(self):
-        p = AffineParams(scale=2.0, zero=2.0, min_val=-3.0)
-        code, deq = quantize_dequantize(0.0, p, bits=2)
-        assert code == 2
-        assert deq == 0.0
+        scale, zero, mins = np.array([2.0]), np.array([2.0]), np.array([-3.0])
+        code, deq = _code_group(np.zeros((1, 1)), scale, zero, mins, bits=2)
+        assert code[0, 0] == 2
+        assert deq[0, 0] == 0.0
 
     def test_clamp_top_of_range(self):
-        p = fit_affine([-3.0, 0.0, 3.0], bits=2)
-        code, deq = quantize_dequantize(3.0, p, bits=2)
-        assert code == 3  # round gives 4, clamped into range
-        assert deq == 2.0
+        _, _, codes, deq = one_group([-3.0, 0.0, 3.0], bits=2)
+        assert codes[2] == 3  # round gives 4, clamped into range
+        assert deq[2] == 2.0
 
     def test_error_bound_random_groups(self):
         rng = np.random.default_rng(40)
@@ -79,17 +83,15 @@ class TestQuantizeDequantize:
             bits = int(rng.integers(1, 9))
             n = int(rng.integers(2, 40))
             vals = rng.standard_normal(n) * float(rng.uniform(0.01, 100))
-            p = fit_affine(vals, bits)
-            _, deq = quantize_dequantize(vals, p, bits)
-            assert np.max(np.abs(vals - deq)) <= p.scale / 2 + 1e-9
+            scale, _, _, deq = one_group(vals, bits)
+            assert np.max(np.abs(vals - deq)) <= scale / 2 + 1e-9
 
     def test_group_min_error_bound(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             vals = np.sort(rng.standard_normal(8))
-            p = fit_affine(vals, bits=3)
-            _, deq = quantize_dequantize(vals[0], p, bits=3)
-            assert abs(vals[0] - deq) <= p.scale / 2 + 1e-9
+            scale, _, _, deq = one_group(vals, bits=3)
+            assert abs(vals[0] - deq[0]) <= scale / 2 + 1e-9
 
     @given(
         st.integers(min_value=1, max_value=8),
@@ -109,9 +111,8 @@ class TestQuantizeDequantize:
     def test_bound_holds_for_arbitrary_groups(self, bits, raw):
         # includes one-sided groups: the fitted range is widened to zero
         vals = np.asarray(raw, dtype=np.float64)
-        p = fit_affine(vals, bits)
-        _, deq = quantize_dequantize(vals, p, bits)
-        assert np.max(np.abs(vals - deq)) <= p.scale / 2 + 1e-9
+        scale, _, _, deq = one_group(vals, bits)
+        assert np.max(np.abs(vals - deq)) <= scale / 2 + 1e-9
 
 
 class TestRtnQuantize:
