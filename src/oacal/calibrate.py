@@ -85,7 +85,7 @@ class CalibSpec:
     hessian_mode: HessianMode = HessianMode.AGNOSTIC
     stat_bits: int = 3
     stat_group: int = 16
-    salient_fraction: float = 0.10
+    salient_fraction: float = 0.08
 
     def __post_init__(self):
         if not 1 <= self.bits <= 8:
@@ -286,14 +286,13 @@ def calibrate_layer(
     codes = np.empty((d_row, d_col), dtype=np.int64)
     scales = np.empty((d_row, len(edges)))
     zeros = np.empty((d_row, len(edges)))
-    mins = np.empty((d_row, len(edges)))
     stats_records = [] if spqr else None
 
     def codec(q, col):
         g = col_group[q]
         c0, c1 = edges[g]
         if q == c0:
-            scale, zero, mn = _fit_group_rows(
+            scale, zero = _fit_group_rows(
                 work[:, c0:c1], bits, valid=~outlier_mask[:, c0:c1]
             )
             if spqr:
@@ -301,12 +300,8 @@ def calibrate_layer(
                     scale, zero, spec.stat_bits, spec.stat_group
                 )
                 stats_records.append(record)
-            scales[:, g] = scale
-            zeros[:, g] = zero
-            mins[:, g] = mn
-        code, deq = _code_group(
-            col[:, None], scales[:, g], zeros[:, g], mins[:, g], bits
-        )
+            scales[:, g], zeros[:, g] = scale, zero
+        code, deq = _code_group(col[:, None], scales[:, g], zeros[:, g], bits)
         codes[:, q] = code[:, 0]
         return np.where(outlier_mask[:, q], m[:, q], deq[:, 0])
 
@@ -330,7 +325,6 @@ def calibrate_layer(
         codes=codes,
         scales=scales,
         zeros=zeros,
-        mins=mins,
         outliers=outliers,
         stats_q=stats_records,
         accounting=account,

@@ -196,23 +196,27 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
     results["fisher_sampled_convergence"] = {"wins": wins, "trials": 20, "pass": wins >= 19}
 
     worst_dev = 0.0
+    ragged = 0
     for _ in range(100):
         d_row = int(rng.integers(1, 9))
         d_col = int(rng.integers(2, 7))
+        group = int(rng.integers(1, d_col + 1))  # includes 1 and ragged tails
+        ragged += d_col % group != 0
         w = rng.standard_normal((d_row, d_col))
         a = rng.standard_normal((d_col, d_col))
         h = symmetrize(a @ a.T + d_col * np.eye(d_col))
         h_prod = h.copy()
         if corrupt_update:
             h_prod = symmetrize(h_prod + 0.35 * np.diag(np.arange(d_col) + 1.0))
-        spec = CalibSpec(bits=2, group_size=d_col, alpha=0.0, block_size=1)
+        spec = CalibSpec(bits=2, group_size=group, alpha=0.0, block_size=1)
         layer, _ = calibrate_layer(w, h_prod, spec, guard=False)
         got = layer.dequantize()
-        w_hat, _ = direct_solver_calibrate(w, h, 2, d_col)
+        w_hat, _ = direct_solver_calibrate(w, h, 2, group)
         worst_dev = max(worst_dev, float(np.max(np.abs(got - w_hat))))
     results["update_optimality"] = {
         "max_abs_dev": worst_dev,
         "pass": worst_dev < 1e-8,
+        "ragged_draws": ragged,
         "corrupt_update": corrupt_update,
     }
 

@@ -4,15 +4,18 @@ The one affine rule, vectorized over a group's rows, is `_fit_group_rows`
 (statistics), `_code_group` (codes) and `_decode` (reconstruction): the
 asymmetric min-max scheme, with the range widened to include zero:
 
-    scale = (max(max, 0) - min(min, 0)) / (2^bits - 1)  (floored for constant groups)
+    scale = max(f32_up((max(max, 0) - min(min, 0)) / (2^bits - 1)), SCALE_FLOOR)
     zero  = clamp(round(-min(min, 0) / scale), 0, 2^bits - 1)
     code  = clamp(round(v / scale + zero), 0, 2^bits - 1)
     v_hat = (code - zero) * scale
 
 Rounding is half-away-from-zero everywhere. Scales are rounded *up* to the
-nearest float32 on construction so that serialized layers dequantize
-bit-identically after a reload while the half-step error bound survives the
-cast. Constant groups dequantize to their group min, rounded to float32.
+nearest float32 (`f32_up`) on construction so that serialized layers
+dequantize bit-identically after a reload while the half-step error bound
+survives the cast. The rule has no constant-group exception: a constant
+group's zero-widened range has the group's value at one end, so it codes at
+that end (maxq for a positive value, 0 for a negative one) and reconstructs
+within float32 rounding; only an all-zero range meets the floor.
 
 In the archive (`layer_to_tensors`) every entry is 32-bit except the binary
 alphas (`binalphas/*`), which are 64-bit: binary alphas are the unrounded
@@ -24,10 +27,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyGroup
+from .errors import DimMismatch, EmptyGroup, MalformedArchive
 from .linalg import as_matrix
 
-# Snapped to float32 so the constant-group flag survives serialization.
+# Keeps an all-zero range's scale positive; snapped to float32 so it stores
+# exactly.
 SCALE_FLOOR = float(np.float32(1e-12))
 
 # Bit costs used by the accounting formulas below.
@@ -70,10 +74,9 @@ def _f32_round_up(x):
     return y.astype(np.float64)
 
 
-def _decode(codes, scale, zero, mins):
-    """The affine reconstruction (codes - zero) * scale, broadcast elementwise;
-    a constant group (scale at the floor) reconstructs as its min instead."""
-    return np.where(scale <= SCALE_FLOOR, mins, (codes - zero) * scale)
+def _decode(codes, scale, zero):
+    """The affine reconstruction (codes - zero) * scale, broadcast elementwise."""
+    return (codes - zero) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +170,6 @@ class QuantizedLayer:
     codes: np.ndarray  # int64, d_row x d_col
     scales: np.ndarray  # float64, d_row x n_groups
     zeros: np.ndarray  # float64, d_row x n_groups
-    mins: np.ndarray  # float64, d_row x n_groups
     outliers: list[tuple[int, int, float]]  # sorted by (row, col)
     stats_q: "list[StatsQuant] | None"
     accounting: BitAccount
@@ -185,10 +187,7 @@ class QuantizedLayer:
         out = np.empty(self.codes.shape)
         for g, (c0, c1) in enumerate(group_edges(self.d_col, self.group_size)):
             out[:, c0:c1] = _decode(
-                self.codes[:, c0:c1],
-                self.scales[:, g, None],
-                self.zeros[:, g, None],
-                self.mins[:, g, None],
+                self.codes[:, c0:c1], self.scales[:, g, None], self.zeros[:, g, None]
             )
         for r, c, val in self.outliers:
             out[r, c] = val
@@ -196,42 +195,34 @@ class QuantizedLayer:
 
 
 def _fit_group_rows(block: np.ndarray, bits: int, valid: np.ndarray | None = None):
-    """Per-row affine statistics (scale, zero, min) of one group's columns.
+    """Per-row affine statistics (scale, zero) of one group's columns.
 
     Widening each range to include zero keeps the zero point in the code
     range, so the half-step error bound holds for every input.
-    `valid` masks entries allowed to shape the range (outliers excluded);
-    rows whose entries are all masked fall back to the full row.
+    `valid` masks entries allowed to shape the range (outliers excluded; no
+    mask means all entries); rows whose entries are all masked fall back to
+    the full row.
     """
     if block.shape[1] == 0:
         raise EmptyGroup("group has no columns")
     if valid is None:
-        mn = block.min(axis=1)
-        mx = block.max(axis=1)
-    else:
-        none_valid = ~valid.any(axis=1)
-        big = np.where(valid, block, np.inf)
-        small = np.where(valid, block, -np.inf)
-        mn = np.where(none_valid, block.min(axis=1), big.min(axis=1))
-        mx = np.where(none_valid, block.max(axis=1), small.max(axis=1))
+        valid = np.ones(block.shape, dtype=bool)
+    # zero is in every range, so a masked entry counts as a zero
+    kept = np.where(valid | ~valid.any(axis=1, keepdims=True), block, 0.0)
+    lo = np.minimum(kept.min(axis=1), 0.0)
+    hi = np.maximum(kept.max(axis=1), 0.0)
     maxq = (1 << bits) - 1
-    lo = np.minimum(mn, 0.0)
-    hi = np.maximum(mx, 0.0)
-    constant = mx == mn
-    scale = np.where(
-        constant, SCALE_FLOOR, _f32_round_up(np.where(constant, 1.0, (hi - lo) / maxq))
-    )
-    zero = np.where(constant, 0.0, np.clip(round_half_away(-lo / scale), 0, maxq))
-    # constant groups dequantize to their min: round it as the archive stores it
-    return scale, zero, mn.astype(np.float32).astype(np.float64)
+    scale = np.maximum(_f32_round_up((hi - lo) / maxq), SCALE_FLOOR)
+    zero = np.clip(round_half_away(-lo / scale), 0, maxq)
+    return scale, zero
 
 
-def _code_group(block, scale, zero, mins, bits):
+def _code_group(block, scale, zero, bits):
     """Codes and reconstruction of `block`'s rows under per-row statistics."""
     maxq = (1 << bits) - 1
-    scale, zero, mins = scale[:, None], zero[:, None], mins[:, None]
+    scale, zero = scale[:, None], zero[:, None]
     codes = np.clip(round_half_away(block / scale + zero), 0, maxq).astype(np.int64)
-    return codes, _decode(codes, scale, zero, mins)
+    return codes, _decode(codes, scale, zero)
 
 
 def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
@@ -242,13 +233,9 @@ def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
     codes = np.empty((d_row, d_col), dtype=np.int64)
     scales = np.empty((d_row, len(edges)))
     zeros = np.empty((d_row, len(edges)))
-    mins = np.empty((d_row, len(edges)))
     for g, (c0, c1) in enumerate(edges):
-        scale, zero, mn = _fit_group_rows(m[:, c0:c1], bits)
-        codes[:, c0:c1], _ = _code_group(m[:, c0:c1], scale, zero, mn, bits)
-        scales[:, g] = scale
-        zeros[:, g] = zero
-        mins[:, g] = mn
+        scales[:, g], zeros[:, g] = _fit_group_rows(m[:, c0:c1], bits)
+        codes[:, c0:c1], _ = _code_group(m[:, c0:c1], scales[:, g], zeros[:, g], bits)
     account = affine_bit_account(d_row, d_col, bits, group_size, n_outliers=0)
     return QuantizedLayer(
         bits=bits,
@@ -256,7 +243,6 @@ def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
         codes=codes,
         scales=scales,
         zeros=zeros,
-        mins=mins,
         outliers=[],
         stats_q=None,
         accounting=account,
@@ -297,10 +283,10 @@ def _dq_runs(values: np.ndarray, stat_bits: int, stat_group: int):
     runs = runs.reshape(-1, stat_group)
     bases = runs.min(axis=1)
     shifted = runs - bases[:, None]
-    # A shifted run's min is 0, so a run whose range is below the floor
-    # dequantizes to its base.
-    steps, points, zero_mins = _fit_group_rows(shifted, stat_bits)
-    codes, deq = _code_group(shifted, steps, points, zero_mins, stat_bits)
+    # A shifted run's min is 0, so its zero point is 0 and a constant run
+    # dequantizes exactly to its base.
+    steps, points = _fit_group_rows(shifted, stat_bits)
+    codes, deq = _code_group(shifted, steps, points, stat_bits)
     deq = deq + bases[:, None]
     n = values.size
     return codes.ravel()[:n], deq.ravel()[:n], steps, points, bases
@@ -448,14 +434,23 @@ class BinaryLayer:
 # ---------------------------------------------------------------------------
 
 
+# Entry prefixes of one layer's tensors, by layer kind.
+_LAYER_ENTRIES = {
+    "affine": ("codes", "scales", "zeros", "outliers"),
+    "binary": ("binsigns1", "binsigns2", "binmember", "binsalient", "binalphas"),
+}
+
+
 def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
     """Tensor entries plus JSON-able metadata for one quantized layer.
 
-    Codes, scales, zeros, mins, outliers and the binary sign, membership and
-    salient planes are float32 entries: each is an integer, a float32-rounded
-    statistic or a value read from a float32 checkpoint. Only `binalphas/*`
-    (split threshold, low/high alphas and the per-column salient alphas) is
-    float64, because the binary alphas are unrounded least-squares values.
+    The entries are `<prefix>/<name>` for the kind's prefixes in
+    `_LAYER_ENTRIES`; `outliers/` holds one (row, col, value) triple per
+    outlier. Every entry is float32, since each holds an integer, a
+    float32-rounded statistic or a value read from a float32 checkpoint,
+    except `binalphas/*` (split threshold, low/high alphas and the per-column
+    salient alphas): float64, because the binary alphas are unrounded
+    least-squares values.
     """
     meta = {
         "accounting": asdict(layer.accounting),
@@ -463,16 +458,8 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
         "d_col": layer.d_col,
     }
     if isinstance(layer, QuantizedLayer):
-        outliers = np.array(
-            [[r, c, v] for r, c, v in layer.outliers], dtype=np.float32
-        ).reshape(-1, 3)
-        tensors = {
-            f"codes/{name}": layer.codes.astype(np.float32),
-            f"scales/{name}": layer.scales.astype(np.float32),
-            f"zeros/{name}": layer.zeros.astype(np.float32),
-            f"mins/{name}": layer.mins.astype(np.float32),
-            f"outliers/{name}": outliers,
-        }
+        outliers = np.array([[r, c, v] for r, c, v in layer.outliers]).reshape(-1, 3)
+        values = [layer.codes, layer.scales, layer.zeros, outliers]
         meta.update(
             {
                 "kind": "affine",
@@ -484,8 +471,7 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
                 "stat_group": layer.stats_q[0].stat_group if layer.stats_q else None,
             }
         )
-        return tensors, meta
-    if isinstance(layer, BinaryLayer):
+    elif isinstance(layer, BinaryLayer):
         alphas = np.concatenate(
             [
                 [layer.split_threshold, layer.alpha_low, layer.alpha_high],
@@ -493,52 +479,66 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
                 layer.sal_alpha2,
             ]
         )
-        tensors = {
-            f"binsigns1/{name}": layer.signs1.astype(np.float32),
-            f"binsigns2/{name}": layer.signs2.astype(np.float32),
-            f"binmember/{name}": layer.membership.astype(np.float32),
-            f"binsalient/{name}": layer.salient_cols.astype(np.float32),
-            f"binalphas/{name}": alphas.astype(np.float64),
-        }
+        planes = [layer.signs1, layer.signs2, layer.membership, layer.salient_cols]
+        values = planes + [alphas]
         meta.update(
             {"kind": "binary", "n_salient_cols": int(layer.salient_cols.sum())}
         )
-        return tensors, meta
-    raise DimMismatch(f"unknown layer type {type(layer)!r}")
+    else:
+        raise DimMismatch(f"unknown layer type {type(layer)!r}")
+    tensors = {
+        f"{prefix}/{name}": np.asarray(
+            value, np.float64 if prefix == "binalphas" else np.float32
+        )
+        for prefix, value in zip(_LAYER_ENTRIES[meta["kind"]], values)
+    }
+    return tensors, meta
 
 
 def layer_from_tensors(name: str, tensors: dict, meta: dict):
-    """Rebuild a layer from archive tensors; inverse of layer_to_tensors."""
+    """Rebuild a layer from archive tensors; inverse of layer_to_tensors.
+
+    The layer's entries must be exactly the ones `layer_to_tensors` writes
+    for its kind, else MalformedArchive: a missing entry, an unknown kind, or
+    a leftover entry such as the per-group minimum that an older affine rule
+    stored and decoded constant groups from.
+    """
+    want = set(_LAYER_ENTRIES.get(meta["kind"], ()))
+    held = {key.partition("/")[0] for key in tensors if key.partition("/")[2] == name}
+    if not want or held != want:
+        raise MalformedArchive(
+            f"layer {name!r} of kind {meta['kind']!r} has entries {sorted(held)}, "
+            f"expected {sorted(want)}"
+        )
+    entry = {prefix: np.asarray(tensors[f"{prefix}/{name}"]) for prefix in want}
     account = BitAccount(**meta["accounting"])
     if meta["kind"] == "affine":
-        outliers_arr = np.asarray(tensors[f"outliers/{name}"], dtype=np.float64)
         outliers = [
-            (int(r), int(c), float(v)) for r, c, v in outliers_arr.reshape(-1, 3)
+            (int(r), int(c), float(v))
+            for r, c, v in entry["outliers"].astype(np.float64).reshape(-1, 3)
         ]
         return QuantizedLayer(
             bits=meta["bits"],
             group_size=meta["group_size"],
-            codes=np.asarray(tensors[f"codes/{name}"], dtype=np.int64),
-            scales=np.asarray(tensors[f"scales/{name}"], dtype=np.float64),
-            zeros=np.asarray(tensors[f"zeros/{name}"], dtype=np.float64),
-            mins=np.asarray(tensors[f"mins/{name}"], dtype=np.float64),
+            codes=entry["codes"].astype(np.int64),
+            scales=entry["scales"].astype(np.float64),
+            zeros=entry["zeros"].astype(np.float64),
             outliers=outliers,
             stats_q=None,
             accounting=account,
         )
-    if meta["kind"] == "binary":
-        alphas = np.asarray(tensors[f"binalphas/{name}"], dtype=np.float64)
-        d_col = np.asarray(tensors[f"binsalient/{name}"]).shape[0]
-        return BinaryLayer(
-            split_threshold=float(alphas[0]),
-            alpha_low=float(alphas[1]),
-            alpha_high=float(alphas[2]),
-            salient_cols=np.asarray(tensors[f"binsalient/{name}"]) != 0,
-            sal_alpha1=alphas[3 : 3 + d_col].astype(np.float64),
-            sal_alpha2=alphas[3 + d_col : 3 + 2 * d_col].astype(np.float64),
-            signs1=np.asarray(tensors[f"binsigns1/{name}"], dtype=np.int8),
-            signs2=np.asarray(tensors[f"binsigns2/{name}"], dtype=np.int8),
-            membership=np.asarray(tensors[f"binmember/{name}"]) != 0,
-            accounting=account,
-        )
-    raise DimMismatch(f"unknown layer kind {meta['kind']!r}")
+    alphas = entry["binalphas"].astype(np.float64)
+    salient = entry["binsalient"] != 0
+    d_col = salient.shape[0]
+    return BinaryLayer(
+        split_threshold=float(alphas[0]),
+        alpha_low=float(alphas[1]),
+        alpha_high=float(alphas[2]),
+        salient_cols=salient,
+        sal_alpha1=alphas[3 : 3 + d_col],
+        sal_alpha2=alphas[3 + d_col : 3 + 2 * d_col],
+        signs1=entry["binsigns1"].astype(np.int8),
+        signs2=entry["binsigns2"].astype(np.int8),
+        membership=entry["binmember"] != 0,
+        accounting=account,
+    )

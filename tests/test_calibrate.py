@@ -220,7 +220,7 @@ class TestCalibrateLayer:
     @pytest.mark.parametrize("d_col, group", [(5, 2), (4, 3), (3, 1), (6, 4), (5, 5)])
     def test_direct_solver_matches_production_to_rounding(self, d_col, group):
         # one-column tail groups (5 by 2, 4 by 3) and group 1 are constant
-        # groups, which both sides must rebuild as the float32-rounded min
+        # groups, which both sides code by the one affine rule
         rng = np.random.default_rng(560 + 10 * d_col + group)
         for trial in range(30):
             d_row = int(rng.integers(1, 9))

@@ -45,6 +45,14 @@ def test_verify_oracles_pass(capsys):
     assert json.loads(capsys.readouterr().out)["all_pass"] is True
 
 
+def test_verify_oracles_codes_ragged_groups(capsys):
+    # group sizes are drawn from [1, d_col]: one-column and ragged tail groups
+    assert main(["verify-oracles", "--seed", "0"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["update_optimality"]["ragged_draws"] > 0
+    assert result["all_pass"] is True
+
+
 def test_corrupt_update_fails_the_oracles(capsys):
     assert main(["verify-oracles", "--corrupt-update"]) == 2
     assert json.loads(capsys.readouterr().out)["update_optimality"]["pass"] is False

@@ -3,7 +3,7 @@ import functools
 import json
 import weakref
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +13,7 @@ import pytest
 import oacal.pipeline as pipeline
 import oacal.tinylm as tinylm
 from oacal.archive import archive_read
+from oacal.calibrate import CalibSpec
 from oacal.errors import ConfigError, NonFinite, NotPositiveDefinite
 from oacal.pipeline import (
     REPORT_SCHEMA,
@@ -77,6 +78,19 @@ def counted(monkeypatch):
     return counts
 
 
+def assert_archive_reloads(out: Path) -> None:
+    """Every layer in `layers.oack` rebuilds the installed weights bit for bit."""
+    meta = json.loads((out / "layers.json").read_text())
+    tensors = archive_read(out / "layers.oack")
+    installed = load_checkpoint(out / "quantized.oack")
+    assert sorted(meta) == sorted(tinylm.quantizable_layers(installed))
+    for name, layer_meta in meta.items():
+        reloaded = layer_from_tensors(name, tensors, layer_meta).dequantize()
+        assert reloaded.astype(np.float32).tobytes() == (
+            installed.params[name].astype(np.float32).tobytes()
+        )
+
+
 @pytest.mark.parametrize("method", ["RTN", "SpQR", "OAC_OPTQ", "Binary_BiLLM_style"])
 def test_quantize_run(method, tmp_path, counted):
     checkpoint = tmp_path / "tiny.oack"
@@ -97,15 +111,7 @@ def test_quantize_run(method, tmp_path, counted):
     jsonschema.validate(report, REPORT_SCHEMA)
     assert report["method"] == method
 
-    meta = json.loads((out / "layers.json").read_text())
-    tensors = archive_read(out / "layers.oack")
-    installed = load_checkpoint(out / "quantized.oack")
-    assert sorted(meta) == sorted(tinylm.quantizable_layers(installed))
-    for name, layer_meta in meta.items():
-        reloaded = layer_from_tensors(name, tensors, layer_meta).dequantize()
-        assert reloaded.astype(np.float32).tobytes() == (
-            installed.params[name].astype(np.float32).tobytes()
-        )
+    assert_archive_reloads(out)
 
     # eval runs whole-model forwards over chunks of non-overlapping windows
     ctx = CONFIG.context_length
@@ -119,6 +125,37 @@ def test_quantize_run(method, tmp_path, counted):
     backwards = rms_backwards_per_chunk(method, CONFIG.n_blocks)
     assert counted["rms_backward"] == n_chunks(N_WINDOWS) * backwards
     assert counted["harvest"] == method.startswith("OAC_")
+
+
+@pytest.mark.parametrize("method", ["RTN", "SpQR", "OAC_OPTQ"])
+def test_ragged_groups_reload(method, tmp_path):
+    """group_size 15 leaves a one-column tail group in every 16-wide layer
+    (and a two-column one in the 32-wide ones); those groups are coded by
+    the one affine rule and stored as codes, scales and zeros only."""
+    checkpoint = tmp_path / "tiny.oack"
+    save_checkpoint(init_model(CONFIG, seed=0), checkpoint)
+    config = RunConfig(
+        checkpoint=str(checkpoint),
+        corpus_train=CORPUS,
+        corpus_valid=CORPUS,
+        corpus_test=CORPUS,
+        out_dir=str(tmp_path / "out"),
+        method=method,
+        group_size=15,
+        n_calibration_samples=N_WINDOWS,
+    )
+    write_run(run_quantize(config), config.out_dir)
+    out = tmp_path / "out"
+    assert_archive_reloads(out)
+    assert not [k for k in archive_read(out / "layers.oack") if k.startswith("mins/")]
+
+
+def test_calib_spec_and_run_config_share_defaults():
+    spec = {f.name: f.default for f in fields(CalibSpec)}
+    run = {f.name: f.default for f in fields(RunConfig)}
+    shared = spec.keys() & run.keys()
+    assert "salient_fraction" in shared
+    assert {k: spec[k] for k in shared} == {k: run[k] for k in shared}
 
 
 def test_adaptive_run_drops_each_block_hessians_once_calibrated(tmp_path, monkeypatch):

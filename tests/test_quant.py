@@ -10,10 +10,11 @@ from oacal.calibrate import (
     calibrate_layer,
     calibrate_layer_binary,
 )
-from oacal.errors import DimMismatch, EmptyGroup
+from oacal.errors import DimMismatch, EmptyGroup, MalformedArchive
 from oacal.quant import (
     SCALE_FLOOR,
     _code_group,
+    _f32_round_up,
     _fit_group_rows,
     affine_bit_account,
     binarize_region,
@@ -49,10 +50,17 @@ class TestFitAffine:
         assert zero == 0.0
 
     def test_constant_group(self):
-        scale, zero, _, deq = one_group([5.0, 5.0, 5.0], bits=2)
+        # the zero-widened range is [0, 5]: every value codes at the top
+        scale, zero, codes, deq = one_group([5.0, 5.0, 5.0], bits=2)
+        assert scale == _f32_round_up(5.0 / 3)
+        assert zero == 0.0
+        np.testing.assert_array_equal(codes, [3, 3, 3])
+        np.testing.assert_allclose(deq, 5.0, rtol=np.finfo(np.float32).eps, atol=0)
+        # only an all-zero range meets the floor
+        scale, zero, codes, deq = one_group([0.0, 0.0, 0.0], bits=2)
         assert scale == SCALE_FLOOR
         assert zero == 0.0
-        np.testing.assert_array_equal(deq, [5.0, 5.0, 5.0])
+        np.testing.assert_array_equal(deq, [0.0, 0.0, 0.0])
 
     def test_symmetric_group_hand_evaluated(self):
         # scale (3 - -3)/3 = 2; zero round(3/2) = 2 with half away from zero
@@ -67,8 +75,8 @@ class TestFitAffine:
 
 class TestQuantizeDequantize:
     def test_zero_point_exact(self):
-        scale, zero, mins = np.array([2.0]), np.array([2.0]), np.array([-3.0])
-        code, deq = _code_group(np.zeros((1, 1)), scale, zero, mins, bits=2)
+        scale, zero = np.array([2.0]), np.array([2.0])
+        code, deq = _code_group(np.zeros((1, 1)), scale, zero, bits=2)
         assert code[0, 0] == 2
         assert deq[0, 0] == 0.0
 
@@ -348,17 +356,49 @@ class TestArchiveReload:
     @pytest.mark.parametrize("seed", range(3))
     def test_constant_group_calibrated(self, seed, tmp_path):
         # the ragged last group has one column, so every row of it is constant
+        # and codes at one end of its zero-widened range: the top (3) for a
+        # positive value, 0 for a negative one
         w, h = self.inputs(seed, d_row=8, d_col=17)
         layer, _ = calibrate_layer(w, h, CalibSpec(group_size=16), guard=False)
-        assert np.all(layer.scales[:, -1] <= SCALE_FLOOR)
+        deq = layer.dequantize()
+        top_or_bottom = np.where(deq[:, -1] > 0, 3, 0)
+        np.testing.assert_array_equal(layer.codes[:, -1], top_or_bottom)
         got = self.reload(layer, tmp_path).dequantize()
-        assert got.tobytes() == layer.dequantize().tobytes()
+        assert got.tobytes() == deq.tobytes()
 
     def test_constant_group_rtn(self, tmp_path):
         rng = np.random.default_rng(7)
         w = rng.standard_normal((6, 8))
         w[:, 4:] = rng.standard_normal((6, 1))
         layer = rtn_quantize(w, bits=2, group_size=4)
-        assert np.all(layer.scales[:, 1] <= SCALE_FLOOR)
+        np.testing.assert_array_equal(layer.codes[:, 4:], np.where(w[:, 4:] > 0, 3, 0))
         got = self.reload(layer, tmp_path).dequantize()
         assert got.tobytes() == layer.dequantize().tobytes()
+
+
+class TestLayerFromTensorsErrors:
+    """A layer's archive entries must be exactly the ones its kind writes."""
+
+    @staticmethod
+    def written():
+        layer = rtn_quantize(np.arange(12.0).reshape(3, 4), bits=2, group_size=4)
+        return layer_to_tensors("blk.w", layer)
+
+    def test_missing_entry(self):
+        tensors, meta = self.written()
+        del tensors["zeros/blk.w"]
+        with pytest.raises(MalformedArchive, match="zeros"):
+            layer_from_tensors("blk.w", tensors, meta)
+
+    def test_unknown_kind(self):
+        tensors, meta = self.written()
+        meta["kind"] = "ternary"
+        with pytest.raises(MalformedArchive, match="ternary"):
+            layer_from_tensors("blk.w", tensors, meta)
+
+    def test_affine_layer_with_stored_mins(self):
+        # archives written before constant groups followed the affine rule
+        tensors, meta = self.written()
+        tensors["mins/blk.w"] = np.zeros((3, 1), dtype=np.float32)
+        with pytest.raises(MalformedArchive, match="mins"):
+            layer_from_tensors("blk.w", tensors, meta)
