@@ -166,17 +166,16 @@ def _inverse_diag(upper: np.ndarray) -> np.ndarray:
     return diag
 
 
-def detect_outliers(w, inv_diag: np.ndarray, spec: CalibSpec) -> np.ndarray:
+def detect_outliers(w, naive, inv_diag: np.ndarray, spec: CalibSpec) -> np.ndarray:
     """Mark weights whose naive group-RTN saliency exceeds tau x mean saliency.
 
-    `inv_diag` is diag(H^-1) of the damped Hessian. The tau threshold
-    multiplies the layer's mean saliency; that normalization is echoed in
-    reports.
+    `naive` is the layer's dequantized group RTN and `inv_diag` is diag(H^-1)
+    of the damped Hessian. The tau threshold multiplies the layer's mean
+    saliency; that normalization is echoed in reports.
     """
     m = as_matrix(w)
     if inv_diag.shape[0] != m.shape[1]:
         raise ShapeMismatch("hessian dim must match the column count")
-    naive = rtn_quantize(m, spec.bits, spec.group_size).dequantize()
     s = saliency(m, naive, inv_diag[None, :])
     return s > spec.tau * float(np.mean(s))
 
@@ -275,8 +274,12 @@ def calibrate_layer(
     d_row, d_col = m.shape
     bits = spec.bits
     spqr = spec.backend is Backend.SPQR
+    # one RTN of the layer serves both the outlier saliency and the guard
+    rtn_layer = rtn_quantize(m, bits, spec.group_size) if spqr or guard else None
     outlier_mask = (
-        detect_outliers(m, inv_diag, spec) if spqr else np.zeros(m.shape, dtype=bool)
+        detect_outliers(m, rtn_layer.dequantize(), inv_diag, spec)
+        if spqr
+        else np.zeros(m.shape, dtype=bool)
     )
 
     edges = group_edges(d_col, spec.group_size)
@@ -332,7 +335,6 @@ def calibrate_layer(
     proxy = _proxy_error(w_hat - m, damped)
     extra = {}
     if guard:
-        rtn_layer = rtn_quantize(m, bits, spec.group_size)
         rtn_proxy = _proxy_error(rtn_layer.dequantize() - m, damped)
         if rtn_proxy < proxy:
             layer, proxy, update_norms = rtn_layer, rtn_proxy, [0.0] * d_col

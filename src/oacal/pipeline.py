@@ -1,26 +1,22 @@
-"""End-to-end quantization runs: config, per-block two-phase loop, alpha
-sweeps, eval and reports.
+"""End-to-end quantization runs: config, two-phase run, alpha sweeps, eval
+and reports.
 
-A method is a backend plus a Hessian flavour (`_METHOD_TABLE`). A run walks
-the transformer blocks in order. Phase 1 builds the layers' Hessians.
-Adaptive (OAC) methods harvest every layer's output-adaptive Hessian before
-the first block, from one forward and one backward of the unquantized
-checkpoint per chunk of calibration windows. Agnostic methods build each
-block's Hessians on the current model state (earlier blocks already
-quantized, so later statistics see the propagated error): the calibration
-windows are embedded once and carried from block to block through the
-installed weights. RTN needs no Hessian and skips phase 1. Phase 2
-calibrates every layer through one `calibrate_layer` call, whatever the
+A method is a backend plus a Hessian flavour (`_METHOD_TABLE`). Phase 1
+collects every block layer's Hessian before the first block is quantized,
+in one pass over the unquantized checkpoint per chunk of calibration
+windows: adaptive (OAC) methods run one forward and one backward, agnostic
+ones one forward. No layer's Hessian sees the quantization of the blocks
+before it. The reference GPTQ, SpQR and BiLLM pipelines instead feed each
+layer the partly quantized model's inputs; here both flavours share one
+collection rule, so an OAC-versus-baseline comparison changes only the
+Hessian. RTN needs no Hessian and skips phase 1. Phase 2 calibrates every
+layer, front to back, through one `calibrate_layer` call whatever the
 method, and installs the dequantized float32 weights. Everything numeric
 that affects the output is echoed into the JSON report.
 
-An alpha sweep shares what was collected on the unquantized checkpoint, from
-the same seeded windows whatever the damping: the sweep's first candidate
-leaves those accumulators in a dict the sweep owns, and every later
-candidate's `run_quantize` takes them from there. For adaptive methods that
-is every layer's Hessian, so the sweep harvests once; for agnostic methods
-it is block 0's, and blocks 1 and later are still collected by each
-candidate on its own partially quantized model.
+An alpha sweep collects once: the Hessians do not depend on the damping, so
+the sweep's first candidate leaves every layer's accumulators in a dict the
+sweep owns, and every later candidate's `run_quantize` takes them from there.
 """
 from __future__ import annotations
 
@@ -40,12 +36,11 @@ from .hessian import HessianAccumulator, HessianMode, finalize
 from .quant import layer_to_tensors
 from .tinylm import (
     TinyLM,
-    block_layer_names,
     collect_agnostic_accumulators,
-    embed_windows,
     harvest_block_gradients,
     load_checkpoint,
     perplexity,
+    quantizable_layers,
     sample_calibration_windows,
     save_checkpoint,
     tokenize,
@@ -277,17 +272,14 @@ def run_quantize(
 ) -> QuantizedRun:
     """Quantize every block layer of the checkpointed model; write nothing.
 
-    Blocks are processed front to back. Adaptive methods harvest every
-    layer's Hessian before the first block, in one pass over the unquantized
-    checkpoint. Agnostic methods build each block's Hessians on the current
-    (partially quantized) model immediately before that block is calibrated.
-    `shared`, when given, carries what was collected on the unquantized
-    checkpoint between runs of this one config, which alpha cannot change:
-    every layer's accumulators for adaptive methods, block 0's for agnostic
-    ones. An empty dict is filled with the ones this run collects, a filled
-    one is used instead of collecting; they are only read after that.
-    Without it, each block's accumulators are dropped once the block is
-    calibrated. `write_run` puts the result on disk.
+    Every layer's Hessian accumulators are collected before the first
+    layer is calibrated, in one pass over the unquantized checkpoint; the
+    layers are then calibrated front to back. `shared`, when given, carries
+    those accumulators between runs of this one config, which alpha cannot
+    change. An empty dict is filled with the ones this run collects, a
+    filled one is used instead of collecting; they are only read after
+    that. Without it, each accumulator is dropped once the last layer that
+    reads it is calibrated. `write_run` puts the result on disk.
     """
     t_start = time.perf_counter()
     current = load_checkpoint(config.checkpoint)
@@ -301,7 +293,6 @@ def run_quantize(
     )
     spec = config.calib_spec(alpha)
     hessians = spec.backend is not Backend.RTN
-    adaptive = spec.hessian_mode is HessianMode.ADAPTIVE
 
     report = RunReport(
         config={**asdict(config), "alpha": spec.alpha, "alpha_grid": list(config.alpha_grid)},
@@ -310,50 +301,35 @@ def run_quantize(
     )
     t0 = time.perf_counter()
     # accumulators collected on the unquantized checkpoint
-    unquantized = {} if shared is None else shared
-    if hessians and adaptive and not unquantized:
-        unquantized.update(harvest_block_gradients(current, samples))
-    inputs = embed_windows(current, samples) if hessians and not adaptive else None
+    accs = {} if shared is None else shared
+    if hessians and not accs:
+        adaptive = spec.hessian_mode is HessianMode.ADAPTIVE
+        collect = harvest_block_gradients if adaptive else collect_agnostic_accumulators
+        accs.update(collect(current, samples))
     phase1 = time.perf_counter() - t0
-    phase2 = 0.0
+    t0 = time.perf_counter()
     layer_artifacts: dict[str, np.ndarray] = {}
     layer_meta: dict[str, dict] = {}
     total_bits = 0.0
     total_weights = 0
-    for b in range(current.config.n_blocks):
-        t0 = time.perf_counter()
-        names = block_layer_names(b)
-        accs = unquantized
-        if hessians and names[0] not in unquantized:
-            accs = collect_agnostic_accumulators(current, b, inputs)
-            if b == 0:
-                unquantized.update(accs)
-        if b == current.config.n_blocks - 1:
-            inputs = None  # the propagated inputs are not needed any more
-        phase1 += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        updates = {}
-        for name in names:
-            w = current.params[name]
-            try:
-                layer, cal_report = calibrate_layer(
-                    w, finalize(accs[name]) if hessians else None, spec, name
-                )
-            except OacalError as exc:
-                raise OacalError(f"layer {name!r}: {exc}") from exc
-            tensors, meta = layer_to_tensors(name, layer)
-            layer_artifacts.update(tensors)
-            layer_meta[name] = meta
-            report.layer_reports.append(cal_report.to_dict())
-            total_bits += layer.accounting.total_bits
-            total_weights += w.size
-            updates[name] = _f32(layer.dequantize())
-        current.params.update(updates)  # in place: no second copy of the model
-        if shared is None:  # no later block or run reads this block's accumulators
-            for name in names:
-                unquantized.pop(name, None)
-        phase2 += time.perf_counter() - t0
+    for name in quantizable_layers(current):
+        w = current.params[name]
+        try:
+            layer, cal_report = calibrate_layer(
+                w, finalize(accs[name]) if hessians else None, spec, name
+            )
+        except OacalError as exc:
+            raise OacalError(f"layer {name!r}: {exc}") from exc
+        tensors, meta = layer_to_tensors(name, layer)
+        layer_artifacts.update(tensors)
+        layer_meta[name] = meta
+        report.layer_reports.append(cal_report.to_dict())
+        total_bits += layer.accounting.total_bits
+        total_weights += w.size
+        current.params[name] = _f32(layer.dequantize())
+        if shared is None:  # no later layer or run reads this layer's accumulator
+            accs.pop(name, None)
+    phase2 = time.perf_counter() - t0
 
     report.global_avg_bits = total_bits / total_weights
     report.phase_seconds = {
@@ -416,15 +392,13 @@ def run_eval(config: RunConfig, checkpoint_path) -> dict:
 def run_alpha_sweep(config: RunConfig) -> dict:
     """One quantize+eval run per grid alpha; best = lowest validation ppl.
 
-    What a run collects on the unquantized checkpoint is collected once per
-    sweep, by the first candidate that gets that far, and handed to every
-    later candidate: every layer's accumulators for adaptive methods (one
-    harvest per sweep), block 0's for agnostic ones (none for RTN). Each
-    candidate still loads its own model and collects its agnostic blocks 1
-    and later itself, so its report equals a standalone
-    `run_quantize(config, alpha)` apart from `phase_seconds`; the shared
-    build's seconds stay in the first candidate's `phase1_hessians`. A
-    failed build leaves nothing to share, so each candidate meets it.
+    Every layer's accumulators are collected once per sweep, whatever the
+    method (RTN collects none), by the first candidate that gets that far,
+    and handed to every later candidate. Each candidate still loads its own
+    model, so its report equals a standalone `run_quantize(config, alpha)`
+    apart from `phase_seconds`; the collection's seconds stay in the first
+    candidate's `phase1_hessians`. A failed collection leaves nothing to
+    share, so each candidate meets it.
 
     Each candidate runs once. Only the best run so far is kept, and a losing
     run is dropped before the next candidate starts; the winner's own run is

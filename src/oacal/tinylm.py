@@ -3,10 +3,10 @@
 The model is deliberately small (vocab 128, d_model 64, two pre-norm blocks
 of single-head attention plus a tanh MLP) so that exact per-window gradients
 are cheap: they feed the adaptive Hessian accumulators, and every derivative
-is checked against finite differences in the tests. One per-block forward
-(`block_forward`) serves the whole model and the agnostic collector, which
-carries each window's block input forward. The adaptive harvest takes every
-block layer's Hessian from one whole-model forward and backward.
+is checked against finite differences in the tests. Both Hessian collectors
+read every block layer from whole-model passes of the model as given: the
+agnostic one folds the layer inputs of one forward, the adaptive harvest
+the factor pairs of one forward and one backward.
 
 Every model function takes a stack of windows: token ids (B, T) and
 activations (B, T, d). `lm_backward` returns each linear layer's gradient
@@ -54,7 +54,6 @@ __all__ = [
     "ModelConfig",
     "TrainConfig",
     "TinyLM",
-    "BlockInputs",
     "tokenize",
     "init_model",
     "block_layer_names",
@@ -221,12 +220,12 @@ def _head_forward(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, dict]:
 
 def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
     """Next-token probabilities (B, T, vocab) of (B, T) ids plus the backward cache."""
-    inputs = embed_windows(model, ids)
-    x, blocks = inputs.xs, {}
+    ids = _check_ids(model, ids)
+    x, blocks = embed_windows(model, ids), {}
     for b in range(model.config.n_blocks):
         x, blocks[b] = block_forward(model, b, x)
     probs, cache = _head_forward(model, x)
-    cache.update(ids=inputs.ids, blocks=blocks)
+    cache.update(ids=ids, blocks=blocks)
     return probs, cache
 
 
@@ -290,17 +289,6 @@ def lm_backward(model: TinyLM, cache: dict) -> dict[str, tuple[np.ndarray, np.nd
     return factors
 
 
-@dataclass
-class BlockInputs:
-    """Calibration windows: token ids (N, T) and their residual-stream input
-    xs (N, T, d) to `block`. The agnostic collector moves `xs` in place
-    through the (installed) blocks on the way."""
-
-    ids: np.ndarray
-    xs: np.ndarray
-    block: int = 0
-
-
 def _chunks(n_windows: int, t: int):
     """Consecutive window slices of at most CHUNK_ROWS token rows (at least one window)."""
     step = max(1, CHUNK_ROWS // t)
@@ -320,21 +308,11 @@ def _check_ids(model: TinyLM, windows) -> np.ndarray:
     return ids
 
 
-def embed_windows(model: TinyLM, windows) -> BlockInputs:
-    """Check (N, T) token ids and embed them once, as inputs to block 0."""
-    ids = _check_ids(model, windows)
+def embed_windows(model: TinyLM, ids: np.ndarray) -> np.ndarray:
+    """Block 0's residual-stream input (N, T, d) for checked (N, T) token ids."""
     xs = model.params["embed"][ids]
     xs += _positions(model.config.context_length, model.config.d_model)[: ids.shape[1]]
-    return BlockInputs(ids, xs)
-
-
-def _advance(model: TinyLM, inputs: BlockInputs, block_index: int) -> None:
-    if not inputs.block <= block_index < model.config.n_blocks:
-        raise DimMismatch(f"inputs at block {inputs.block} cannot serve {block_index}")
-    for b in range(inputs.block, block_index):
-        for rows in _chunks(*inputs.ids.shape):
-            inputs.xs[rows] = block_forward(model, b, inputs.xs[rows])[0]
-    inputs.block = block_index
+    return xs
 
 
 def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
@@ -361,27 +339,30 @@ def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumula
     return accs
 
 
-def collect_agnostic_accumulators(
-    model: TinyLM,
-    block_index: int,
-    inputs: BlockInputs,
-) -> dict[str, HessianAccumulator]:
-    """Classic input-outer-product accumulators for one block's layers.
+def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
+    """Input-outer-product accumulators for every block layer, in one pass.
 
-    Only block `block_index` runs, on the stored inputs; every position adds
-    one x x^T, one window at a time in window order, and layers reading the
-    same input share one accumulator.
+    Each chunk of (N, T) token-id windows runs one `lm_forward` of `model`
+    as given; every position of a block layer's cached input then adds one
+    x x^T, one window at a time in window order. The layers of a block that
+    read the same input share one accumulator.
     """
-    _advance(model, inputs, block_index)
-    sources = layer_input_name_map(block_index)
-    dims = {source: model.params[name].shape[1] for name, source in sources.items()}
-    by_input = {s: HessianAccumulator(d, HessianMode.AGNOSTIC) for s, d in dims.items()}
-    for rows in _chunks(*inputs.ids.shape):
-        _, blk = block_forward(model, block_index, inputs.xs[rows])
-        for source, acc in by_input.items():
-            for x in blk[source]:
+    ids = _check_ids(model, windows)
+    reads = {
+        name: (b, source)
+        for b in range(model.config.n_blocks)
+        for name, source in layer_input_name_map(b).items()
+    }
+    by_input = {}
+    for name, key in reads.items():
+        if key not in by_input:
+            by_input[key] = HessianAccumulator(model.params[name].shape[1], HessianMode.AGNOSTIC)
+    for rows in _chunks(*ids.shape):
+        blocks = lm_forward(model, ids[rows])[1]["blocks"]
+        for (b, source), acc in by_input.items():
+            for x in blocks[b][source]:
                 accumulate_agnostic_batch(acc, x)
-    return {name: by_input[source] for name, source in sources.items()}
+    return {name: by_input[key] for name, key in reads.items()}
 
 
 def perplexity(model: TinyLM, tokens) -> float:

@@ -74,12 +74,17 @@ class TestSaliency:
             )
 
 
+def outliers(w, inv_diag, spec):
+    """`detect_outliers` with the naive group RTN that `calibrate_layer` hands it."""
+    return detect_outliers(w, rtn_quantize(w, spec.bits, spec.group_size).dequantize(), inv_diag, spec)
+
+
 class TestDetectOutliers:
     def test_huge_tau_empty(self):
         rng = np.random.default_rng(51)
         w = rng.standard_normal((4, 8))
         spec = CalibSpec(bits=2, group_size=4, tau=1e12, backend=Backend.SPQR)
-        mask = detect_outliers(w, np.full(8, 0.5), spec)
+        mask = outliers(w, np.full(8, 0.5), spec)
         assert not mask.any()
 
     def test_dominant_weight_marked(self):
@@ -87,12 +92,12 @@ class TestDetectOutliers:
         w = rng.uniform(-0.01, 0.01, size=(8, 8))
         w[3, 5] = 1.0  # 100x larger than everything else
         spec = CalibSpec(bits=2, group_size=4, tau=3.5, backend=Backend.SPQR)
-        mask = detect_outliers(w, np.full(8, 0.5), spec)
+        mask = outliers(w, np.full(8, 0.5), spec)
         assert mask[3, 5]
 
     def test_zero_matrix_empty(self):
         spec = CalibSpec(bits=2, group_size=4, tau=3.5, backend=Backend.SPQR)
-        mask = detect_outliers(np.zeros((4, 8)), np.ones(8), spec)
+        mask = outliers(np.zeros((4, 8)), np.ones(8), spec)
         assert not mask.any()
 
 
@@ -423,13 +428,17 @@ class TestOneFactorizationPerLayer:
         assert guarded.proxy_error == min(with_comp.proxy_error, plain.proxy_error)
 
     def test_spqr_factorizes_once(self, monkeypatch):
+        """One factorization and one RTN per layer: the outlier saliency and
+        the guard share the RTN."""
         rng = np.random.default_rng(67)
         w = rng.standard_normal((8, 16))
         h = make_agnostic_h(rng, 16)
         spec = CalibSpec(bits=2, group_size=4, alpha=0.1, backend=Backend.SPQR)
         factorizations = self.count_calls(monkeypatch, "inverse_upper_factor")
+        rtns = self.count_calls(monkeypatch, "rtn_quantize")
         calibrate_layer(w, h, spec)
         assert len(factorizations) == 1
+        assert len(rtns) == 1
 
 
 class TestSweepAlpha:

@@ -34,15 +34,10 @@ N_WINDOWS = 3
 def block_forwards_per_chunk(method: str, n: int) -> tuple[int, int]:
     """Block forwards and heads one chunk of calibration windows costs for `n` blocks.
 
-    RTN builds no Hessian and runs none. Agnostic: block b runs once, and the
-    stored inputs move through every block but the last. Adaptive: the one
-    harvest runs the whole model once.
+    RTN builds no Hessian and runs none. Every other method collects with
+    one whole-model forward: each block once, and the head.
     """
-    if method == "RTN":
-        return 0, 0
-    if method.startswith("OAC_"):
-        return n, 1
-    return n + n - 1, 0
+    return (0, 0) if method == "RTN" else (n, 1)
 
 
 def rms_backwards_per_chunk(method: str, n: int) -> int:
@@ -75,6 +70,7 @@ def counted(monkeypatch):
     count("head", tinylm, "_head_forward")
     count("rms_backward", tinylm, "_rms_backward")
     count("harvest", pipeline, "harvest_block_gradients")
+    count("collect", pipeline, "collect_agnostic_accumulators")
     return counts
 
 
@@ -125,6 +121,7 @@ def test_quantize_run(method, tmp_path, counted):
     backwards = rms_backwards_per_chunk(method, CONFIG.n_blocks)
     assert counted["rms_backward"] == n_chunks(N_WINDOWS) * backwards
     assert counted["harvest"] == method.startswith("OAC_")
+    assert counted["collect"] == (method != "RTN" and not method.startswith("OAC_"))
 
 
 @pytest.mark.parametrize("method", ["RTN", "SpQR", "OAC_OPTQ"])
@@ -158,17 +155,43 @@ def test_calib_spec_and_run_config_share_defaults():
     assert {k: spec[k] for k in shared} == {k: run[k] for k in shared}
 
 
-def test_adaptive_run_drops_each_block_hessians_once_calibrated(tmp_path, monkeypatch):
-    """All layers are harvested up front, but a block's accumulators do not
-    outlive its calibration."""
+COLLECTORS = [("OPTQ", "collect_agnostic_accumulators"), ("OAC_OPTQ", "harvest_block_gradients")]
+
+
+def collector_config(tmp_path, method):
     checkpoint = tmp_path / "tiny.oack"
     save_checkpoint(init_model(CONFIG, seed=0), checkpoint)
+    return RunConfig(
+        checkpoint=str(checkpoint),
+        corpus_train=CORPUS,
+        corpus_valid=CORPUS,
+        corpus_test=CORPUS,
+        out_dir=str(tmp_path / "out"),
+        method=method,
+        n_calibration_samples=N_WINDOWS,
+    )
+
+
+@pytest.mark.parametrize("method, collector", COLLECTORS)
+def test_collects_once_before_calibrating(tmp_path, monkeypatch, method, collector):
+    events = []
+    collect, calibrate = getattr(pipeline, collector), pipeline.calibrate_layer
+    monkeypatch.setattr(pipeline, collector, lambda *a: events.append("collect") or collect(*a))
+    monkeypatch.setattr(pipeline, "calibrate_layer", lambda *a: events.append("layer") or calibrate(*a))
+    run_quantize(collector_config(tmp_path, method))
+    assert events == ["collect"] + ["layer"] * CONFIG.n_blocks * len(tinylm.block_layer_names(0))
+
+
+@pytest.mark.parametrize("method, collector", COLLECTORS)
+def test_run_drops_each_block_hessians_once_calibrated(tmp_path, monkeypatch, method, collector):
+    """All layers are collected up front, but a block's accumulators do not
+    outlive its calibration."""
     harvested = {}
     alive = {}
-    harvest, calibrate = pipeline.harvest_block_gradients, pipeline.calibrate_layer
+    collect, calibrate = getattr(pipeline, collector), pipeline.calibrate_layer
 
     def keep_refs(*args):
-        accs = harvest(*args)
+        accs = collect(*args)
         harvested.update({name: weakref.ref(acc) for name, acc in accs.items()})
         return accs
 
@@ -176,18 +199,9 @@ def test_adaptive_run_drops_each_block_hessians_once_calibrated(tmp_path, monkey
         alive[name] = sorted(n for n, ref in harvested.items() if ref() is not None)
         return calibrate(w, h, spec, name)
 
-    monkeypatch.setattr(pipeline, "harvest_block_gradients", keep_refs)
+    monkeypatch.setattr(pipeline, collector, keep_refs)
     monkeypatch.setattr(pipeline, "calibrate_layer", count_alive)
-    config = RunConfig(
-        checkpoint=str(checkpoint),
-        corpus_train=CORPUS,
-        corpus_valid=CORPUS,
-        corpus_test=CORPUS,
-        out_dir=str(tmp_path / "out"),
-        method="OAC_OPTQ",
-        n_calibration_samples=N_WINDOWS,
-    )
-    run_quantize(config)
+    run_quantize(collector_config(tmp_path, method))
     for b in range(CONFIG.n_blocks):
         later = [n for c in range(b, CONFIG.n_blocks) for n in tinylm.block_layer_names(c)]
         assert alive[f"blk{b}.attn.wq"] == sorted(later)
@@ -234,24 +248,15 @@ def patch_run_quantize(monkeypatch, wrap):
     "method, collector",
     [("OAC_OPTQ", "harvest_block_gradients"), ("OPTQ", "collect_agnostic_accumulators")],
 )
-def test_sweep_collects_block0_once(sweep_config, monkeypatch, method, collector):
-    """Adaptive: one harvest of every layer per sweep. Agnostic: block 0 once
-    per sweep, block 1 once per candidate."""
+def test_sweep_collects_once(sweep_config, monkeypatch, method, collector):
+    """Either flavour collects every layer once per sweep."""
     grid = [0.001, 0.1, 1.0]
     calls = []
     original = getattr(pipeline, collector)
-
-    def counted(model, *args):
-        calls.append(args[0] if collector == "collect_agnostic_accumulators" else "all")
-        return original(model, *args)
-
-    monkeypatch.setattr(pipeline, collector, counted)
+    monkeypatch.setattr(pipeline, collector, lambda *a: calls.append(1) or original(*a))
     config = sweep_config(grid, method)
     result = run_alpha_sweep(config)
-    if method.startswith("OAC_"):
-        assert calls == ["all"]
-    else:
-        assert Counter(calls) == {0: 1, 1: len(grid)}
+    assert len(calls) == 1
 
     for a in grid:  # each candidate is the standalone run, timings apart
         shared = result["candidates"][a]["report"]

@@ -99,7 +99,7 @@ class TestPerBlockForward:
         model = scaled_model(THREE, 6, scale=5.0)
         sample = windows(THREE, 1, 7)
         probs, cache = lm_forward(model, sample)
-        x = embed_windows(model, sample).xs
+        x = embed_windows(model, sample)
         for b in range(THREE.n_blocks):
             np.testing.assert_array_equal(x, cache["blocks"][b]["x_in"])
             x, blk = block_forward(model, b, x)
@@ -155,51 +155,22 @@ def reference_adaptive(model, samples):
     return sums
 
 
-def all_agnostic(model, samples):
-    """Every block layer's agnostic accumulators, the blocks collected in order."""
-    inputs = embed_windows(model, samples)
-    return {
-        name: acc
-        for block in range(model.config.n_blocks)
-        for name, acc in collect_agnostic_accumulators(model, block, inputs).items()
-    }
-
-
-def swapped_block0(model, seed):
-    """`model` with block 0's layers perturbed, as the quantize pipeline installs them."""
-    rng = np.random.default_rng(seed)
-    return tinylm.TinyLM(
-        model.config,
-        {
-            **model.params,
-            **{
-                name: model.params[name] + 0.01 * rng.standard_normal(model.params[name].shape)
-                for name in block_layer_names(0)
-            },
-        },
-    )
-
-
 class TestCollectors:
-    """Stored, propagated block inputs give the Hessians of whole forwards;
-    the one-shot harvest gives the per-window gradient Grams of the model."""
+    """Both one-pass collectors read every block layer from whole-model
+    passes of the model as given: input Grams from its forwards, per-window
+    gradient Grams from its forwards and backwards."""
 
-    @pytest.mark.parametrize("collector,reference", [(collect_agnostic_accumulators, reference_agnostic)])
-    def test_propagated_inputs_match_forwards_from_ids(self, collector, reference):
+    def test_agnostic_collection_equals_forward_grams(self):
         model = scaled_model(THREE, 8, scale=5.0)
-        swapped = swapped_block0(model, 9)
-        samples = windows(THREE, 4, 10)
-        inputs = embed_windows(model, samples)
-        # block 0 on the original weights, then blocks 1 and 2 after block 0
-        # was swapped, as the quantize pipeline installs it
-        for block, current in [(0, model), (1, swapped), (2, swapped)]:
-            accs = collector(current, block, inputs)
-            expected = reference(current, samples, block)
-            assert list(accs) == block_layer_names(block)
-            for name, acc in accs.items():
+        samples = windows(THREE, PER_CHUNK + 3, 10)
+        accs = collect_agnostic_accumulators(model, samples)
+        assert list(accs) == quantizable_layers(model)
+        for block in range(THREE.n_blocks):
+            expected = reference_agnostic(model, samples, block)
+            for name in block_layer_names(block):
+                assert accs[name].n_samples == samples.size
                 # an agnostic sum holds only its lower triangle until finalize
-                np.testing.assert_array_equal(finalize(acc), expected[name])
-            assert inputs.block == block
+                np.testing.assert_array_equal(finalize(accs[name]), expected[name])
 
     def test_harvest_equals_explicit_gradient_grams(self):
         """Every block layer's factor-form Hessian is sum_i G_i^T G_i with each
@@ -214,20 +185,10 @@ class TestCollectors:
             gap = np.linalg.norm(acc.sum - expected[name])
             assert gap <= 1e-12 * np.linalg.norm(expected[name]), name
 
-    def test_inputs_cannot_move_backwards(self):
-        model = init_model(THREE, 0)
-        inputs = embed_windows(model, windows(THREE, 2, 0))
-        collect_agnostic_accumulators(model, 1, inputs)
-        with pytest.raises(DimMismatch):
-            collect_agnostic_accumulators(model, 0, inputs)
-        with pytest.raises(DimMismatch):
-            collect_agnostic_accumulators(model, THREE.n_blocks, inputs)
-
     def test_no_windows(self):
-        with pytest.raises(DimMismatch):
-            embed_windows(init_model(THREE, 0), [])
-        with pytest.raises(DimMismatch):
-            harvest_block_gradients(init_model(THREE, 0), [])
+        for collect in (collect_agnostic_accumulators, harvest_block_gradients):
+            with pytest.raises(DimMismatch):
+                collect(init_model(THREE, 0), [])
 
     def test_mean_harvest_matches_row_hessians(self):
         model = scaled_model(THREE, 11, scale=5.0)
@@ -272,7 +233,7 @@ class TestStackedWindows:
     @pytest.mark.parametrize(
         "collect",
         [
-            pytest.param(all_agnostic, id="collect_agnostic_accumulators"),
+            pytest.param(collect_agnostic_accumulators, id="collect_agnostic_accumulators"),
             pytest.param(harvest_block_gradients, id="harvest_block_gradients"),
         ],
     )
