@@ -11,8 +11,11 @@ layer the partly quantized model's inputs; here both flavours share one
 collection rule, so an OAC-versus-baseline comparison changes only the
 Hessian. RTN needs no Hessian and skips phase 1. Phase 2 calibrates every
 layer, front to back, through one `calibrate_layer` call whatever the
-method, and installs the dequantized float32 weights. Everything numeric
-that affects the output is echoed into the JSON report.
+method, and installs the dequantized float32 weights. Collection and
+calibration run in float64; eval (`tinylm.perplexity`) runs its forwards
+in float32, which holds the installed weights exactly, and sums the
+per-window losses in float64. Everything numeric that affects the output
+is echoed into the JSON report.
 
 An alpha sweep collects once: the Hessians do not depend on the damping, so
 the sweep's first candidate leaves every layer's accumulators in a dict the

@@ -5,8 +5,13 @@ of single-head attention plus a tanh MLP) so that exact per-window gradients
 are cheap: they feed the adaptive Hessian accumulators, and every derivative
 is checked against finite differences in the tests. Both Hessian collectors
 read every block layer from whole-model passes of the model as given: the
-agnostic one folds the layer inputs of one forward, the adaptive harvest
-the factor pairs of one forward and one backward.
+agnostic one folds the layer inputs of one forward through the blocks, the
+adaptive harvest the factor pairs of one forward and one backward.
+
+Training, the harvest and the agnostic collector run in float64. Eval
+(`perplexity`) runs its forwards in float32, on the parameters' float32
+values, which is all a checkpoint stores; each window's loss and their sum
+stay float64.
 
 Every model function takes a stack of windows: token ids (B, T) and
 activations (B, T, d). `lm_backward` returns each linear layer's gradient
@@ -164,9 +169,9 @@ def _positions(context: int, d_model: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _causal_mask(t: int) -> np.ndarray:
+def _causal_mask(t: int, dtype: np.dtype) -> np.ndarray:
     """Additive (t, t) attention mask: -inf above the diagonal, 0 elsewhere."""
-    mask = np.triu(np.full((t, t), -np.inf), k=1)
+    mask = np.triu(np.full((t, t), -np.inf, dtype=dtype), k=1)
     mask.setflags(write=False)
     return mask
 
@@ -189,16 +194,20 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def block_forward(model: TinyLM, block: int, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """One pre-norm block on residual-stream rows x (B, T, d): its output and backward cache."""
+    """One pre-norm block on residual-stream rows x (B, T, d): its output and backward cache.
+
+    Every activation keeps x's dtype: under NumPy 2's scalar rules a float64
+    scale or mask would promote a float32 forward to float64.
+    """
     p = model.params
     base = f"blk{block}"
     t = x.shape[1]
-    scale = 1.0 / np.sqrt(model.config.d_model)
+    scale = x.dtype.type(1.0 / np.sqrt(model.config.d_model))
     a, ra = _rms_norm(x)
     q = a @ p[f"{base}.attn.wq"].T
     k = a @ p[f"{base}.attn.wk"].T
     v = a @ p[f"{base}.attn.wv"].T
-    att = _softmax(q @ k.swapaxes(1, 2) * scale + _causal_mask(t))
+    att = _softmax(q @ k.swapaxes(1, 2) * scale + _causal_mask(t, x.dtype))
     mix = att @ v
     x_mid = x + mix @ p[f"{base}.attn.wo"].T
     m_in, rm = _rms_norm(x_mid)
@@ -218,25 +227,34 @@ def _head_forward(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, dict]:
     return probs, dict(final_in=x, r_final=rf, final_norm=f, logits=logits, probs=probs)
 
 
-def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
-    """Next-token probabilities (B, T, vocab) of (B, T) ids plus the backward cache."""
-    ids = _check_ids(model, ids)
+def _blocks_forward(model: TinyLM, ids: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The last block's output (B, T, d) for checked (B, T) ids, and each block's cache."""
     x, blocks = embed_windows(model, ids), {}
     for b in range(model.config.n_blocks):
         x, blocks[b] = block_forward(model, b, x)
+    return x, blocks
+
+
+def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
+    """Next-token probabilities (B, T, vocab) of (B, T) ids plus the backward cache."""
+    ids = _check_ids(model, ids)
+    x, blocks = _blocks_forward(model, ids)
     probs, cache = _head_forward(model, x)
     cache.update(ids=ids, blocks=blocks)
     return probs, cache
 
 
 def lm_forward_loss(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
-    """Each window's mean next-token cross-entropy, shape (B,), and the forward's cache."""
+    """Each window's mean next-token cross-entropy, shape (B,), and the forward's cache.
+
+    The mean is taken in float64 whatever the model's dtype.
+    """
     _, cache = lm_forward(model, ids)
     z = cache["logits"][:, :-1]
     z = z - z.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, cache["ids"][:, 1:, None], axis=-1)[..., 0]
-    return -np.mean(picked, axis=-1), cache
+    return -np.mean(picked, axis=-1, dtype=np.float64), cache
 
 
 def lm_backward(model: TinyLM, cache: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -342,10 +360,10 @@ def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumula
 def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
     """Input-outer-product accumulators for every block layer, in one pass.
 
-    Each chunk of (N, T) token-id windows runs one `lm_forward` of `model`
-    as given; every position of a block layer's cached input then adds one
-    x x^T, one window at a time in window order. The layers of a block that
-    read the same input share one accumulator.
+    Each chunk of (N, T) token-id windows runs the embedding and every block
+    of `model` as given, but not the head; every position of a block layer's
+    cached input then adds one x x^T, one window at a time in window order.
+    The layers of a block that read the same input share one accumulator.
     """
     ids = _check_ids(model, windows)
     reads = {
@@ -358,7 +376,7 @@ def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAc
         if key not in by_input:
             by_input[key] = HessianAccumulator(model.params[name].shape[1], HessianMode.AGNOSTIC)
     for rows in _chunks(*ids.shape):
-        blocks = lm_forward(model, ids[rows])[1]["blocks"]
+        blocks = _blocks_forward(model, ids[rows])[1]
         for (b, source), acc in by_input.items():
             for x in blocks[b][source]:
                 accumulate_agnostic_batch(acc, x)
@@ -366,15 +384,22 @@ def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAc
 
 
 def perplexity(model: TinyLM, tokens) -> float:
-    """exp(mean next-token cross-entropy) over non-overlapping windows."""
+    """exp(mean next-token cross-entropy) over non-overlapping windows.
+
+    The forwards run in float32, on a float32 copy of the parameters made
+    once per call; the copy is exact for float32-representable parameters,
+    such as a loaded checkpoint's or the pipeline's installed weights. Each
+    window's loss and their running sum are float64.
+    """
     cfg = model.config
     ctx = cfg.context_length
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.shape[0] <= ctx:
         raise DimMismatch("need a 1-D eval token stream longer than one context window")
     windows = ids[: ids.shape[0] // ctx * ctx].reshape(-1, ctx)
+    f32 = TinyLM(cfg, {k: v.astype(np.float32) for k, v in model.params.items()})
     losses = np.concatenate(
-        [lm_forward_loss(model, windows[rows])[0] for rows in _chunks(*windows.shape)]
+        [lm_forward_loss(f32, windows[rows])[0] for rows in _chunks(*windows.shape)]
     )
     # a running sum keeps the one-window-at-a-time summation order
     total = np.cumsum(losses * (ctx - 1))[-1]

@@ -201,6 +201,21 @@ def test_eval_from_config_without_out_dir(setup, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["valid_perplexity"] > 1
 
 
+def test_eval_of_a_stored_run_reproduces_its_report(setup, tmp_path, capsys):
+    checkpoint, flags = setup
+    argv = ["--checkpoint", str(checkpoint), *flags]
+    assert main(["quantize", "--method", "RTN", *argv]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["eval", *argv, "--eval-checkpoint", str(out / "quantized.oack")]) == 0
+    result = json.loads(capsys.readouterr().out)
+    report = json.loads((out / "report.json").read_text())
+    assert (result["valid_perplexity"], result["test_perplexity"]) == (
+        report["valid_perplexity"],
+        report["test_perplexity"],
+    )
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--steps", "0"), ("--batch-size", "0")]
 )

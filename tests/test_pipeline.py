@@ -34,10 +34,11 @@ N_WINDOWS = 3
 def block_forwards_per_chunk(method: str, n: int) -> tuple[int, int]:
     """Block forwards and heads one chunk of calibration windows costs for `n` blocks.
 
-    RTN builds no Hessian and runs none. Every other method collects with
-    one whole-model forward: each block once, and the head.
+    RTN builds no Hessian and runs none. Every other method runs each block
+    once; only an adaptive harvest, which backpropagates from the loss,
+    also runs the head.
     """
-    return (0, 0) if method == "RTN" else (n, 1)
+    return (0, 0) if method == "RTN" else (n, int(method.startswith("OAC_")))
 
 
 def rms_backwards_per_chunk(method: str, n: int) -> int:

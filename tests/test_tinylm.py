@@ -38,6 +38,11 @@ def scaled_model(config, seed, scale=15.0):
     return tinylm.TinyLM(config, {k: v * scale for k, v in model.params.items()})
 
 
+def cast(model, dtype):
+    """The model with every parameter cast to `dtype`."""
+    return tinylm.TinyLM(model.config, {k: v.astype(dtype) for k, v in model.params.items()})
+
+
 def window_loss(model, window):
     """Mean next-token cross-entropy of one (1, T) window."""
     return lm_forward_loss(model, window)[0][0]
@@ -253,13 +258,36 @@ class TestStackedWindows:
     # 3 chunks and a window: enough terms that a pairwise sum would differ
     @pytest.mark.parametrize("n", [1, PER_CHUNK + 1, 3 * PER_CHUNK + 1])
     def test_perplexity_matches_one_window_at_a_time(self, n):
+        """Eval forwards run on the float32 cast of the model, one float64
+        loss per window, summed in window order."""
         model = scaled_model(THREE, 18, scale=5.0)
+        f32 = cast(model, np.float32)
         ctx = THREE.context_length
         tokens = windows(THREE, n + 1, 19).ravel()[: n * ctx + ctx // 2]
         total = 0.0
         for start in range(0, n * ctx, ctx):
-            total = total + window_loss(model, tokens[None, start : start + ctx]) * (ctx - 1)
+            total = total + window_loss(f32, tokens[None, start : start + ctx]) * (ctx - 1)
         assert tinylm.perplexity(model, tokens) == float(np.exp(total / (n * (ctx - 1))))
+
+    def test_perplexity_is_close_to_float64(self):
+        # float32-representable parameters, as a checkpoint holds
+        model = cast(cast(scaled_model(THREE, 24, scale=5.0), np.float32), np.float64)
+        n, ctx = 3 * PER_CHUNK + 1, THREE.context_length
+        tokens = windows(THREE, n, 25).ravel()
+        reference = np.exp(np.mean(lm_forward_loss(model, tokens.reshape(n, ctx))[0]))
+        assert tinylm.perplexity(model, tokens) == pytest.approx(reference, rel=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_keeps_the_parameters_dtype(self, dtype):
+        """A float64 scale or mask would promote a float32 forward to float64."""
+        model = cast(scaled_model(THREE, 26, scale=5.0), dtype)
+        probs, cache = lm_forward(model, windows(THREE, 2, 27))
+        arrays = {k: v for k, v in cache.items() if k not in ("ids", "blocks")}
+        for b, blk in cache["blocks"].items():
+            arrays.update({f"blk{b}.{k}": v for k, v in blk.items()})
+        assert probs.dtype == dtype
+        assert {k: v.dtype for k, v in arrays.items()} == {k: np.dtype(dtype) for k in arrays}
+        assert lm_forward_loss(model, windows(THREE, 2, 27))[0].dtype == np.float64
 
     def test_training_matches_one_window_at_a_time(self):
         train = TrainConfig(steps=3, batch_size=4)
