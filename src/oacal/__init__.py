@@ -7,7 +7,8 @@ Modules by responsibility:
 * quant            - affine, double-quantized, and binary weight codecs
 * calibrate        - one column sweep for every backend, outlier isolation
 * tinylm           - toy byte-level transformer with manual backprop over
-                     stacked (B, T) windows, and the per-block Hessian collectors
+                     stacked (B, T) windows, and the one-pass whole-model
+                     Hessian collectors
 * pipeline, cli    - end-to-end runs, alpha sweeps and reports
 * oracles          - the logistic Fisher oracle, the direct-solver reference
                      for the column sweep, and the `verify-oracles` bundle

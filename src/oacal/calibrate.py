@@ -4,25 +4,26 @@
 round-to-nearest, no Hessian), OPTQ, SpQR and BINARY. OAC changes only the
 Hessian a backend receives, never the backend.
 
-Every Hessian backend runs the same column sweep (`_sweep`). Columns are
-quantized left to right by a per-column codec: affine group codes (with
-isolated outliers and double-quantized statistics for the SpQR-style
-backend) or binary planes. Quantizing column q forces a residual delta on
-that column; the unquantized columns to the right absorb the compensation
+Every Hessian backend takes one path: the damped Hessian is factorized once,
+the backend's plan fixes what does not depend on compensation (SpQR's
+outliers, the group edges, the binary salient columns, split and alphas,
+and the bit account), and one column sweep (`_sweep`) runs the plan's
+per-column codec. Quantizing column q forces a residual delta on that
+column; the unquantized columns to the right absorb the compensation
 
     update_q = -(residual / inv_qq) * inv_q_row
 
 evaluated on the inverse of the Hessian restricted to the still-active
 columns. The trailing-submatrix inverses are read off the upper Cholesky
 factor U of the full damped inverse, and diag(H^-1) (for saliency) is the
-column sums of U^2, so one factorization per layer suffices. Updates are
-batched per block: columns inside the current block are compensated
-immediately, everything to the right receives the accumulated block update
-when the block closes. Without compensation the same codec runs over the
-columns as they are.
+column sums of U^2. Updates are batched per block: columns inside the
+current block are compensated immediately, everything to the right receives
+the accumulated block update when the block closes.
 
-Every Hessian backend accepts both Hessian flavours through the same
-interface.
+One guard rule covers every Hessian backend: the same codec, swept without
+compensation, replaces the compensated result when its damped proxy error is
+lower. Both sweeps share the plan, so a fallback keeps the layer's outliers,
+statistics and bit budget.
 """
 from __future__ import annotations
 
@@ -32,11 +33,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    NonPositiveDiagonal,
-    ShapeMismatch,
-)
+from .errors import ConfigError, NonPositiveDiagonal, ShapeMismatch
 from .hessian import HessianMode, regularize
 from .linalg import as_matrix, as_sym_matrix, inverse_upper_factor
 from .quant import (
@@ -130,9 +127,10 @@ class CalibReport:
 
 
 def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms,
-            n_outliers: int = 0, **extra) -> CalibReport:
+            **extra) -> CalibReport:
     """The one CalibReport builder; echoes the spec's backend, Hessian mode,
     damping (0 for RTN, which has none) and tau (SpQR only)."""
+    n_outliers = len(getattr(layer, "outliers", ()))
     return CalibReport(
         layer=name,
         proxy_error=proxy,
@@ -158,14 +156,6 @@ def saliency(w, w_hat, inv_diag):
     return s if s.ndim else float(s)
 
 
-def _inverse_diag(upper: np.ndarray) -> np.ndarray:
-    """diag(H^-1) from the upper factor U of H^-1 = U.T @ U: column sums of U^2."""
-    diag = np.sum(upper**2, axis=0)
-    if np.any(diag <= 0.0):
-        raise NonPositiveDiagonal("inverse diagonal not strictly positive")
-    return diag
-
-
 def detect_outliers(w, naive, inv_diag: np.ndarray, spec: CalibSpec) -> np.ndarray:
     """Mark weights whose naive group-RTN saliency exceeds tau x mean saliency.
 
@@ -181,6 +171,8 @@ def detect_outliers(w, naive, inv_diag: np.ndarray, spec: CalibSpec) -> np.ndarr
 
 
 def _prepare(w, h, spec: CalibSpec):
+    """The layer, its damped Hessian, diag(H^-1) and the one factorization:
+    the upper factor U of H^-1 = U.T @ U, whose column sums of U^2 are diag(H^-1)."""
     m = as_matrix(w)
     sym = as_sym_matrix(h)
     if sym.shape[0] != m.shape[1]:
@@ -189,7 +181,10 @@ def _prepare(w, h, spec: CalibSpec):
         )
     damped = regularize(sym, spec.alpha)
     upper = inverse_upper_factor(damped)
-    return m, damped, _inverse_diag(upper), upper
+    inv_diag = np.sum(upper**2, axis=0)
+    if np.any(inv_diag <= 0.0):
+        raise NonPositiveDiagonal("inverse diagonal not strictly positive")
+    return m, damped, inv_diag, upper
 
 
 def _sweep(work, upper, block_size: int, codec, trace: list | None = None):
@@ -247,72 +242,58 @@ def calibrate_layer(
     """Quantize one layer with the backend `spec` names; the one entry point.
 
     RTN returns `rtn_quantize`'s layer and never reads `h` (None will do).
-    BINARY returns `calibrate_layer_binary`'s result; `trace` does not
-    apply to it. OPTQ and SPQR run column-wise calibrated group quantization
-    under either Hessian source, as follows.
+    A Hessian backend's plan (`_affine_plan` for OPTQ and SPQR,
+    `calibrate_layer_binary` for BINARY) yields `quantize(upper, trace)`,
+    which sweeps the plan's codec with compensation, or without it when
+    `upper` is None.
 
-    With `guard` enabled (the default) the result is compared against plain
-    group RTN under the same damped-Hessian objective and the better of the
-    two is returned; greedy clamped rounding can occasionally lose to RTN on
-    adversarial layers, and the guard makes "never worse than RTN" hold by
-    construction. A fallback is disclosed in the report.
-
-    With the SpQR backend the group statistics are double-quantized and the
-    layer's `stats_q` is the list of per-group records (one `StatsQuant` per
-    column group); otherwise it is None.
+    With `guard` (the default) both sweeps run and the lower proxy error
+    under the damped Hessian wins: greedy clamped rounding can lose to plain
+    rounding on adversarial layers. The report gives the plain sweep's error
+    as `plain_proxy_error` and marks a fallback as `fallback`. For OPTQ the
+    plain sweep is exactly `rtn_quantize`.
 
     When `trace` is a list, a copy of the working matrix is appended after
-    every block flush (per column with block_size=1), which lets tests check
-    the sequential updates against a direct constrained solver step by step.
+    every block flush of the compensated sweep (per column with
+    block_size=1), which lets tests check the sequential updates against a
+    direct constrained solver step by step.
     """
     if spec.backend is Backend.RTN:
         layer = rtn_quantize(w, spec.bits, spec.group_size)
         return layer, _report(spec, layer_name, layer, 0.0, [0.0] * layer.d_col)
-    if spec.backend is Backend.BINARY:
-        return calibrate_layer_binary(w, h, spec, layer_name, guard=guard)
     m, damped, inv_diag, upper = _prepare(w, h, spec)
+    plan = calibrate_layer_binary if spec.backend is Backend.BINARY else _affine_plan
+    quantize, extra = plan(m, inv_diag, spec)
+    layer, w_hat, update_norms = quantize(upper, trace)
+    proxy = _proxy_error(w_hat - m, damped)
+    if guard:
+        plain_layer, plain_hat, plain_norms = quantize(None, None)
+        extra["plain_proxy_error"] = plain = _proxy_error(plain_hat - m, damped)
+        if plain < proxy:
+            layer, proxy, update_norms = plain_layer, plain, plain_norms
+            extra["fallback"] = "no_compensation"
+    return layer, _report(spec, layer_name, layer, proxy, update_norms, **extra)
+
+
+def _affine_plan(m, inv_diag, spec: CalibSpec):
+    """Plan of an OPTQ or SPQR layer: outlier mask, group edges, bit account;
+    returns `quantize(upper, trace)` and no report extras.
+
+    SpQR's outliers are the weights whose group-RTN saliency exceeds tau x
+    the mean (`detect_outliers`); they keep their original values. SpQR
+    double-quantizes each group's statistics as the sweep fits them, and the
+    layer's `stats_q` is the list of per-group records; otherwise it is None.
+    """
     d_row, d_col = m.shape
     bits = spec.bits
     spqr = spec.backend is Backend.SPQR
-    # one RTN of the layer serves both the outlier saliency and the guard
-    rtn_layer = rtn_quantize(m, bits, spec.group_size) if spqr or guard else None
-    outlier_mask = (
-        detect_outliers(m, rtn_layer.dequantize(), inv_diag, spec)
-        if spqr
-        else np.zeros(m.shape, dtype=bool)
-    )
-
+    outlier_mask = np.zeros(m.shape, dtype=bool)
+    if spqr:
+        naive = rtn_quantize(m, bits, spec.group_size).dequantize()
+        outlier_mask = detect_outliers(m, naive, inv_diag, spec)
+    outliers = [(int(r), int(c), float(m[r, c])) for r, c in np.argwhere(outlier_mask)]
     edges = group_edges(d_col, spec.group_size)
     col_group = np.repeat(np.arange(len(edges)), [c1 - c0 for c0, c1 in edges])
-
-    work = m.copy()
-    codes = np.empty((d_row, d_col), dtype=np.int64)
-    scales = np.empty((d_row, len(edges)))
-    zeros = np.empty((d_row, len(edges)))
-    stats_records = [] if spqr else None
-
-    def codec(q, col):
-        g = col_group[q]
-        c0, c1 = edges[g]
-        if q == c0:
-            scale, zero = _fit_group_rows(
-                work[:, c0:c1], bits, valid=~outlier_mask[:, c0:c1]
-            )
-            if spqr:
-                record, scale, zero = double_quantize_stats(
-                    scale, zero, spec.stat_bits, spec.stat_group
-                )
-                stats_records.append(record)
-            scales[:, g], zeros[:, g] = scale, zero
-        code, deq = _code_group(col[:, None], scales[:, g], zeros[:, g], bits)
-        codes[:, q] = code[:, 0]
-        return np.where(outlier_mask[:, q], m[:, q], deq[:, 0])
-
-    w_hat, update_norms = _sweep(work, upper, spec.block_size, codec, trace)
-
-    outliers = [
-        (int(r), int(c), float(m[r, c])) for r, c in np.argwhere(outlier_mask)
-    ]
     account = affine_bit_account(
         d_row,
         d_col,
@@ -322,58 +303,59 @@ def calibrate_layer(
         stat_bits=spec.stat_bits if spqr else None,
         stat_group=spec.stat_group,
     )
-    layer = QuantizedLayer(
-        bits=bits,
-        group_size=spec.group_size,
-        codes=codes,
-        scales=scales,
-        zeros=zeros,
-        outliers=outliers,
-        stats_q=stats_records,
-        accounting=account,
-    )
-    proxy = _proxy_error(w_hat - m, damped)
-    extra = {}
-    if guard:
-        rtn_proxy = _proxy_error(rtn_layer.dequantize() - m, damped)
-        if rtn_proxy < proxy:
-            layer, proxy, update_norms = rtn_layer, rtn_proxy, [0.0] * d_col
-            extra["fallback"] = "rtn"
-    report = _report(
-        spec, layer_name, layer, proxy, update_norms, len(layer.outliers), **extra
-    )
-    return layer, report
+
+    def quantize(upper, trace):
+        work = m.copy()
+        layer = QuantizedLayer(
+            bits=bits,
+            group_size=spec.group_size,
+            codes=np.empty((d_row, d_col), dtype=np.int64),
+            scales=np.empty((d_row, len(edges))),
+            zeros=np.empty((d_row, len(edges))),
+            outliers=outliers,
+            stats_q=[] if spqr else None,
+            accounting=account,
+        )
+
+        def codec(q, col):
+            g = col_group[q]
+            c0, c1 = edges[g]
+            if q == c0:
+                scale, zero = _fit_group_rows(
+                    work[:, c0:c1], bits, valid=~outlier_mask[:, c0:c1]
+                )
+                if spqr:
+                    record, scale, zero = double_quantize_stats(
+                        scale, zero, spec.stat_bits, spec.stat_group
+                    )
+                    layer.stats_q.append(record)
+                layer.scales[:, g], layer.zeros[:, g] = scale, zero
+            code, deq = _code_group(col[:, None], layer.scales[:, g], layer.zeros[:, g], bits)
+            layer.codes[:, q] = code[:, 0]
+            return np.where(outlier_mask[:, q], m[:, q], deq[:, 0])
+
+        w_hat, update_norms = _sweep(work, upper, spec.block_size, codec, trace)
+        return layer, w_hat, update_norms
+
+    return quantize, {}
 
 
-def calibrate_layer_binary(
-    w,
-    h,
-    spec: CalibSpec,
-    layer_name: str = "layer",
-    compensate: bool = True,
-    guard: bool = True,
-) -> tuple[BinaryLayer, CalibReport]:
-    """Binary calibration: residual planes on salient columns, split elsewhere.
+def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
+    """Plan of a BINARY layer: salient columns, split threshold, alphas, bits.
 
     Salient columns are the top `salient_fraction` by column saliency of a
-    naive one-plane binarization. Non-salient weights reconstruct as
-    sign * (low | high alpha) selected by the magnitude split threshold; the
-    same left-to-right compensation as the affine path runs over the
-    binarization residuals. `compensate=False` skips the updates (baseline
-    for paired comparisons); with `guard` the better of the compensated and
-    plain results under the damped objective is returned. Both use the same
-    salient set, split threshold and alphas.
+    naive one-plane binarization; they get two residual planes. Non-salient
+    weights reconstruct as sign * (low | high alpha) selected by the
+    magnitude split threshold. Returns `quantize(upper, trace)`, whose
+    compensated and guard sweeps share this salient set, threshold and
+    alphas, and the plan's report extras.
 
     The alphas are the unrounded least-squares values (mean magnitudes of
     their region) and the threshold is the exact split-search result; the
     archive stores them as float64, so a reloaded layer dequantizes
     bit-identically.
     """
-    if spec.backend is not Backend.BINARY:
-        raise ConfigError("spec.backend must be BINARY")
-    m, damped, inv_diag, upper = _prepare(w, h, spec)
     d_row, d_col = m.shape
-
     col_alpha = np.mean(np.abs(m), axis=0)
     naive = _signs(m) * col_alpha[None, :]
     sal_score = np.sum(saliency(m, naive, inv_diag[None, :]), axis=0)
@@ -397,51 +379,37 @@ def calibrate_layer_binary(
 
     account = binary_bit_account(d_row, d_col, int(np.sum(salient)))
 
-    def binarize(upper):
-        signs1 = np.ones((d_row, d_col), dtype=np.int8)
-        signs2 = np.ones((d_row, d_col), dtype=np.int8)
-        membership = np.zeros((d_row, d_col), dtype=bool)
-        sal_alpha1 = np.zeros(d_col)
-        sal_alpha2 = np.zeros(d_col)
-
-        def codec(q, col):
-            if salient[q]:
-                a1, s1, a2, s2 = residual_binarize(col)
-                sal_alpha1[q] = a1
-                sal_alpha2[q] = a2
-                signs1[:, q] = s1
-                signs2[:, q] = s2
-                return a1 * s1 + a2 * s2
-            sgn = _signs(col)
-            high_rows = np.abs(col) > threshold
-            signs1[:, q] = sgn
-            membership[:, q] = high_rows
-            return sgn * np.where(high_rows, alpha_high, alpha_low)
-
-        w_hat, update_norms = _sweep(m.copy(), upper, spec.block_size, codec)
+    def quantize(upper, trace):
         layer = BinaryLayer(
             split_threshold=float(threshold),
             alpha_low=alpha_low,
             alpha_high=alpha_high,
             salient_cols=salient,
-            sal_alpha1=sal_alpha1,
-            sal_alpha2=sal_alpha2,
-            signs1=signs1,
-            signs2=signs2,
-            membership=membership,
+            sal_alpha1=np.zeros(d_col),
+            sal_alpha2=np.zeros(d_col),
+            signs1=np.ones((d_row, d_col), dtype=np.int8),
+            signs2=np.ones((d_row, d_col), dtype=np.int8),
+            membership=np.zeros((d_row, d_col), dtype=bool),
             accounting=account,
         )
-        return layer, _proxy_error(w_hat - m, damped), update_norms
 
-    layer, proxy, update_norms = binarize(upper if compensate else None)
+        def codec(q, col):
+            if salient[q]:
+                a1, s1, a2, s2 = residual_binarize(col)
+                layer.sal_alpha1[q], layer.sal_alpha2[q] = a1, a2
+                layer.signs1[:, q], layer.signs2[:, q] = s1, s2
+                return a1 * s1 + a2 * s2
+            sgn = _signs(col)
+            high_rows = np.abs(col) > threshold
+            layer.signs1[:, q], layer.membership[:, q] = sgn, high_rows
+            return sgn * np.where(high_rows, alpha_high, alpha_low)
+
+        w_hat, update_norms = _sweep(m.copy(), upper, spec.block_size, codec, trace)
+        return layer, w_hat, update_norms
+
     extra = {
         "salient_fraction": spec.salient_fraction,
         "n_salient_cols": int(np.sum(salient)),
         "split_threshold": float(threshold),
     }
-    if compensate and guard:
-        plain_layer, plain_proxy, plain_norms = binarize(None)
-        if plain_proxy < proxy:
-            layer, proxy, update_norms = plain_layer, plain_proxy, plain_norms
-            extra["fallback"] = "no_compensation"
-    return layer, _report(spec, layer_name, layer, proxy, update_norms, **extra)
+    return quantize, extra

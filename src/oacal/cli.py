@@ -27,6 +27,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    from .tinylm import TrainConfig
+
     parser = _Parser(prog="oacal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -34,9 +36,9 @@ def _build_parser() -> _Parser:
     train.add_argument("--corpus", required=True)
     train.add_argument("--out", required=True, help="checkpoint path to write")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--steps", type=int, default=1300)
-    train.add_argument("--batch-size", type=int, default=16)
-    train.add_argument("--learning-rate", type=float, default=2e-3)
+    train.add_argument("--steps", type=int, default=TrainConfig.steps)
+    train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    train.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
 
     def add_run_flags(p):
         p.add_argument("--config", help="JSON config; flags override fields")

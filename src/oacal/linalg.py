@@ -84,7 +84,11 @@ def cholesky_inverse(lower: np.ndarray) -> np.ndarray:
 
 
 def inverse_upper_factor(h) -> np.ndarray:
-    """Upper-triangular U with U.T @ U == inverse(h).
+    """Upper-triangular U with U.T @ U == inverse(h), from one Cholesky.
+
+    With J the reversal permutation, J h J = L L.T gives h = (J L J)(J L J).T
+    with J L J upper triangular, so U = (J L J)^-1 = J L^-1 J: one Cholesky
+    and one triangular inverse, and no explicit inverse of h.
 
     Row q of U carries the trailing-submatrix inverse information used by the
     sequential column updates: for the active set {q..n}, the inverse of the
@@ -92,5 +96,8 @@ def inverse_upper_factor(h) -> np.ndarray:
     The diagonal of the full inverse is diag(inverse(h))[k] == sum_q U[q,k]**2,
     the column sums of U**2, so no second inverse is needed to read it.
     """
-    inv = cholesky_inverse(cholesky(h))
-    return cholesky(inv).T.copy()
+    lower = cholesky(as_matrix(h)[::-1, ::-1])
+    inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular inverse failed (info={info})")
+    return require_finite(np.ascontiguousarray(inv[::-1, ::-1]), "inverse factor")

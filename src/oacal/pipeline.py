@@ -82,7 +82,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One quantization run; JSON-serializable, CLI flags override 1:1."""
+    """One quantization run; JSON-serializable.
+
+    CLI flags override the fields of the same name, except `block_size`,
+    `stat_bits`, `stat_group` and `alpha_grid`, which only a config file sets.
+    """
 
     checkpoint: str
     corpus_train: str
@@ -205,6 +209,7 @@ REPORT_SCHEMA = {
                 "properties": {
                     "layer": {"type": "string"},
                     "proxy_error": {"type": "number", "minimum": -1e-9},
+                    "plain_proxy_error": {"type": "number", "minimum": -1e-9},
                     "outlier_count": {"type": "integer", "minimum": 0},
                     "outlier_rate": {"type": "number", "minimum": 0},
                     "avg_bits_per_weight": {"type": "number", "minimum": 0},
@@ -321,8 +326,8 @@ def run_quantize(
             layer, cal_report = calibrate_layer(
                 w, finalize(accs[name]) if hessians else None, spec, name
             )
-        except OacalError as exc:
-            raise OacalError(f"layer {name!r}: {exc}") from exc
+        except OacalError as exc:  # keep the type the CLI maps to an exit code
+            raise type(exc)(f"layer {name!r}: {exc}") from exc
         tensors, meta = layer_to_tensors(name, layer)
         layer_artifacts.update(tensors)
         layer_meta[name] = meta

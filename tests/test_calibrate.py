@@ -318,8 +318,9 @@ class TestCalibrateLayer:
 
     @pytest.mark.parametrize("backend", [Backend.RTN, Backend.BINARY], ids=["rtn", "binary"])
     def test_dispatch(self, backend):
-        """RTN and BINARY specs return exactly what their own functions return;
-        RTN reads no Hessian and reports no damping."""
+        """RTN returns exactly `rtn_quantize`'s layer, reads no Hessian and
+        reports no damping; BINARY returns the better of its plan's
+        compensated and plain sweeps and echoes the plan."""
         rng = np.random.default_rng(62)
         w = rng.standard_normal((6, 10))
         spec = CalibSpec(bits=3, group_size=4, alpha=0.1, backend=backend)
@@ -332,7 +333,20 @@ class TestCalibrateLayer:
             )
         else:
             h = make_agnostic_h(rng, 10)
-            expected, expected_report = calibrate_layer_binary(w, h, spec, "l")
+            m, damped, inv_diag, upper = oacal.calibrate._prepare(w, h, spec)
+            quantize, plan_extra = calibrate_layer_binary(m, inv_diag, spec)
+            sweeps = [quantize(upper, None), quantize(None, None)]
+            errors = [proxy(w_hat - m, damped) for _, w_hat, _ in sweeps]
+            best = int(errors[1] < errors[0])  # this layer falls back
+            expected, _, norms = sweeps[best]
+            extra = {"backend": "binary", "hessian_mode": "agnostic", **plan_extra,
+                     "plain_proxy_error": errors[1]}
+            if best:
+                extra["fallback"] = "no_compensation"
+            expected_report = CalibReport(
+                "l", errors[best], 0, 0.0, norms, expected.accounting.avg_bits_per_weight,
+                alpha=0.1, tau=None, extra=extra,
+            )
         layer, report = calibrate_layer(w, h, spec, "l")
         assert type(layer) is type(expected)
         for f in fields(layer):
@@ -354,6 +368,8 @@ class TestCalibSpec:
 
 
 class TestCalibrateLayerBinary:
+    """The BINARY backend through `calibrate_layer`."""
+
     def spec(self, **kw):
         defaults = dict(bits=2, group_size=4, alpha=0.1, backend=Backend.BINARY)
         defaults.update(kw)
@@ -363,9 +379,7 @@ class TestCalibrateLayerBinary:
         rng = np.random.default_rng(62)
         w = rng.uniform(-0.01, 0.01, size=(8, 10))
         w[:, 4] = rng.uniform(0.9, 1.1, size=8) * np.sign(rng.standard_normal(8))
-        layer, _ = calibrate_layer_binary(
-            w, np.eye(10) * 2.0, self.spec(salient_fraction=0.10)
-        )
+        layer, _ = calibrate_layer(w, np.eye(10) * 2.0, self.spec(salient_fraction=0.10))
         assert layer.salient_cols[4]
         assert layer.salient_cols.sum() == 1
 
@@ -374,7 +388,7 @@ class TestCalibrateLayerBinary:
         c = 0.7
         w = c * np.sign(rng.standard_normal((6, 8)))
         w[w == 0] = c
-        layer, report = calibrate_layer_binary(w, np.eye(8) * 1.5, self.spec())
+        layer, report = calibrate_layer(w, np.eye(8) * 1.5, self.spec())
         np.testing.assert_allclose(layer.dequantize(), w, rtol=0, atol=1e-12)
         assert report.proxy_error == pytest.approx(0.0, abs=1e-16)
 
@@ -384,19 +398,16 @@ class TestCalibrateLayerBinary:
         for trial in range(10):
             w = rng.standard_normal((12, 16))
             h = make_agnostic_h(rng, 16)
-            spec = self.spec()
-            _, with_comp = calibrate_layer_binary(w, h, spec)
-            _, without = calibrate_layer_binary(w, h, spec, compensate=False)
-            assert with_comp.proxy_error <= without.proxy_error + 1e-9
-            better += with_comp.proxy_error < without.proxy_error
+            _, report = calibrate_layer(w, h, self.spec())
+            without = report.extra["plain_proxy_error"]
+            assert report.proxy_error <= without + 1e-9
+            better += report.proxy_error < without
         assert better >= 8  # strictly better almost always
 
     def test_accounting_in_binary_band(self):
         rng = np.random.default_rng(65)
         w = rng.standard_normal((64, 64))
-        layer, _ = calibrate_layer_binary(
-            w, np.eye(64), self.spec(salient_fraction=0.08)
-        )
+        layer, _ = calibrate_layer(w, np.eye(64), self.spec(salient_fraction=0.08))
         assert 1.05 <= layer.accounting.avg_bits_per_weight <= 1.15
 
 
@@ -418,14 +429,14 @@ class TestOneFactorizationPerLayer:
         w = rng.standard_normal((12, 16))
         h = make_agnostic_h(rng, 16)
         spec = CalibSpec(alpha=0.1, backend=Backend.BINARY)
-        _, with_comp = calibrate_layer_binary(w, h, spec, guard=False)
-        _, plain = calibrate_layer_binary(w, h, spec, compensate=False)
+        _, with_comp = calibrate_layer(w, h, spec, guard=False)
         factorizations = self.count_calls(monkeypatch, "inverse_upper_factor")
         searches = self.count_calls(monkeypatch, "splitting_search")
-        _, guarded = calibrate_layer_binary(w, h, spec)
+        _, guarded = calibrate_layer(w, h, spec)
         assert len(factorizations) == 1
         assert len(searches) == 1
-        assert guarded.proxy_error == min(with_comp.proxy_error, plain.proxy_error)
+        plain = guarded.extra["plain_proxy_error"]
+        assert guarded.proxy_error == min(with_comp.proxy_error, plain)
 
     def test_spqr_factorizes_once(self, monkeypatch):
         """One factorization and one RTN per layer: the outlier saliency and
@@ -439,6 +450,79 @@ class TestOneFactorizationPerLayer:
         calibrate_layer(w, h, spec)
         assert len(factorizations) == 1
         assert len(rtns) == 1
+
+
+class TestGuard:
+    """One guard rule for every Hessian backend: the plan's codec swept
+    without compensation, kept when its damped proxy error is lower."""
+
+    @staticmethod
+    def draw(rng):
+        """A small layer with ragged groups and, often, constant groups."""
+        d_row, d_col = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        group = int(rng.integers(1, d_col + 3))
+        w = rng.standard_normal((d_row, d_col))
+        for c0 in range(0, d_col, group):
+            if rng.random() < 0.3:  # every row of this group constant
+                w[:, c0 : c0 + group] = rng.standard_normal((d_row, 1)) * rng.integers(0, 2)
+        return w, make_agnostic_h(rng, d_col, n=int(rng.integers(1, 2 * d_col + 2))), group
+
+    def test_optq_plain_sweep_is_rtn(self):
+        rng = np.random.default_rng(70)
+        for trial in range(150):
+            w, h, group = self.draw(rng)
+            spec = CalibSpec(bits=int(rng.integers(1, 9)), group_size=group, alpha=0.1)
+            m, damped, inv_diag, _ = oacal.calibrate._prepare(w, h, spec)
+            quantize, _ = oacal.calibrate._affine_plan(m, inv_diag, spec)
+            plain, w_hat, norms = quantize(None, None)
+            ref = rtn_quantize(w, spec.bits, group)
+            for f in fields(ref):
+                assert np.array_equal(getattr(plain, f.name), getattr(ref, f.name)), f.name
+            assert w_hat.tobytes() == ref.dequantize().tobytes()
+            assert norms == [0.0] * w.shape[1]
+            _, report = calibrate_layer(w, h, spec)
+            assert report.extra["plain_proxy_error"] == proxy(ref.dequantize() - m, damped)
+
+    @pytest.mark.parametrize(
+        "backend", [Backend.OPTQ, Backend.SPQR, Backend.BINARY], ids=["optq", "spqr", "binary"]
+    )
+    def test_guarded_proxy_is_the_lower_of_both(self, backend):
+        rng = np.random.default_rng(71)
+        fallbacks = 0
+        for trial in range(60):
+            w = rng.standard_normal((6, 8))
+            h = make_agnostic_h(rng, 8, n=12)
+            spec = CalibSpec(bits=2, group_size=4, alpha=(0.0, 0.01, 0.1)[trial % 3],
+                             backend=backend)
+            _, compensated = calibrate_layer(w, h, spec, guard=False)
+            _, guarded = calibrate_layer(w, h, spec)
+            plain = guarded.extra["plain_proxy_error"]
+            assert guarded.proxy_error == min(compensated.proxy_error, plain)
+            fell_back = plain < compensated.proxy_error
+            assert guarded.extra.get("fallback") == ("no_compensation" if fell_back else None)
+            fallbacks += fell_back
+        assert fallbacks > 0  # the draws reach the fallback branch
+
+    def test_spqr_fallback_keeps_the_plan(self):
+        """A SpQR layer that falls back keeps its outliers, its double-quantized
+        statistics and the bits its plan accounted for."""
+        rng = np.random.default_rng(72)
+        for trial in range(100):
+            w = rng.standard_normal((6, 8))
+            h = make_agnostic_h(rng, 8, n=12)
+            spec = CalibSpec(bits=2, group_size=4, alpha=0.01, backend=Backend.SPQR)
+            layer, report = calibrate_layer(w, h, spec)
+            if "fallback" in report.extra and layer.outliers:
+                break
+        else:
+            pytest.fail("no SpQR layer fell back")
+        compensated, _ = calibrate_layer(w, h, spec, guard=False)
+        assert report.proxy_error == report.extra["plain_proxy_error"]
+        assert report.outlier_count == len(layer.outliers)
+        assert layer.outliers == compensated.outliers
+        assert len(layer.stats_q) == len(compensated.stats_q) == 2
+        assert layer.accounting == compensated.accounting
+        assert report.avg_bits_per_weight == compensated.accounting.avg_bits_per_weight
 
 
 class TestSweepAlpha:

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from oacal.archive import archive_read
-from oacal.cli import main
+from oacal.cli import _build_parser, main
 from oacal.pipeline import REPORT_SCHEMA
 from oacal.quant import layer_from_tensors
 from oacal.tinylm import (
     ModelConfig,
+    TrainConfig,
     init_model,
     load_checkpoint,
     quantizable_layers,
@@ -226,6 +227,23 @@ def test_invalid_training_setting(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
     assert not out.exists()
+
+
+def test_train_toy_defaults_are_train_config_defaults():
+    args = _build_parser().parse_args(["train-toy", "--corpus", "c", "--out", "o"])
+    defaults = TrainConfig()
+    assert args.steps == defaults.steps == 1300
+    assert (args.batch_size, args.learning_rate) == (defaults.batch_size, defaults.learning_rate)
+
+
+def test_singular_layer_is_a_numeric_failure(setup, capsys):
+    """An undamped one-window OAC run cannot factorize blk0.mlp.fc2 (see
+    tests/test_pipeline.py): exit code 2, reported as a numeric failure."""
+    checkpoint, flags = setup
+    argv = ["quantize", "--checkpoint", str(checkpoint), *flags, "--method", "OAC_OPTQ",
+            "--alpha", "0", "--n-calibration-samples", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("numeric failure: layer 'blk0.mlp.fc2': ")
 
 
 def test_sweep_alpha_writes_its_winner(setup, tmp_path):

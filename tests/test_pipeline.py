@@ -209,6 +209,15 @@ def test_run_drops_each_block_hessians_once_calibrated(tmp_path, monkeypatch, me
     assert all(ref() is None for ref in harvested.values())
 
 
+def test_layer_failure_keeps_its_type(tmp_path):
+    """One window gives blk0.mlp.fc2 (32 inputs, 16 outputs) an adaptive
+    Hessian of rank at most 16, which an undamped run cannot factorize; the
+    error names the layer and keeps the type the CLI maps to exit code 2."""
+    config = replace(collector_config(tmp_path, "OAC_OPTQ"), alpha=0.0, n_calibration_samples=1)
+    with pytest.raises(NotPositiveDefinite, match=r"^layer 'blk0\.mlp\.fc2': "):
+        run_quantize(config)
+
+
 @pytest.fixture
 def sweep_config(tmp_path):
     """OAC_OPTQ (or `method`) on a 2-block model; a 20 kB corpus keeps each eval short."""

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oacal.archive import archive_read, archive_write
-from oacal.calibrate import (
-    Backend,
-    CalibSpec,
-    calibrate_layer,
-    calibrate_layer_binary,
-)
+from oacal.calibrate import Backend, CalibSpec, calibrate_layer
 from oacal.errors import DimMismatch, EmptyGroup, MalformedArchive
 from oacal.quant import (
     SCALE_FLOOR,
@@ -338,7 +333,7 @@ class TestArchiveReload:
     def test_binary_with_salient_columns(self, seed, tmp_path):
         w, h = self.inputs(seed)
         spec = CalibSpec(backend=Backend.BINARY, salient_fraction=0.1)
-        layer, _ = calibrate_layer_binary(w, h, spec)
+        layer, _ = calibrate_layer(w, h, spec)
         assert layer.salient_cols.sum() > 0
         got = self.reload(layer, tmp_path).dequantize()
         assert got.dtype == np.float64
