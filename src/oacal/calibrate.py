@@ -61,6 +61,8 @@ __all__ = [
     "calibrate_layer_binary",
 ]
 
+BLOCK_SIZE = 32  # columns per compensation block of the sweep
+
 
 class Backend(enum.Enum):
     RTN = "rtn"
@@ -77,7 +79,6 @@ class CalibSpec:
     group_size: int = 16
     tau: float = 3.5
     alpha: float = 0.1
-    block_size: int = 32
     backend: Backend = Backend.OPTQ
     hessian_mode: HessianMode = HessianMode.AGNOSTIC
     stat_bits: int = 3
@@ -89,8 +90,6 @@ class CalibSpec:
             raise ConfigError(f"bits must be in [1, 8], got {self.bits}")
         if self.group_size < 1:
             raise ConfigError(f"group_size must be >= 1, got {self.group_size}")
-        if self.block_size < 1:
-            raise ConfigError("block_size must be >= 1")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not math.isfinite(self.tau):  # report.json must stay valid JSON
@@ -187,15 +186,14 @@ def _prepare(w, h, spec: CalibSpec):
     return m, damped, inv_diag, upper
 
 
-def _sweep(work, upper, block_size: int, codec, trace: list | None = None):
+def _sweep(work, upper, block_size: int, codec):
     """Quantize the columns of `work` left to right through `codec`.
 
     `codec(q, col)` records column q's codes and returns its dequantized
     values. With `upper`, the upper factor of the damped inverse, each
     residual is compensated on the columns to its right as described above,
     updating `work` in place; `upper=None` quantizes the columns as they are.
-    Returns the dequantized matrix and the per-column update norms; `trace`
-    receives a copy of `work` after every block.
+    Returns the dequantized matrix and the per-column update norms.
     """
     d_row, d_col = work.shape
     w_hat = np.empty_like(work)
@@ -222,8 +220,6 @@ def _sweep(work, upper, block_size: int, codec, trace: list | None = None):
             )
         if upper is not None and i2 < d_col:
             work[:, i2:] -= err_block @ upper[i1:i2, i2:]
-        if trace is not None:
-            trace.append(work.copy())
     return w_hat, update_norms
 
 
@@ -236,14 +232,13 @@ def calibrate_layer(
     h,
     spec: CalibSpec,
     layer_name: str = "layer",
-    trace: list | None = None,
     guard: bool = True,
 ) -> tuple[QuantizedLayer | BinaryLayer, CalibReport]:
     """Quantize one layer with the backend `spec` names; the one entry point.
 
     RTN returns `rtn_quantize`'s layer and never reads `h` (None will do).
     A Hessian backend's plan (`_affine_plan` for OPTQ and SPQR,
-    `calibrate_layer_binary` for BINARY) yields `quantize(upper, trace)`,
+    `calibrate_layer_binary` for BINARY) yields `quantize(upper)`,
     which sweeps the plan's codec with compensation, or without it when
     `upper` is None.
 
@@ -252,11 +247,6 @@ def calibrate_layer(
     rounding on adversarial layers. The report gives the plain sweep's error
     as `plain_proxy_error` and marks a fallback as `fallback`. For OPTQ the
     plain sweep is exactly `rtn_quantize`.
-
-    When `trace` is a list, a copy of the working matrix is appended after
-    every block flush of the compensated sweep (per column with
-    block_size=1), which lets tests check the sequential updates against a
-    direct constrained solver step by step.
     """
     if spec.backend is Backend.RTN:
         layer = rtn_quantize(w, spec.bits, spec.group_size)
@@ -264,10 +254,10 @@ def calibrate_layer(
     m, damped, inv_diag, upper = _prepare(w, h, spec)
     plan = calibrate_layer_binary if spec.backend is Backend.BINARY else _affine_plan
     quantize, extra = plan(m, inv_diag, spec)
-    layer, w_hat, update_norms = quantize(upper, trace)
+    layer, w_hat, update_norms = quantize(upper)
     proxy = _proxy_error(w_hat - m, damped)
     if guard:
-        plain_layer, plain_hat, plain_norms = quantize(None, None)
+        plain_layer, plain_hat, plain_norms = quantize(None)
         extra["plain_proxy_error"] = plain = _proxy_error(plain_hat - m, damped)
         if plain < proxy:
             layer, proxy, update_norms = plain_layer, plain, plain_norms
@@ -277,7 +267,7 @@ def calibrate_layer(
 
 def _affine_plan(m, inv_diag, spec: CalibSpec):
     """Plan of an OPTQ or SPQR layer: outlier mask, group edges, bit account;
-    returns `quantize(upper, trace)` and no report extras.
+    returns `quantize(upper)` and no report extras.
 
     SpQR's outliers are the weights whose group-RTN saliency exceeds tau x
     the mean (`detect_outliers`); they keep their original values. SpQR
@@ -304,7 +294,7 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
         stat_group=spec.stat_group,
     )
 
-    def quantize(upper, trace):
+    def quantize(upper):
         work = m.copy()
         layer = QuantizedLayer(
             bits=bits,
@@ -334,7 +324,7 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
             layer.codes[:, q] = code[:, 0]
             return np.where(outlier_mask[:, q], m[:, q], deq[:, 0])
 
-        w_hat, update_norms = _sweep(work, upper, spec.block_size, codec, trace)
+        w_hat, update_norms = _sweep(work, upper, BLOCK_SIZE, codec)
         return layer, w_hat, update_norms
 
     return quantize, {}
@@ -346,7 +336,7 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
     Salient columns are the top `salient_fraction` by column saliency of a
     naive one-plane binarization; they get two residual planes. Non-salient
     weights reconstruct as sign * (low | high alpha) selected by the
-    magnitude split threshold. Returns `quantize(upper, trace)`, whose
+    magnitude split threshold. Returns `quantize(upper)`, whose
     compensated and guard sweeps share this salient set, threshold and
     alphas, and the plan's report extras.
 
@@ -379,7 +369,7 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
 
     account = binary_bit_account(d_row, d_col, int(np.sum(salient)))
 
-    def quantize(upper, trace):
+    def quantize(upper):
         layer = BinaryLayer(
             split_threshold=float(threshold),
             alpha_low=alpha_low,
@@ -404,7 +394,7 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
             layer.signs1[:, q], layer.membership[:, q] = sgn, high_rows
             return sgn * np.where(high_rows, alpha_high, alpha_low)
 
-        w_hat, update_norms = _sweep(m.copy(), upper, spec.block_size, codec, trace)
+        w_hat, update_norms = _sweep(m.copy(), upper, BLOCK_SIZE, codec)
         return layer, w_hat, update_norms
 
     extra = {

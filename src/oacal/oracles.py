@@ -208,7 +208,7 @@ def run_verify_oracles(seed: int = 0, corrupt_update: bool = False) -> dict:
         h_prod = h.copy()
         if corrupt_update:
             h_prod = symmetrize(h_prod + 0.35 * np.diag(np.arange(d_col) + 1.0))
-        spec = CalibSpec(bits=2, group_size=group, alpha=0.0, block_size=1)
+        spec = CalibSpec(bits=2, group_size=group, alpha=0.0)
         layer, _ = calibrate_layer(w, h_prod, spec, guard=False)
         got = layer.dequantize()
         w_hat, _ = direct_solver_calibrate(w, h, 2, group)

@@ -1,5 +1,5 @@
-"""End-to-end quantization runs: config, two-phase run, alpha sweeps, eval
-and reports.
+"""End-to-end quantization runs: config, one run per command, eval and
+reports.
 
 A method is a backend plus a Hessian flavour (`_METHOD_TABLE`). Phase 1
 collects every block layer's Hessian before the first block is quantized,
@@ -11,15 +11,13 @@ layer the partly quantized model's inputs; here both flavours share one
 collection rule, so an OAC-versus-baseline comparison changes only the
 Hessian. RTN needs no Hessian and skips phase 1. Phase 2 calibrates every
 layer, front to back, through one `calibrate_layer` call whatever the
-method, and installs the dequantized float32 weights. Collection and
-calibration run in float64; eval (`tinylm.perplexity`) runs its forwards
-in float32, which holds the installed weights exactly, and sums the
-per-window losses in float64. Everything numeric that affects the output
-is echoed into the JSON report.
+method, and installs the dequantized weights. Collection and calibration
+run in float64; eval (`tinylm.perplexity`) runs its forwards in float32 and
+sums the per-window losses in float64, and checkpoints store float32.
+Everything numeric that affects the output is echoed into the JSON report.
 
-An alpha sweep collects once: the Hessians do not depend on the damping, so
-the sweep's first candidate leaves every layer's accumulators in a dict the
-sweep owns, and every later candidate's `run_quantize` takes them from there.
+The Hessians do not depend on the damping, so an alpha sweep is one
+`run_quantize` call that collects once and test-evaluates only its winner.
 """
 from __future__ import annotations
 
@@ -35,7 +33,7 @@ import numpy as np
 from .archive import archive_write
 from .calibrate import Backend, CalibSpec, calibrate_layer
 from .errors import ConfigError, MalformedArchive, OacalError
-from .hessian import HessianAccumulator, HessianMode, finalize
+from .hessian import HessianMode, finalize
 from .quant import layer_to_tensors
 from .tinylm import (
     TinyLM,
@@ -84,8 +82,8 @@ __all__ = [
 class RunConfig:
     """One quantization run; JSON-serializable.
 
-    CLI flags override the fields of the same name, except `block_size`,
-    `stat_bits`, `stat_group` and `alpha_grid`, which only a config file sets.
+    CLI flags override the fields of the same name, except `stat_bits`,
+    `stat_group` and `alpha_grid`, which only a config file sets.
     """
 
     checkpoint: str
@@ -98,7 +96,6 @@ class RunConfig:
     group_size: int = 16
     tau: float = 3.5
     alpha: float = 0.1
-    block_size: int = 32
     stat_bits: int = 3
     stat_group: int = 16
     salient_fraction: float = 0.08
@@ -133,7 +130,6 @@ class RunConfig:
             group_size=self.group_size,
             tau=self.tau,
             alpha=self.alpha if alpha is None else alpha,
-            block_size=self.block_size,
             backend=backend,
             hessian_mode=mode,
             stat_bits=self.stat_bits,
@@ -258,100 +254,124 @@ def load_token_streams(config: RunConfig) -> dict[str, np.ndarray]:
     return streams
 
 
-def _f32(x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float32).astype(np.float64)
-
-
 @dataclass
 class QuantizedRun:
-    """One quantize run in memory: the installed model, its report, and the
-    per-layer archive tensors with their metadata."""
+    """One quantize run in memory: the winning alpha's installed model, report
+    and per-layer archive tensors with their metadata, and every alpha's
+    record, {"status": "ok", "report": ...} or {"status": "failed", "error": ...}."""
 
     model: TinyLM
     report: RunReport
     tensors: dict[str, np.ndarray]
     layer_meta: dict[str, dict]
+    candidates: dict[float, dict]
 
 
-def run_quantize(
-    config: RunConfig,
-    alpha: float | None = None,
-    shared: dict[str, HessianAccumulator] | None = None,
-) -> QuantizedRun:
-    """Quantize every block layer of the checkpointed model; write nothing.
+def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
+    """Quantize every block layer of the checkpointed model for each alpha,
+    keep the best and write nothing (`write_run` does).
 
-    Every layer's Hessian accumulators are collected before the first
-    layer is calibrated, in one pass over the unquantized checkpoint; the
-    layers are then calibrated front to back. `shared`, when given, carries
-    those accumulators between runs of this one config, which alpha cannot
-    change. An empty dict is filled with the ones this run collects, a
-    filled one is used instead of collecting; they are only read after
-    that. Without it, each accumulator is dropped once the last layer that
-    reads it is calibrated. `write_run` puts the result on disk.
+    Loads the checkpoint and streams, draws the calibration windows and
+    collects every layer's Hessian accumulators once, on the unquantized
+    model. Each of `alphas` (default: the config's own alpha), ascending,
+    then calibrates the layers front to back and is scored on the
+    validation stream. Only the best run so far is kept (lowest validation
+    perplexity, ties to the smaller alpha); only the winner is scored on
+    the test stream.
+
+    A failed collection raises, and so does a failed alpha when `alphas` is
+    None; a grid records a failed alpha and skips it, and raises ConfigError
+    when none succeeds.
     """
     t_start = time.perf_counter()
-    current = load_checkpoint(config.checkpoint)
+    model = load_checkpoint(config.checkpoint)
     streams = load_token_streams(config)
-    rng = np.random.default_rng(config.seed)
     samples = sample_calibration_windows(
         streams["train"],
         config.n_calibration_samples,
-        current.config.context_length,
-        rng,
+        model.config.context_length,
+        np.random.default_rng(config.seed),
     )
-    spec = config.calib_spec(alpha)
-    hessians = spec.backend is not Backend.RTN
+    backend, mode = _METHOD_TABLE[config.method]
+    t0 = time.perf_counter()
+    accs = {}
+    if backend is not Backend.RTN:
+        adaptive = mode is HessianMode.ADAPTIVE
+        collect = harvest_block_gradients if adaptive else collect_agnostic_accumulators
+        accs = collect(model, samples)
+    phase1 = time.perf_counter() - t0
+    collected_s = time.perf_counter() - t_start
+    grid = [config.alpha] if alphas is None else sorted(float(a) for a in alphas)
+    candidates = {}
+    best, best_valid = None, math.inf
+    for i, alpha in enumerate(grid):
+        t_alpha = time.perf_counter()
+        if i:  # the first alpha installs into the model the collection ran on
+            model = load_checkpoint(config.checkpoint)
+        t0 = time.perf_counter()
+        try:
+            run = _calibrate(config, alpha, model, accs, drop=i == len(grid) - 1)
+            t1 = time.perf_counter()
+            run.report.valid_perplexity = perplexity(model, streams["valid"])
+        except OacalError as exc:
+            if alphas is None:
+                raise
+            candidates[alpha] = {"status": "failed", "error": str(exc)}
+            continue
+        t2 = time.perf_counter()
+        run.report.phase_seconds = {
+            "phase1_hessians": phase1,
+            "phase2_calibration": t1 - t0,
+            "eval": t2 - t1,
+            "total": collected_s + t2 - t_alpha,
+        }
+        candidates[alpha] = {"status": "ok", "report": asdict(run.report)}
+        if run.report.valid_perplexity < best_valid:
+            best, best_valid = run, run.report.valid_perplexity
+        del run  # a losing run is freed before the next alpha loads its model
+    if best is None:
+        raise ConfigError(f"every alpha candidate failed: {candidates}")
+    t0 = time.perf_counter()
+    best.report.test_perplexity = perplexity(best.model, streams["test"])
+    test_s = time.perf_counter() - t0
+    for key in ("eval", "total"):
+        best.report.phase_seconds[key] += test_s
+    candidates[best.report.config["alpha"]]["report"] = asdict(best.report)
+    best.candidates = candidates
+    return best
 
+
+def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool) -> QuantizedRun:
+    """Calibrate every block layer of `model` front to back at `alpha` and
+    install the dequantized weights. Only the last alpha of a run `drop`s
+    each layer's accumulator once it is calibrated."""
+    spec = config.calib_spec(alpha)
     report = RunReport(
-        config={**asdict(config), "alpha": spec.alpha, "alpha_grid": list(config.alpha_grid)},
+        config={**asdict(config), "alpha": alpha, "alpha_grid": list(config.alpha_grid)},
         seed=config.seed,
         method=config.method,
     )
-    t0 = time.perf_counter()
-    # accumulators collected on the unquantized checkpoint
-    accs = {} if shared is None else shared
-    if hessians and not accs:
-        adaptive = spec.hessian_mode is HessianMode.ADAPTIVE
-        collect = harvest_block_gradients if adaptive else collect_agnostic_accumulators
-        accs.update(collect(current, samples))
-    phase1 = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    layer_artifacts: dict[str, np.ndarray] = {}
+    tensors: dict[str, np.ndarray] = {}
     layer_meta: dict[str, dict] = {}
     total_bits = 0.0
     total_weights = 0
-    for name in quantizable_layers(current):
-        w = current.params[name]
+    for name in quantizable_layers(model):
+        w = model.params[name]
         try:
-            layer, cal_report = calibrate_layer(
-                w, finalize(accs[name]) if hessians else None, spec, name
-            )
+            h = finalize(accs[name]) if spec.backend is not Backend.RTN else None
+            layer, cal_report = calibrate_layer(w, h, spec, name)
         except OacalError as exc:  # keep the type the CLI maps to an exit code
             raise type(exc)(f"layer {name!r}: {exc}") from exc
-        tensors, meta = layer_to_tensors(name, layer)
-        layer_artifacts.update(tensors)
-        layer_meta[name] = meta
+        layer_tensors, layer_meta[name] = layer_to_tensors(name, layer)
+        tensors.update(layer_tensors)
         report.layer_reports.append(cal_report.to_dict())
         total_bits += layer.accounting.total_bits
         total_weights += w.size
-        current.params[name] = _f32(layer.dequantize())
-        if shared is None:  # no later layer or run reads this layer's accumulator
+        model.params[name] = layer.dequantize()
+        if drop:  # no later layer or alpha reads this layer's accumulator
             accs.pop(name, None)
-    phase2 = time.perf_counter() - t0
-
     report.global_avg_bits = total_bits / total_weights
-    report.phase_seconds = {
-        "phase1_hessians": phase1,
-        "phase2_calibration": phase2,
-        "total": time.perf_counter() - t_start,
-    }
-
-    t0 = time.perf_counter()
-    report.valid_perplexity = perplexity(current, streams["valid"])
-    report.test_perplexity = perplexity(current, streams["test"])
-    report.phase_seconds["eval"] = time.perf_counter() - t0
-    report.phase_seconds["total"] = time.perf_counter() - t_start
-    return QuantizedRun(current, report, layer_artifacts, layer_meta)
+    return QuantizedRun(model, report, tensors, layer_meta, {})
 
 
 def write_run(run: QuantizedRun, out_dir) -> None:
@@ -398,47 +418,18 @@ def run_eval(config: RunConfig, checkpoint_path) -> dict:
 
 
 def run_alpha_sweep(config: RunConfig) -> dict:
-    """One quantize+eval run per grid alpha; best = lowest validation ppl.
-
-    Every layer's accumulators are collected once per sweep, whatever the
-    method (RTN collects none), by the first candidate that gets that far,
-    and handed to every later candidate. Each candidate still loads its own
-    model, so its report equals a standalone `run_quantize(config, alpha)`
-    apart from `phase_seconds`; the collection's seconds stay in the first
-    candidate's `phase1_hessians`. A failed collection leaves nothing to
-    share, so each candidate meets it.
-
-    Each candidate runs once. Only the best run so far is kept, and a losing
-    run is dropped before the next candidate starts; the winner's own run is
-    the one `write_run` writes, next to sweep.json. Ties resolve to the
-    smaller alpha; candidates that fail (e.g. Cholesky on an undamped
-    singular Hessian) are recorded and skipped.
-    """
+    """`run_quantize` over the config's alpha grid; writes the winner's run
+    and sweep.json, which records every alpha (see `run_quantize`)."""
     if not config.alpha_grid:
         raise ConfigError("alpha grid must be nonempty")
-    candidates = {}
-    shared: dict[str, HessianAccumulator] = {}
-    best = None
-    best_valid = np.inf
-    for a in sorted(config.alpha_grid):
-        try:
-            run = run_quantize(config, alpha=float(a), shared=shared)
-        except OacalError as exc:
-            candidates[float(a)] = {"status": "failed", "error": str(exc)}
-            continue
-        candidates[float(a)] = {"status": "ok", "report": asdict(run.report)}
-        if run.report.valid_perplexity < best_valid:
-            best, best_valid = run, run.report.valid_perplexity
-        del run
-    if best is None:
-        raise ConfigError(f"every alpha candidate failed: {candidates}")
+    run = run_quantize(config, config.alpha_grid)
     result = {
-        "best_alpha": best.report.config["alpha"],
-        "best_valid_perplexity": best_valid,
-        "best_test_perplexity": best.report.test_perplexity,
-        "candidates": candidates,
+        "best_alpha": run.report.config["alpha"],
+        "best_valid_perplexity": run.report.valid_perplexity,
+        "best_test_perplexity": run.report.test_perplexity,
+        "candidates": run.candidates,
     }
-    write_run(best, config.out_dir)
+    write_run(run, config.out_dir)
     with open(Path(config.out_dir) / "sweep.json", "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
     return result

@@ -387,8 +387,7 @@ def perplexity(model: TinyLM, tokens) -> float:
     """exp(mean next-token cross-entropy) over non-overlapping windows.
 
     The forwards run in float32, on a float32 copy of the parameters made
-    once per call; the copy is exact for float32-representable parameters,
-    such as a loaded checkpoint's or the pipeline's installed weights. Each
+    once per call, which rounds them as `save_checkpoint` does. Each
     window's loss and their running sum are float64.
     """
     cfg = model.config

@@ -191,7 +191,24 @@ class TestCalibrateLayer:
             rtn_delta = rtn_quantize(w, 2, 8).dequantize() - w
             assert report.proxy_error <= proxy(rtn_delta, damped) + 1e-9
 
-    def test_sequential_updates_match_direct_solver(self):
+    def test_sequential_updates_match_direct_solver(self, monkeypatch):
+        # d_col <= 6 fits in one sweep block, inside which each column's
+        # compensation reaches the columns to its right at once: the working
+        # matrix the codec sees at column q holds every update before q
+        trace = []
+        sweep = oacal.calibrate._sweep
+
+        def watched(work, upper, block_size, codec):
+            def watch(q, col):
+                if q:
+                    trace.append(work.copy())
+                return codec(q, col)
+
+            out = sweep(work, upper, block_size, watch)
+            trace.append(work.copy())
+            return out
+
+        monkeypatch.setattr(oacal.calibrate, "_sweep", watched)
         rng = np.random.default_rng(56)
         for trial in range(100):
             d_row = int(rng.integers(1, 9))
@@ -199,12 +216,10 @@ class TestCalibrateLayer:
             w = rng.standard_normal((d_row, d_col))
             h = random_spd(rng, d_col, jitter=1.0)
             group = int(rng.choice([2, 3, d_col]))
-            spec = CalibSpec(
-                bits=2, group_size=group, alpha=0.0, block_size=1,
-                backend=Backend.OPTQ,
-            )
-            trace = []
-            layer, _ = calibrate_layer(w, h, spec, trace=trace, guard=False)
+            spec = CalibSpec(bits=2, group_size=group, alpha=0.0, backend=Backend.OPTQ)
+            trace.clear()
+            layer, _ = calibrate_layer(w, h, spec, guard=False)
+            assert len(trace) == d_col
             w_hat_oracle, states = direct_solver_calibrate(w, h, 2, group)
             np.testing.assert_allclose(
                 layer.dequantize(), w_hat_oracle, atol=1e-8
@@ -231,23 +246,28 @@ class TestCalibrateLayer:
             d_row = int(rng.integers(1, 9))
             w = rng.standard_normal((d_row, d_col))
             h = random_spd(rng, d_col, jitter=1.0)
-            spec = CalibSpec(bits=2, group_size=group, alpha=0.0, block_size=1)
+            spec = CalibSpec(bits=2, group_size=group, alpha=0.0)
             layer, _ = calibrate_layer(w, h, spec, guard=False)
             w_hat_oracle, _ = direct_solver_calibrate(w, h, 2, group)
             np.testing.assert_allclose(layer.dequantize(), w_hat_oracle, rtol=0, atol=1e-12)
 
-    def test_block_batching_equivalent(self):
+    def test_block_batching_equivalent(self, monkeypatch):
         rng = np.random.default_rng(57)
         w = rng.standard_normal((8, 24))
         h = make_agnostic_h(rng, 24)
-        base = CalibSpec(bits=2, group_size=8, alpha=0.1, block_size=1)
-        out1, _ = calibrate_layer(w, h, base)
-        for bs in (4, 8, 24, 100):
-            spec = CalibSpec(bits=2, group_size=8, alpha=0.1, block_size=bs)
-            out2, _ = calibrate_layer(w, h, spec)
-            np.testing.assert_allclose(
-                out1.dequantize(), out2.dequantize(), atol=1e-9
+        spec = CalibSpec(bits=2, group_size=8, alpha=0.1)
+        sweep = oacal.calibrate._sweep
+
+        def calibrated(block_size):
+            monkeypatch.setattr(
+                oacal.calibrate, "_sweep",
+                lambda work, upper, _, codec: sweep(work, upper, block_size, codec),
             )
+            return calibrate_layer(w, h, spec)[0].dequantize()
+
+        out1 = calibrated(1)
+        for bs in (4, 8, 24, 100):
+            np.testing.assert_allclose(out1, calibrated(bs), atol=1e-9)
 
     def test_spqr_backend_outliers_keep_original_values(self):
         rng = np.random.default_rng(58)
@@ -335,7 +355,7 @@ class TestCalibrateLayer:
             h = make_agnostic_h(rng, 10)
             m, damped, inv_diag, upper = oacal.calibrate._prepare(w, h, spec)
             quantize, plan_extra = calibrate_layer_binary(m, inv_diag, spec)
-            sweeps = [quantize(upper, None), quantize(None, None)]
+            sweeps = [quantize(upper), quantize(None)]
             errors = [proxy(w_hat - m, damped) for _, w_hat, _ in sweeps]
             best = int(errors[1] < errors[0])  # this layer falls back
             expected, _, norms = sweeps[best]
@@ -474,7 +494,7 @@ class TestGuard:
             spec = CalibSpec(bits=int(rng.integers(1, 9)), group_size=group, alpha=0.1)
             m, damped, inv_diag, _ = oacal.calibrate._prepare(w, h, spec)
             quantize, _ = oacal.calibrate._affine_plan(m, inv_diag, spec)
-            plain, w_hat, norms = quantize(None, None)
+            plain, w_hat, norms = quantize(None)
             ref = rtn_quantize(w, spec.bits, group)
             for f in fields(ref):
                 assert np.array_equal(getattr(plain, f.name), getattr(ref, f.name)), f.name

@@ -75,7 +75,8 @@ def test_unknown_method(setup, capsys):
 
 @pytest.mark.parametrize(
     "data, message",
-    [({"methd": "OPTQ"}, "methd"), ([1, 2], "JSON object"), ({"reduction": "sum"}, "reduction")],
+    [({"methd": "OPTQ"}, "methd"), ([1, 2], "JSON object"), ({"reduction": "sum"}, "reduction"),
+     ({"block_size": 32}, "block_size")],
 )
 def test_malformed_config(setup, tmp_path, capsys, data, message):
     checkpoint, flags = setup
@@ -264,6 +265,8 @@ def test_sweep_alpha_writes_its_winner(setup, tmp_path):
         report["test_perplexity"],
     )
     assert report["config"]["alpha"] == sweep["best_alpha"]
+    tested = [a for a, c in sweep["candidates"].items() if c["report"]["test_perplexity"] is not None]
+    assert tested == [str(sweep["best_alpha"])]  # only the winner is scored on test
     assert len((out / "summary.csv").read_text().splitlines()) == 2
 
     meta = json.loads((out / "layers.json").read_text())

@@ -1,5 +1,4 @@
 """End-to-end quantize runs and alpha sweeps on tiny models."""
-import functools
 import json
 import weakref
 from collections import Counter
@@ -14,6 +13,7 @@ import oacal.pipeline as pipeline
 import oacal.tinylm as tinylm
 from oacal.archive import archive_read
 from oacal.calibrate import CalibSpec
+from oacal.cli import main
 from oacal.errors import ConfigError, NonFinite, NotPositiveDefinite
 from oacal.pipeline import (
     REPORT_SCHEMA,
@@ -185,8 +185,9 @@ def test_collects_once_before_calibrating(tmp_path, monkeypatch, method, collect
 
 @pytest.mark.parametrize("method, collector", COLLECTORS)
 def test_run_drops_each_block_hessians_once_calibrated(tmp_path, monkeypatch, method, collector):
-    """All layers are collected up front, but a block's accumulators do not
-    outlive its calibration."""
+    """All layers are collected up front. A lone alpha's calibration of a
+    block drops that block's accumulators; in a grid every accumulator lives
+    through the earlier alphas and the last alpha drops them the same way."""
     harvested = {}
     alive = {}
     collect, calibrate = getattr(pipeline, collector), pipeline.calibrate_layer
@@ -197,16 +198,24 @@ def test_run_drops_each_block_hessians_once_calibrated(tmp_path, monkeypatch, me
         return accs
 
     def count_alive(w, h, spec, name):
-        alive[name] = sorted(n for n, ref in harvested.items() if ref() is not None)
+        alive[spec.alpha, name] = sorted(n for n, ref in harvested.items() if ref() is not None)
         return calibrate(w, h, spec, name)
 
     monkeypatch.setattr(pipeline, collector, keep_refs)
     monkeypatch.setattr(pipeline, "calibrate_layer", count_alive)
-    run_quantize(collector_config(tmp_path, method))
-    for b in range(CONFIG.n_blocks):
-        later = [n for c in range(b, CONFIG.n_blocks) for n in tinylm.block_layer_names(c)]
-        assert alive[f"blk{b}.attn.wq"] == sorted(later)
-    assert all(ref() is None for ref in harvested.values())
+    config = collector_config(tmp_path, method)
+    names = tinylm.quantizable_layers(load_checkpoint(config.checkpoint))
+    for grid in (None, (0.1, 0.01)):
+        harvested.clear()
+        alive.clear()
+        run_quantize(config, grid)
+        *earlier, last = [config.alpha] if grid is None else sorted(grid)
+        for alpha in earlier:
+            assert [alive[alpha, name] for name in names] == [sorted(names)] * len(names)
+        for b in range(CONFIG.n_blocks):
+            later = [n for c in range(b, CONFIG.n_blocks) for n in tinylm.block_layer_names(c)]
+            assert alive[last, f"blk{b}.attn.wq"] == sorted(later)
+        assert all(ref() is None for ref in harvested.values())
 
 
 def test_layer_failure_keeps_its_type(tmp_path):
@@ -241,17 +250,17 @@ def sweep_config(tmp_path):
     return make
 
 
-def patch_run_quantize(monkeypatch, wrap):
-    """Route the sweep's run_quantize calls through `wrap(original, config, alpha)`;
-    the shared accumulators are passed through to `original`."""
-    original = pipeline.run_quantize
-    monkeypatch.setattr(
-        pipeline,
-        "run_quantize",
-        lambda config, alpha=None, shared=None: wrap(
-            functools.partial(original, shared=shared), config, alpha
-        ),
-    )
+def score_by_call(monkeypatch, ppl):
+    """Route the run's perplexity calls through `ppl(call_index)`, keeping a
+    weak reference to every model scored; returns that list."""
+    scored = []
+
+    def fake(model, tokens):
+        scored.append(weakref.ref(model))
+        return ppl(len(scored) - 1)
+
+    monkeypatch.setattr(pipeline, "perplexity", fake)
+    return scored
 
 
 @pytest.mark.parametrize(
@@ -259,35 +268,51 @@ def patch_run_quantize(monkeypatch, wrap):
     [("OAC_OPTQ", "harvest_block_gradients"), ("OPTQ", "collect_agnostic_accumulators")],
 )
 def test_sweep_collects_once(sweep_config, monkeypatch, method, collector):
-    """Either flavour collects every layer once per sweep."""
+    """Either flavour collects every layer once per sweep and scores each
+    alpha on the validation stream; only the winner is scored on test."""
     grid = [0.001, 0.1, 1.0]
     calls = []
-    original = getattr(pipeline, collector)
+    evals = []
+    original, score = getattr(pipeline, collector), pipeline.perplexity
     monkeypatch.setattr(pipeline, collector, lambda *a: calls.append(1) or original(*a))
+    monkeypatch.setattr(pipeline, "perplexity", lambda *a: evals.append(1) or score(*a))
     config = sweep_config(grid, method)
     result = run_alpha_sweep(config)
     assert len(calls) == 1
+    assert len(evals) == len(grid) + 1
 
-    for a in grid:  # each candidate is the standalone run, timings apart
+    phase1 = {result["candidates"][a]["report"]["phase_seconds"]["phase1_hessians"] for a in grid}
+    assert len(phase1) == 1  # every candidate reports the one collection
+    for a in grid:  # each candidate is the lone run, timings and a loser's test eval apart
         shared = result["candidates"][a]["report"]
-        alone = asdict(run_quantize(config, alpha=a).report)
+        alone = asdict(run_quantize(replace(config, alpha=a)).report)
+        assert set(shared["phase_seconds"]) == set(alone["phase_seconds"]) == {
+            "phase1_hessians", "phase2_calibration", "eval", "total"}
+        if a != result["best_alpha"]:
+            assert shared["test_perplexity"] is None
+            alone["test_perplexity"] = None
         assert {**shared, "phase_seconds": None} == {**alone, "phase_seconds": None}
 
 
-def test_sweep_block0_failure_fails_every_candidate(sweep_config, monkeypatch):
-    """A failed harvest (block 0's Hessians among every layer's) leaves
-    nothing to share, so every candidate meets it."""
+def test_sweep_collection_failure_raises_once(sweep_config, monkeypatch, tmp_path):
+    """A failed harvest (block 0's Hessians among every layer's) is met once,
+    with its own type and, through the CLI, its own exit code; nothing is
+    written."""
+    calls = []
 
     def fail(model, windows):
+        calls.append(1)
         raise NonFinite("forced")
 
     monkeypatch.setattr(pipeline, "harvest_block_gradients", fail)
-    grid = [0.001, 0.1, 1.0]
-    config = sweep_config(grid)
-    with pytest.raises(ConfigError) as excinfo:
+    config = sweep_config([0.001, 0.1, 1.0])
+    with pytest.raises(NonFinite, match="^forced$"):
         run_alpha_sweep(config)
-    failed = {a: {"status": "failed", "error": "forced"} for a in grid}
-    assert str(excinfo.value) == f"every alpha candidate failed: {failed}"
+    assert len(calls) == 1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(asdict(config)), encoding="utf-8")
+    assert main(["sweep-alpha", "--config", str(path)]) == 2
+    assert len(calls) == 2
     assert not Path(config.out_dir).exists()
 
 
@@ -302,61 +327,64 @@ def test_sweep_one_alpha_grid(sweep_config):
 
 def test_sweep_runs_each_alpha_once_and_writes_the_winner(sweep_config, monkeypatch):
     grid = [0.001, 0.01, 0.1]
-    runs = []
+    calibrated = Counter()
     alive_at_start = []
+    calibrate = pipeline.calibrate_layer
+    # validation perplexities 5, 6, 7: the first alpha wins and the later two
+    # lose; a rerun of the winner would write a later call's value, not 5
+    scored = score_by_call(monkeypatch, lambda call: 5.0 + call)
 
-    def counted(original, config, alpha):
-        alive_at_start.append(sum(r() is not None for r in runs))
-        run = original(config, alpha)
-        # the first candidate wins, so the later two are losing runs; a rerun
-        # of the winner would write its real perplexity, not this one
-        run.report.valid_perplexity = 5.0 + alpha
-        runs.append(weakref.ref(run))
-        return run
+    def counted(w, h, spec, name):
+        if not calibrated[spec.alpha]:  # the alpha's first layer
+            alive_at_start.append(sum(r() is not None for r in scored))
+        calibrated[spec.alpha] += 1
+        return calibrate(w, h, spec, name)
 
-    patch_run_quantize(monkeypatch, counted)
+    monkeypatch.setattr(pipeline, "calibrate_layer", counted)
     config = sweep_config(grid)
     result = run_alpha_sweep(config)
     assert set(result["candidates"]) == set(grid)
     assert result["best_alpha"] == 0.001
-    assert len(runs) == len(grid)  # no rerun of the winner
+    n_layers = 2 * len(tinylm.block_layer_names(0))
+    assert calibrated == {a: n_layers for a in grid}  # no rerun of the winner
     assert alive_at_start == [0, 1, 1]  # only the best run so far is held
 
     out = Path(config.out_dir)
     report = json.loads((out / "report.json").read_text())
     assert report == result["candidates"][result["best_alpha"]]["report"]
+    assert (report["valid_perplexity"], report["test_perplexity"]) == (5.0, 8.0)
     assert json.loads((out / "sweep.json").read_text())["best_alpha"] == result["best_alpha"]
     assert len((out / "summary.csv").read_text().splitlines()) == 2
 
 
 def test_sweep_tie_goes_to_smaller_alpha(sweep_config, monkeypatch):
-    def constant_ppl(original, config, alpha):
-        run = original(config, alpha)
-        run.report.valid_perplexity = 7.0
-        return run
-
-    patch_run_quantize(monkeypatch, constant_ppl)
+    score_by_call(monkeypatch, lambda call: 7.0)
     assert run_alpha_sweep(sweep_config([1.0, 0.01]))["best_alpha"] == 0.01
 
 
-def test_sweep_skips_failing_candidate(sweep_config, monkeypatch):
-    def fail_small(original, config, alpha):
-        if alpha == 0.001:
-            raise NotPositiveDefinite("forced")
-        return original(config, alpha)
+def fail_calibration(monkeypatch, alphas):
+    """Make calibrate_layer raise NotPositiveDefinite for the given alphas."""
+    calibrate = pipeline.calibrate_layer
 
-    patch_run_quantize(monkeypatch, fail_small)
+    def fail(w, h, spec, name):
+        if spec.alpha in alphas:
+            raise NotPositiveDefinite("forced")
+        return calibrate(w, h, spec, name)
+
+    monkeypatch.setattr(pipeline, "calibrate_layer", fail)
+
+
+def test_sweep_skips_failing_candidate(sweep_config, monkeypatch):
+    fail_calibration(monkeypatch, {0.001})
     result = run_alpha_sweep(sweep_config([0.001, 3.0]))
-    assert result["candidates"][0.001] == {"status": "failed", "error": "forced"}
+    first = tinylm.block_layer_names(0)[0]
+    assert result["candidates"][0.001] == {"status": "failed", "error": f"layer {first!r}: forced"}
     assert result["candidates"][3.0]["status"] == "ok"
     assert result["best_alpha"] == 3.0
 
 
 def test_sweep_all_candidates_failing_raises(sweep_config, monkeypatch):
-    def fail(original, config, alpha):
-        raise NotPositiveDefinite("forced")
-
-    patch_run_quantize(monkeypatch, fail)
+    fail_calibration(monkeypatch, {0.0, 0.001})
     config = sweep_config([0.0, 0.001])
     with pytest.raises(ConfigError):
         run_alpha_sweep(config)
