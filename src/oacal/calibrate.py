@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NonPositiveDiagonal, ShapeMismatch
-from .hessian import HessianMode, regularize
+from .hessian import regularize
 from .linalg import as_matrix, as_sym_matrix, inverse_upper_factor
 from .quant import (
     BinaryLayer,
@@ -73,14 +73,14 @@ class Backend(enum.Enum):
 
 @dataclass(frozen=True)
 class CalibSpec:
-    """Per-layer calibration configuration."""
+    """Per-layer calibration configuration; `pipeline.RunConfig` takes its
+    defaults from here."""
 
     bits: int = 2
     group_size: int = 16
     tau: float = 3.5
     alpha: float = 0.1
     backend: Backend = Backend.OPTQ
-    hessian_mode: HessianMode = HessianMode.AGNOSTIC
     stat_bits: int = 3
     stat_group: int = 16
     salient_fraction: float = 0.08
@@ -127,8 +127,9 @@ class CalibReport:
 
 def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms,
             **extra) -> CalibReport:
-    """The one CalibReport builder; echoes the spec's backend, Hessian mode,
-    damping (0 for RTN, which has none) and tau (SpQR only)."""
+    """The one CalibReport builder; echoes the spec's backend, damping (0 for
+    RTN, which has none) and tau (SpQR only). The Hessian flavour is the
+    caller's: the pipeline adds it to each layer's report."""
     n_outliers = len(getattr(layer, "outliers", ()))
     return CalibReport(
         layer=name,
@@ -139,8 +140,7 @@ def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms,
         avg_bits_per_weight=layer.accounting.avg_bits_per_weight,
         alpha=0.0 if spec.backend is Backend.RTN else spec.alpha,
         tau=spec.tau if spec.backend is Backend.SPQR else None,
-        extra={"backend": spec.backend.value, "hessian_mode": spec.hessian_mode.value,
-               **extra},
+        extra={"backend": spec.backend.value, **extra},
     )
 
 

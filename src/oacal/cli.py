@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import (
@@ -26,6 +27,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_RUN_COMMANDS = {
+    "quantize": "quantize a checkpoint",
+    "eval": "perplexity of a checkpoint",
+    "sweep-alpha": "grid-search the damping factor",
+}
+_TYPES = {"str": str, "int": int, "float": float}
+
+
+def _flag(name: str) -> str:
+    return "--out" if name == "out_dir" else "--" + name.replace("_", "-")
+
+
+def _flag_fields():
+    """The RunConfig fields a run flag sets: all but `CONFIG_ONLY`."""
+    from .pipeline import CONFIG_ONLY, RunConfig
+
+    return [f for f in fields(RunConfig) if f.name not in CONFIG_ONLY]
+
+
 def _build_parser() -> _Parser:
     from .tinylm import TrainConfig
 
@@ -36,35 +56,16 @@ def _build_parser() -> _Parser:
     train.add_argument("--corpus", required=True)
     train.add_argument("--out", required=True, help="checkpoint path to write")
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--steps", type=int, default=TrainConfig.steps)
-    train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    train.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    for f in fields(TrainConfig):
+        train.add_argument(_flag(f.name), type=_TYPES[f.type], default=f.default)
 
-    def add_run_flags(p):
+    for command, text in _RUN_COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config; flags override fields")
-        p.add_argument("--checkpoint")
-        p.add_argument("--corpus-train")
-        p.add_argument("--corpus-valid")
-        p.add_argument("--corpus-test")
-        p.add_argument("--method")
-        p.add_argument("--bits", type=int)
-        p.add_argument("--group-size", type=int)
-        p.add_argument("--tau", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--salient-fraction", type=float)
-        p.add_argument("--n-calibration-samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory; overrides the config's out_dir")
-
-    quant = sub.add_parser("quantize", help="quantize a checkpoint")
-    add_run_flags(quant)
-
-    ev = sub.add_parser("eval", help="perplexity of a checkpoint")
-    add_run_flags(ev)
-    ev.add_argument("--eval-checkpoint", required=True)
-
-    sweep = sub.add_parser("sweep-alpha", help="grid-search the damping factor")
-    add_run_flags(sweep)
+        for f in _flag_fields():
+            p.add_argument(_flag(f.name), dest=f.name, type=_TYPES[f.type])
+        if command == "eval":
+            p.add_argument("--eval-checkpoint", required=True)
 
     verify = sub.add_parser("verify-oracles", help="run the property oracles")
     verify.add_argument("--seed", type=int, default=0)
@@ -79,39 +80,27 @@ def _build_parser() -> _Parser:
 
 
 def _run_config(args) -> "RunConfig":
+    """The run's settings, from `--config` overridden by the flags given, with
+    every input path checked. eval reads only the corpora and
+    `--eval-checkpoint` and writes nothing, so it fills in the rest."""
     from .pipeline import RunConfig
 
-    overrides = {
-        "checkpoint": args.checkpoint,
-        "corpus_train": args.corpus_train,
-        "corpus_valid": args.corpus_valid,
-        "corpus_test": args.corpus_test,
-        "method": args.method,
-        "bits": args.bits,
-        "group_size": args.group_size,
-        "tau": args.tau,
-        "alpha": args.alpha,
-        "salient_fraction": args.salient_fraction,
-        "n_calibration_samples": args.n_calibration_samples,
-        "seed": args.seed,
-        "out_dir": args.out,
-    }
-    if args.command == "eval" and args.out is None:
-        overrides["out_dir"] = "runs/out"  # eval writes nothing
+    overrides = {f.name: getattr(args, f.name) for f in _flag_fields()}
+    if args.command == "eval":
+        overrides.update(checkpoint=args.eval_checkpoint, out_dir="runs/out")
+    required = [f.name for f in fields(RunConfig) if f.default is MISSING]
     if args.config:
-        return RunConfig.from_json(args.config, **overrides)
-    needed = ["checkpoint", "corpus_train", "corpus_valid", "corpus_test", "out_dir"]
-    missing = [k for k in needed if overrides[k] is None]
-    if missing:
-        raise ConfigError(f"missing required settings (no --config): {missing}")
-    return RunConfig(**{k: v for k, v in overrides.items() if v is not None})
-
-
-def _check_paths(config) -> None:
-    for label in ("checkpoint", "corpus_train", "corpus_valid", "corpus_test"):
-        p = getattr(config, label)
-        if not Path(p).exists():
-            raise FileNotFoundError(f"{label} path does not exist: {p}")
+        config = RunConfig.from_json(args.config, **overrides)
+    else:
+        missing = [k for k in required if overrides[k] is None]
+        if missing:
+            raise ConfigError(f"missing required settings (no --config): {missing}")
+        config = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
+    for name in required:  # each but out_dir names an input file
+        path = getattr(config, name)
+        if name != "out_dir" and not Path(path).exists():
+            raise FileNotFoundError(f"{name} path does not exist: {path}")
+    return config
 
 
 def main(argv=None) -> int:
@@ -133,6 +122,7 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    config = _run_config(args) if args.command in _RUN_COMMANDS else None
     if args.command == "train-toy":
         from .tinylm import ModelConfig, TrainConfig, save_checkpoint, train_tiny_lm
 
@@ -141,11 +131,7 @@ def _dispatch(args) -> int:
         model, history = train_tiny_lm(
             corpus,
             ModelConfig(),
-            TrainConfig(
-                steps=args.steps,
-                batch_size=args.batch_size,
-                learning_rate=args.learning_rate,
-            ),
+            TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)}),
             seed=args.seed,
         )
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -161,8 +147,6 @@ def _dispatch(args) -> int:
     if args.command == "quantize":
         from .pipeline import run_quantize, write_run
 
-        config = _run_config(args)
-        _check_paths(config)
         run = run_quantize(config)
         write_run(run, config.out_dir)
         report = run.report
@@ -183,8 +167,6 @@ def _dispatch(args) -> int:
     if args.command == "eval":
         from .pipeline import run_eval
 
-        config = _run_config(args)
-        _check_paths(config)
         result = run_eval(config, args.eval_checkpoint)
         print(json.dumps(result, indent=2))
         return 0
@@ -192,8 +174,6 @@ def _dispatch(args) -> int:
     if args.command == "sweep-alpha":
         from .pipeline import run_alpha_sweep
 
-        config = _run_config(args)
-        _check_paths(config)
         result = run_alpha_sweep(config)
         print(
             json.dumps(

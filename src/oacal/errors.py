@@ -45,7 +45,7 @@ class MalformedArchive(OacalError):
     """Bad magic or version, truncated archive, bad checkpoint sidecar or run report."""
 
 
-class DuplicateName(OacalError):
+class DuplicateName(MalformedArchive):
     """Tensor names inside one archive must be unique."""
 
 
@@ -57,7 +57,7 @@ class CorpusTooSmall(OacalError):
     """The training corpus is below the minimum usable size."""
 
 
-class ArchitectureMismatch(OacalError):
+class ArchitectureMismatch(MalformedArchive):
     """Checkpoint tensors disagree with the architecture sidecar."""
 
 

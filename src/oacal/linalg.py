@@ -77,7 +77,12 @@ def cholesky(m) -> np.ndarray:
 
 
 def cholesky_inverse(lower: np.ndarray) -> np.ndarray:
-    """Explicit symmetric inverse of the matrix whose lower factor is `lower`."""
+    """Explicit symmetric inverse of the matrix whose lower factor is `lower`.
+
+    No quantization path calls it (`inverse_upper_factor` forms no inverse).
+    It stays as the tests' reference inverse, and because
+    `benchmarks/tracer.py` wraps it by name.
+    """
     inv = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
     require_finite(inv, "inverse")
     return symmetrize(inv)

@@ -65,6 +65,7 @@ _SUMMARY_COLUMNS = ["method", "seed", "alpha", "avg_bits", "valid_ppl", "test_pp
 __all__ = [
     "METHODS",
     "DEFAULT_ALPHA_GRID",
+    "CONFIG_ONLY",
     "RunConfig",
     "RunReport",
     "QuantizedRun",
@@ -78,12 +79,15 @@ __all__ = [
 ]
 
 
+# settings only a config file sets; every other RunConfig field has a CLI flag
+CONFIG_ONLY = ("stat_bits", "stat_group", "alpha_grid")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One quantization run; JSON-serializable.
-
-    CLI flags override the fields of the same name, except `stat_bits`,
-    `stat_group` and `alpha_grid`, which only a config file sets.
+    """One quantization run; JSON-serializable. The CLI has a flag for every
+    field but `CONFIG_ONLY`'s (`--out` sets `out_dir`), and requires the
+    fields with no default. The calibration defaults are `CalibSpec`'s.
     """
 
     checkpoint: str
@@ -92,13 +96,13 @@ class RunConfig:
     corpus_test: str
     out_dir: str
     method: str = "OAC_SpQR"
-    bits: int = 2
-    group_size: int = 16
-    tau: float = 3.5
-    alpha: float = 0.1
-    stat_bits: int = 3
-    stat_group: int = 16
-    salient_fraction: float = 0.08
+    bits: int = CalibSpec.bits
+    group_size: int = CalibSpec.group_size
+    tau: float = CalibSpec.tau
+    alpha: float = CalibSpec.alpha
+    stat_bits: int = CalibSpec.stat_bits
+    stat_group: int = CalibSpec.stat_group
+    salient_fraction: float = CalibSpec.salient_fraction
     n_calibration_samples: int = 128
     alpha_grid: tuple = DEFAULT_ALPHA_GRID
     seed: int = 0
@@ -124,18 +128,10 @@ class RunConfig:
         self.calib_spec()  # CalibSpec's own checks
 
     def calib_spec(self, alpha: float | None = None) -> CalibSpec:
-        backend, mode = _METHOD_TABLE[self.method]
-        return CalibSpec(
-            bits=self.bits,
-            group_size=self.group_size,
-            tau=self.tau,
-            alpha=self.alpha if alpha is None else alpha,
-            backend=backend,
-            hessian_mode=mode,
-            stat_bits=self.stat_bits,
-            stat_group=self.stat_group,
-            salient_fraction=self.salient_fraction,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(CalibSpec) if f.name != "backend"}
+        if alpha is not None:
+            shared["alpha"] = alpha
+        return CalibSpec(backend=_METHOD_TABLE[self.method][0], **shared)
 
     @staticmethod
     def from_json(path, **overrides) -> "RunConfig":
@@ -346,6 +342,7 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
     install the dequantized weights. Only the last alpha of a run `drop`s
     each layer's accumulator once it is calibrated."""
     spec = config.calib_spec(alpha)
+    hessian_mode = _METHOD_TABLE[config.method][1].value
     report = RunReport(
         config={**asdict(config), "alpha": alpha, "alpha_grid": list(config.alpha_grid)},
         seed=config.seed,
@@ -364,7 +361,7 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
             raise type(exc)(f"layer {name!r}: {exc}") from exc
         layer_tensors, layer_meta[name] = layer_to_tensors(name, layer)
         tensors.update(layer_tensors)
-        report.layer_reports.append(cal_report.to_dict())
+        report.layer_reports.append({**cal_report.to_dict(), "hessian_mode": hessian_mode})
         total_bits += layer.accounting.total_bits
         total_weights += w.size
         model.params[name] = layer.dequantize()

@@ -54,6 +54,8 @@ from .hessian import (
 
 RMS_EPS = 1e-6
 CHUNK_ROWS = 128  # token rows per stacked forward/backward; see the module docstring
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # train_tiny_lm's optimizer
+GRAD_CLIP = 1.0  # bound on the global gradient norm of a training step
 
 __all__ = [
     "ModelConfig",
@@ -93,18 +95,13 @@ class TrainConfig:
     steps: int = 1300  # the committed toy checkpoint's training run
     batch_size: int = 16
     learning_rate: float = 2e-3
-    grad_clip: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         for name in ("steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("learning_rate", "grad_clip"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -448,18 +445,14 @@ def train_tiny_lm(
         gnorm = np.sqrt(
             sum(float(np.sum((g * inv_b) ** 2)) for g in grad_sum.values())
         )
-        clip = min(1.0, train.grad_clip / max(gnorm, 1e-12))
+        clip = min(1.0, GRAD_CLIP / max(gnorm, 1e-12))
         for k in model.params:
             g = grad_sum[k] * inv_b * clip
-            m_state[k] = train.adam_beta1 * m_state[k] + (1 - train.adam_beta1) * g
-            v_state[k] = train.adam_beta2 * v_state[k] + (1 - train.adam_beta2) * (
-                g * g
-            )
-            m_hat = m_state[k] / (1 - train.adam_beta1**step)
-            v_hat = v_state[k] / (1 - train.adam_beta2**step)
-            model.params[k] -= (
-                train.learning_rate * m_hat / (np.sqrt(v_hat) + train.adam_eps)
-            )
+            m_state[k] = ADAM_BETA1 * m_state[k] + (1 - ADAM_BETA1) * g
+            v_state[k] = ADAM_BETA2 * v_state[k] + (1 - ADAM_BETA2) * (g * g)
+            m_hat = m_state[k] / (1 - ADAM_BETA1**step)
+            v_hat = v_state[k] / (1 - ADAM_BETA2**step)
+            model.params[k] -= train.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         # a running sum adds the windows' losses in batch order
         history["loss"].append(float(np.cumsum(losses)[-1] * inv_b))
     history["final_loss"] = history["loss"][-1]

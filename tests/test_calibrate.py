@@ -326,14 +326,10 @@ class TestCalibrateLayer:
             HessianMode.ADAPTIVE: make_adaptive_h(rng, 6, 8),
         }
         for backend in Backend:
-            for mode, h in hs.items():
-                spec = CalibSpec(
-                    bits=2, group_size=4, alpha=0.1, backend=backend,
-                    hessian_mode=mode,
-                )
+            for h in hs.values():
+                spec = CalibSpec(bits=2, group_size=4, alpha=0.1, backend=backend)
                 _, report = calibrate_layer(w, h, spec)
                 assert report.extra["backend"] == backend.value
-                assert report.extra["hessian_mode"] == mode.value
                 assert report.proxy_error >= -1e-9
 
     @pytest.mark.parametrize("backend", [Backend.RTN, Backend.BINARY], ids=["rtn", "binary"])
@@ -349,7 +345,7 @@ class TestCalibrateLayer:
             expected = rtn_quantize(w, 3, 4)
             expected_report = CalibReport(
                 "l", 0.0, 0, 0.0, [0.0] * 10, expected.accounting.avg_bits_per_weight,
-                alpha=0.0, tau=None, extra={"backend": "rtn", "hessian_mode": "agnostic"},
+                alpha=0.0, tau=None, extra={"backend": "rtn"},
             )
         else:
             h = make_agnostic_h(rng, 10)
@@ -359,7 +355,7 @@ class TestCalibrateLayer:
             errors = [proxy(w_hat - m, damped) for _, w_hat, _ in sweeps]
             best = int(errors[1] < errors[0])  # this layer falls back
             expected, _, norms = sweeps[best]
-            extra = {"backend": "binary", "hessian_mode": "agnostic", **plan_extra,
+            extra = {"backend": "binary", **plan_extra,
                      "plain_proxy_error": errors[1]}
             if best:
                 extra["fallback"] = "no_compensation"

@@ -158,6 +158,25 @@ def test_malformed_sidecar(setup, capsys, edit):
     assert capsys.readouterr().err.startswith("i/o failure: ")
 
 
+def test_sidecar_shape_mismatch_is_malformed(setup, capsys):
+    checkpoint, flags = setup
+    sidecar = Path(str(checkpoint) + ".json")
+    sidecar.write_text(sidecar.read_text().replace('"d_ff": 32', '"d_ff": 48'))
+    assert main(["quantize", "--checkpoint", str(checkpoint), *flags]) == 3
+    assert capsys.readouterr().err.startswith(
+        "i/o failure: blk0.mlp.fc1: checkpoint shape (32, 16) != (48, 16)"
+    )
+
+
+def test_duplicate_tensor_name_is_malformed(setup, capsys):
+    checkpoint, flags = setup
+    data = checkpoint.read_bytes()
+    assert data.count(b"param/blk0.attn.wo") == data.count(b"param/blk0.attn.wq") == 1
+    checkpoint.write_bytes(data.replace(b"param/blk0.attn.wo", b"param/blk0.attn.wq"))
+    assert main(["eval", *flags, "--eval-checkpoint", str(checkpoint)]) == 3
+    assert capsys.readouterr().err.startswith("i/o failure: ")
+
+
 REPORT_FIELDS = {"method": "RTN", "seed": 0, "config": {"alpha": 0.01},
                  "global_avg_bits": 4.0, "valid_perplexity": 3.0, "test_perplexity": 3.1}
 
@@ -201,6 +220,18 @@ def test_eval_from_config_without_out_dir(setup, tmp_path, capsys):
     )
     assert main(["eval", "--config", config, "--eval-checkpoint", str(checkpoint)]) == 0
     assert json.loads(capsys.readouterr().out)["valid_perplexity"] > 1
+
+
+def test_eval_reads_no_checkpoint_flag(setup, tmp_path, capsys):
+    """eval loads only --eval-checkpoint: it runs without --checkpoint, and a
+    --checkpoint naming no file is not read."""
+    checkpoint, flags = setup
+    assert main(["eval", *flags, "--eval-checkpoint", str(checkpoint)]) == 0
+    expected = json.loads(capsys.readouterr().out)
+    absent = ["--checkpoint", str(tmp_path / "absent.oack")]
+    assert main(["eval", *flags, *absent, "--eval-checkpoint", str(checkpoint)]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+    assert expected["valid_perplexity"] > 1
 
 
 def test_eval_of_a_stored_run_reproduces_its_report(setup, tmp_path, capsys):

@@ -173,6 +173,14 @@ def collector_config(tmp_path, method):
     )
 
 
+@pytest.mark.parametrize("method", pipeline.METHODS)
+def test_layer_reports_name_the_hessian_flavour(method, tmp_path):
+    """Each layer report echoes its method's Hessian flavour, RTN's included."""
+    report = run_quantize(collector_config(tmp_path, method)).report
+    flavour = "adaptive" if method.startswith("OAC_") else "agnostic"
+    assert [r["hessian_mode"] for r in report.layer_reports] == [flavour] * 6 * CONFIG.n_blocks
+
+
 @pytest.mark.parametrize("method, collector", COLLECTORS)
 def test_collects_once_before_calibrating(tmp_path, monkeypatch, method, collector):
     events = []

@@ -129,8 +129,7 @@ class TestPerBlockForward:
 
 @pytest.mark.parametrize(
     "field, value",
-    [("steps", 0), ("batch_size", 0), ("learning_rate", 0.0), ("grad_clip", -1.0),
-     ("learning_rate", float("nan"))],
+    [("steps", 0), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", float("nan"))],
 )
 def test_train_config_ranges(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -309,14 +308,15 @@ class TestStackedWindows:
                     grad_sum[k] += g[0]
             inv_b = 1.0 / train.batch_size
             gnorm = np.sqrt(sum(float(np.sum((g * inv_b) ** 2)) for g in grad_sum.values()))
-            clip = min(1.0, train.grad_clip / max(gnorm, 1e-12))
+            clip = min(1.0, tinylm.GRAD_CLIP / max(gnorm, 1e-12))
+            beta1, beta2 = tinylm.ADAM_BETA1, tinylm.ADAM_BETA2
             for k in model.params:
                 g = grad_sum[k] * inv_b * clip
-                m_state[k] = train.adam_beta1 * m_state[k] + (1 - train.adam_beta1) * g
-                v_state[k] = train.adam_beta2 * v_state[k] + (1 - train.adam_beta2) * (g * g)
-                m_hat = m_state[k] / (1 - train.adam_beta1**step)
-                v_hat = v_state[k] / (1 - train.adam_beta2**step)
-                model.params[k] -= train.learning_rate * m_hat / (np.sqrt(v_hat) + train.adam_eps)
+                m_state[k] = beta1 * m_state[k] + (1 - beta1) * g
+                v_state[k] = beta2 * v_state[k] + (1 - beta2) * (g * g)
+                m_hat = m_state[k] / (1 - beta1**step)
+                v_hat = v_state[k] / (1 - beta2**step)
+                model.params[k] -= train.learning_rate * m_hat / (np.sqrt(v_hat) + tinylm.ADAM_EPS)
         for k, value in model.params.items():
             np.testing.assert_array_equal(trained.params[k], value)
 
