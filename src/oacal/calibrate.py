@@ -171,7 +171,11 @@ def detect_outliers(w, naive, inv_diag: np.ndarray, spec: CalibSpec) -> np.ndarr
 
 def _prepare(w, h, spec: CalibSpec):
     """The layer, its damped Hessian, diag(H^-1) and the one factorization:
-    the upper factor U of H^-1 = U.T @ U, whose column sums of U^2 are diag(H^-1)."""
+    the upper factor U of H^-1 = U.T @ U, whose column sums of U^2 are diag(H^-1).
+
+    `h` is damped in place (see `calibrate_layer`). diag(H^-1) adds U's rows
+    in order, the order a sum over axis 0 of U^2 takes, without forming U^2.
+    """
     m = as_matrix(w)
     sym = as_sym_matrix(h)
     if sym.shape[0] != m.shape[1]:
@@ -180,7 +184,9 @@ def _prepare(w, h, spec: CalibSpec):
         )
     damped = regularize(sym, spec.alpha)
     upper = inverse_upper_factor(damped)
-    inv_diag = np.sum(upper**2, axis=0)
+    inv_diag = np.zeros(upper.shape[1])
+    for row in upper:
+        inv_diag += row * row
     if np.any(inv_diag <= 0.0):
         raise NonPositiveDiagonal("inverse diagonal not strictly positive")
     return m, damped, inv_diag, upper
@@ -247,6 +253,11 @@ def calibrate_layer(
     rounding on adversarial layers. The report gives the plain sweep's error
     as `plain_proxy_error` and marks a fallback as `fallback`. For OPTQ the
     plain sweep is exactly `rtn_quantize`.
+
+    The caller hands `h` over: a float64 `h` is damped in place
+    (`hessian.regularize`), so no second d x d copy lives next to it. A
+    caller that reads `h` afterwards passes a copy. The pipeline's `h` comes
+    fresh from `hessian.finalize` for each layer.
     """
     if spec.backend is Backend.RTN:
         layer = rtn_quantize(w, spec.bits, spec.group_size)

@@ -39,10 +39,17 @@ def _flag(name: str) -> str:
     return "--out" if name == "out_dir" else "--" + name.replace("_", "-")
 
 
-def _flag_fields():
-    """The RunConfig fields a run flag sets: all but `CONFIG_ONLY`."""
+# the only settings eval reads, besides --eval-checkpoint
+_EVAL_FIELDS = ("corpus_train", "corpus_valid", "corpus_test")
+
+
+def _flag_fields(command: str):
+    """The RunConfig fields a run command's flags set: eval's corpora, or
+    all but `CONFIG_ONLY`."""
     from .pipeline import CONFIG_ONLY, RunConfig
 
+    if command == "eval":
+        return [f for f in fields(RunConfig) if f.name in _EVAL_FIELDS]
     return [f for f in fields(RunConfig) if f.name not in CONFIG_ONLY]
 
 
@@ -62,7 +69,7 @@ def _build_parser() -> _Parser:
     for command, text in _RUN_COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config; flags override fields")
-        for f in _flag_fields():
+        for f in _flag_fields(command):
             p.add_argument(_flag(f.name), dest=f.name, type=_TYPES[f.type])
         if command == "eval":
             p.add_argument("--eval-checkpoint", required=True)
@@ -81,13 +88,12 @@ def _build_parser() -> _Parser:
 
 def _run_config(args) -> "RunConfig":
     """The run's settings, from `--config` overridden by the flags given, with
-    every input path checked. eval reads only the corpora and
-    `--eval-checkpoint` and writes nothing, so it fills in the rest."""
+    every input path checked."""
     from .pipeline import RunConfig
 
-    overrides = {f.name: getattr(args, f.name) for f in _flag_fields()}
+    overrides = {f.name: getattr(args, f.name) for f in _flag_fields(args.command)}
     if args.command == "eval":
-        overrides.update(checkpoint=args.eval_checkpoint, out_dir="runs/out")
+        return _eval_config(args, overrides)
     required = [f.name for f in fields(RunConfig) if f.default is MISSING]
     if args.config:
         config = RunConfig.from_json(args.config, **overrides)
@@ -96,11 +102,31 @@ def _run_config(args) -> "RunConfig":
         if missing:
             raise ConfigError(f"missing required settings (no --config): {missing}")
         config = RunConfig(**{k: v for k, v in overrides.items() if v is not None})
-    for name in required:  # each but out_dir names an input file
-        path = getattr(config, name)
-        if name != "out_dir" and not Path(path).exists():
-            raise FileNotFoundError(f"{name} path does not exist: {path}")
+    # each required setting but out_dir names an input file
+    _check_inputs({name: getattr(config, name) for name in required if name != "out_dir"})
     return config
+
+
+def _eval_config(args, corpora: dict) -> "RunConfig":
+    """eval's settings: `--eval-checkpoint` and the corpora, from `--config`
+    overridden by the flags given, each path checked. eval reads nothing
+    else and writes nothing, so every other setting keeps its default."""
+    from .pipeline import RunConfig, read_config
+
+    settings = read_config(args.config) if args.config else {}
+    corpora = {k: settings.get(k) if v is None else v for k, v in corpora.items()}
+    missing = [k for k, v in corpora.items() if v is None]
+    if missing:
+        raise ConfigError(f"missing required settings: {missing}")
+    config = RunConfig(checkpoint=args.eval_checkpoint, out_dir="", **corpora)
+    _check_inputs({"eval-checkpoint": args.eval_checkpoint, **corpora})
+    return config
+
+
+def _check_inputs(paths: dict) -> None:
+    for name, path in paths.items():
+        if not Path(path).exists():
+            raise FileNotFoundError(f"{name} path does not exist: {path}")
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,10 @@ Two Hessian flavours share one accumulator type:
               temporary per batch.
 * adaptive  - running sum of per-window gradient Grams G^T G, each added as
               X^T (dY dY^T) X from the factors of G = dY^T X (layer input X,
-              T x d_col; output gradient dY, T x d_row), never forming G
+              T x d_col; output gradient dY, T x d_row), never forming G.
+              The last product is one general matrix multiply (gemm) that
+              adds into the sum in place, so no d x d temporary is
+              allocated per window either.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from .linalg import as_matrix, as_sym_matrix, require_finite, symmetrize
 # after .linalg, which imports scipy.linalg first: importing it from here
 # instead loads the same modules in another order and measured about 10 ms
 # more CPU time per process start
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemm, dsyrk
 
 __all__ = [
     "HessianMode",
@@ -85,12 +88,17 @@ def accumulate_adaptive(acc: HessianAccumulator, x, dy) -> None:
     Accurate to the magnitudes summed, elementwise A^T A with A = |dy|^T |x|,
     not to the result: where dy^T x cancels, an entry carries more relative
     error than the explicit G^T G would.
+
+    As in the agnostic fold, `acc.sum.T` is a Fortran-ordered view, so dgemm
+    adds `b^T x` (with b = (dy dy^T) x) to it where it lies: the same
+    product, with the same operand roles, that `x.T @ b` hands to BLAS.
     """
     if acc.mode is not HessianMode.ADAPTIVE:
         raise DimMismatch("accumulator mode is not adaptive")
     x = as_matrix(x, cols=acc.dim)
     dy = as_matrix(dy, rows=x.shape[0])
-    acc.sum += x.T @ ((dy @ dy.T) @ x)
+    b = (dy @ dy.T) @ x
+    dgemm(1.0, b.T, x.T, beta=1.0, c=acc.sum.T, trans_b=1, overwrite_c=1)
     acc.n_samples += 1
 
 
@@ -111,10 +119,11 @@ def finalize(acc: HessianAccumulator) -> np.ndarray:
 
 
 def regularize(h, alpha: float) -> np.ndarray:
-    """Add alpha * mean(diag(h)) to every diagonal entry; alpha finite and >= 0."""
+    """Add alpha * mean(diag(h)) to every diagonal entry of h, in place, and
+    return h; alpha finite and >= 0. Only input that is not a float64 array
+    is damped in a new one. Pass a copy to keep h."""
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
     sym = as_sym_matrix(h)
-    out = sym.copy()
-    out[np.diag_indices_from(out)] += alpha * float(np.mean(np.diag(sym)))
-    return out
+    sym[np.diag_indices_from(sym)] += alpha * float(np.mean(np.diag(sym)))
+    return sym

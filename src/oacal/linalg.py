@@ -1,8 +1,9 @@
 """Dense float64 linear algebra used by the calibration engine.
 
-All matrices are row-major numpy float64 arrays. Symmetric matrices are
-stored dense and symmetrized exactly on construction; every public
-operation validates finiteness on the way in and out.
+All matrices are numpy float64 arrays, validated where they lie: a float64
+view is checked, not copied. Symmetric matrices are stored dense and
+symmetrized exactly on construction; every public operation validates
+finiteness on the way in and out.
 """
 from __future__ import annotations
 
@@ -29,8 +30,9 @@ def require_finite(a: np.ndarray, what: str = "array") -> np.ndarray:
 
 
 def as_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate and return a 2-D float64 row-major matrix."""
-    m = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    """Validate and return a 2-D float64 matrix: a float64 array (or view)
+    as it is, anything else converted."""
+    m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise DimMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
     if rows is not None and m.shape[0] != rows:
@@ -100,9 +102,14 @@ def inverse_upper_factor(h) -> np.ndarray:
     restricted matrix satisfies inv_qq == U[q,q]**2 and inv[q, k] == U[q,q]*U[q,k].
     The diagonal of the full inverse is diag(inverse(h))[k] == sum_q U[q,k]**2,
     the column sums of U**2, so no second inverse is needed to read it.
+
+    `h` is factorized through a reversed view, and the result is a reversed
+    view of dtrtri's output (its Fortran-ordered copy of the factor,
+    inverted in place). Beyond `h`, no d x d array is made but the factor,
+    that copy and LAPACK's work copy in the Cholesky.
     """
     lower = cholesky(as_matrix(h)[::-1, ::-1])
     inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse failed (info={info})")
-    return require_finite(np.ascontiguousarray(inv[::-1, ::-1]), "inverse factor")
+    return require_finite(inv[::-1, ::-1], "inverse factor")

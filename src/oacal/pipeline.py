@@ -11,10 +11,13 @@ layer the partly quantized model's inputs; here both flavours share one
 collection rule, so an OAC-versus-baseline comparison changes only the
 Hessian. RTN needs no Hessian and skips phase 1. Phase 2 calibrates every
 layer, front to back, through one `calibrate_layer` call whatever the
-method, and installs the dequantized weights. Collection and calibration
-run in float64; eval (`tinylm.perplexity`) runs its forwards in float32 and
-sums the per-window losses in float64, and checkpoints store float32.
-Everything numeric that affects the output is echoed into the JSON report.
+method, and installs the dequantized weights. Collection runs in float64,
+on the checkpoint's float32 values widened. After it the model holds
+float32 parameters: calibration widens one layer at a time to float64 and
+installs the dequantized layer as float32, which is what eval
+(`tinylm.perplexity`, float32 forwards, float64 loss sums) reads and what
+checkpoints store. Everything numeric that affects the output is echoed
+into the JSON report.
 
 The Hessians do not depend on the damping, so an alpha sweep is one
 `run_quantize` call that collects once and test-evaluates only its winner.
@@ -67,6 +70,7 @@ __all__ = [
     "DEFAULT_ALPHA_GRID",
     "CONFIG_ONLY",
     "RunConfig",
+    "read_config",
     "RunReport",
     "QuantizedRun",
     "run_quantize",
@@ -135,10 +139,7 @@ class RunConfig:
 
     @staticmethod
     def from_json(path, **overrides) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path}: expected a JSON object")
+        data = read_config(path)
         data.update({k: v for k, v in overrides.items() if v is not None})
         try:
             if "alpha_grid" in data:
@@ -146,6 +147,15 @@ class RunConfig:
             return RunConfig(**data)
         except TypeError as exc:  # unknown or missing keys, a scalar grid
             raise ConfigError(f"config {path}: {exc}") from exc
+
+
+def read_config(path) -> dict:
+    """The settings a JSON config file holds, unchecked."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
+    return data
 
 
 def _has_type(value, annotation: str) -> bool:
@@ -278,6 +288,13 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     A failed collection raises, and so does a failed alpha when `alphas` is
     None; a grid records a failed alpha and skips it, and raises ConfigError
     when none succeeds.
+
+    Memory: the collection runs on the checkpoint widened to float64, and
+    the model is narrowed back to its float32 values as soon as it is done.
+    Each layer's Hessian is finalized into a fresh array that
+    `calibrate_layer` owns and damps in place. On the last alpha each
+    accumulator leaves `accs` before its Hessian is finalized, so it is
+    freed before the layer is factorized.
     """
     t_start = time.perf_counter()
     model = load_checkpoint(config.checkpoint)
@@ -295,6 +312,7 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
         adaptive = mode is HessianMode.ADAPTIVE
         collect = harvest_block_gradients if adaptive else collect_agnostic_accumulators
         accs = collect(model, samples)
+    model = _float32(model)
     phase1 = time.perf_counter() - t0
     collected_s = time.perf_counter() - t_start
     grid = [config.alpha] if alphas is None else sorted(float(a) for a in alphas)
@@ -303,7 +321,7 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     for i, alpha in enumerate(grid):
         t_alpha = time.perf_counter()
         if i:  # the first alpha installs into the model the collection ran on
-            model = load_checkpoint(config.checkpoint)
+            model = _float32(load_checkpoint(config.checkpoint))
         t0 = time.perf_counter()
         try:
             run = _calibrate(config, alpha, model, accs, drop=i == len(grid) - 1)
@@ -337,10 +355,21 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     return best
 
 
+def _float32(model: TinyLM) -> TinyLM:
+    """The model on its parameters' float32 values: exact for a checkpoint's."""
+    return TinyLM(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
+
+
 def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool) -> QuantizedRun:
-    """Calibrate every block layer of `model` front to back at `alpha` and
-    install the dequantized weights. Only the last alpha of a run `drop`s
-    each layer's accumulator once it is calibrated."""
+    """Calibrate every block layer of the float32 `model` front to back at
+    `alpha` and install the dequantized weights as float32.
+
+    Each layer is widened to float64 for its calibration alone, which is
+    exact. Only the last alpha of a run `drop`s each layer's accumulator:
+    it is taken out of `accs` before its Hessian is finalized, so that no
+    later reader keeps it alive through the factorization; an accumulator
+    shared by several layers goes with the last of them.
+    """
     spec = config.calib_spec(alpha)
     hessian_mode = _METHOD_TABLE[config.method][1].value
     report = RunReport(
@@ -353,9 +382,11 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
     total_bits = 0.0
     total_weights = 0
     for name in quantizable_layers(model):
-        w = model.params[name]
+        w = model.params[name].astype(np.float64)
         try:
-            h = finalize(accs[name]) if spec.backend is not Backend.RTN else None
+            h = None
+            if spec.backend is not Backend.RTN:
+                h = finalize(accs.pop(name) if drop else accs[name])
             layer, cal_report = calibrate_layer(w, h, spec, name)
         except OacalError as exc:  # keep the type the CLI maps to an exit code
             raise type(exc)(f"layer {name!r}: {exc}") from exc
@@ -364,9 +395,7 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
         report.layer_reports.append({**cal_report.to_dict(), "hessian_mode": hessian_mode})
         total_bits += layer.accounting.total_bits
         total_weights += w.size
-        model.params[name] = layer.dequantize()
-        if drop:  # no later layer or alpha reads this layer's accumulator
-            accs.pop(name, None)
+        model.params[name] = layer.dequantize().astype(np.float32)
     report.global_avg_bits = total_bits / total_weights
     return QuantizedRun(model, report, tensors, layer_meta, {})
 

@@ -5,8 +5,10 @@ of single-head attention plus a tanh MLP) so that exact per-window gradients
 are cheap: they feed the adaptive Hessian accumulators, and every derivative
 is checked against finite differences in the tests. Both Hessian collectors
 read every block layer from whole-model passes of the model as given: the
-agnostic one folds the layer inputs of one forward through the blocks, the
-adaptive harvest the factor pairs of one forward and one backward.
+agnostic one folds each block's layer inputs right after the block's
+forward, the adaptive harvest each block's factor pairs as one backward
+reaches the block. Each drops a block's cache once it is folded, and the
+harvest's backward stops after block 0's pairs.
 
 Training, the harvest and the agnostic collector run in float64. Eval
 (`perplexity`) runs its forwards in float32, on the parameters' float32
@@ -17,16 +19,18 @@ Every model function takes a stack of windows: token ids (B, T) and
 activations (B, T, d). `lm_backward` returns each linear layer's gradient
 factors, input X (B, T, d_in) and output gradient dY (B, T, d_out), not its
 weight gradient dY^T X: training forms those and sums them over axis 0, and
-the adaptive harvest folds each window's G^T G from its pair in window
-order, so all sums equal a one-window loop bit for bit. Activations are row
+the adaptive harvest folds each window's G^T G, in window order, from the
+pairs the same per-block backward (`_block_backward`) yields, so all sums
+equal a one-window loop bit for bit. Activations are row
 vectors; a linear layer with weight W (d_out x d_in) computes x @ W.T, so
 W's columns line up with the layer's input dimension.
 
 Eval, the harvest and the agnostic collector run CHUNK_ROWS token rows at a
 time: 2 windows of the toy's 64 positions, 1 of the M shape's 128. Peak RSS
 (one BLAS thread) after the toy OAC_OPTQ harvest of 128 windows is
-65/68/73/82 MiB at 64/128/256/512 rows; at 256 rows the toy alpha sweep's
-peak rose 3% (71.1 to 73.2 MiB) and its CPU time did not fall.
+64/67/70/76 MiB at 64/128/256/512 rows; at 256 rows the toy alpha sweep's
+peak rose 3% (67.8 to 70.1 MiB) and its CPU time did not fall (medians of
+four alternated runs: 1.86 s at 128 rows, 1.95 s at 256).
 """
 from __future__ import annotations
 
@@ -224,18 +228,12 @@ def _head_forward(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, dict]:
     return probs, dict(final_in=x, r_final=rf, final_norm=f, logits=logits, probs=probs)
 
 
-def _blocks_forward(model: TinyLM, ids: np.ndarray) -> tuple[np.ndarray, dict]:
-    """The last block's output (B, T, d) for checked (B, T) ids, and each block's cache."""
-    x, blocks = embed_windows(model, ids), {}
-    for b in range(model.config.n_blocks):
-        x, blocks[b] = block_forward(model, b, x)
-    return x, blocks
-
-
 def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
     """Next-token probabilities (B, T, vocab) of (B, T) ids plus the backward cache."""
     ids = _check_ids(model, ids)
-    x, blocks = _blocks_forward(model, ids)
+    x, blocks = embed_windows(model, ids), {}
+    for b in range(model.config.n_blocks):
+        x, blocks[b] = block_forward(model, b, x)
     probs, cache = _head_forward(model, x)
     cache.update(ids=ids, blocks=blocks)
     return probs, cache
@@ -262,46 +260,64 @@ def lm_backward(model: TinyLM, cache: dict) -> dict[str, tuple[np.ndarray, np.nd
     "embed" maps to the ids (B, T) and the embedded rows' gradient (B, T, d).
     Backpropagation always runs from the head through every block.
     """
-    p = model.params
+    dlogits, dx = _head_backward(model, cache)
+    factors = {"head": (cache["final_norm"], dlogits)}
+    for b in reversed(cache["blocks"]):
+        blk = cache["blocks"][b]
+        pairs = _block_backward(model, b, blk, dx)
+        factors.update(pairs)
+        dx = _block_input_grad(model, b, blk, pairs)
+    factors["embed"] = (cache["ids"], dx)
+    return factors
+
+
+def _head_backward(model: TinyLM, cache: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The logits' gradient and the gradient of the last block's output."""
     ids = cache["ids"]
     n, t = ids.shape
-
     n_pred = t - 1
     dlogits = cache["probs"].copy()
     dlogits[np.arange(n)[:, None], np.arange(n_pred), ids[:, 1:]] -= 1.0
     dlogits[:, :n_pred] /= n_pred
     dlogits[:, n_pred:] = 0.0
+    dx = _rms_backward(dlogits @ model.params["head"], cache["final_in"], cache["r_final"])
+    return dlogits, dx
 
-    factors = {"head": (cache["final_norm"], dlogits)}
-    dx = _rms_backward(dlogits @ p["head"], cache["final_in"], cache["r_final"])
 
+def _block_backward(model: TinyLM, block: int, blk: dict, dx: np.ndarray) -> dict:
+    """Factor pairs (X, dY) of a block's six layers, in `_LAYER_INPUTS` order,
+    from its cache and the gradient dx of its output."""
+    p = model.params
+    base = f"blk{block}"
     scale = 1.0 / np.sqrt(model.config.d_model)
-    for b in reversed(cache["blocks"]):
-        blk = cache["blocks"][b]
-        base = f"blk{b}"
 
-        # MLP half: x_out = x_mid + tanh(m_in @ W1.T) @ W2.T
-        dh_act = dx @ p[f"{base}.mlp.fc2"]
-        dh_pre = dh_act * (1.0 - blk["mlp_act"] ** 2)
-        dm_in = dh_pre @ p[f"{base}.mlp.fc1"]
-        dx_mid = dx + _rms_backward(dm_in, blk["x_mid"], blk["r_mlp"])
+    # MLP half: x_out = x_mid + tanh(m_in @ W1.T) @ W2.T
+    dh_act = dx @ p[f"{base}.mlp.fc2"]
+    dh_pre = dh_act * (1.0 - blk["mlp_act"] ** 2)
+    dm_in = dh_pre @ p[f"{base}.mlp.fc1"]
+    dx_mid = dx + _rms_backward(dm_in, blk["x_mid"], blk["r_mlp"])
 
-        # attention half: x_mid = x_in + (att @ v) @ Wo.T
-        dmix = dx_mid @ p[f"{base}.attn.wo"]
-        datt = dmix @ blk["v"].swapaxes(1, 2)
-        dv = blk["att"].swapaxes(1, 2) @ dmix
-        att = blk["att"]
-        dlogit_att = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
-        dq = dlogit_att @ blk["k"] * scale
-        dk = dlogit_att.swapaxes(1, 2) @ blk["q"] * scale
-        # output gradients in _LAYER_INPUTS order
-        for (layer, source), dy in zip(_LAYER_INPUTS.items(), (dq, dk, dv, dx_mid, dh_pre, dx)):
-            factors[f"{base}.{layer}"] = (blk[source], dy)
-        da = dq @ p[f"{base}.attn.wq"] + dk @ p[f"{base}.attn.wk"] + dv @ p[f"{base}.attn.wv"]
-        dx = dx_mid + _rms_backward(da, blk["x_in"], blk["r_attn"])
+    # attention half: x_mid = x_in + (att @ v) @ Wo.T
+    dmix = dx_mid @ p[f"{base}.attn.wo"]
+    datt = dmix @ blk["v"].swapaxes(1, 2)
+    dv = blk["att"].swapaxes(1, 2) @ dmix
+    att = blk["att"]
+    dlogit_att = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
+    dq = dlogit_att @ blk["k"] * scale
+    dk = dlogit_att.swapaxes(1, 2) @ blk["q"] * scale
+    return {
+        f"{base}.{layer}": (blk[source], dy)
+        for (layer, source), dy in zip(_LAYER_INPUTS.items(), (dq, dk, dv, dx_mid, dh_pre, dx))
+    }
 
-    factors["embed"] = (ids, dx)
-    return factors
+
+def _block_input_grad(model: TinyLM, block: int, blk: dict, pairs: dict) -> np.ndarray:
+    """The gradient of a block's input, from its cache and `_block_backward`'s pairs."""
+    p = model.params
+    base = f"blk{block}"
+    dq, dk, dv, dx_mid = (pairs[f"{base}.attn.{w}"][1] for w in ("wq", "wk", "wv", "wo"))
+    da = dq @ p[f"{base}.attn.wq"] + dk @ p[f"{base}.attn.wk"] + dv @ p[f"{base}.attn.wv"]
+    return dx_mid + _rms_backward(da, blk["x_in"], blk["r_attn"])
 
 
 def _chunks(n_windows: int, t: int):
@@ -333,11 +349,14 @@ def embed_windows(model: TinyLM, ids: np.ndarray) -> np.ndarray:
 def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
     """Adaptive Hessian accumulators for every block layer, in one pass.
 
-    Each chunk of (N, T) token-id windows runs one `lm_forward` and one full
-    `lm_backward` of `model` as given; every window then adds its own G^T G
-    to each block layer's accumulator from its factor pair, in window order.
-    The pipeline passes the unquantized checkpoint, so no layer's Hessian
-    sees the quantization of the blocks before it.
+    Each chunk of (N, T) token-id windows runs one `lm_forward` of `model` as
+    given and backpropagates from the head, one block at a time, last block
+    first. As soon as a block's factor pairs exist, every window adds its
+    own G^T G to each of the block's layer accumulators, in window order,
+    and the block's forward cache is dropped. The backward stops after
+    block 0's pairs: the gradient of block 0's input is never formed. The
+    pipeline passes the unquantized checkpoint, so no layer's Hessian sees
+    the quantization of the blocks before it.
     """
     ids = _check_ids(model, windows)
     accs = {
@@ -345,12 +364,19 @@ def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumula
         for name in quantizable_layers(model)
     }
     for rows in _chunks(*ids.shape):
-        # the forward cache dies with the backward, not at the next chunk
-        factors = lm_backward(model, lm_forward(model, ids[rows])[1])
-        for name, acc in accs.items():
-            for x_i, dy_i in zip(*factors[name]):
-                accumulate_adaptive(acc, x_i, dy_i)
-        del factors  # they hold the cache's arrays
+        cache = lm_forward(model, ids[rows])[1]
+        blocks = cache.pop("blocks")
+        dx = _head_backward(model, cache)[1]
+        del cache
+        for b in reversed(range(model.config.n_blocks)):
+            blk = blocks.pop(b)
+            pairs = _block_backward(model, b, blk, dx)
+            for name, (xs, dys) in pairs.items():
+                for x_i, dy_i in zip(xs, dys):
+                    accumulate_adaptive(accs[name], x_i, dy_i)
+            if b:
+                dx = _block_input_grad(model, b, blk, pairs)
+            del blk, pairs  # they hold this block's cache
     return accs
 
 
@@ -358,34 +384,39 @@ def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAc
     """Input-outer-product accumulators for every block layer, in one pass.
 
     Each chunk of (N, T) token-id windows runs the embedding and every block
-    of `model` as given, but not the head; every position of a block layer's
-    cached input then adds one x x^T, one window at a time in window order.
-    The layers of a block that read the same input share one accumulator.
+    of `model` as given, but not the head. Right after a block's forward,
+    every position of each of its layers' cached inputs adds one x x^T, one
+    window at a time in window order, and the block's cache is dropped. The
+    layers of a block that read the same input share one accumulator.
     """
     ids = _check_ids(model, windows)
-    reads = {
-        name: (b, source)
-        for b in range(model.config.n_blocks)
-        for name, source in layer_input_name_map(b).items()
-    }
-    by_input = {}
-    for name, key in reads.items():
-        if key not in by_input:
-            by_input[key] = HessianAccumulator(model.params[name].shape[1], HessianMode.AGNOSTIC)
+    by_block = [{} for _ in range(model.config.n_blocks)]
+    accs = {}
+    for b, by_input in enumerate(by_block):
+        for name, source in layer_input_name_map(b).items():
+            if source not in by_input:
+                by_input[source] = HessianAccumulator(
+                    model.params[name].shape[1], HessianMode.AGNOSTIC
+                )
+            accs[name] = by_input[source]
     for rows in _chunks(*ids.shape):
-        blocks = _blocks_forward(model, ids[rows])[1]
-        for (b, source), acc in by_input.items():
-            for x in blocks[b][source]:
-                accumulate_agnostic_batch(acc, x)
-    return {name: by_input[key] for name, key in reads.items()}
+        x = embed_windows(model, ids[rows])
+        for b, by_input in enumerate(by_block):
+            x, blk = block_forward(model, b, x)
+            for source, acc in by_input.items():
+                for x_i in blk[source]:
+                    accumulate_agnostic_batch(acc, x_i)
+            del blk
+    return accs
 
 
 def perplexity(model: TinyLM, tokens) -> float:
     """exp(mean next-token cross-entropy) over non-overlapping windows.
 
-    The forwards run in float32, on a float32 copy of the parameters made
-    once per call, which rounds them as `save_checkpoint` does. Each
-    window's loss and their running sum are float64.
+    The forwards run in float32, on the parameters' float32 values, which
+    round them as `save_checkpoint` does: float32 parameters are read as
+    they are, wider ones are copied once per call. Each window's loss and
+    their running sum are float64.
     """
     cfg = model.config
     ctx = cfg.context_length
@@ -393,7 +424,7 @@ def perplexity(model: TinyLM, tokens) -> float:
     if ids.ndim != 1 or ids.shape[0] <= ctx:
         raise DimMismatch("need a 1-D eval token stream longer than one context window")
     windows = ids[: ids.shape[0] // ctx * ctx].reshape(-1, ctx)
-    f32 = TinyLM(cfg, {k: v.astype(np.float32) for k, v in model.params.items()})
+    f32 = TinyLM(cfg, {k: v.astype(np.float32, copy=False) for k, v in model.params.items()})
     losses = np.concatenate(
         [lm_forward_loss(f32, windows[rows])[0] for rows in _chunks(*windows.shape)]
     )

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestCalibrateLayer:
             else:
                 h = make_adaptive_h(rng, 16, 16)
             spec = CalibSpec(bits=2, group_size=8, alpha=0.1, backend=Backend.OPTQ)
-            layer, report = calibrate_layer(w, h, spec)
+            layer, report = calibrate_layer(w, h.copy(), spec)
             damped = regularize(h, spec.alpha)
             rtn_delta = rtn_quantize(w, 2, 8).dequantize() - w
             assert report.proxy_error <= proxy(rtn_delta, damped) + 1e-9
@@ -263,7 +264,7 @@ class TestCalibrateLayer:
                 oacal.calibrate, "_sweep",
                 lambda work, upper, _, codec: sweep(work, upper, block_size, codec),
             )
-            return calibrate_layer(w, h, spec)[0].dequantize()
+            return calibrate_layer(w, h.copy(), spec)[0].dequantize()
 
         out1 = calibrated(1)
         for bs in (4, 8, 24, 100):
@@ -312,7 +313,7 @@ class TestCalibrateLayer:
         w = rng.standard_normal((8, 16))
         h = make_agnostic_h(rng, 16)
         spec = CalibSpec(bits=2, group_size=8, alpha=0.1, backend=Backend.SPQR)
-        a, _ = calibrate_layer(w, h, spec)
+        a, _ = calibrate_layer(w, h.copy(), spec)
         b, _ = calibrate_layer(w, h, spec)
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.scales, b.scales)
@@ -328,7 +329,7 @@ class TestCalibrateLayer:
         for backend in Backend:
             for h in hs.values():
                 spec = CalibSpec(bits=2, group_size=4, alpha=0.1, backend=backend)
-                _, report = calibrate_layer(w, h, spec)
+                _, report = calibrate_layer(w, h.copy(), spec)
                 assert report.extra["backend"] == backend.value
                 assert report.proxy_error >= -1e-9
 
@@ -349,7 +350,7 @@ class TestCalibrateLayer:
             )
         else:
             h = make_agnostic_h(rng, 10)
-            m, damped, inv_diag, upper = oacal.calibrate._prepare(w, h, spec)
+            m, damped, inv_diag, upper = oacal.calibrate._prepare(w, h.copy(), spec)
             quantize, plan_extra = calibrate_layer_binary(m, inv_diag, spec)
             sweeps = [quantize(upper), quantize(None)]
             errors = [proxy(w_hat - m, damped) for _, w_hat, _ in sweeps]
@@ -445,7 +446,7 @@ class TestOneFactorizationPerLayer:
         w = rng.standard_normal((12, 16))
         h = make_agnostic_h(rng, 16)
         spec = CalibSpec(alpha=0.1, backend=Backend.BINARY)
-        _, with_comp = calibrate_layer(w, h, spec, guard=False)
+        _, with_comp = calibrate_layer(w, h.copy(), spec, guard=False)
         factorizations = self.count_calls(monkeypatch, "inverse_upper_factor")
         searches = self.count_calls(monkeypatch, "splitting_search")
         _, guarded = calibrate_layer(w, h, spec)
@@ -468,6 +469,36 @@ class TestOneFactorizationPerLayer:
         assert len(rtns) == 1
 
 
+class TestHessianHandover:
+    """`calibrate_layer` damps the Hessian it is given in place and makes no
+    more than about two more d x d arrays: the Cholesky factor and its
+    triangular inverse."""
+
+    def test_damps_the_given_hessian_in_place(self):
+        rng = np.random.default_rng(68)
+        w = rng.standard_normal((6, 8))
+        h = make_agnostic_h(rng, 8)
+        expected = regularize(h.copy(), 0.1)
+        calibrate_layer(w, h, CalibSpec(alpha=0.1))
+        assert h.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "backend", [Backend.OPTQ, Backend.SPQR, Backend.BINARY], ids=["optq", "spqr", "binary"]
+    )
+    def test_temporaries_stay_under_two_and_a_quarter_hessians(self, backend):
+        d = 512
+        rng = np.random.default_rng(69)
+        w = rng.standard_normal((16, d))
+        h = make_agnostic_h(rng, d, n=2 * d)
+        tracemalloc.start()
+        try:
+            calibrate_layer(w, h, CalibSpec(backend=backend))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * d * d * np.dtype(np.float64).itemsize
+
+
 class TestGuard:
     """One guard rule for every Hessian backend: the plan's codec swept
     without compensation, kept when its damped proxy error is lower."""
@@ -488,7 +519,7 @@ class TestGuard:
         for trial in range(150):
             w, h, group = self.draw(rng)
             spec = CalibSpec(bits=int(rng.integers(1, 9)), group_size=group, alpha=0.1)
-            m, damped, inv_diag, _ = oacal.calibrate._prepare(w, h, spec)
+            m, damped, inv_diag, _ = oacal.calibrate._prepare(w, h.copy(), spec)
             quantize, _ = oacal.calibrate._affine_plan(m, inv_diag, spec)
             plain, w_hat, norms = quantize(None)
             ref = rtn_quantize(w, spec.bits, group)
@@ -510,7 +541,7 @@ class TestGuard:
             h = make_agnostic_h(rng, 8, n=12)
             spec = CalibSpec(bits=2, group_size=4, alpha=(0.0, 0.01, 0.1)[trial % 3],
                              backend=backend)
-            _, compensated = calibrate_layer(w, h, spec, guard=False)
+            _, compensated = calibrate_layer(w, h.copy(), spec, guard=False)
             _, guarded = calibrate_layer(w, h, spec)
             plain = guarded.extra["plain_proxy_error"]
             assert guarded.proxy_error == min(compensated.proxy_error, plain)
@@ -527,7 +558,7 @@ class TestGuard:
             w = rng.standard_normal((6, 8))
             h = make_agnostic_h(rng, 8, n=12)
             spec = CalibSpec(bits=2, group_size=4, alpha=0.01, backend=Backend.SPQR)
-            layer, report = calibrate_layer(w, h, spec)
+            layer, report = calibrate_layer(w, h.copy(), spec)
             if "fallback" in report.extra and layer.outliers:
                 break
         else:

@@ -36,6 +36,12 @@ def setup(tmp_path):
     return checkpoint, flags
 
 
+def corpus_flags(flags: list[str]) -> list[str]:
+    """The corpus flags among `setup`'s: eval's only flags besides its checkpoint."""
+    pairs = zip(flags[::2], flags[1::2])
+    return [item for pair in pairs if pair[0].startswith("--corpus-") for item in pair]
+
+
 def write_config(path: Path, data) -> str:
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
@@ -173,7 +179,7 @@ def test_duplicate_tensor_name_is_malformed(setup, capsys):
     data = checkpoint.read_bytes()
     assert data.count(b"param/blk0.attn.wo") == data.count(b"param/blk0.attn.wq") == 1
     checkpoint.write_bytes(data.replace(b"param/blk0.attn.wo", b"param/blk0.attn.wq"))
-    assert main(["eval", *flags, "--eval-checkpoint", str(checkpoint)]) == 3
+    assert main(["eval", *corpus_flags(flags), "--eval-checkpoint", str(checkpoint)]) == 3
     assert capsys.readouterr().err.startswith("i/o failure: ")
 
 
@@ -223,15 +229,50 @@ def test_eval_from_config_without_out_dir(setup, tmp_path, capsys):
 
 
 def test_eval_reads_no_checkpoint_flag(setup, tmp_path, capsys):
-    """eval loads only --eval-checkpoint: it runs without --checkpoint, and a
-    --checkpoint naming no file is not read."""
+    """eval loads only --eval-checkpoint: it runs on the corpus flags alone,
+    and offers no --checkpoint flag."""
     checkpoint, flags = setup
-    assert main(["eval", *flags, "--eval-checkpoint", str(checkpoint)]) == 0
-    expected = json.loads(capsys.readouterr().out)
+    corpora = corpus_flags(flags)
+    assert main(["eval", *corpora, "--eval-checkpoint", str(checkpoint)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid_perplexity"] > 1
     absent = ["--checkpoint", str(tmp_path / "absent.oack")]
-    assert main(["eval", *flags, *absent, "--eval-checkpoint", str(checkpoint)]) == 0
-    assert json.loads(capsys.readouterr().out) == expected
-    assert expected["valid_perplexity"] > 1
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", *corpora, *absent, "--eval-checkpoint", str(checkpoint)])
+    assert exit_.value.code == 1
+    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err
+
+
+def test_eval_offers_no_calibration_flag(setup, capsys):
+    """A setting eval never reads is not an eval flag: --bits 9 is unknown
+    to it, not out of range."""
+    checkpoint, flags = setup
+    argv = ["eval", *corpus_flags(flags), "--bits", "9", "--eval-checkpoint", str(checkpoint)]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    assert "error: unrecognized arguments: --bits 9" in capsys.readouterr().err
+
+
+def test_eval_ignores_the_settings_it_does_not_read(setup, tmp_path, capsys):
+    """eval takes only the corpora from --config: out-of-range calibration
+    settings and a checkpoint naming no file there are never checked."""
+    checkpoint, _ = setup
+    corpus = str(tmp_path / "corpus.txt")
+    config = write_config(
+        tmp_path / "config.json",
+        {"checkpoint": str(tmp_path / "absent.oack"), "corpus_train": corpus,
+         "corpus_valid": corpus, "corpus_test": corpus, "method": "GPTQ", "bits": 9,
+         "alpha": -1.0, "group_size": 0, "n_calibration_samples": 0, "alpha_grid": [-1]},
+    )
+    assert main(["eval", "--config", config, "--eval-checkpoint", str(checkpoint)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid_perplexity"] > 1
+
+
+def test_missing_eval_checkpoint(setup, tmp_path, capsys):
+    _, flags = setup
+    absent = tmp_path / "absent.oack"
+    assert main(["eval", *corpus_flags(flags), "--eval-checkpoint", str(absent)]) == 3
+    assert capsys.readouterr().err == f"i/o failure: eval-checkpoint path does not exist: {absent}\n"
 
 
 def test_eval_of_a_stored_run_reproduces_its_report(setup, tmp_path, capsys):
@@ -240,7 +281,8 @@ def test_eval_of_a_stored_run_reproduces_its_report(setup, tmp_path, capsys):
     assert main(["quantize", "--method", "RTN", *argv]) == 0
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main(["eval", *argv, "--eval-checkpoint", str(out / "quantized.oack")]) == 0
+    eval_argv = ["eval", *corpus_flags(flags), "--eval-checkpoint", str(out / "quantized.oack")]
+    assert main(eval_argv) == 0
     result = json.loads(capsys.readouterr().out)
     report = json.loads((out / "report.json").read_text())
     assert (result["valid_perplexity"], result["test_perplexity"]) == (

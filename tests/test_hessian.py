@@ -110,6 +110,37 @@ class TestAccumulators:
         assert peak < d * d * np.dtype(np.float64).itemsize
         assert acc.sum[d - 1, 0] != 0.0
 
+    def test_adaptive_fold_allocates_no_square_temporary(self):
+        """The fold adds into the sum in place: one call at d_col = 1024 allocates < one d x d array."""
+        d = 1024
+        acc = HessianAccumulator(d, HessianMode.ADAPTIVE)
+        rng = np.random.default_rng(8)
+        x, dy = rng.standard_normal((128, d)), rng.standard_normal((128, 256))
+        tracemalloc.start()
+        try:
+            accumulate_adaptive(acc, x, dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * np.dtype(np.float64).itemsize
+        assert acc.sum[d - 1, 0] != 0.0
+
+    # the toy's and the M model's (d_row, d_col) layer shapes, at their window lengths
+    @pytest.mark.parametrize(
+        "t, d_row, d_col",
+        [(64, 64, 64), (64, 256, 64), (64, 64, 256),
+         (128, 256, 256), (128, 1024, 256), (128, 256, 1024)],
+    )
+    def test_adaptive_fold_equals_product_running_sum_bit_for_bit(self, t, d_row, d_col):
+        rng = np.random.default_rng(t + d_row + 3 * d_col)
+        acc = HessianAccumulator(d_col, HessianMode.ADAPTIVE)
+        expected = np.zeros((d_col, d_col))
+        for _ in range(3):
+            x, dy = rng.standard_normal((t, d_col)), rng.standard_normal((t, d_row))
+            accumulate_adaptive(acc, x, dy)
+            expected += x.T @ ((dy @ dy.T) @ x)
+        np.testing.assert_array_equal(acc.sum, expected)
+
     def test_adaptive_rank_one(self):
         acc = HessianAccumulator(2, HessianMode.ADAPTIVE)
         add_gradient(acc, [[1.0, 2.0]])
@@ -211,13 +242,18 @@ class TestFinalize:
 
 
 class TestRegularize:
+    def test_damps_in_place(self):
+        h = np.diag([2.0, 4.0])
+        assert regularize(h, 0.1) is h
+        np.testing.assert_allclose(h, np.diag([2.3, 4.3]))
+
     def test_direct_formula(self):
         out = regularize(np.diag([2.0, 4.0]), 0.1)
         np.testing.assert_allclose(out, np.diag([2.3, 4.3]))
 
     def test_alpha_zero_identity(self):
         h = symmetrize(np.arange(9.0).reshape(3, 3))
-        np.testing.assert_array_equal(regularize(h, 0.0), h)
+        np.testing.assert_array_equal(regularize(h.copy(), 0.0), h)
 
     def test_negative_alpha(self):
         with pytest.raises(NegativeAlpha):
@@ -249,7 +285,7 @@ class TestRegularize:
     @settings(max_examples=60, deadline=None)
     def test_diagonal_shift_only(self, dim, alpha, seed):
         h = symmetrize(np.random.default_rng(seed).standard_normal((dim, dim)))
-        out = regularize(h, alpha)
+        out = regularize(h.copy(), alpha)
         shift = alpha * np.mean(np.diag(h))
         np.testing.assert_allclose(np.diag(out), np.diag(h) + shift, atol=1e-12)
         off = ~np.eye(dim, dtype=bool)

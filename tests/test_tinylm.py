@@ -6,7 +6,7 @@ import pytest
 
 import oacal.tinylm as tinylm
 from oacal.errors import ArchitectureMismatch, ConfigError, DimMismatch
-from oacal.hessian import finalize
+from oacal.hessian import HessianAccumulator, HessianMode, accumulate_adaptive, finalize
 from oacal.tinylm import (
     ModelConfig,
     TrainConfig,
@@ -188,6 +188,27 @@ class TestCollectors:
             assert acc.n_samples == len(samples)
             gap = np.linalg.norm(acc.sum - expected[name])
             assert gap <= 1e-12 * np.linalg.norm(expected[name]), name
+
+    def test_harvest_folds_as_the_full_backward_would(self):
+        """Folding each block's pairs as the backward reaches it, last block
+        first, and stopping after block 0 gives, bit for bit, the Hessians of
+        folding one full `lm_backward` per chunk window by window."""
+        model = scaled_model(THREE, 28, scale=5.0)
+        samples = windows(THREE, 2 * PER_CHUNK + 1, 29)
+        accs = harvest_block_gradients(model, samples)
+        expected = {
+            name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
+            for name in quantizable_layers(model)
+        }
+        for rows in tinylm._chunks(*samples.shape):
+            factors = lm_backward(model, lm_forward(model, samples[rows])[1])
+            for name, acc in expected.items():
+                for x_i, dy_i in zip(*factors[name]):
+                    accumulate_adaptive(acc, x_i, dy_i)
+        assert list(accs) == list(expected)
+        for name, acc in accs.items():
+            assert acc.n_samples == expected[name].n_samples == len(samples)
+            assert acc.sum.tobytes() == expected[name].sum.tobytes(), name
 
     def test_no_windows(self):
         for collect in (collect_agnostic_accumulators, harvest_block_gradients):
