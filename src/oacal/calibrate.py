@@ -229,8 +229,13 @@ def _sweep(work, upper, block_size: int, codec):
     return w_hat, update_norms
 
 
-def _proxy_error(delta: np.ndarray, damped: np.ndarray) -> float:
-    return float(np.sum((delta @ damped) * delta))
+def _proxy_error(w_hat: np.ndarray, m: np.ndarray, damped: np.ndarray) -> float:
+    """sum((delta @ damped) * delta) for delta = w_hat - m, formed in
+    `w_hat`, which the caller gives up."""
+    w_hat -= m
+    weighted = w_hat @ damped
+    weighted *= w_hat
+    return float(np.sum(weighted))
 
 
 def calibrate_layer(
@@ -257,7 +262,10 @@ def calibrate_layer(
     The caller hands `h` over: a float64 `h` is damped in place
     (`hessian.regularize`), so no second d x d copy lives next to it. A
     caller that reads `h` afterwards passes a copy. The pipeline's `h` comes
-    fresh from `hessian.finalize` for each layer.
+    fresh from `hessian.finalize` for each layer. Whatever the guard no
+    longer needs is freed before it sweeps: the factor and the compensated
+    sweep's dequantized matrix; the losing sweep's layer goes once the guard
+    decides.
     """
     if spec.backend is Backend.RTN:
         layer = rtn_quantize(w, spec.bits, spec.group_size)
@@ -266,13 +274,17 @@ def calibrate_layer(
     plan = calibrate_layer_binary if spec.backend is Backend.BINARY else _affine_plan
     quantize, extra = plan(m, inv_diag, spec)
     layer, w_hat, update_norms = quantize(upper)
-    proxy = _proxy_error(w_hat - m, damped)
+    del upper
+    proxy = _proxy_error(w_hat, m, damped)
+    del w_hat
     if guard:
         plain_layer, plain_hat, plain_norms = quantize(None)
-        extra["plain_proxy_error"] = plain = _proxy_error(plain_hat - m, damped)
+        extra["plain_proxy_error"] = plain = _proxy_error(plain_hat, m, damped)
+        del plain_hat
         if plain < proxy:
             layer, proxy, update_norms = plain_layer, plain, plain_norms
             extra["fallback"] = "no_compensation"
+        del plain_layer
     return layer, _report(spec, layer_name, layer, proxy, update_norms, **extra)
 
 

@@ -45,6 +45,10 @@ class MalformedArchive(OacalError):
     """Bad magic or version, truncated archive, bad checkpoint sidecar or run report."""
 
 
+class UnsupportedDtype(MalformedArchive):
+    """An array's dtype has no archive dtype code (only floats and uint8 do)."""
+
+
 class DuplicateName(MalformedArchive):
     """Tensor names inside one archive must be unique."""
 

@@ -33,11 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .archive import archive_write
+from .archive import HEADER_NBYTES, archive_write, entry_nbytes
 from .calibrate import Backend, CalibSpec, calibrate_layer
 from .errors import ConfigError, MalformedArchive, OacalError
 from .hessian import HessianMode, finalize
-from .quant import layer_to_tensors
+from .quant import disk_extra_bits, layer_to_tensors
 from .tinylm import (
     TinyLM,
     collect_agnostic_accumulators,
@@ -174,6 +174,7 @@ class RunReport:
     method: str
     layer_reports: list[dict] = field(default_factory=list)
     global_avg_bits: float = 0.0
+    disk_bits_per_weight: float = 0.0
     valid_perplexity: float | None = None
     test_perplexity: float | None = None
     phase_seconds: dict = field(default_factory=dict)
@@ -188,6 +189,7 @@ REPORT_SCHEMA = {
         "method",
         "layer_reports",
         "global_avg_bits",
+        "disk_bits_per_weight",
         "valid_perplexity",
         "test_perplexity",
         "phase_seconds",
@@ -207,6 +209,8 @@ REPORT_SCHEMA = {
                     "outlier_rate",
                     "avg_bits_per_weight",
                     "alpha",
+                    "disk_bits",
+                    "disk_extra_bits",
                 ],
                 "properties": {
                     "layer": {"type": "string"},
@@ -216,10 +220,16 @@ REPORT_SCHEMA = {
                     "outlier_rate": {"type": "number", "minimum": 0},
                     "avg_bits_per_weight": {"type": "number", "minimum": 0},
                     "alpha": {"type": "number", "minimum": 0},
+                    "disk_bits": {"type": "integer", "minimum": 0},
+                    "disk_extra_bits": {
+                        "type": "object",
+                        "additionalProperties": {"type": "integer", "minimum": 0},
+                    },
                 },
             },
         },
         "global_avg_bits": {"type": "number", "minimum": 0},
+        "disk_bits_per_weight": {"type": "number", "minimum": 0},
         "valid_perplexity": {"type": ["number", "null"], "minimum": 1},
         "test_perplexity": {"type": ["number", "null"], "minimum": 1},
         "phase_seconds": {"type": "object"},
@@ -365,10 +375,15 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
     `alpha` and install the dequantized weights as float32.
 
     Each layer is widened to float64 for its calibration alone, which is
-    exact. Only the last alpha of a run `drop`s each layer's accumulator:
-    it is taken out of `accs` before its Hessian is finalized, so that no
-    later reader keeps it alive through the factorization; an accumulator
-    shared by several layers goes with the last of them.
+    exact, and unbound once its archive tensors are packed and it is
+    installed. Only the last alpha of a run `drop`s each layer's
+    accumulator: it is taken out of `accs` before its Hessian is finalized,
+    so that no later reader keeps it alive through the factorization; an
+    accumulator shared by several layers goes with the last of them.
+
+    Each layer report gives `disk_bits`, the bits its archive entries take,
+    and `disk_extra_bits`, what of them the accounting does not charge, by
+    label; `disk_bits_per_weight` is `layers.oack`'s size over the weights.
     """
     spec = config.calib_spec(alpha)
     hessian_mode = _METHOD_TABLE[config.method][1].value
@@ -381,6 +396,7 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
     layer_meta: dict[str, dict] = {}
     total_bits = 0.0
     total_weights = 0
+    archive_bytes = HEADER_NBYTES
     for name in quantizable_layers(model):
         w = model.params[name].astype(np.float64)
         try:
@@ -392,11 +408,22 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
             raise type(exc)(f"layer {name!r}: {exc}") from exc
         layer_tensors, layer_meta[name] = layer_to_tensors(name, layer)
         tensors.update(layer_tensors)
-        report.layer_reports.append({**cal_report.to_dict(), "hessian_mode": hessian_mode})
+        layer_bytes = sum(entry_nbytes(k, v) for k, v in layer_tensors.items())
+        archive_bytes += layer_bytes
+        report.layer_reports.append(
+            {
+                **cal_report.to_dict(),
+                "hessian_mode": hessian_mode,
+                "disk_bits": 8 * layer_bytes,
+                "disk_extra_bits": disk_extra_bits(name, layer_meta[name]),
+            }
+        )
         total_bits += layer.accounting.total_bits
         total_weights += w.size
         model.params[name] = layer.dequantize().astype(np.float32)
+        del layer, layer_tensors
     report.global_avg_bits = total_bits / total_weights
+    report.disk_bits_per_weight = 8.0 * archive_bytes / total_weights
     return QuantizedRun(model, report, tensors, layer_meta, {})
 
 

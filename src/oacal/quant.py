@@ -17,9 +17,19 @@ group's zero-widened range has the group's value at one end, so it codes at
 that end (maxq for a positive value, 0 for a negative one) and reconstructs
 within float32 rounding; only an all-zero range meets the floor.
 
-In the archive (`layer_to_tensors`) every entry is 32-bit except the binary
-alphas (`binalphas/*`), which are 64-bit: binary alphas are the unrounded
-least-squares magnitudes, and float32 would change the reconstruction.
+In the archive (`layer_to_tensors`) every integer is bit-packed by one rule
+(`pack_uint`) at the width the accounting charges: affine codes at `bits`,
+zero points at 16 (the fp16 charge, exact for integers), double-quantized
+statistics codes at `stat_bits`, outlier columns at 16, and binary signs,
+salient mask and membership at 1 bit. Floats are stored at the width that
+keeps them exact: scales, second-level steps and bases, and outlier values
+as float32; binary alphas as float64, because they are the unrounded
+least-squares magnitudes. Whatever is stored beyond the charge is named in
+`disk_extra_bits`: float32 scales (16 bits over fp16 each), second-level
+steps and bases (64 bits per run over the 2 x 32 charged), outlier row
+pointers, the binary membership bitmap that BiLLM's ~1.1-bit convention
+leaves uncharged, float64 alphas (48 bits over fp16 each), byte padding and
+entry headers.
 """
 from __future__ import annotations
 
@@ -27,6 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .archive import entry_header_nbytes
 from .errors import DimMismatch, EmptyGroup, MalformedArchive
 from .linalg import as_matrix
 
@@ -38,6 +49,7 @@ SCALE_FLOOR = float(np.float32(1e-12))
 FP32_BITS = 32
 FP16_BITS = 16
 OUTLIER_INDEX_BITS = 16
+ROW_POINTER_BITS = 32
 
 __all__ = [
     "SCALE_FLOOR",
@@ -53,8 +65,11 @@ __all__ = [
     "residual_binarize",
     "splitting_search",
     "BinaryLayer",
+    "pack_uint",
+    "unpack_uint",
     "layer_to_tensors",
     "layer_from_tensors",
+    "disk_extra_bits",
 ]
 
 
@@ -109,23 +124,24 @@ def affine_bit_account(
 ) -> BitAccount:
     """Accounting for group-affine layers.
 
-    Per weight: `bits` for the code, (s_bits + z_bits) / group_size for the
-    first-level statistics (fp16 each without double quantization, stat_bits
-    each with it), 2 x 32 / (group_size * stat_group) for the second-level
-    parameters when statistics are double-quantized, and 32 + 16 bits per
-    outlier (fp32 value plus a 16-bit column index).
+    `bits` per code; per row of each of the ceil(n_cols / group_size)
+    groups, a scale and a zero point (fp16 each without double
+    quantization, stat_bits each with it); with double quantization, 2 x 32
+    bits for the second-level parameters of each of a group's
+    ceil(n_rows / stat_group) runs; 32 + 16 bits per outlier (fp32 value
+    plus a 16-bit column index). A ragged last group or run is charged
+    whole, as it is stored.
     """
     n = n_rows * n_cols
+    n_groups = -(-n_cols // group_size)
     if stat_bits is None:
-        stats_rate = 2 * FP16_BITS / group_size
+        stats_bits = float(n_groups * n_rows * 2 * FP16_BITS)
     else:
-        stats_rate = 2 * stat_bits / group_size + 2 * FP32_BITS / (
-            group_size * stat_group
-        )
+        n_runs = -(-n_rows // stat_group)
+        stats_bits = float(n_groups * (n_rows * 2 * stat_bits + n_runs * 2 * FP32_BITS))
     weight_bits = float(bits) * n
-    stats_bits = stats_rate * n
     outlier_bits = float(n_outliers) * (FP32_BITS + OUTLIER_INDEX_BITS)
-    avg = bits + stats_rate + (n_outliers / n) * (FP32_BITS + OUTLIER_INDEX_BITS)
+    avg = bits + stats_bits / n + (n_outliers / n) * (FP32_BITS + OUTLIER_INDEX_BITS)
     return BitAccount(weight_bits, stats_bits, outlier_bits, avg)
 
 
@@ -286,10 +302,20 @@ def _dq_runs(values: np.ndarray, stat_bits: int, stat_group: int):
     # A shifted run's min is 0, so its zero point is 0 and a constant run
     # dequantizes exactly to its base.
     steps, points = _fit_group_rows(shifted, stat_bits)
-    codes, deq = _code_group(shifted, steps, points, stat_bits)
-    deq = deq + bases[:, None]
-    n = values.size
-    return codes.ravel()[:n], deq.ravel()[:n], steps, points, bases
+    codes, _ = _code_group(shifted, steps, points, stat_bits)
+    return codes.ravel()[: values.size], steps, points, bases
+
+
+def _dq_values(record: StatsQuant) -> tuple[np.ndarray, np.ndarray]:
+    """The scales and zeros a record dequantizes to: (code - point) * step +
+    base per entry, scales floored to stay positive, both snapped to float32
+    so reloads reproduce them exactly."""
+    r = np.arange(record.scale_codes.size) // record.stat_group
+    scales = _decode(record.scale_codes, record.scale_steps[r], record.scale_points[r])
+    zeros = _decode(record.zero_codes, record.zero_steps[r], record.zero_points[r])
+    scales = np.maximum(scales + record.scale_bases[r], SCALE_FLOOR).astype(np.float32)
+    zeros = (zeros + record.zero_bases[r]).astype(np.float32)
+    return scales.astype(np.float64), zeros.astype(np.float64)
 
 
 def double_quantize_stats(
@@ -297,10 +323,8 @@ def double_quantize_stats(
 ) -> tuple[StatsQuant, np.ndarray, np.ndarray]:
     """Affine-quantize first-level scales and zeros in runs of `stat_group`.
 
-    Returns the record plus the dequantized scales and zeros, which
-    supersede the originals for every later dequantization. Dequantized
-    scales are floored to stay positive and snapped to float32 so reloads
-    reproduce them exactly.
+    Returns the record plus the dequantized scales and zeros (`_dq_values`),
+    which supersede the originals for every later dequantization.
     """
     if not 2 <= stat_bits <= 8:
         raise DimMismatch(f"stat_bits must be in [2, 8], got {stat_bits}")
@@ -312,15 +336,13 @@ def double_quantize_stats(
         raise EmptyGroup("no statistics to quantize")
     if zeros.shape != scales.shape:
         raise DimMismatch("scales and zeros must have the same length")
-    s_codes, s_deq, s_steps, s_points, s_bases = _dq_runs(scales, stat_bits, stat_group)
-    z_codes, z_deq, z_steps, z_points, z_bases = _dq_runs(zeros, stat_bits, stat_group)
-    s_deq = np.maximum(s_deq, SCALE_FLOOR).astype(np.float32).astype(np.float64)
-    z_deq = z_deq.astype(np.float32).astype(np.float64)
+    s_codes, s_steps, s_points, s_bases = _dq_runs(scales, stat_bits, stat_group)
+    z_codes, z_steps, z_points, z_bases = _dq_runs(zeros, stat_bits, stat_group)
     record = StatsQuant(
         stat_bits, stat_group, s_codes, z_codes, s_steps, z_steps,
         s_points, z_points, s_bases, z_bases,
     )
-    return record, s_deq, z_deq
+    return (record, *_dq_values(record))
 
 
 # ---------------------------------------------------------------------------
@@ -434,23 +456,99 @@ class BinaryLayer:
 # ---------------------------------------------------------------------------
 
 
-# Entry prefixes of one layer's tensors, by layer kind.
-_LAYER_ENTRIES = {
-    "affine": ("codes", "scales", "zeros", "outliers"),
-    "binary": ("binsigns1", "binsigns2", "binmember", "binsalient", "binalphas"),
-}
+def pack_uint(values, width: int) -> np.ndarray:
+    """Unsigned integers at `width` bits each (1-32), as a uint8 stream.
+
+    `values` (integers or bools, read in C order) are laid end to end, low
+    bit first: value i occupies stream bits [i * width, (i + 1) * width).
+    The last byte's unused high bits are zero.
+    """
+    if not 1 <= width <= 32:
+        raise DimMismatch(f"pack width must be in [1, 32], got {width}")
+    v = np.asarray(values).ravel()
+    if v.dtype.kind not in "biu":
+        raise DimMismatch(f"only integers are packed, got {v.dtype}")
+    if v.size and (v.min() < 0 or int(v.max()) >> width):
+        raise DimMismatch(f"values outside [0, 2^{width}) cannot be packed")
+    v = v.astype(np.int64, copy=False)
+    bits = np.empty((v.size, width), dtype=np.uint8)
+    for b in range(width):
+        bits[:, b] = (v >> b) & 1
+    return np.packbits(bits, bitorder="little")
+
+
+def unpack_uint(packed, width: int, count: int) -> np.ndarray:
+    """The `count` int64 values `pack_uint(values, width)` packed.
+
+    MalformedArchive unless `packed` is uint8 and exactly
+    ceil(count * width / 8) bytes long.
+    """
+    packed = np.asarray(packed)
+    n_bytes = -(-count * width // 8)
+    if packed.dtype != np.uint8 or packed.shape != (n_bytes,):
+        raise MalformedArchive(
+            f"packed payload is {packed.dtype} {packed.shape}, expected uint8 "
+            f"({n_bytes},) for {count} values at {width} bits"
+        )
+    bits = np.unpackbits(packed, count=count * width, bitorder="little")
+    bits = bits.reshape(count, width)
+    out = np.zeros(count, dtype=np.int64)
+    for b in range(width):
+        out |= bits[:, b].astype(np.int64) << b
+    return out
+
+
+def _layout(meta: dict) -> dict[str, tuple]:
+    """A layer's archive entries, derived from its layers.json metadata:
+    prefix -> (width, count) for `count` unsigned integers bit-packed at
+    `width` bits, or (dtype, shape) for a float array."""
+    d_row, d_col = meta["d_row"], meta["d_col"]
+    if meta["kind"] == "binary":
+        n_sal = meta["n_salient_cols"]
+        return {
+            "signs1": (1, d_row * d_col),
+            "signs2": (1, d_row * n_sal),  # salient columns only
+            "membership": (1, d_row * (d_col - n_sal)),  # non-salient only
+            "salient": (1, d_col),
+            "alphas": (np.float64, (3 + 2 * n_sal,)),
+        }
+    if meta["kind"] != "affine":
+        raise MalformedArchive(f"unknown layer kind {meta['kind']!r}")
+    n_groups = -(-d_col // meta["group_size"])
+    layout = {"codes": (meta["bits"], d_row * d_col)}
+    if meta["double_quantized"]:
+        n_runs = -(-d_row // meta["stat_group"])
+        layout["scalecodes"] = (meta["stat_bits"], n_groups * d_row)
+        layout["zerocodes"] = (meta["stat_bits"], n_groups * d_row)
+        # per group: scale steps, scale bases, zero steps, zero bases
+        layout["stats2"] = (np.float32, (n_groups, 4, n_runs))
+    else:
+        layout["scales"] = (np.float32, (d_row, n_groups))
+        layout["zeros"] = (FP16_BITS, d_row * n_groups)
+    n_out = meta["outlier_count"]
+    if n_out:
+        layout["outliervals"] = (np.float32, (n_out,))
+        layout["outliercols"] = (OUTLIER_INDEX_BITS, n_out)
+        layout["outlierrows"] = (ROW_POINTER_BITS, d_row + 1)  # CSR row pointers
+    return layout
+
+
+def _packed(form) -> bool:
+    return isinstance(form, int)
 
 
 def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
     """Tensor entries plus JSON-able metadata for one quantized layer.
 
-    The entries are `<prefix>/<name>` for the kind's prefixes in
-    `_LAYER_ENTRIES`; `outliers/` holds one (row, col, value) triple per
-    outlier. Every entry is float32, since each holds an integer, a
-    float32-rounded statistic or a value read from a float32 checkpoint,
-    except `binalphas/*` (split threshold, low/high alphas and the per-column
-    salient alphas): float64, because the binary alphas are unrounded
-    least-squares values.
+    The entries are `<prefix>/<name>` for the prefixes `_layout` derives from
+    the metadata; integers are bit-packed by `pack_uint` into uint8 entries.
+    Affine layers store their codes, then either float32 scales and 16-bit
+    zero points or, when double-quantized, the statistics codes plus each
+    run's second-level steps and bases; outliers are float32 values, 16-bit
+    columns and 32-bit CSR row pointers. Binary layers store the sign plane,
+    the second plane on salient columns, the membership on the others, the
+    salient mask and the 3 + 2 * n_salient float64 alphas (split threshold,
+    low and high alphas, the salient columns' two alphas).
     """
     meta = {
         "accounting": asdict(layer.accounting),
@@ -458,8 +556,24 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
         "d_col": layer.d_col,
     }
     if isinstance(layer, QuantizedLayer):
-        outliers = np.array([[r, c, v] for r, c, v in layer.outliers]).reshape(-1, 3)
-        values = [layer.codes, layer.scales, layer.zeros, outliers]
+        values = {"codes": layer.codes}
+        if layer.stats_q:
+            values["scalecodes"] = np.stack([r.scale_codes for r in layer.stats_q])
+            values["zerocodes"] = np.stack([r.zero_codes for r in layer.stats_q])
+            values["stats2"] = np.stack(
+                [
+                    [r.scale_steps, r.scale_bases, r.zero_steps, r.zero_bases]
+                    for r in layer.stats_q
+                ]
+            )
+        else:
+            values["scales"] = layer.scales
+            values["zeros"] = layer.zeros.astype(np.int64)
+        if layer.outliers:
+            rows, cols, vals = (np.array(v) for v in zip(*layer.outliers))
+            values["outliervals"] = vals
+            values["outliercols"] = cols
+            values["outlierrows"] = np.searchsorted(rows, np.arange(layer.d_row + 1))
         meta.update(
             {
                 "kind": "affine",
@@ -472,25 +586,30 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
             }
         )
     elif isinstance(layer, BinaryLayer):
-        alphas = np.concatenate(
-            [
-                [layer.split_threshold, layer.alpha_low, layer.alpha_high],
-                layer.sal_alpha1,
-                layer.sal_alpha2,
-            ]
-        )
-        planes = [layer.signs1, layer.signs2, layer.membership, layer.salient_cols]
-        values = planes + [alphas]
-        meta.update(
-            {"kind": "binary", "n_salient_cols": int(layer.salient_cols.sum())}
-        )
+        sal = layer.salient_cols
+        values = {
+            "signs1": layer.signs1 < 0,
+            "signs2": layer.signs2[:, sal] < 0,
+            "membership": layer.membership[:, ~sal],
+            "salient": sal,
+            "alphas": np.concatenate(
+                [
+                    [layer.split_threshold, layer.alpha_low, layer.alpha_high],
+                    layer.sal_alpha1[sal],
+                    layer.sal_alpha2[sal],
+                ]
+            ),
+        }
+        meta.update({"kind": "binary", "n_salient_cols": int(sal.sum())})
     else:
         raise DimMismatch(f"unknown layer type {type(layer)!r}")
     tensors = {
-        f"{prefix}/{name}": np.asarray(
-            value, np.float64 if prefix == "binalphas" else np.float32
+        f"{prefix}/{name}": (
+            pack_uint(values[prefix], form)
+            if _packed(form)
+            else np.asarray(values[prefix], dtype=form)
         )
-        for prefix, value in zip(_LAYER_ENTRIES[meta["kind"]], values)
+        for prefix, (form, _) in _layout(meta).items()
     }
     return tensors, meta
 
@@ -498,47 +617,131 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
 def layer_from_tensors(name: str, tensors: dict, meta: dict):
     """Rebuild a layer from archive tensors; inverse of layer_to_tensors.
 
-    The layer's entries must be exactly the ones `layer_to_tensors` writes
-    for its kind, else MalformedArchive: a missing entry, an unknown kind, or
-    a leftover entry such as the per-group minimum that an older affine rule
-    stored and decoded constant groups from.
+    The layer's entries must be exactly the ones `_layout` derives from
+    `meta`, each of the dtype and size it implies, else MalformedArchive: a
+    missing or leftover entry (such as those of a layer archive written
+    before integers were bit-packed), an unknown kind, or a payload whose
+    byte count disagrees with the metadata. A double-quantized layer gets
+    its `stats_q` back, and its statistics dequantize as they did.
     """
-    want = set(_LAYER_ENTRIES.get(meta["kind"], ()))
+    layout = _layout(meta)
     held = {key.partition("/")[0] for key in tensors if key.partition("/")[2] == name}
-    if not want or held != want:
+    if held != set(layout):
         raise MalformedArchive(
             f"layer {name!r} of kind {meta['kind']!r} has entries {sorted(held)}, "
-            f"expected {sorted(want)}"
+            f"expected {sorted(layout)}"
         )
-    entry = {prefix: np.asarray(tensors[f"{prefix}/{name}"]) for prefix in want}
+    entry = {}
+    for prefix, (form, size) in layout.items():
+        key = f"{prefix}/{name}"
+        arr = np.asarray(tensors[key])
+        if _packed(form):
+            want = (np.dtype(np.uint8), (-(-size * form // 8),))
+        else:
+            want = (np.dtype(form), size)
+        if (arr.dtype, arr.shape) != want:
+            raise MalformedArchive(
+                f"{key} is {arr.dtype} {arr.shape}, layers.json implies {want[0]} {want[1]}"
+            )
+        entry[prefix] = unpack_uint(arr, form, size) if _packed(form) else arr.astype(np.float64)
     account = BitAccount(**meta["accounting"])
+    d_row, d_col = meta["d_row"], meta["d_col"]
     if meta["kind"] == "affine":
-        outliers = [
-            (int(r), int(c), float(v))
-            for r, c, v in entry["outliers"].astype(np.float64).reshape(-1, 3)
-        ]
+        n_groups = -(-d_col // meta["group_size"])
+        stats_q = None
+        if meta["double_quantized"]:
+            s_codes = entry["scalecodes"].reshape(n_groups, d_row)
+            z_codes = entry["zerocodes"].reshape(n_groups, d_row)
+            points = np.zeros(entry["stats2"].shape[2])  # a shifted run's zero point
+            stats_q = [
+                StatsQuant(
+                    meta["stat_bits"], meta["stat_group"], s_code, z_code,
+                    steps_s, steps_z, points, points, bases_s, bases_z,
+                )
+                for s_code, z_code, (steps_s, bases_s, steps_z, bases_z) in zip(
+                    s_codes, z_codes, entry["stats2"]
+                )
+            ]
+            scales, zeros = (np.stack(v, axis=1) for v in zip(*map(_dq_values, stats_q)))
+        else:
+            scales = entry["scales"]
+            zeros = entry["zeros"].reshape(d_row, n_groups).astype(np.float64)
+        outliers = []
+        if meta["outlier_count"]:
+            rows = np.repeat(np.arange(d_row), np.diff(entry["outlierrows"]))
+            outliers = [
+                (int(r), int(c), float(v))
+                for r, c, v in zip(rows, entry["outliercols"], entry["outliervals"])
+            ]
         return QuantizedLayer(
             bits=meta["bits"],
             group_size=meta["group_size"],
-            codes=entry["codes"].astype(np.int64),
-            scales=entry["scales"].astype(np.float64),
-            zeros=entry["zeros"].astype(np.float64),
+            codes=entry["codes"].reshape(d_row, d_col),
+            scales=scales,
+            zeros=zeros,
             outliers=outliers,
-            stats_q=None,
+            stats_q=stats_q,
             accounting=account,
         )
-    alphas = entry["binalphas"].astype(np.float64)
-    salient = entry["binsalient"] != 0
-    d_col = salient.shape[0]
+    salient = entry["salient"] != 0
+    if int(salient.sum()) != meta["n_salient_cols"]:
+        raise MalformedArchive(
+            f"layer {name!r}: salient mask has {int(salient.sum())} columns, "
+            f"layers.json says {meta['n_salient_cols']}"
+        )
+    n_sal = meta["n_salient_cols"]
+    signs2 = np.ones((d_row, d_col), dtype=np.int8)
+    signs2[:, salient] = 1 - 2 * entry["signs2"].reshape(d_row, n_sal)
+    membership = np.zeros((d_row, d_col), dtype=bool)
+    membership[:, ~salient] = entry["membership"].reshape(d_row, d_col - n_sal) != 0
+    sal_alpha1, sal_alpha2 = np.zeros(d_col), np.zeros(d_col)
+    alphas = entry["alphas"]
+    sal_alpha1[salient] = alphas[3 : 3 + n_sal]
+    sal_alpha2[salient] = alphas[3 + n_sal :]
     return BinaryLayer(
         split_threshold=float(alphas[0]),
         alpha_low=float(alphas[1]),
         alpha_high=float(alphas[2]),
         salient_cols=salient,
-        sal_alpha1=alphas[3 : 3 + d_col],
-        sal_alpha2=alphas[3 + d_col : 3 + 2 * d_col],
-        signs1=entry["binsigns1"].astype(np.int8),
-        signs2=entry["binsigns2"].astype(np.int8),
-        membership=entry["binmember"] != 0,
+        sal_alpha1=sal_alpha1,
+        sal_alpha2=sal_alpha2,
+        signs1=(1 - 2 * entry["signs1"].reshape(d_row, d_col)).astype(np.int8),
+        signs2=signs2,
+        membership=membership,
         accounting=account,
     )
+
+
+def disk_extra_bits(name: str, meta: dict) -> dict[str, int]:
+    """The bits a layer's archive entries hold beyond its accounted bits,
+    by label; with them, 8 x the entries' bytes = accounted total + their sum.
+
+    Affine: `scales_fp32` (16 bits over the fp16 charge per scale),
+    `stats2_fp32` (second-level steps and bases: 4 x 32 bits per run, 2 x 32
+    charged), `outlier_row_pointers`. Binary: `membership_bitmap` (one bit
+    per non-salient weight, uncharged as in BiLLM's ~1.1-bit convention),
+    `alphas_fp64` (48 bits over the fp16 charge per alpha). Both:
+    `byte_padding` (the unused bits of each packed entry's last byte) and
+    `entry_headers` (each entry's name, dtype and dims in the archive).
+    """
+    layout = _layout(meta)
+    d_row = meta["d_row"]
+    terms = {}
+    if meta["kind"] == "binary":
+        terms["membership_bitmap"] = layout["membership"][1]
+        terms["alphas_fp64"] = (64 - FP16_BITS) * layout["alphas"][1][0]
+    else:
+        if "scales" in layout:
+            terms["scales_fp32"] = (FP32_BITS - FP16_BITS) * d_row * layout["scales"][1][1]
+        if "stats2" in layout:
+            n_groups, _, n_runs = layout["stats2"][1]
+            terms["stats2_fp32"] = 2 * FP32_BITS * n_groups * n_runs
+        if "outlierrows" in layout:
+            terms["outlier_row_pointers"] = ROW_POINTER_BITS * (d_row + 1)
+    packed = [form * size for form, size in layout.values() if _packed(form)]
+    terms["byte_padding"] = sum(-bits % 8 for bits in packed)
+    terms["entry_headers"] = 8 * sum(
+        entry_header_nbytes(f"{prefix}/{name}", 1 if _packed(form) else len(size))
+        for prefix, (form, size) in layout.items()
+    )
+    return terms

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oacal.archive import MAGIC, archive_read, archive_write
-from oacal.errors import DuplicateName, MalformedArchive, NonFinite
+from oacal.errors import DuplicateName, MalformedArchive, NonFinite, UnsupportedDtype
 
 
 def test_empty_archive_round_trip(tmp_path):
@@ -141,3 +141,43 @@ def test_truncated_float64_payload(tmp_path):
     bad.write_bytes(path.read_bytes()[:-4])  # whole float32 items, half a float64
     with pytest.raises(MalformedArchive):
         archive_read(bad)
+
+
+def test_uint8_round_trip_stamps_version_3(tmp_path):
+    path = tmp_path / "packed.oack"
+    packed = np.array([0, 7, 255], dtype=np.uint8)
+    archive_write(path, {"codes": packed, "w": np.ones(2, dtype=np.float32)})
+    assert struct.unpack("<I", path.read_bytes()[4:8]) == (3,)
+    out = archive_read(path)
+    assert out["codes"].dtype == np.uint8
+    assert out["codes"].tobytes() == packed.tobytes()
+    path2 = tmp_path / "packed2.oack"
+    archive_write(path2, out)
+    assert path.read_bytes() == path2.read_bytes()
+
+
+def test_float_only_archive_stays_version_2(tmp_path):
+    path = tmp_path / "floats.oack"
+    archive_write(path, {"w": np.ones(2, dtype=np.float32), "a": np.zeros(1)})
+    assert struct.unpack("<I", path.read_bytes()[4:8]) == (2,)
+
+
+def test_uint8_in_a_version_2_archive_is_malformed(tmp_path):
+    path = tmp_path / "packed.oack"
+    archive_write(path, {"p": np.zeros(3, dtype=np.uint8)})
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 2)
+    bad = tmp_path / "v2.oack"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(MalformedArchive, match="dtype code 2"):
+        archive_read(bad)
+
+
+@pytest.mark.parametrize(
+    "arr", [np.arange(3), np.arange(3, dtype=np.int8), np.ones(2, dtype=bool)],
+    ids=["int64", "int8", "bool"],
+)
+def test_other_integer_arrays_are_refused(tmp_path, arr):
+    with pytest.raises(UnsupportedDtype, match="uint8"):
+        archive_write(tmp_path / "ints.oack", {"codes": arr})
+    assert not (tmp_path / "ints.oack").exists()

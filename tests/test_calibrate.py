@@ -485,18 +485,36 @@ class TestHessianHandover:
     @pytest.mark.parametrize(
         "backend", [Backend.OPTQ, Backend.SPQR, Backend.BINARY], ids=["optq", "spqr", "binary"]
     )
-    def test_temporaries_stay_under_two_and_a_quarter_hessians(self, backend):
+    def test_temporaries_stay_under_two_and_a_quarter_hessians(self, backend, monkeypatch):
+        """The whole call stays under 2.25 Hessians (2.13 measured, in the
+        factorization). The factor and the compensated sweep's dequantized
+        matrix are freed before the guard sweeps, so from then on no d x d
+        array is alive: 0.11-0.23 Hessians measured, against 1.20-1.32
+        while the factor stayed."""
         d = 512
+        hessian = d * d * np.dtype(np.float64).itemsize
         rng = np.random.default_rng(69)
         w = rng.standard_normal((16, d))
         h = make_agnostic_h(rng, d, n=2 * d)
+        sweep = oacal.calibrate._sweep
+        peaks = []
+
+        def sweep_from_guard_on(work, upper, *args):
+            if upper is None:  # the guard's sweep
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+            return sweep(work, upper, *args)
+
+        monkeypatch.setattr(oacal.calibrate, "_sweep", sweep_from_guard_on)
         tracemalloc.start()
         try:
             calibrate_layer(w, h, CalibSpec(backend=backend))
-            _, peak = tracemalloc.get_traced_memory()
+            _, guard_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * d * d * np.dtype(np.float64).itemsize
+        peak = max(peaks + [guard_peak])
+        assert guard_peak <= 0.25 * hessian
+        assert peak <= 2.25 * hessian
 
 
 class TestGuard:

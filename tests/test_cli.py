@@ -184,7 +184,8 @@ def test_duplicate_tensor_name_is_malformed(setup, capsys):
 
 
 REPORT_FIELDS = {"method": "RTN", "seed": 0, "config": {"alpha": 0.01},
-                 "global_avg_bits": 4.0, "valid_perplexity": 3.0, "test_perplexity": 3.1}
+                 "global_avg_bits": 4.0, "disk_bits_per_weight": 4.1,
+                 "valid_perplexity": 3.0, "test_perplexity": 3.1}
 
 
 @pytest.mark.parametrize(
@@ -351,3 +352,30 @@ def test_sweep_alpha_writes_its_winner(setup, tmp_path):
         assert reloaded.astype(np.float32).tobytes() == (
             installed.params[name].astype(np.float32).tobytes()
         )
+
+
+def test_packed_payload_disagreeing_with_layers_json_exits_3(setup, tmp_path, capsys, monkeypatch):
+    """A layer archive whose packed codes are a byte short of what
+    layers.json implies is malformed: reloading it raises MalformedArchive,
+    which the CLI reports as an i/o failure (exit 3)."""
+    import oacal.pipeline
+    from oacal.archive import archive_write
+
+    checkpoint, flags = setup
+    assert main(["quantize", "--method", "SpQR", "--checkpoint", str(checkpoint), *flags]) == 0
+    out = tmp_path / "out"
+    meta = json.loads((out / "layers.json").read_text())
+    tensors = archive_read(out / "layers.oack")
+    tensors["codes/blk0.attn.wq"] = tensors["codes/blk0.attn.wq"][:-1]
+    archive_write(out / "layers.oack", tensors)
+    capsys.readouterr()
+
+    def reload_layers(config, checkpoint_path):
+        stored = archive_read(out / "layers.oack")
+        return {name: layer_from_tensors(name, stored, m).d_row for name, m in meta.items()}
+
+    monkeypatch.setattr(oacal.pipeline, "run_eval", reload_layers)
+    argv = ["eval", *corpus_flags(flags), "--eval-checkpoint", str(out / "quantized.oack")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: codes/blk0.attn.wq is uint8")

@@ -77,16 +77,30 @@ def counted(monkeypatch):
 
 
 def assert_archive_reloads(out: Path) -> None:
-    """Every layer in `layers.oack` rebuilds the installed weights bit for bit."""
+    """Every layer in `layers.oack` rebuilds the installed weights bit for
+    bit, a double-quantized one with its `stats_q`. Each layer's `disk_bits`
+    is its accounted bits plus its labelled extras, and the report's
+    `disk_bits_per_weight` is the archive's size over the weights."""
     meta = json.loads((out / "layers.json").read_text())
     tensors = archive_read(out / "layers.oack")
     installed = load_checkpoint(out / "quantized.oack")
+    report = json.loads((out / "report.json").read_text())
     assert sorted(meta) == sorted(tinylm.quantizable_layers(installed))
     for name, layer_meta in meta.items():
-        reloaded = layer_from_tensors(name, tensors, layer_meta).dequantize()
-        assert reloaded.astype(np.float32).tobytes() == (
+        layer = layer_from_tensors(name, tensors, layer_meta)
+        assert layer.dequantize().astype(np.float32).tobytes() == (
             installed.params[name].astype(np.float32).tobytes()
         )
+        if layer_meta.get("double_quantized"):
+            assert len(layer.stats_q) == layer.scales.shape[1]
+    for layer_report in report["layer_reports"]:
+        account = meta[layer_report["layer"]]["accounting"]
+        charged = account["weight_bits"] + account["stats_bits"] + account["outlier_bits"]
+        assert layer_report["disk_bits"] == charged + sum(layer_report["disk_extra_bits"].values())
+    n_weights = sum(m["d_row"] * m["d_col"] for m in meta.values())
+    size = (out / "layers.oack").stat().st_size
+    assert report["disk_bits_per_weight"] == 8.0 * size / n_weights
+    assert 8 * size == 8 * 12 + sum(r["disk_bits"] for r in report["layer_reports"])
 
 
 @pytest.mark.parametrize("method", ["RTN", "SpQR", "OAC_OPTQ", "Binary_BiLLM_style"])
@@ -130,7 +144,8 @@ def test_quantize_run(method, tmp_path, counted):
 def test_ragged_groups_reload(method, tmp_path):
     """group_size 15 leaves a one-column tail group in every 16-wide layer
     (and a two-column one in the 32-wide ones); those groups are coded by
-    the one affine rule and stored as codes, scales and zeros only."""
+    the one affine rule, charged whole and stored without a per-group
+    minimum."""
     checkpoint = tmp_path / "tiny.oack"
     save_checkpoint(init_model(CONFIG, seed=0), checkpoint)
     config = RunConfig(

@@ -1,26 +1,32 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oacal.archive import archive_read, archive_write
+from oacal.archive import archive_read, archive_write, entry_nbytes
 from oacal.calibrate import Backend, CalibSpec, calibrate_layer
 from oacal.errors import DimMismatch, EmptyGroup, MalformedArchive
 from oacal.quant import (
     SCALE_FLOOR,
+    StatsQuant,
     _code_group,
     _f32_round_up,
     _fit_group_rows,
     affine_bit_account,
     binarize_region,
     binary_bit_account,
+    disk_extra_bits,
     double_quantize_stats,
     layer_from_tensors,
     layer_to_tensors,
+    pack_uint,
     residual_binarize,
     round_half_away,
     rtn_quantize,
     splitting_search,
+    unpack_uint,
 )
 
 
@@ -195,6 +201,17 @@ class TestDoubleQuantizeStats:
         ) / n
         assert account.avg_bits_per_weight == pytest.approx(recomputed, abs=0)
 
+    def test_ragged_groups_and_runs_are_charged_whole(self):
+        # 64 columns at group size 63 store two statistic pairs per row
+        account = affine_bit_account(64, 64, bits=2, group_size=63, n_outliers=0)
+        assert account.stats_bits == 2 * 64 * 2 * 16
+        # 24 rows in runs of 16: each group's second level has two runs
+        account = affine_bit_account(
+            24, 64, bits=2, group_size=63, n_outliers=0, stat_bits=3, stat_group=16
+        )
+        assert account.stats_bits == 2 * (24 * 2 * 3 + 2 * 2 * 32)
+        assert account.avg_bits_per_weight == 2 + account.stats_bits / (24 * 64)
+
     @pytest.mark.parametrize("stat_group", [0, -1])
     def test_stat_group_below_one_rejected(self, stat_group):
         with pytest.raises(DimMismatch, match="stat_group"):
@@ -311,15 +328,46 @@ def test_binary_accounting_lands_near_one_bit():
     assert 1.05 <= account.avg_bits_per_weight <= 1.15
 
 
+def assert_same_layer(got, want):
+    """`got` reloads `want` bit for bit: the weights and every stored field,
+    `stats_q` record by record and field by field."""
+    assert got.dequantize().tobytes() == want.dequantize().tobytes()
+    assert type(got) is type(want) and got.accounting == want.accounting
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "stats_q" and b is not None:
+            assert len(a) == len(b)
+            for rec_a, rec_b in zip(a, b):
+                for sf in fields(StatsQuant):
+                    x, y = np.asarray(getattr(rec_a, sf.name)), np.asarray(getattr(rec_b, sf.name))
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), sf.name
+        elif isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        elif f.name != "accounting":
+            assert a == b, f.name
+
+
 class TestArchiveReload:
-    """A calibrated layer written to an archive reloads bit-identically."""
+    """Each layer kind written to `layers.oack` comes back bit for bit, every
+    stored field and `stats_q` included, and its entries take exactly its
+    accounted bits plus the labelled extras."""
 
     @staticmethod
     def reload(layer, tmp_path):
         tensors, meta = layer_to_tensors("blk.w", layer)
+        disk = 8 * sum(entry_nbytes(k, v) for k, v in tensors.items())
+        extra = disk_extra_bits("blk.w", meta)
+        assert disk == layer.accounting.total_bits + sum(extra.values())
         path = tmp_path / "layers.oack"
         archive_write(path, tensors)
-        return layer_from_tensors("blk.w", archive_read(path), meta)
+        assert 8 * path.stat().st_size == disk + 8 * 12  # plus the file header
+        got = layer_from_tensors("blk.w", archive_read(path), meta)
+        assert_same_layer(got, layer)
+        return got
+
+    @staticmethod
+    def extras(layer):
+        return disk_extra_bits("blk.w", layer_to_tensors("blk.w", layer)[1])
 
     @staticmethod
     def inputs(seed, d_row=24, d_col=48):
@@ -370,6 +418,52 @@ class TestArchiveReload:
         got = self.reload(layer, tmp_path).dequantize()
         assert got.tobytes() == layer.dequantize().tobytes()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rtn_and_optq(self, seed, tmp_path):
+        w, h = self.inputs(seed)
+        self.reload(rtn_quantize(w, bits=3, group_size=16), tmp_path)
+        layer, _ = calibrate_layer(w, h, CalibSpec())
+        self.reload(layer, tmp_path)
+        assert self.extras(layer)["scales_fp32"] == 16 * 24 * 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spqr_without_outliers(self, seed, tmp_path):
+        w, h = self.inputs(seed)
+        layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR, tau=1e9))
+        assert not layer.outliers and layer.stats_q
+        self.reload(layer, tmp_path)
+        assert "outlier_row_pointers" not in self.extras(layer)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spqr_with_outliers_in_the_first_and_last_row(self, seed, tmp_path):
+        w, h = self.inputs(seed)
+        w[0, 5], w[-1, -1], w[-1, 0] = 40.0, -40.0, 30.0
+        layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR))
+        rows = {r for r, _, _ in layer.outliers}
+        assert {0, w.shape[0] - 1} <= rows and layer.stats_q
+        self.reload(layer, tmp_path)
+        assert self.extras(layer)["outlier_row_pointers"] == 32 * (w.shape[0] + 1)
+
+    def test_ragged_group_and_statistics_run(self, tmp_path):
+        # 64 columns at group size 63: a one-column last group; 24 rows in
+        # runs of 16: a ragged last statistics run in every group
+        w, h = self.inputs(4, d_row=24, d_col=64)
+        layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR, group_size=63))
+        assert layer.scales.shape == (24, 2) and layer.stats_q[0].scale_steps.shape == (2,)
+        self.reload(layer, tmp_path)
+        assert self.extras(layer)["stats2_fp32"] == 2 * 32 * 2 * 2
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.08, 1.0], ids=["0%", "8%", "100%"])
+    def test_binary(self, fraction, tmp_path):
+        w, h = self.inputs(5, d_row=24, d_col=50)
+        layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.BINARY, salient_fraction=fraction))
+        n_sal = int(layer.salient_cols.sum())
+        assert n_sal == round(fraction * 50)
+        self.reload(layer, tmp_path)
+        extra = self.extras(layer)
+        assert extra["membership_bitmap"] == 24 * (50 - n_sal)
+        assert extra["alphas_fp64"] == 48 * (3 + 2 * n_sal)
+
 
 class TestLayerFromTensorsErrors:
     """A layer's archive entries must be exactly the ones its kind writes."""
@@ -397,3 +491,86 @@ class TestLayerFromTensorsErrors:
         tensors["mins/blk.w"] = np.zeros((3, 1), dtype=np.float32)
         with pytest.raises(MalformedArchive, match="mins"):
             layer_from_tensors("blk.w", tensors, meta)
+
+
+class TestPackUint:
+    """One packing rule for every integer the layer archive holds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 32), data=st.data())
+    def test_round_trip(self, width, data):
+        values = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+        packed = pack_uint(np.array(values, dtype=np.int64), width)
+        bits = len(values) * width
+        assert packed.dtype == np.uint8 and packed.shape == (-(-bits // 8),)
+        if bits % 8:  # the last byte is partly filled; its spare bits are zero
+            assert int(packed[-1]) >> (bits % 8) == 0
+        got = unpack_uint(packed, width, len(values))
+        assert got.dtype == np.int64
+        assert got.tolist() == values
+
+    def test_low_bit_first(self):
+        # 1, 2, 3 at two bits: stream bits 10 01 11 00 read from bit 0 up
+        assert pack_uint(np.array([1, 2, 3]), 2).tolist() == [0b00111001]
+        assert pack_uint(np.array([True, False, True]), 1).tolist() == [0b101]
+
+    @pytest.mark.parametrize(
+        "values, width",
+        [([4], 2), ([-1], 8), ([1 << 32], 32), ([1], 0), ([1], 33), (np.array([1.0]), 4)],
+        ids=["too-wide", "negative", "over-32", "width-0", "width-33", "float"],
+    )
+    def test_rejects_what_does_not_fit(self, values, width):
+        with pytest.raises(DimMismatch):
+            pack_uint(np.asarray(values), width)
+
+    @pytest.mark.parametrize("n_bytes", [1, 3])
+    def test_wrong_byte_count_is_malformed(self, n_bytes):
+        # 5 values at 3 bits take 2 bytes
+        with pytest.raises(MalformedArchive, match="expected uint8"):
+            unpack_uint(np.zeros(n_bytes, dtype=np.uint8), 3, 5)
+
+
+class TestPackedArchiveErrors:
+    """A layer archive that disagrees with its metadata is malformed."""
+
+    @staticmethod
+    def written(backend=Backend.SPQR):
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((8, 16))
+        x = rng.standard_normal((64, 16))
+        layer, _ = calibrate_layer(w, x.T @ x, CalibSpec(backend=backend, tau=1.0))
+        return layer_to_tensors("blk.w", layer)
+
+    @pytest.mark.parametrize("prefix", ["codes", "scalecodes", "outliercols", "outlierrows"])
+    def test_payload_one_byte_short(self, prefix):
+        tensors, meta = self.written()
+        key = f"{prefix}/blk.w"
+        tensors[key] = tensors[key][:-1]
+        with pytest.raises(MalformedArchive, match=key):
+            layer_from_tensors("blk.w", tensors, meta)
+
+    def test_float_entry_of_the_wrong_shape(self):
+        tensors, meta = self.written()
+        tensors["stats2/blk.w"] = tensors["stats2/blk.w"][:, :, :0]
+        with pytest.raises(MalformedArchive, match="stats2/blk.w"):
+            layer_from_tensors("blk.w", tensors, meta)
+
+    def test_salient_mask_disagreeing_with_the_metadata(self):
+        tensors, meta = self.written(Backend.BINARY)
+        tensors["salient/blk.w"] = pack_uint(np.ones(16, dtype=bool), 1)
+        with pytest.raises(MalformedArchive, match="salient mask"):
+            layer_from_tensors("blk.w", tensors, meta)
+
+    @pytest.mark.parametrize("backend", [Backend.OPTQ, Backend.SPQR, Backend.BINARY])
+    def test_archive_written_before_packing_names_the_expected_entries(self, backend):
+        # the float32 entries the unpacked writer stored for each kind
+        tensors, meta = self.written(backend)
+        old = (
+            ["binsigns1", "binsigns2", "binmember", "binsalient", "binalphas"]
+            if backend is Backend.BINARY
+            else ["codes", "scales", "zeros", "outliers"]
+        )
+        stale = {f"{prefix}/blk.w": np.zeros(1, dtype=np.float32) for prefix in old}
+        with pytest.raises(MalformedArchive, match="expected") as info:
+            layer_from_tensors("blk.w", stale, meta)
+        assert all(prefix in str(info.value) for prefix in (k.partition("/")[0] for k in tensors))
