@@ -22,6 +22,8 @@ entries carry no dtype byte and are all float32, are still read.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from collections.abc import Iterable, Mapping
 
@@ -127,10 +129,13 @@ def archive_read(path) -> dict[str, np.ndarray]:
     """Read an archive into an ordered {name: ndarray} mapping.
 
     Each array comes back as float32, float64 or uint8, whichever it was
-    stored as.
+    stored as. An entry whose dims declare more payload than the file has
+    left, or a shape numpy cannot index, is malformed before anything is
+    allocated for it.
     """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise MalformedArchive("bad magic; not a tensor archive")
         version, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
@@ -156,12 +161,15 @@ def archive_read(path) -> dict[str, np.ndarray]:
             dims = struct.unpack(
                 "<" + "Q" * ndim, _read_exact(fh, 8 * ndim, "dims")
             )
-            n_items = 1
-            for d in dims:
-                n_items *= d
-            payload = _read_exact(
-                fh, dtype.itemsize * n_items, f"payload of {name!r}"
-            )
+            n_bytes, left = dtype.itemsize * math.prod(dims), size - fh.tell()
+            if n_bytes > left:
+                raise MalformedArchive(
+                    f"truncated archive: {name!r} declares dims {dims}, "
+                    f"{n_bytes} payload bytes, and {left} are left"
+                )
+            if dtype.itemsize * math.prod(max(d, 1) for d in dims) > np.iinfo(np.intp).max:
+                raise MalformedArchive(f"dims {dims} of {name!r} cannot be indexed")
+            payload = _read_exact(fh, n_bytes, f"payload of {name!r}")
             arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
             out[name] = arr.copy()
         if fh.read(1):

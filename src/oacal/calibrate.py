@@ -7,7 +7,7 @@ Hessian a backend receives, never the backend.
 Every Hessian backend takes one path: the damped Hessian is factorized once,
 the backend's plan fixes what does not depend on compensation (SpQR's
 outliers, the group edges, the binary salient columns, split and alphas,
-and the bit account), and one column sweep (`_sweep`) runs the plan's
+and so the bit account), and one column sweep (`_sweep`) runs the plan's
 per-column codec. Quantizing column q forces a residual delta on that
 column; the unquantized columns to the right absorb the compensation
 
@@ -39,8 +39,6 @@ from .linalg import as_matrix, as_sym_matrix, inverse_upper_factor
 from .quant import (
     BinaryLayer,
     QuantizedLayer,
-    affine_bit_account,
-    binary_bit_account,
     double_quantize_stats,
     group_edges,
     residual_binarize,
@@ -289,7 +287,7 @@ def calibrate_layer(
 
 
 def _affine_plan(m, inv_diag, spec: CalibSpec):
-    """Plan of an OPTQ or SPQR layer: outlier mask, group edges, bit account;
+    """Plan of an OPTQ or SPQR layer: outlier mask and group edges;
     returns `quantize(upper)` and no report extras.
 
     SpQR's outliers are the weights whose group-RTN saliency exceeds tau x
@@ -307,15 +305,6 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
     outliers = [(int(r), int(c), float(m[r, c])) for r, c in np.argwhere(outlier_mask)]
     edges = group_edges(d_col, spec.group_size)
     col_group = np.repeat(np.arange(len(edges)), [c1 - c0 for c0, c1 in edges])
-    account = affine_bit_account(
-        d_row,
-        d_col,
-        bits,
-        spec.group_size,
-        len(outliers),
-        stat_bits=spec.stat_bits if spqr else None,
-        stat_group=spec.stat_group,
-    )
 
     def quantize(upper):
         work = m.copy()
@@ -327,7 +316,6 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
             zeros=np.empty((d_row, len(edges))),
             outliers=outliers,
             stats_q=[] if spqr else None,
-            accounting=account,
         )
 
         def codec(q, col):
@@ -354,7 +342,7 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
 
 
 def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
-    """Plan of a BINARY layer: salient columns, split threshold, alphas, bits.
+    """Plan of a BINARY layer: salient columns, split threshold and alphas.
 
     Salient columns are the top `salient_fraction` by column saliency of a
     naive one-plane binarization; they get two residual planes. Non-salient
@@ -390,8 +378,6 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
     else:
         threshold, alpha_low, alpha_high = 0.0, 0.0, 0.0
 
-    account = binary_bit_account(d_row, d_col, int(np.sum(salient)))
-
     def quantize(upper):
         layer = BinaryLayer(
             split_threshold=float(threshold),
@@ -403,7 +389,6 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
             signs1=np.ones((d_row, d_col), dtype=np.int8),
             signs2=np.ones((d_row, d_col), dtype=np.int8),
             membership=np.zeros((d_row, d_col), dtype=bool),
-            accounting=account,
         )
 
         def codec(q, col):

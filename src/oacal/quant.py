@@ -17,22 +17,15 @@ group's zero-widened range has the group's value at one end, so it codes at
 that end (maxq for a positive value, 0 for a negative one) and reconstructs
 within float32 rounding; only an all-zero range meets the floor.
 
-In the archive (`layer_to_tensors`) every integer is bit-packed by one rule
-(`pack_uint`) at the width the accounting charges: affine codes at `bits`,
-zero points at 16 (the fp16 charge, exact for integers), double-quantized
-statistics codes at `stat_bits`, outlier columns at 16, and binary signs,
-salient mask and membership at 1 bit. Floats are stored at the width that
-keeps them exact: scales, second-level steps and bases, and outlier values
-as float32; binary alphas as float64, because they are the unrounded
-least-squares magnitudes. Whatever is stored beyond the charge is named in
-`disk_extra_bits`: float32 scales (16 bits over fp16 each), second-level
-steps and bases (64 bits per run over the 2 x 32 charged), outlier row
-pointers, the binary membership bitmap that BiLLM's ~1.1-bit convention
-leaves uncharged, float64 alphas (48 bits over fp16 each), byte padding and
-entry headers.
+What a layer stores in the archive and what the accounting charges it are
+one table, `_layout`: per entry, the stored form (a bit-packed width or a
+float dtype), the bits charged per value, the `BitAccount` category and the
+label of whatever is stored beyond the charge. `bit_account`,
+`disk_extra_bits`, `layer_to_tensors` and `layer_from_tensors` all read it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,18 +38,14 @@ from .linalg import as_matrix
 # exactly.
 SCALE_FLOOR = float(np.float32(1e-12))
 
-# Bit costs used by the accounting formulas below.
 FP32_BITS = 32
 FP16_BITS = 16
-OUTLIER_INDEX_BITS = 16
-ROW_POINTER_BITS = 32
 
 __all__ = [
     "SCALE_FLOOR",
     "round_half_away",
     "BitAccount",
-    "affine_bit_account",
-    "binary_bit_account",
+    "bit_account",
     "QuantizedLayer",
     "rtn_quantize",
     "StatsQuant",
@@ -95,73 +84,6 @@ def _decode(codes, scale, zero):
 
 
 # ---------------------------------------------------------------------------
-# Bit accounting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BitAccount:
-    """Total stored bits split by category; avg is total / weight count."""
-
-    weight_bits: float
-    stats_bits: float
-    outlier_bits: float
-    avg_bits_per_weight: float
-
-    @property
-    def total_bits(self) -> float:
-        return self.weight_bits + self.stats_bits + self.outlier_bits
-
-
-def affine_bit_account(
-    n_rows: int,
-    n_cols: int,
-    bits: int,
-    group_size: int,
-    n_outliers: int,
-    stat_bits: int | None = None,
-    stat_group: int | None = None,
-) -> BitAccount:
-    """Accounting for group-affine layers.
-
-    `bits` per code; per row of each of the ceil(n_cols / group_size)
-    groups, a scale and a zero point (fp16 each without double
-    quantization, stat_bits each with it); with double quantization, 2 x 32
-    bits for the second-level parameters of each of a group's
-    ceil(n_rows / stat_group) runs; 32 + 16 bits per outlier (fp32 value
-    plus a 16-bit column index). A ragged last group or run is charged
-    whole, as it is stored.
-    """
-    n = n_rows * n_cols
-    n_groups = -(-n_cols // group_size)
-    if stat_bits is None:
-        stats_bits = float(n_groups * n_rows * 2 * FP16_BITS)
-    else:
-        n_runs = -(-n_rows // stat_group)
-        stats_bits = float(n_groups * (n_rows * 2 * stat_bits + n_runs * 2 * FP32_BITS))
-    weight_bits = float(bits) * n
-    outlier_bits = float(n_outliers) * (FP32_BITS + OUTLIER_INDEX_BITS)
-    avg = bits + stats_bits / n + (n_outliers / n) * (FP32_BITS + OUTLIER_INDEX_BITS)
-    return BitAccount(weight_bits, stats_bits, outlier_bits, avg)
-
-
-def binary_bit_account(n_rows: int, n_cols: int, n_salient_cols: int) -> BitAccount:
-    """Accounting for binary layers.
-
-    One sign plane per weight plus a second plane on salient columns; fp16
-    alphas (two per salient column, two shared low/high magnitudes, one split
-    threshold) and a one-bit per-column salient mask. The low/high membership
-    of non-salient weights is decode-side metadata and is not charged, which
-    matches the convention behind reported ~1.1-bit binary footprints.
-    """
-    n = n_rows * n_cols
-    weight_bits = float(n) + float(n_salient_cols * n_rows)
-    stats_bits = FP16_BITS * (2 * n_salient_cols + 2 + 1) + float(n_cols)
-    avg = (weight_bits + stats_bits) / n
-    return BitAccount(weight_bits, stats_bits, 0.0, avg)
-
-
-# ---------------------------------------------------------------------------
 # Group-affine layers
 # ---------------------------------------------------------------------------
 
@@ -188,7 +110,6 @@ class QuantizedLayer:
     zeros: np.ndarray  # float64, d_row x n_groups
     outliers: list[tuple[int, int, float]]  # sorted by (row, col)
     stats_q: "list[StatsQuant] | None"
-    accounting: BitAccount
 
     @property
     def d_row(self) -> int:
@@ -197,6 +118,27 @@ class QuantizedLayer:
     @property
     def d_col(self) -> int:
         return self.codes.shape[1]
+
+    @property
+    def meta(self) -> dict:
+        """The layers.json metadata that `_layout` reads."""
+        record = self.stats_q[0] if self.stats_q else None
+        return {
+            "kind": "affine",
+            "d_row": self.d_row,
+            "d_col": self.d_col,
+            "bits": self.bits,
+            "group_size": self.group_size,
+            "outlier_count": len(self.outliers),
+            "double_quantized": self.stats_q is not None,
+            "stat_bits": record.stat_bits if record else None,
+            "stat_group": record.stat_group if record else None,
+        }
+
+    @property
+    def accounting(self) -> BitAccount:
+        """What the layer is charged, derived from its `meta`."""
+        return bit_account(self.meta)
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the weight matrix; outliers return their stored value."""
@@ -252,7 +194,6 @@ def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
     for g, (c0, c1) in enumerate(edges):
         scales[:, g], zeros[:, g] = _fit_group_rows(m[:, c0:c1], bits)
         codes[:, c0:c1], _ = _code_group(m[:, c0:c1], scales[:, g], zeros[:, g], bits)
-    account = affine_bit_account(d_row, d_col, bits, group_size, n_outliers=0)
     return QuantizedLayer(
         bits=bits,
         group_size=group_size,
@@ -261,7 +202,6 @@ def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
         zeros=zeros,
         outliers=[],
         stats_q=None,
-        accounting=account,
     )
 
 
@@ -276,8 +216,8 @@ class StatsQuant:
 
     Each run of `stat_group` statistics is quantized relative to its minimum
     (`*_bases`), which keeps the second-level grid tight even though scales
-    are strictly positive. `*_steps` and `*_points` hold each run's affine
-    scale and zero point.
+    are strictly positive; `*_steps` hold each run's affine scale. A shifted
+    run's minimum is 0, so its zero point is always 0 and is not kept.
     """
 
     stat_bits: int
@@ -286,8 +226,6 @@ class StatsQuant:
     zero_codes: np.ndarray
     scale_steps: np.ndarray
     zero_steps: np.ndarray
-    scale_points: np.ndarray
-    zero_points: np.ndarray
     scale_bases: np.ndarray
     zero_bases: np.ndarray
 
@@ -299,20 +237,19 @@ def _dq_runs(values: np.ndarray, stat_bits: int, stat_group: int):
     runs = runs.reshape(-1, stat_group)
     bases = runs.min(axis=1)
     shifted = runs - bases[:, None]
-    # A shifted run's min is 0, so its zero point is 0 and a constant run
-    # dequantizes exactly to its base.
-    steps, points = _fit_group_rows(shifted, stat_bits)
-    codes, _ = _code_group(shifted, steps, points, stat_bits)
-    return codes.ravel()[: values.size], steps, points, bases
+    # A constant run dequantizes exactly to its base.
+    steps, _ = _fit_group_rows(shifted, stat_bits)
+    codes, _ = _code_group(shifted, steps, np.zeros_like(steps), stat_bits)
+    return codes.ravel()[: values.size], steps, bases
 
 
 def _dq_values(record: StatsQuant) -> tuple[np.ndarray, np.ndarray]:
-    """The scales and zeros a record dequantizes to: (code - point) * step +
-    base per entry, scales floored to stay positive, both snapped to float32
-    so reloads reproduce them exactly."""
+    """The scales and zeros a record dequantizes to: code * step + base per
+    entry, scales floored to stay positive, both snapped to float32 so
+    reloads reproduce them exactly."""
     r = np.arange(record.scale_codes.size) // record.stat_group
-    scales = _decode(record.scale_codes, record.scale_steps[r], record.scale_points[r])
-    zeros = _decode(record.zero_codes, record.zero_steps[r], record.zero_points[r])
+    scales = _decode(record.scale_codes, record.scale_steps[r], 0)
+    zeros = _decode(record.zero_codes, record.zero_steps[r], 0)
     scales = np.maximum(scales + record.scale_bases[r], SCALE_FLOOR).astype(np.float32)
     zeros = (zeros + record.zero_bases[r]).astype(np.float32)
     return scales.astype(np.float64), zeros.astype(np.float64)
@@ -336,12 +273,9 @@ def double_quantize_stats(
         raise EmptyGroup("no statistics to quantize")
     if zeros.shape != scales.shape:
         raise DimMismatch("scales and zeros must have the same length")
-    s_codes, s_steps, s_points, s_bases = _dq_runs(scales, stat_bits, stat_group)
-    z_codes, z_steps, z_points, z_bases = _dq_runs(zeros, stat_bits, stat_group)
-    record = StatsQuant(
-        stat_bits, stat_group, s_codes, z_codes, s_steps, z_steps,
-        s_points, z_points, s_bases, z_bases,
-    )
+    s_codes, s_steps, s_bases = _dq_runs(scales, stat_bits, stat_group)
+    z_codes, z_steps, z_bases = _dq_runs(zeros, stat_bits, stat_group)
+    record = StatsQuant(stat_bits, stat_group, s_codes, z_codes, s_steps, z_steps, s_bases, z_bases)
     return (record, *_dq_values(record))
 
 
@@ -384,28 +318,37 @@ def splitting_search(values) -> float:
     by the summed squared deviation of {|v| <= t} and {|v| > t} from their
     means, sum(x^2) - sum(x)^2 / n per side, read off prefix sums of the
     sorted magnitudes; ties resolve to the smallest threshold.
+
+    Besides `values`, at most two arrays of its size are alive at once: the
+    sorted magnitudes and one prefix sum, or the distinct magnitudes.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         raise EmptyGroup("cannot split an empty region")
-    mags = np.sort(np.abs(v))
-    distinct = np.unique(mags)
+    mags = np.abs(v)
+    mags.sort()
+    distinct = mags[np.concatenate([[True], mags[1:] != mags[:-1]])]
     if distinct.size <= SPLIT_CANDIDATES:
         candidates = distinct
     else:
         qs = np.linspace(0.0, 1.0, SPLIT_CANDIDATES)
-        candidates = np.unique(np.quantile(distinct, qs))
-    sums = np.concatenate([[0.0], np.cumsum(mags)])
-    squares = np.concatenate([[0.0], np.cumsum(mags**2)])
-    # The smallest candidate is the smallest magnitude, so n_low >= 1.
+        candidates = np.unique(np.quantile(distinct, qs, overwrite_input=True))
+    del distinct
+    # The smallest candidate is the smallest magnitude, so n_low >= 1 and the
+    # low side's prefix ends at index n_low - 1.
     n_low = np.searchsorted(mags, candidates, side="right")
     n_high = mags.size - n_low
-    err_low = squares[n_low] - sums[n_low] ** 2 / n_low
-    high_sums = sums[-1] - sums[n_low]
-    err_high = squares[-1] - squares[n_low] - high_sums**2 / np.maximum(n_high, 1)
+    sums = np.cumsum(mags)
+    sum_low, total = sums[n_low - 1], sums[-1]
+    del sums
+    squares = np.square(mags, out=mags)
+    np.cumsum(squares, out=squares)
+    sq_low, sq_total = squares[n_low - 1], squares[-1]
+    err_low = sq_low - sum_low**2 / n_low
+    err_high = sq_total - sq_low - (total - sum_low) ** 2 / np.maximum(n_high, 1)
     err = err_low + err_high
     # Scores within the prefix sums' rounding of the best count as ties.
-    tied = err <= err.min() + 1e-12 * squares[-1]
+    tied = err <= err.min() + 1e-12 * sq_total
     return float(candidates[np.argmax(tied)])
 
 
@@ -428,7 +371,6 @@ class BinaryLayer:
     signs1: np.ndarray  # int8 +-1, d_row x d_col
     signs2: np.ndarray  # int8 +-1, d_row x d_col (used on salient cols)
     membership: np.ndarray  # bool, d_row x d_col (True = high region)
-    accounting: BitAccount
 
     @property
     def d_row(self) -> int:
@@ -437,6 +379,17 @@ class BinaryLayer:
     @property
     def d_col(self) -> int:
         return self.signs1.shape[1]
+
+    @property
+    def meta(self) -> dict:
+        """The layers.json metadata that `_layout` reads."""
+        n_sal = int(self.salient_cols.sum())
+        return {"kind": "binary", "d_row": self.d_row, "d_col": self.d_col, "n_salient_cols": n_sal}
+
+    @property
+    def accounting(self) -> BitAccount:
+        """What the layer is charged, derived from its `meta`."""
+        return bit_account(self.meta)
 
     def dequantize(self) -> np.ndarray:
         sal = self.salient_cols
@@ -449,6 +402,127 @@ class BinaryLayer:
         )
         out[:, sal] = two_plane[:, sal]
         return out
+
+
+# ---------------------------------------------------------------------------
+# Layer layout: what each layer stores and what it is charged
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BitAccount:
+    """Total charged bits split by category; avg is total / weight count."""
+
+    weight_bits: float
+    stats_bits: float
+    outlier_bits: float
+    avg_bits_per_weight: float
+
+    @property
+    def total_bits(self) -> float:
+        return self.weight_bits + self.stats_bits + self.outlier_bits
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One archive entry of a layer: the shape of its values; `form`, a bit
+    width for unsigned integers bit-packed by `pack_uint` or a float dtype;
+    the bits charged per value and the `BitAccount` field they count toward;
+    and `label`, the name of the bits it stores beyond that charge."""
+
+    shape: tuple[int, ...]
+    form: int | type
+    charge: int
+    category: str
+    label: str | None = None
+
+    @property
+    def packed(self) -> bool:
+        return isinstance(self.form, int)
+
+    @property
+    def count(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def stored_bits(self) -> int:
+        """Bits per value on disk, byte padding aside."""
+        return self.form if self.packed else 8 * np.dtype(self.form).itemsize
+
+
+def _layout(meta: dict) -> dict[str, _Entry]:
+    """The one table of what a layer stores and what it is charged, derived
+    from its layers.json metadata: archive prefix -> `_Entry`, in archive
+    order. A ragged last group or statistics run is stored, and charged, whole.
+    """
+    d_row, d_col = meta["d_row"], meta["d_col"]
+    weight, stats, outlier = "weight_bits", "stats_bits", "outlier_bits"
+    if meta["kind"] == "binary":
+        n_sal = meta["n_salient_cols"]
+        return {
+            "signs1": _Entry((d_row, d_col), 1, 1, weight),
+            "signs2": _Entry((d_row, n_sal), 1, 1, weight),  # salient columns only
+            # Which alpha each non-salient weight takes: stored, but left
+            # uncharged as in BiLLM's ~1.1-bit convention (arXiv 2402.04291).
+            "membership": _Entry((d_row, d_col - n_sal), 1, 0, weight, "membership_bitmap"),
+            "salient": _Entry((d_col,), 1, 1, stats),
+            # Split threshold, low and high alphas, the salient columns' two
+            # alphas: charged as fp16, stored unrounded.
+            "alphas": _Entry((3 + 2 * n_sal,), np.float64, FP16_BITS, stats, "alphas_fp64"),
+        }
+    if meta["kind"] != "affine":
+        raise MalformedArchive(f"unknown layer kind {meta['kind']!r}")
+    n_groups = -(-d_col // meta["group_size"])
+    layout = {"codes": _Entry((d_row, d_col), meta["bits"], meta["bits"], weight)}
+    if meta["double_quantized"]:
+        n_runs, stat_bits = -(-d_row // meta["stat_group"]), meta["stat_bits"]
+        layout["scalecodes"] = _Entry((n_groups, d_row), stat_bits, stat_bits, stats)
+        layout["zerocodes"] = _Entry((n_groups, d_row), stat_bits, stat_bits, stats)
+        # Per group and run: scale step and base, zero step and base, stored
+        # as float32 and charged as fp16 (2 x 32 bits per run).
+        layout["stats2"] = _Entry(
+            (n_groups, 4, n_runs), np.float32, FP16_BITS, stats, "stats2_fp32"
+        )
+    else:
+        # Scales are charged as fp16; zero points are integers, exact at 16 bits.
+        layout["scales"] = _Entry((d_row, n_groups), np.float32, FP16_BITS, stats, "scales_fp32")
+        layout["zeros"] = _Entry((d_row, n_groups), FP16_BITS, FP16_BITS, stats)
+    n_out = meta["outlier_count"]
+    if n_out:
+        # An fp32 value and a 16-bit column each; the CSR row pointers are
+        # stored but not charged.
+        layout["outliervals"] = _Entry((n_out,), np.float32, FP32_BITS, outlier)
+        layout["outliercols"] = _Entry((n_out,), 16, 16, outlier)
+        layout["outlierrows"] = _Entry((d_row + 1,), 32, 0, outlier, "outlier_row_pointers")
+    return layout
+
+
+def bit_account(meta: dict) -> BitAccount:
+    """What a layer is charged: each `_layout` entry's charge per value times
+    its count, summed by category."""
+    totals = {"weight_bits": 0.0, "stats_bits": 0.0, "outlier_bits": 0.0}
+    for entry in _layout(meta).values():
+        totals[entry.category] += float(entry.charge * entry.count)
+    weights = meta["d_row"] * meta["d_col"]
+    return BitAccount(**totals, avg_bits_per_weight=sum(totals.values()) / weights)
+
+
+def disk_extra_bits(name: str, meta: dict) -> dict[str, int]:
+    """The bits a layer's archive entries hold beyond its accounted bits,
+    by label; with them, 8 x the entries' bytes = accounted total + their sum.
+
+    Each labelled `_layout` entry gives its stored bits beyond its charge;
+    `byte_padding` is the unused bits of each packed entry's last byte and
+    `entry_headers` each entry's name, dtype and dims in the archive.
+    """
+    layout = _layout(meta)
+    terms = {e.label: (e.stored_bits - e.charge) * e.count for e in layout.values() if e.label}
+    terms["byte_padding"] = sum(-(e.form * e.count) % 8 for e in layout.values() if e.packed)
+    terms["entry_headers"] = 8 * sum(
+        entry_header_nbytes(f"{prefix}/{name}", 1 if e.packed else len(e.shape))
+        for prefix, e in layout.items()
+    )
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -498,63 +572,15 @@ def unpack_uint(packed, width: int, count: int) -> np.ndarray:
     return out
 
 
-def _layout(meta: dict) -> dict[str, tuple]:
-    """A layer's archive entries, derived from its layers.json metadata:
-    prefix -> (width, count) for `count` unsigned integers bit-packed at
-    `width` bits, or (dtype, shape) for a float array."""
-    d_row, d_col = meta["d_row"], meta["d_col"]
-    if meta["kind"] == "binary":
-        n_sal = meta["n_salient_cols"]
-        return {
-            "signs1": (1, d_row * d_col),
-            "signs2": (1, d_row * n_sal),  # salient columns only
-            "membership": (1, d_row * (d_col - n_sal)),  # non-salient only
-            "salient": (1, d_col),
-            "alphas": (np.float64, (3 + 2 * n_sal,)),
-        }
-    if meta["kind"] != "affine":
-        raise MalformedArchive(f"unknown layer kind {meta['kind']!r}")
-    n_groups = -(-d_col // meta["group_size"])
-    layout = {"codes": (meta["bits"], d_row * d_col)}
-    if meta["double_quantized"]:
-        n_runs = -(-d_row // meta["stat_group"])
-        layout["scalecodes"] = (meta["stat_bits"], n_groups * d_row)
-        layout["zerocodes"] = (meta["stat_bits"], n_groups * d_row)
-        # per group: scale steps, scale bases, zero steps, zero bases
-        layout["stats2"] = (np.float32, (n_groups, 4, n_runs))
-    else:
-        layout["scales"] = (np.float32, (d_row, n_groups))
-        layout["zeros"] = (FP16_BITS, d_row * n_groups)
-    n_out = meta["outlier_count"]
-    if n_out:
-        layout["outliervals"] = (np.float32, (n_out,))
-        layout["outliercols"] = (OUTLIER_INDEX_BITS, n_out)
-        layout["outlierrows"] = (ROW_POINTER_BITS, d_row + 1)  # CSR row pointers
-    return layout
-
-
-def _packed(form) -> bool:
-    return isinstance(form, int)
 
 
 def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
-    """Tensor entries plus JSON-able metadata for one quantized layer.
+    """Tensor entries plus layers.json metadata for one quantized layer.
 
-    The entries are `<prefix>/<name>` for the prefixes `_layout` derives from
-    the metadata; integers are bit-packed by `pack_uint` into uint8 entries.
-    Affine layers store their codes, then either float32 scales and 16-bit
-    zero points or, when double-quantized, the statistics codes plus each
-    run's second-level steps and bases; outliers are float32 values, 16-bit
-    columns and 32-bit CSR row pointers. Binary layers store the sign plane,
-    the second plane on salient columns, the membership on the others, the
-    salient mask and the 3 + 2 * n_salient float64 alphas (split threshold,
-    low and high alphas, the salient columns' two alphas).
+    The entries are `<prefix>/<name>`, one per entry of the layer's
+    `_layout`, integers bit-packed by `pack_uint` into uint8 entries. The
+    metadata is the layer's `meta` plus its `accounting`.
     """
-    meta = {
-        "accounting": asdict(layer.accounting),
-        "d_row": layer.d_row,
-        "d_col": layer.d_col,
-    }
     if isinstance(layer, QuantizedLayer):
         values = {"codes": layer.codes}
         if layer.stats_q:
@@ -574,17 +600,6 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
             values["outliervals"] = vals
             values["outliercols"] = cols
             values["outlierrows"] = np.searchsorted(rows, np.arange(layer.d_row + 1))
-        meta.update(
-            {
-                "kind": "affine",
-                "bits": layer.bits,
-                "group_size": layer.group_size,
-                "outlier_count": len(layer.outliers),
-                "double_quantized": layer.stats_q is not None,
-                "stat_bits": layer.stats_q[0].stat_bits if layer.stats_q else None,
-                "stat_group": layer.stats_q[0].stat_group if layer.stats_q else None,
-            }
-        )
     elif isinstance(layer, BinaryLayer):
         sal = layer.salient_cols
         values = {
@@ -600,18 +615,18 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
                 ]
             ),
         }
-        meta.update({"kind": "binary", "n_salient_cols": int(sal.sum())})
     else:
         raise DimMismatch(f"unknown layer type {type(layer)!r}")
+    meta = layer.meta
     tensors = {
         f"{prefix}/{name}": (
-            pack_uint(values[prefix], form)
-            if _packed(form)
-            else np.asarray(values[prefix], dtype=form)
+            pack_uint(values[prefix], e.form)
+            if e.packed
+            else np.asarray(values[prefix], dtype=e.form)
         )
-        for prefix, (form, _) in _layout(meta).items()
+        for prefix, e in _layout(meta).items()
     }
-    return tensors, meta
+    return tensors, {**meta, "accounting": asdict(bit_account(meta))}
 
 
 def layer_from_tensors(name: str, tensors: dict, meta: dict):
@@ -621,10 +636,17 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
     `meta`, each of the dtype and size it implies, else MalformedArchive: a
     missing or leftover entry (such as those of a layer archive written
     before integers were bit-packed), an unknown kind, or a payload whose
-    byte count disagrees with the metadata. A double-quantized layer gets
+    byte count disagrees with the metadata. So must `meta`'s `accounting`
+    agree with the one `bit_account` derives. A double-quantized layer gets
     its `stats_q` back, and its statistics dequantize as they did.
     """
     layout = _layout(meta)
+    account = asdict(bit_account(meta))
+    if meta.get("accounting") != account:
+        raise MalformedArchive(
+            f"layer {name!r}: layers.json charges {meta.get('accounting')}, "
+            f"its layout charges {account}"
+        )
     held = {key.partition("/")[0] for key in tensors if key.partition("/")[2] == name}
     if held != set(layout):
         raise MalformedArchive(
@@ -632,40 +654,37 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
             f"expected {sorted(layout)}"
         )
     entry = {}
-    for prefix, (form, size) in layout.items():
+    for prefix, e in layout.items():
         key = f"{prefix}/{name}"
         arr = np.asarray(tensors[key])
-        if _packed(form):
-            want = (np.dtype(np.uint8), (-(-size * form // 8),))
+        if e.packed:
+            want = (np.dtype(np.uint8), (-(-e.count * e.form // 8),))
         else:
-            want = (np.dtype(form), size)
+            want = (np.dtype(e.form), e.shape)
         if (arr.dtype, arr.shape) != want:
             raise MalformedArchive(
                 f"{key} is {arr.dtype} {arr.shape}, layers.json implies {want[0]} {want[1]}"
             )
-        entry[prefix] = unpack_uint(arr, form, size) if _packed(form) else arr.astype(np.float64)
-    account = BitAccount(**meta["accounting"])
+        if e.packed:
+            entry[prefix] = unpack_uint(arr, e.form, e.count).reshape(e.shape)
+        else:
+            entry[prefix] = arr.astype(np.float64)
     d_row, d_col = meta["d_row"], meta["d_col"]
     if meta["kind"] == "affine":
-        n_groups = -(-d_col // meta["group_size"])
         stats_q = None
         if meta["double_quantized"]:
-            s_codes = entry["scalecodes"].reshape(n_groups, d_row)
-            z_codes = entry["zerocodes"].reshape(n_groups, d_row)
-            points = np.zeros(entry["stats2"].shape[2])  # a shifted run's zero point
             stats_q = [
                 StatsQuant(
-                    meta["stat_bits"], meta["stat_group"], s_code, z_code,
-                    steps_s, steps_z, points, points, bases_s, bases_z,
+                    meta["stat_bits"], meta["stat_group"], s_codes, z_codes,
+                    steps_s, steps_z, bases_s, bases_z,
                 )
-                for s_code, z_code, (steps_s, bases_s, steps_z, bases_z) in zip(
-                    s_codes, z_codes, entry["stats2"]
+                for s_codes, z_codes, (steps_s, bases_s, steps_z, bases_z) in zip(
+                    entry["scalecodes"], entry["zerocodes"], entry["stats2"]
                 )
             ]
             scales, zeros = (np.stack(v, axis=1) for v in zip(*map(_dq_values, stats_q)))
         else:
-            scales = entry["scales"]
-            zeros = entry["zeros"].reshape(d_row, n_groups).astype(np.float64)
+            scales, zeros = entry["scales"], entry["zeros"].astype(np.float64)
         outliers = []
         if meta["outlier_count"]:
             rows = np.repeat(np.arange(d_row), np.diff(entry["outlierrows"]))
@@ -676,12 +695,11 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
         return QuantizedLayer(
             bits=meta["bits"],
             group_size=meta["group_size"],
-            codes=entry["codes"].reshape(d_row, d_col),
+            codes=entry["codes"],
             scales=scales,
             zeros=zeros,
             outliers=outliers,
             stats_q=stats_q,
-            accounting=account,
         )
     salient = entry["salient"] != 0
     if int(salient.sum()) != meta["n_salient_cols"]:
@@ -689,13 +707,13 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
             f"layer {name!r}: salient mask has {int(salient.sum())} columns, "
             f"layers.json says {meta['n_salient_cols']}"
         )
-    n_sal = meta["n_salient_cols"]
     signs2 = np.ones((d_row, d_col), dtype=np.int8)
-    signs2[:, salient] = 1 - 2 * entry["signs2"].reshape(d_row, n_sal)
+    signs2[:, salient] = 1 - 2 * entry["signs2"]
     membership = np.zeros((d_row, d_col), dtype=bool)
-    membership[:, ~salient] = entry["membership"].reshape(d_row, d_col - n_sal) != 0
+    membership[:, ~salient] = entry["membership"] != 0
     sal_alpha1, sal_alpha2 = np.zeros(d_col), np.zeros(d_col)
     alphas = entry["alphas"]
+    n_sal = meta["n_salient_cols"]
     sal_alpha1[salient] = alphas[3 : 3 + n_sal]
     sal_alpha2[salient] = alphas[3 + n_sal :]
     return BinaryLayer(
@@ -705,43 +723,7 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
         salient_cols=salient,
         sal_alpha1=sal_alpha1,
         sal_alpha2=sal_alpha2,
-        signs1=(1 - 2 * entry["signs1"].reshape(d_row, d_col)).astype(np.int8),
+        signs1=(1 - 2 * entry["signs1"]).astype(np.int8),
         signs2=signs2,
         membership=membership,
-        accounting=account,
     )
-
-
-def disk_extra_bits(name: str, meta: dict) -> dict[str, int]:
-    """The bits a layer's archive entries hold beyond its accounted bits,
-    by label; with them, 8 x the entries' bytes = accounted total + their sum.
-
-    Affine: `scales_fp32` (16 bits over the fp16 charge per scale),
-    `stats2_fp32` (second-level steps and bases: 4 x 32 bits per run, 2 x 32
-    charged), `outlier_row_pointers`. Binary: `membership_bitmap` (one bit
-    per non-salient weight, uncharged as in BiLLM's ~1.1-bit convention),
-    `alphas_fp64` (48 bits over the fp16 charge per alpha). Both:
-    `byte_padding` (the unused bits of each packed entry's last byte) and
-    `entry_headers` (each entry's name, dtype and dims in the archive).
-    """
-    layout = _layout(meta)
-    d_row = meta["d_row"]
-    terms = {}
-    if meta["kind"] == "binary":
-        terms["membership_bitmap"] = layout["membership"][1]
-        terms["alphas_fp64"] = (64 - FP16_BITS) * layout["alphas"][1][0]
-    else:
-        if "scales" in layout:
-            terms["scales_fp32"] = (FP32_BITS - FP16_BITS) * d_row * layout["scales"][1][1]
-        if "stats2" in layout:
-            n_groups, _, n_runs = layout["stats2"][1]
-            terms["stats2_fp32"] = 2 * FP32_BITS * n_groups * n_runs
-        if "outlierrows" in layout:
-            terms["outlier_row_pointers"] = ROW_POINTER_BITS * (d_row + 1)
-    packed = [form * size for form, size in layout.values() if _packed(form)]
-    terms["byte_padding"] = sum(-bits % 8 for bits in packed)
-    terms["entry_headers"] = 8 * sum(
-        entry_header_nbytes(f"{prefix}/{name}", 1 if _packed(form) else len(size))
-        for prefix, (form, size) in layout.items()
-    )
-    return terms

@@ -181,3 +181,25 @@ def test_other_integer_arrays_are_refused(tmp_path, arr):
     with pytest.raises(UnsupportedDtype, match="uint8"):
         archive_write(tmp_path / "ints.oack", {"codes": arr})
     assert not (tmp_path / "ints.oack").exists()
+
+
+def declare(path, dims, payload=b""):
+    """A version-2 archive of one float32 entry that declares `dims`."""
+    path.write_bytes(
+        MAGIC + struct.pack("<IIH", 2, 1, 1) + b"w" + struct.pack("<BB", 0, len(dims))
+        + struct.pack(f"<{len(dims)}Q", *dims) + payload
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [((2**62,), "truncated"), ((2**32, 2**32), "truncated"), ((3,), "truncated"),
+     ((0, 2**63), "cannot be indexed")],
+    ids=["overflowing", "overflowing-product", "past-the-end", "unindexable-empty"],
+)
+def test_payload_larger_than_the_file_is_malformed(tmp_path, dims, message):
+    # checked before any payload is read or allocated
+    path = tmp_path / "big.oack"
+    declare(path, dims, payload=b"\x00" * 8)
+    with pytest.raises(MalformedArchive, match=message):
+        archive_read(path)

@@ -1,5 +1,6 @@
 """The command line: exit codes and a whole sweep-alpha run on disk."""
 import json
+import struct
 from pathlib import Path
 
 import jsonschema
@@ -274,6 +275,19 @@ def test_missing_eval_checkpoint(setup, tmp_path, capsys):
     absent = tmp_path / "absent.oack"
     assert main(["eval", *corpus_flags(flags), "--eval-checkpoint", str(absent)]) == 3
     assert capsys.readouterr().err == f"i/o failure: eval-checkpoint path does not exist: {absent}\n"
+
+
+@pytest.mark.parametrize("dims", [(2**62,), (2**32, 2**32)], ids=["overflowing", "overflowing-product"])
+def test_oversized_checkpoint_entry_exits_3(setup, capsys, dims):
+    # the first entry's dims declare more payload than any file holds
+    checkpoint, flags = setup
+    data = checkpoint.read_bytes()
+    (name_len,) = struct.unpack_from("<H", data, 12)
+    at = 12 + 2 + name_len + 1  # the first entry's ndim byte
+    rest = data[at + 1 + 8 * data[at]:]
+    checkpoint.write_bytes(data[:at] + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + rest)
+    assert main(["eval", *corpus_flags(flags), "--eval-checkpoint", str(checkpoint)]) == 3
+    assert capsys.readouterr().err.startswith("i/o failure: truncated archive")
 
 
 def test_eval_of_a_stored_run_reproduces_its_report(setup, tmp_path, capsys):
