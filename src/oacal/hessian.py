@@ -71,9 +71,12 @@ class HessianAccumulator:
 def accumulate_agnostic_batch(acc: HessianAccumulator, xs) -> None:
     """Add every row of `xs` as one agnostic sample: m^T m into the lower triangle.
 
-    `m.T` and `acc.sum.T` are Fortran-ordered views, so dsyrk reads the rows
-    and updates the upper triangle of `acc.sum.T` (the lower one of
-    `acc.sum`) where it lies, without a copy.
+    Rows of any float dtype are widened to float64 (`as_matrix`, which
+    copies only rows that are not float64) before the dsyrk, so the sum is
+    float64 whatever dtype the forward ran in. `m.T` and `acc.sum.T` are
+    Fortran-ordered views, so dsyrk reads the rows and updates the upper
+    triangle of `acc.sum.T` (the lower one of `acc.sum`) where it lies,
+    without a copy.
     """
     if acc.mode is not HessianMode.AGNOSTIC:
         raise DimMismatch("accumulator mode is not agnostic")

@@ -11,8 +11,10 @@ layer the partly quantized model's inputs; here both flavours share one
 collection rule, so an OAC-versus-baseline comparison changes only the
 Hessian. RTN needs no Hessian and skips phase 1. Phase 2 calibrates every
 layer, front to back, through one `calibrate_layer` call whatever the
-method, and installs the dequantized weights. Collection runs in float64,
-on the checkpoint's float32 values widened. After it the model holds
+method, and installs the dequantized weights. The OAC harvest runs in
+float64, on the checkpoint's float32 values widened; the agnostic
+collection runs its forwards on those float32 values and sums each
+layer's input outer products in float64. From then on the model holds
 float32 parameters: calibration widens one layer at a time to float64 and
 installs the dequantized layer as float32, which is what eval
 (`tinylm.perplexity`, float32 forwards, float64 loss sums) reads and what
@@ -299,9 +301,11 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     None; a grid records a failed alpha and skips it, and raises ConfigError
     when none succeeds.
 
-    Memory: the collection runs on the checkpoint widened to float64, and
-    the model is narrowed back to its float32 values as soon as it is done.
-    Each layer's Hessian is finalized into a fresh array that
+    Memory: one model is held at a time. The OAC harvest runs on the
+    checkpoint widened to float64, and the model is narrowed back to its
+    float32 values as soon as it is done; an agnostic run narrows it before
+    collecting, so its forwards run in float32 and only its sums are
+    float64. Each layer's Hessian is finalized into a fresh array that
     `calibrate_layer` owns and damps in place. On the last alpha each
     accumulator leaves `accs` before its Hessian is finalized, so it is
     freed before the layer is factorized.
@@ -318,11 +322,11 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     backend, mode = _METHOD_TABLE[config.method]
     t0 = time.perf_counter()
     accs = {}
-    if backend is not Backend.RTN:
-        adaptive = mode is HessianMode.ADAPTIVE
-        collect = harvest_block_gradients if adaptive else collect_agnostic_accumulators
-        accs = collect(model, samples)
+    if mode is HessianMode.ADAPTIVE:
+        accs = harvest_block_gradients(model, samples)
     model = _float32(model)
+    if mode is HessianMode.AGNOSTIC and backend is not Backend.RTN:
+        accs = collect_agnostic_accumulators(model, samples)
     phase1 = time.perf_counter() - t0
     collected_s = time.perf_counter() - t_start
     grid = [config.alpha] if alphas is None else sorted(float(a) for a in alphas)

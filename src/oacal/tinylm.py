@@ -10,10 +10,11 @@ forward, the adaptive harvest each block's factor pairs as one backward
 reaches the block. Each drops a block's cache once it is folded, and the
 harvest's backward stops after block 0's pairs.
 
-Training, the harvest and the agnostic collector run in float64. Eval
-(`perplexity`) runs its forwards in float32, on the parameters' float32
-values, which is all a checkpoint stores; each window's loss and their sum
-stay float64.
+Training and the harvest run in float64. The agnostic collector runs its
+forwards in the parameters' dtype, float32 in the pipeline, and sums the
+inputs' outer products in float64. Eval (`perplexity`) runs its forwards in
+float32, on the parameters' float32 values, which is all a checkpoint
+stores; each window's loss and their sum stay float64.
 
 Every model function takes a stack of windows: token ids (B, T) and
 activations (B, T, d). `lm_backward` returns each linear layer's gradient
@@ -47,6 +48,7 @@ from .errors import (
     CorpusTooSmall,
     DimMismatch,
     MalformedArchive,
+    NonFinite,
     TokenOutOfRange,
 )
 from .hessian import (
@@ -384,9 +386,11 @@ def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAc
     """Input-outer-product accumulators for every block layer, in one pass.
 
     Each chunk of (N, T) token-id windows runs the embedding and every block
-    of `model` as given, but not the head. Right after a block's forward,
-    every position of each of its layers' cached inputs adds one x x^T, one
-    window at a time in window order, and the block's cache is dropped. The
+    of `model` as given, but not the head, in the parameters' dtype: the
+    pipeline passes the checkpoint's float32 values. Right after a block's
+    forward, every position of each of its layers' cached inputs adds one
+    x x^T, one window at a time in window order, and the block's cache is
+    dropped; the rows are widened to float64 and summed in float64. The
     layers of a block that read the same input share one accumulator.
     """
     ids = _check_ids(model, windows)
@@ -416,7 +420,8 @@ def perplexity(model: TinyLM, tokens) -> float:
     The forwards run in float32, on the parameters' float32 values, which
     round them as `save_checkpoint` does: float32 parameters are read as
     they are, wider ones are copied once per call. Each window's loss and
-    their running sum are float64.
+    their running sum are float64. Raises NonFinite when a window's loss is
+    not finite, as when the float32 forward overflows.
     """
     cfg = model.config
     ctx = cfg.context_length
@@ -428,6 +433,11 @@ def perplexity(model: TinyLM, tokens) -> float:
     losses = np.concatenate(
         [lm_forward_loss(f32, windows[rows])[0] for rows in _chunks(*windows.shape)]
     )
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        raise NonFinite(
+            f"eval loss of window {bad[0]} of {losses.shape[0]} is {losses[bad[0]]}"
+        )
     # a running sum keeps the one-window-at-a-time summation order
     total = np.cumsum(losses * (ctx - 1))[-1]
     return float(np.exp(total / (losses.shape[0] * (ctx - 1))))

@@ -20,7 +20,8 @@ from oacal.tinylm import (
     save_checkpoint,
 )
 
-CORPUS = Path(__file__).resolve().parents[1] / "data" / "tiny_corpus.txt"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "data" / "tiny_corpus.txt"
 TWO_BLOCKS = ModelConfig(vocab_size=128, d_model=16, d_ff=32, n_blocks=2, context_length=32)
 
 
@@ -304,6 +305,57 @@ def test_eval_of_a_stored_run_reproduces_its_report(setup, tmp_path, capsys):
         report["valid_perplexity"],
         report["test_perplexity"],
     )
+
+
+@pytest.fixture
+def overflowing(setup, tmp_path):
+    """The committed toy checkpoint with every query and key weight scaled
+    by 1e19: the float32 attention logits overflow, float64 ones do not."""
+    model = load_checkpoint(ROOT / "benchmarks" / "toy" / "toy.oack")
+    for name in model.params:
+        if name.endswith((".attn.wq", ".attn.wk")):
+            model.params[name] *= 1e19
+    checkpoint = tmp_path / "overflowing.oack"
+    save_checkpoint(model, checkpoint)
+    return checkpoint, setup[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_eval_loss_is_a_failure(overflowing, capsys):
+    checkpoint, flags = overflowing
+    assert main(["eval", *corpus_flags(flags), "--eval-checkpoint", str(checkpoint)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("failure: eval loss of window 0 of ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_eval_loss_fails_a_quantize_run(overflowing, tmp_path, capsys):
+    """RTN collects nothing, so the overflow first shows in eval."""
+    checkpoint, flags = overflowing
+    assert main(["quantize", "--method", "RTN", "--checkpoint", str(checkpoint), *flags]) == 2
+    assert capsys.readouterr().err.startswith("failure: eval loss of window 0 of ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_eval_loss_fails_every_sweep_candidate(overflowing, capsys):
+    checkpoint, flags = overflowing
+    assert main(["sweep-alpha", "--method", "RTN", "--checkpoint", str(checkpoint), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: every alpha candidate failed: ")
+    assert err.count("'status': 'failed', 'error': 'eval loss of window 0 of ") == 4
+    assert "'ok'" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method", ["OPTQ", "Binary_BiLLM_style"])
+def test_overflowing_agnostic_collection_is_a_failure(overflowing, capsys, method):
+    """The agnostic collector's float32 forwards overflow as eval's do, and
+    the NaN rows are refused before they reach a Hessian."""
+    checkpoint, flags = overflowing
+    assert main(["quantize", "--method", method, "--checkpoint", str(checkpoint), *flags]) == 2
+    assert capsys.readouterr().err == "failure: matrix contains NaN or Inf\n"
 
 
 @pytest.mark.parametrize(

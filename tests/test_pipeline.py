@@ -208,6 +208,23 @@ def test_collects_once_before_calibrating(tmp_path, monkeypatch, method, collect
 
 
 @pytest.mark.parametrize("method, collector", COLLECTORS)
+def test_collector_parameter_dtype(tmp_path, monkeypatch, method, collector):
+    """The agnostic collector runs on the float32 model (its sums stay
+    float64); the OAC harvest runs on the float64 one."""
+    dtypes = []
+    collect = getattr(pipeline, collector)
+
+    def record(model, windows):
+        dtypes.append({v.dtype for v in model.params.values()})
+        return collect(model, windows)
+
+    monkeypatch.setattr(pipeline, collector, record)
+    run_quantize(collector_config(tmp_path, method))
+    expected = {"collect_agnostic_accumulators": np.float32, "harvest_block_gradients": np.float64}
+    assert dtypes == [{np.dtype(expected[collector])}]
+
+
+@pytest.mark.parametrize("method, collector", COLLECTORS)
 def test_run_drops_each_block_hessians_once_calibrated(tmp_path, monkeypatch, method, collector):
     """All layers are collected up front. On a lone alpha, a layer's
     accumulator is gone by the time the layer is calibrated, unless a later

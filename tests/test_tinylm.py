@@ -1,5 +1,6 @@
 """The toy transformer: gradients, per-block forward, collectors, checkpoints."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,13 @@ from oacal.tinylm import (
     lm_forward_loss,
     load_checkpoint,
     quantizable_layers,
+    sample_calibration_windows,
     save_checkpoint,
+    tokenize,
     train_tiny_lm,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = ModelConfig(vocab_size=16, d_model=8, d_ff=12, n_blocks=2, context_length=7)
 THREE = ModelConfig(vocab_size=32, d_model=8, d_ff=16, n_blocks=3, context_length=10)
@@ -210,6 +215,29 @@ class TestCollectors:
             assert acc.n_samples == expected[name].n_samples == len(samples)
             assert acc.sum.tobytes() == expected[name].sum.tobytes(), name
 
+    @pytest.mark.parametrize("which", ["toy-checkpoint", "three-blocks"])
+    def test_float32_forwards_stay_within_1e6_of_float64(self, which):
+        """The agnostic collector on a model's float32 values sums in
+        float64, and every layer's Hessian lies within 1e-6 relative
+        Frobenius of collecting from float64 forwards of the same values."""
+        if which == "toy-checkpoint":
+            model = load_checkpoint(ROOT / "benchmarks" / "toy" / "toy.oack")
+            tokens = tokenize((ROOT / "data" / "tiny_corpus.txt").read_bytes())
+            ctx = model.config.context_length
+            samples = sample_calibration_windows(tokens, 16, ctx, np.random.default_rng(0))
+        else:
+            model = cast(cast(scaled_model(THREE, 8, scale=5.0), np.float32), np.float64)
+            samples = windows(THREE, PER_CHUNK + 3, 10)
+        wide = collect_agnostic_accumulators(model, samples)
+        narrow = collect_agnostic_accumulators(cast(model, np.float32), samples)
+        assert list(narrow) == list(wide)
+        for name, acc in narrow.items():
+            assert acc.sum.dtype == np.float64
+            assert acc.n_samples == wide[name].n_samples
+            expected = finalize(wide[name])
+            gap = np.linalg.norm(finalize(acc) - expected)
+            assert gap <= 1e-6 * np.linalg.norm(expected), name
+
     def test_no_windows(self):
         for collect in (collect_agnostic_accumulators, harvest_block_gradients):
             with pytest.raises(DimMismatch):
@@ -256,15 +284,17 @@ class TestStackedWindows:
 
     @pytest.mark.parametrize("n", [1, PER_CHUNK + 1])
     @pytest.mark.parametrize(
-        "collect",
+        "collect, dtype",
         [
-            pytest.param(collect_agnostic_accumulators, id="collect_agnostic_accumulators"),
-            pytest.param(harvest_block_gradients, id="harvest_block_gradients"),
+            pytest.param(collect_agnostic_accumulators, np.float64, id="collect_agnostic_accumulators"),
+            pytest.param(collect_agnostic_accumulators, np.float32, id="collect_agnostic_accumulators-float32"),
+            pytest.param(harvest_block_gradients, np.float64, id="harvest_block_gradients"),
         ],
     )
-    def test_collectors_match_one_window_at_a_time(self, collect, n):
-        """Covers a ragged last chunk: the sums fold the windows in order."""
-        model = scaled_model(THREE, 16, scale=5.0)
+    def test_collectors_match_one_window_at_a_time(self, collect, dtype, n):
+        """Covers a ragged last chunk: the sums fold the windows in order,
+        from float32 forwards as from float64 ones."""
+        model = cast(scaled_model(THREE, 16, scale=5.0), dtype)
         samples = windows(THREE, n, 17)
         accs = collect(model, samples)
         singles = [collect(model, s[None]) for s in samples]
