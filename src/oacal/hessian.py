@@ -124,9 +124,17 @@ def finalize(acc: HessianAccumulator) -> np.ndarray:
 def regularize(h, alpha: float) -> np.ndarray:
     """Add alpha * mean(diag(h)) to every diagonal entry of h, in place, and
     return h; alpha finite and >= 0. Only input that is not a float64 array
-    is damped in a new one. Pass a copy to keep h."""
+    is damped in a new one. Pass a copy to keep h.
+
+    A dead input, whose row of h is zero (for a positive semidefinite h:
+    whose diagonal entry is zero), first gets h[dead, dead] = 1 as in GPTQ
+    (arXiv 2210.17323), so even h = 0 can be damped. Unlike GPTQ, its weights are
+    not zeroed: an OAC Hessian is 0 wherever the loss ignores the layer,
+    even when the layer's inputs are not."""
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise NegativeAlpha(f"alpha must be finite and >= 0, got {alpha}")
     sym = as_sym_matrix(h)
+    dead = ~np.any(sym, axis=0)
+    sym[dead, dead] = 1.0
     sym[np.diag_indices_from(sym)] += alpha * float(np.mean(np.diag(sym)))
     return sym

@@ -3,20 +3,18 @@ reports.
 
 A method is a backend plus a Hessian flavour (`_METHOD_TABLE`). Phase 1
 collects every block layer's Hessian before the first block is quantized,
-in one pass over the unquantized checkpoint per chunk of calibration
-windows: adaptive (OAC) methods run one forward and one backward, agnostic
-ones one forward. No layer's Hessian sees the quantization of the blocks
-before it. The reference GPTQ, SpQR and BiLLM pipelines instead feed each
-layer the partly quantized model's inputs; here both flavours share one
-collection rule, so an OAC-versus-baseline comparison changes only the
-Hessian. RTN needs no Hessian and skips phase 1. Phase 2 calibrates every
-layer, front to back, through one `calibrate_layer` call whatever the
-method, and installs the dequantized weights. The OAC harvest runs in
-float64, on the checkpoint's float32 values widened; the agnostic
-collection runs its forwards on those float32 values and sums each
-layer's input outer products in float64. From then on the model holds
-float32 parameters: calibration widens one layer at a time to float64 and
-installs the dequantized layer as float32, which is what eval
+in one walk over the unquantized checkpoint (`tinylm.collect`, whose
+docstring gives the walk's order): adaptive (OAC) methods with a
+backward, agnostic ones forward only. No layer's Hessian sees the
+quantization of the blocks before it. The reference GPTQ, SpQR and BiLLM
+pipelines instead feed each layer the partly quantized model's inputs;
+here both flavours share one walk, so an OAC-versus-baseline comparison
+changes only the Hessian. RTN needs no Hessian and skips phase 1. Phase
+2 calibrates every layer, front to back, through one `calibrate_layer`
+call whatever the method, and installs the dequantized weights. Once the
+Hessians are collected (`run_quantize` says in which dtype), the model
+holds float32 parameters: calibration widens one layer at a time to
+float64 and installs the dequantized layer as float32, which is what eval
 (`tinylm.perplexity`, float32 forwards, float64 loss sums) reads and what
 checkpoints store. Everything numeric that affects the output is echoed
 into the JSON report.

@@ -3,35 +3,29 @@
 The model is deliberately small (vocab 128, d_model 64, two pre-norm blocks
 of single-head attention plus a tanh MLP) so that exact per-window gradients
 are cheap: they feed the adaptive Hessian accumulators, and every derivative
-is checked against finite differences in the tests. Both Hessian collectors
-read every block layer from whole-model passes of the model as given: the
-agnostic one folds each block's layer inputs right after the block's
-forward, the adaptive harvest each block's factor pairs as one backward
-reaches the block. Each drops a block's cache once it is folded, and the
-harvest's backward stops after block 0's pairs.
+is checked against finite differences in the tests.
 
-Training and the harvest run in float64. The agnostic collector runs its
-forwards in the parameters' dtype, float32 in the pipeline, and sums the
-inputs' outer products in float64. Eval (`perplexity`) runs its forwards in
+Training runs in float64, the Hessian walk in the parameters' dtype and
+every Hessian sum in float64. Eval (`perplexity`) runs its forwards in
 float32, on the parameters' float32 values, which is all a checkpoint
 stores; each window's loss and their sum stay float64.
 
 Every model function takes a stack of windows: token ids (B, T) and
 activations (B, T, d). `lm_backward` returns each linear layer's gradient
 factors, input X (B, T, d_in) and output gradient dY (B, T, d_out), not its
-weight gradient dY^T X: training forms those and sums them over axis 0, and
-the adaptive harvest folds each window's G^T G, in window order, from the
-pairs the same per-block backward (`_block_backward`) yields, so all sums
-equal a one-window loop bit for bit. Activations are row
-vectors; a linear layer with weight W (d_out x d_in) computes x @ W.T, so
-W's columns line up with the layer's input dimension.
+weight gradient dY^T X: training forms those and sums them over axis 0,
+and the Hessian collectors fold them (X alone, agnostic) window by window
+through one walk, `collect`, whose docstring gives its order, so all sums
+equal a one-window loop bit for bit. Activations are row vectors; a linear layer
+with weight W (d_out x d_in) computes x @ W.T, so W's columns line up with
+the layer's input dimension.
 
-Eval, the harvest and the agnostic collector run CHUNK_ROWS token rows at a
-time: 2 windows of the toy's 64 positions, 1 of the M shape's 128. Peak RSS
-(one BLAS thread) after the toy OAC_OPTQ harvest of 128 windows is
-64/67/70/76 MiB at 64/128/256/512 rows; at 256 rows the toy alpha sweep's
-peak rose 3% (67.8 to 70.1 MiB) and its CPU time did not fall (medians of
-four alternated runs: 1.86 s at 128 rows, 1.95 s at 256).
+Eval and the Hessian walk run CHUNK_ROWS token rows at a time: 2 windows
+of the toy's 64 positions, 1 of the M shape's 128. Peak RSS (one BLAS
+thread) after the toy OAC_OPTQ harvest of 128 windows is 64/67/70/76 MiB
+at 64/128/256/512 rows; at 256 rows the toy alpha sweep's peak rose 3%
+(67.8 to 70.1 MiB) and its CPU time did not fall (medians of four
+alternated runs: 1.86 s at 128 rows, 1.95 s at 256).
 """
 from __future__ import annotations
 
@@ -77,6 +71,7 @@ __all__ = [
     "lm_forward_loss",
     "lm_backward",
     "embed_windows",
+    "collect",
     "harvest_block_gradients",
     "collect_agnostic_accumulators",
     "perplexity",
@@ -262,7 +257,7 @@ def lm_backward(model: TinyLM, cache: dict) -> dict[str, tuple[np.ndarray, np.nd
     "embed" maps to the ids (B, T) and the embedded rows' gradient (B, T, d).
     Backpropagation always runs from the head through every block.
     """
-    dlogits, dx = _head_backward(model, cache)
+    dlogits, dx = _head_backward(model, cache, cache["ids"])
     factors = {"head": (cache["final_norm"], dlogits)}
     for b in reversed(cache["blocks"]):
         blk = cache["blocks"][b]
@@ -273,9 +268,9 @@ def lm_backward(model: TinyLM, cache: dict) -> dict[str, tuple[np.ndarray, np.nd
     return factors
 
 
-def _head_backward(model: TinyLM, cache: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The logits' gradient and the gradient of the last block's output."""
-    ids = cache["ids"]
+def _head_backward(model: TinyLM, cache: dict, ids) -> tuple[np.ndarray, np.ndarray]:
+    """The logits' gradient and the gradient of the last block's output,
+    from `_head_forward`'s cache and the windows' (B, T) token ids."""
     n, t = ids.shape
     n_pred = t - 1
     dlogits = cache["probs"].copy()
@@ -348,69 +343,83 @@ def embed_windows(model: TinyLM, ids: np.ndarray) -> np.ndarray:
     return xs
 
 
-def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
-    """Adaptive Hessian accumulators for every block layer, in one pass.
+def collect(model: TinyLM, windows, fold, backward: bool) -> None:
+    """Walk (N, T) token-id windows through `model` as given, calling
+    `fold(block, pairs)` for each block of each chunk.
 
-    Each chunk of (N, T) token-id windows runs one `lm_forward` of `model` as
-    given and backpropagates from the head, one block at a time, last block
-    first. As soon as a block's factor pairs exist, every window adds its
-    own G^T G to each of the block's layer accumulators, in window order,
-    and the block's forward cache is dropped. The backward stops after
-    block 0's pairs: the gradient of block 0's input is never formed. The
-    pipeline passes the unquantized checkpoint, so no layer's Hessian sees
-    the quantization of the blocks before it.
+    `pairs` maps the block's layers, in `_LAYER_INPUTS` order, to (X, dY):
+    the chunk's inputs (B, T, d_in), one array per distinct input, and
+    output gradients (B, T, d_out), None without `backward`. Chunks of
+    CHUNK_ROWS token rows go in order, their windows stacked in order; each
+    is embedded and runs every block forward, front to back, in the
+    parameters' dtype. Forward only, `fold` follows each block's forward.
+    With `backward`, the loss gradient then goes back one block at a time,
+    back to front, `fold` following each block's backward; the walk stops
+    after block 0's, never forming the gradient of block 0's input. Each
+    block's cache, which `pairs` holds, is dropped once its fold returns.
     """
     ids = _check_ids(model, windows)
+    for rows in _chunks(*ids.shape):
+        x, blocks = embed_windows(model, ids[rows]), []
+        for b in range(model.config.n_blocks):
+            x, blk = block_forward(model, b, x)
+            if backward:
+                blocks.append(blk)
+            else:
+                fold(b, {name: (blk[src], None) for name, src in layer_input_name_map(b).items()})
+            del blk
+        if not backward:
+            continue
+        dx = _head_backward(model, _head_forward(model, x)[1], ids[rows])[1]
+        for b in reversed(range(len(blocks))):
+            blk = blocks.pop()
+            pairs = _block_backward(model, b, blk, dx)
+            fold(b, pairs)
+            if b:
+                dx = _block_input_grad(model, b, blk, pairs)
+            del blk, pairs  # they hold this block's cache
+
+
+def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
+    """Adaptive Hessian accumulators for every block layer: a backward
+    `collect` whose fold adds each window's G^T G, in window order."""
     accs = {
         name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
         for name in quantizable_layers(model)
     }
-    for rows in _chunks(*ids.shape):
-        cache = lm_forward(model, ids[rows])[1]
-        blocks = cache.pop("blocks")
-        dx = _head_backward(model, cache)[1]
-        del cache
-        for b in reversed(range(model.config.n_blocks)):
-            blk = blocks.pop(b)
-            pairs = _block_backward(model, b, blk, dx)
-            for name, (xs, dys) in pairs.items():
-                for x_i, dy_i in zip(xs, dys):
-                    accumulate_adaptive(accs[name], x_i, dy_i)
-            if b:
-                dx = _block_input_grad(model, b, blk, pairs)
-            del blk, pairs  # they hold this block's cache
+
+    def fold(block, pairs):
+        for name, (xs, dys) in pairs.items():
+            for x_i, dy_i in zip(xs, dys):
+                accumulate_adaptive(accs[name], x_i, dy_i)
+
+    collect(model, windows, fold, backward=True)
     return accs
 
 
 def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
-    """Input-outer-product accumulators for every block layer, in one pass.
-
-    Each chunk of (N, T) token-id windows runs the embedding and every block
-    of `model` as given, but not the head, in the parameters' dtype: the
-    pipeline passes the checkpoint's float32 values. Right after a block's
-    forward, every position of each of its layers' cached inputs adds one
-    x x^T, one window at a time in window order, and the block's cache is
-    dropped; the rows are widened to float64 and summed in float64. The
-    layers of a block that read the same input share one accumulator.
-    """
-    ids = _check_ids(model, windows)
-    by_block = [{} for _ in range(model.config.n_blocks)]
-    accs = {}
-    for b, by_input in enumerate(by_block):
+    """Input-outer-product accumulators for every block layer: a
+    forward-only `collect`, in the parameters' dtype (the pipeline's
+    float32), whose fold adds each window's rows x x^T widened to float64.
+    The layers that read one input share its accumulator and fold it once
+    per window. An input that is not finite raises NonFinite naming it."""
+    accs, inputs = {}, [{} for _ in range(model.config.n_blocks)]
+    for b, by_input in enumerate(inputs):
         for name, source in layer_input_name_map(b).items():
-            if source not in by_input:
-                by_input[source] = HessianAccumulator(
-                    model.params[name].shape[1], HessianMode.AGNOSTIC
-                )
-            accs[name] = by_input[source]
-    for rows in _chunks(*ids.shape):
-        x = embed_windows(model, ids[rows])
-        for b, by_input in enumerate(by_block):
-            x, blk = block_forward(model, b, x)
-            for source, acc in by_input.items():
-                for x_i in blk[source]:
+            if source not in by_input:  # the first layer reading it stands for all
+                acc = HessianAccumulator(model.params[name].shape[1], HessianMode.AGNOSTIC)
+                by_input[source] = name, acc
+            accs[name] = by_input[source][1]
+
+    def fold(block, pairs):
+        for source, (name, acc) in inputs[block].items():
+            try:
+                for x_i in pairs[name][0]:
                     accumulate_agnostic_batch(acc, x_i)
-            del blk
+            except NonFinite as exc:
+                raise NonFinite(f"block {block} input {source!r}: {exc}") from exc
+
+    collect(model, windows, fold, backward=False)
     return accs
 
 

@@ -170,6 +170,37 @@ class TestCalibrateLayer:
             np.testing.assert_array_equal(layer.scales, ref.scales)
             np.testing.assert_allclose(layer.dequantize(), ref.dequantize(), atol=0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_zero_h_equals_rtn(self, alpha):
+        """Every input of H = 0 is dead: its diagonal becomes 1 before the
+        damping, so H factorizes and, being diagonal, gives RTN's codes."""
+        rng = np.random.default_rng(57)
+        w = rng.standard_normal((6, 8))
+        spec = CalibSpec(bits=2, group_size=4, alpha=alpha, backend=Backend.OPTQ)
+        ref = rtn_quantize(w, bits=2, group_size=4)
+        layer, _ = calibrate_layer(w, np.zeros((8, 8)), spec)
+        np.testing.assert_array_equal(layer.codes, ref.codes)
+        np.testing.assert_array_equal(layer.scales, ref.scales)
+        np.testing.assert_array_equal(layer.dequantize(), ref.dequantize())
+
+    def test_partly_dead_h(self):
+        """Dead inputs are decoupled from live ones: the live group is
+        calibrated as under its own block of H, and the dead group is not
+        zeroed but rounded as RTN would."""
+        rng = np.random.default_rng(58)
+        w = rng.standard_normal((6, 8))
+        live = random_spd(rng, 4, jitter=1.0)
+        h = np.zeros((8, 8))
+        h[:4, :4] = live
+        spec = CalibSpec(bits=2, group_size=4, alpha=0.0, backend=Backend.OPTQ)
+        layer, _ = calibrate_layer(w, h, spec)
+        alone, _ = calibrate_layer(w[:, :4], live.copy(), spec)
+        np.testing.assert_array_equal(layer.codes[:, :4], alone.codes)
+        np.testing.assert_allclose(layer.dequantize()[:, :4], alone.dequantize(), rtol=1e-12)
+        ref = rtn_quantize(w[:, 4:], bits=2, group_size=4)
+        np.testing.assert_array_equal(layer.codes[:, 4:], ref.codes)
+        np.testing.assert_array_equal(layer.dequantize()[:, 4:], ref.dequantize())
+
     def test_on_grid_input_zero_proxy(self):
         w = np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]])
         spec = CalibSpec(bits=2, group_size=4, alpha=0.0, backend=Backend.OPTQ)
@@ -595,6 +626,7 @@ class TestSweepAlpha:
     outside it a failing Cholesky is an error, not a recorded candidate."""
 
     def test_cholesky_failure_propagates_without_sweep(self):
+        # indefinite at the default damping; H = 0 would factorize (dead inputs)
         w = np.zeros((2, 2))
         with pytest.raises(NotPositiveDefinite):
-            calibrate_layer(w, np.zeros((2, 2)), CalibSpec(bits=2, group_size=2))
+            calibrate_layer(w, np.array([[1.0, 2.0], [2.0, 1.0]]), CalibSpec(bits=2, group_size=2))

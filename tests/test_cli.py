@@ -352,10 +352,13 @@ def test_non_finite_eval_loss_fails_every_sweep_candidate(overflowing, capsys):
 @pytest.mark.parametrize("method", ["OPTQ", "Binary_BiLLM_style"])
 def test_overflowing_agnostic_collection_is_a_failure(overflowing, capsys, method):
     """The agnostic collector's float32 forwards overflow as eval's do, and
-    the NaN rows are refused before they reach a Hessian."""
+    the NaN rows are refused before they reach a Hessian: block 0's softmax
+    overflows, so the first input that is not finite is its attention mix."""
     checkpoint, flags = overflowing
     assert main(["quantize", "--method", method, "--checkpoint", str(checkpoint), *flags]) == 2
-    assert capsys.readouterr().err == "failure: matrix contains NaN or Inf\n"
+    assert capsys.readouterr().err == (
+        "failure: block 0 input 'attn_mix': matrix contains NaN or Inf\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -255,6 +255,17 @@ class TestRegularize:
         h = symmetrize(np.arange(9.0).reshape(3, 3))
         np.testing.assert_array_equal(regularize(h.copy(), 0.0), h)
 
+    def test_dead_inputs_get_a_unit_diagonal_before_damping(self):
+        """Zero rows of h (dead inputs) get diagonal 1 first, and the mean
+        that sets the damping counts them so: h = 0 becomes (1 + alpha) I."""
+        np.testing.assert_array_equal(regularize(np.zeros((3, 3)), 0.5), 1.5 * np.eye(3))
+        h = np.zeros((4, 4))
+        h[1:3, 1:3] = [[2.0, 1.0], [1.0, 4.0]]
+        expected = h.copy()
+        expected[[0, 3], [0, 3]] = 1.0
+        expected[np.diag_indices(4)] += 0.1 * 2.0  # mean of (1, 2, 4, 1)
+        np.testing.assert_array_equal(regularize(h, 0.1), expected)
+
     def test_negative_alpha(self):
         with pytest.raises(NegativeAlpha):
             regularize(np.eye(2), -0.5)

@@ -257,6 +257,57 @@ class TestCollectors:
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12 * np.abs(expected).max())
 
 
+class TestWalk:
+    """`collect` with folds that no method uses: the walk's order and what
+    each fold is handed."""
+
+    def test_mean_gradient_fold(self):
+        """Summing dY_i^T X_i per layer, in window order, from a backward walk
+        gives the window sum of `lm_backward`'s weight gradients; the walk
+        visits the blocks back to front in every chunk."""
+        model = scaled_model(THREE, 30, scale=5.0)
+        samples = windows(THREE, 2 * PER_CHUNK + 1, 31)
+        sums, order = {}, []
+
+        def fold(block, pairs):
+            order.append(block)
+            for name, (xs, dys) in pairs.items():
+                for x_i, dy_i in zip(xs, dys):
+                    sums[name] = sums.get(name, 0.0) + dy_i.T @ x_i
+
+        tinylm.collect(model, samples, fold, backward=True)
+        assert order == [2, 1, 0] * len(tinylm._chunks(*samples.shape))
+        assert sorted(sums) == sorted(quantizable_layers(model))
+        grads = gradients(model, lm_backward(model, lm_forward(model, samples)[1]))
+        for name, total in sums.items():
+            expected = 0.0
+            for g in grads[name]:
+                expected = expected + g
+            np.testing.assert_allclose(total, expected, rtol=1e-12, atol=0)
+
+    def test_forward_fold_records_the_cached_inputs(self):
+        """A forward-only walk hands each layer its input, the one array
+        `lm_forward` caches for it, with no gradient, block by block front
+        to back in every chunk."""
+        model = scaled_model(THREE, 32, scale=5.0)
+        samples = windows(THREE, 2 * PER_CHUNK + 1, 33)
+        seen, order = {}, []
+
+        def fold(block, pairs):
+            order.append(block)
+            assert pairs[f"blk{block}.attn.wq"][0] is pairs[f"blk{block}.attn.wv"][0]
+            for name, (xs, dys) in pairs.items():
+                assert dys is None
+                seen.setdefault(name, []).append(xs)
+
+        tinylm.collect(model, samples, fold, backward=False)
+        assert order == [0, 1, 2] * len(tinylm._chunks(*samples.shape))
+        blocks = lm_forward(model, samples)[1]["blocks"]
+        for b, blk in blocks.items():
+            for name, source in layer_input_name_map(b).items():
+                np.testing.assert_array_equal(np.concatenate(seen[name]), blk[source])
+
+
 class TestStackedWindows:
     """A (B, T) stack gives exactly what B one-window calls give."""
 
