@@ -24,12 +24,15 @@ One guard rule covers every Hessian backend: the same codec, swept without
 compensation, replaces the compensated result when its damped proxy error is
 lower. Both sweeps share the plan, so a fallback keeps the layer's outliers,
 statistics and bit budget.
+
+Each layer's report is one flat dict (`_report`), whose keys
+`pipeline.LAYER_FIELDS` lists with the three the pipeline adds.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +55,6 @@ from .quant import (
 __all__ = [
     "Backend",
     "CalibSpec",
-    "CalibReport",
     "saliency",
     "detect_outliers",
     "calibrate_layer",
@@ -102,44 +104,25 @@ class CalibSpec:
             raise ConfigError(f"stat_group must be >= 1, got {self.stat_group}")
 
 
-@dataclass
-class CalibReport:
-    """Per-layer result summary; every threshold echoed for auditability."""
-
-    layer: str
-    proxy_error: float
-    outlier_count: int
-    outlier_rate: float
-    column_update_norms: list[float]
-    avg_bits_per_weight: float
-    alpha: float
-    tau: float | None
-    tau_normalization: str = "mean_saliency"
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out.update(out.pop("extra"))
-        return out
-
-
 def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms,
-            **extra) -> CalibReport:
-    """The one CalibReport builder; echoes the spec's backend, damping (0 for
-    RTN, which has none) and tau (SpQR only). The Hessian flavour is the
-    caller's: the pipeline adds it to each layer's report."""
+            **extra) -> dict:
+    """The one layer-report builder. Echoes the spec's backend, damping (0
+    for RTN, which has none) and tau (SpQR only); `extra` holds the plan's
+    and the guard's keys."""
     n_outliers = len(getattr(layer, "outliers", ()))
-    return CalibReport(
-        layer=name,
-        proxy_error=proxy,
-        outlier_count=n_outliers,
-        outlier_rate=n_outliers / (layer.d_row * layer.d_col),
-        column_update_norms=update_norms,
-        avg_bits_per_weight=layer.accounting.avg_bits_per_weight,
-        alpha=0.0 if spec.backend is Backend.RTN else spec.alpha,
-        tau=spec.tau if spec.backend is Backend.SPQR else None,
-        extra={"backend": spec.backend.value, **extra},
-    )
+    return {
+        "layer": name,
+        "backend": spec.backend.value,
+        "proxy_error": proxy,
+        "outlier_count": n_outliers,
+        "outlier_rate": n_outliers / (layer.d_row * layer.d_col),
+        "column_update_norms": update_norms,
+        "avg_bits_per_weight": layer.accounting.avg_bits_per_weight,
+        "alpha": 0.0 if spec.backend is Backend.RTN else spec.alpha,
+        "tau": spec.tau if spec.backend is Backend.SPQR else None,
+        "tau_normalization": "mean_saliency",
+        **extra,
+    }
 
 
 def saliency(w, w_hat, inv_diag):
@@ -242,10 +225,12 @@ def calibrate_layer(
     spec: CalibSpec,
     layer_name: str = "layer",
     guard: bool = True,
-) -> tuple[QuantizedLayer | BinaryLayer, CalibReport]:
+) -> tuple[QuantizedLayer | BinaryLayer, dict]:
     """Quantize one layer with the backend `spec` names; the one entry point.
 
-    RTN returns `rtn_quantize`'s layer and never reads `h` (None will do).
+    Returns the layer and its report: a flat dict of the keys
+    `pipeline.LAYER_FIELDS` lists, but the three the pipeline adds
+    (`_report`). RTN returns `rtn_quantize`'s layer and never reads `h` (None will do).
     A Hessian backend's plan (`_affine_plan` for OPTQ and SPQR,
     `calibrate_layer_binary` for BINARY) yields `quantize(upper)`,
     which sweeps the plan's codec with compensation, or without it when

@@ -79,6 +79,7 @@ __all__ = [
     "run_alpha_sweep",
     "load_token_streams",
     "render_report_table",
+    "LAYER_FIELDS",
     "REPORT_SCHEMA",
 ]
 
@@ -180,60 +181,68 @@ class RunReport:
     phase_seconds: dict = field(default_factory=dict)
 
 
+_NONNEG = {"type": "number", "minimum": 0}
+_COUNT = {"type": "integer", "minimum": 0}
+_PROXY = {"type": "number", "minimum": -1e-9}
+_FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
+
+# One row per layer-report key: its JSON-schema fragment and whether every
+# report carries it. `calibrate._report` writes all but the last three,
+# which `_calibrate` adds.
+LAYER_FIELDS = {
+    "layer": ({"type": "string"}, True),
+    "backend": ({"enum": [b.value for b in Backend]}, True),
+    "proxy_error": (_PROXY, True),
+    "outlier_count": (_COUNT, True),
+    "outlier_rate": (_FRACTION, True),
+    "column_update_norms": ({"type": "array", "items": _NONNEG}, True),
+    "avg_bits_per_weight": (_NONNEG, True),
+    "alpha": (_NONNEG, True),
+    "tau": ({"type": ["number", "null"]}, True),
+    "tau_normalization": ({"const": "mean_saliency"}, True),
+    "plain_proxy_error": (_PROXY, False),  # the guard's
+    "fallback": ({"const": "no_compensation"}, False),
+    "salient_fraction": (_FRACTION, False),  # BINARY's plan
+    "n_salient_cols": (_COUNT, False),
+    "split_threshold": (_NONNEG, False),
+    "hessian_mode": ({"enum": [m.value for m in HessianMode]}, True),
+    "disk_bits": (_COUNT, True),
+    "disk_extra_bits": ({"type": "object", "additionalProperties": _COUNT}, True),
+}
+
+
+def _closed_object(properties: dict, required=None) -> dict:
+    """An object schema allowing only `properties`' keys and requiring
+    `required` (default: all of them)."""
+    required = list(properties if required is None else required)
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": False}
+
+
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": [
-        "config",
-        "seed",
-        "method",
-        "layer_reports",
-        "global_avg_bits",
-        "disk_bits_per_weight",
-        "valid_perplexity",
-        "test_perplexity",
-        "phase_seconds",
-    ],
-    "properties": {
-        "config": {"type": "object"},
-        "seed": {"type": "integer"},
-        "method": {"enum": list(METHODS)},
-        "layer_reports": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "layer",
-                    "proxy_error",
-                    "outlier_count",
-                    "outlier_rate",
-                    "avg_bits_per_weight",
-                    "alpha",
-                    "disk_bits",
-                    "disk_extra_bits",
-                ],
-                "properties": {
-                    "layer": {"type": "string"},
-                    "proxy_error": {"type": "number", "minimum": -1e-9},
-                    "plain_proxy_error": {"type": "number", "minimum": -1e-9},
-                    "outlier_count": {"type": "integer", "minimum": 0},
-                    "outlier_rate": {"type": "number", "minimum": 0},
-                    "avg_bits_per_weight": {"type": "number", "minimum": 0},
-                    "alpha": {"type": "number", "minimum": 0},
-                    "disk_bits": {"type": "integer", "minimum": 0},
-                    "disk_extra_bits": {
-                        "type": "object",
-                        "additionalProperties": {"type": "integer", "minimum": 0},
-                    },
-                },
+    **_closed_object(
+        {
+            "config": _closed_object(dict.fromkeys((f.name for f in fields(RunConfig)), {})),
+            "seed": {"type": "integer"},
+            "method": {"enum": list(METHODS)},
+            "layer_reports": {
+                "type": "array",
+                "items": _closed_object(
+                    {key: schema for key, (schema, _) in LAYER_FIELDS.items()},
+                    [key for key, (_, always) in LAYER_FIELDS.items() if always],
+                ),
             },
+            "global_avg_bits": _NONNEG,
+            "disk_bits_per_weight": _NONNEG,
+            "valid_perplexity": {"type": ["number", "null"], "minimum": 1},
+            "test_perplexity": {"type": ["number", "null"], "minimum": 1},
+            "phase_seconds": _closed_object(
+                dict.fromkeys(("phase1_hessians", "phase2_calibration", "eval", "total"), _NONNEG)
+            ),
         },
-        "global_avg_bits": {"type": "number", "minimum": 0},
-        "disk_bits_per_weight": {"type": "number", "minimum": 0},
-        "valid_perplexity": {"type": ["number", "null"], "minimum": 1},
-        "test_perplexity": {"type": ["number", "null"], "minimum": 1},
-        "phase_seconds": {"type": "object"},
-    },
+        [f.name for f in fields(RunReport)],
+    ),
 }
 
 
@@ -248,26 +257,24 @@ def _read_corpus(path) -> bytes:
 def load_token_streams(config: RunConfig) -> dict[str, np.ndarray]:
     """Token streams for calibration/validation/test.
 
-    Distinct files are used whole. When the validation or test path equals
-    the training path, the deterministic 80/10/10 byte split of that file is
-    applied instead (train gets [0, 80%), validation [80%, 90%), test the
-    rest); calibration always draws from the training stream.
+    Distinct files are used whole. When the validation or test path names
+    the training file, however spelled (paths are compared resolved), the
+    deterministic 80/10/10 byte split of that file is applied instead
+    (train gets [0, 80%), validation [80%, 90%), test the rest); calibration
+    always draws from the training stream.
     """
     train_raw = _read_corpus(config.corpus_train)
     n = len(train_raw)
-    shared_valid = config.corpus_valid == config.corpus_train
-    shared_test = config.corpus_test == config.corpus_train
-    train_end = int(0.8 * n) if (shared_valid or shared_test) else n
-    streams = {"train": tokenize(train_raw[:train_end])}
-    if shared_valid:
-        streams["valid"] = tokenize(train_raw[int(0.8 * n) : int(0.9 * n)])
-    else:
-        streams["valid"] = tokenize(_read_corpus(config.corpus_valid))
-    if shared_test:
-        streams["test"] = tokenize(train_raw[int(0.9 * n) :])
-    else:
-        streams["test"] = tokenize(_read_corpus(config.corpus_test))
-    return streams
+    train_path = Path(config.corpus_train).resolve()
+    streams, train_end = {}, n
+    parts = (("valid", config.corpus_valid, 0.8, 0.9), ("test", config.corpus_test, 0.9, 1.0))
+    for name, path, start, end in parts:
+        if Path(path).resolve() == train_path:
+            streams[name] = tokenize(train_raw[int(start * n) : int(end * n)])
+            train_end = int(0.8 * n)
+        else:
+            streams[name] = tokenize(_read_corpus(path))
+    return {"train": tokenize(train_raw[:train_end]), **streams}
 
 
 @dataclass
@@ -405,7 +412,7 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
             h = None
             if spec.backend is not Backend.RTN:
                 h = finalize(accs.pop(name) if drop else accs[name])
-            layer, cal_report = calibrate_layer(w, h, spec, name)
+            layer, layer_report = calibrate_layer(w, h, spec, name)
         except OacalError as exc:  # keep the type the CLI maps to an exit code
             raise type(exc)(f"layer {name!r}: {exc}") from exc
         layer_tensors, layer_meta[name] = layer_to_tensors(name, layer)
@@ -414,7 +421,7 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
         archive_bytes += layer_bytes
         report.layer_reports.append(
             {
-                **cal_report.to_dict(),
+                **layer_report,
                 "hessian_mode": hessian_mode,
                 "disk_bits": 8 * layer_bytes,
                 "disk_extra_bits": disk_extra_bits(name, layer_meta[name]),

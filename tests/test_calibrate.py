@@ -7,7 +7,6 @@ import pytest
 import oacal.calibrate
 from oacal.calibrate import (
     Backend,
-    CalibReport,
     CalibSpec,
     calibrate_layer,
     calibrate_layer_binary,
@@ -206,7 +205,7 @@ class TestCalibrateLayer:
         spec = CalibSpec(bits=2, group_size=4, alpha=0.0, backend=Backend.OPTQ)
         layer, report = calibrate_layer(w, np.eye(4) * 1.5, spec)
         np.testing.assert_allclose(layer.dequantize(), w, atol=1e-12)
-        assert report.proxy_error == pytest.approx(0.0, abs=1e-18)
+        assert report["proxy_error"] == pytest.approx(0.0, abs=1e-18)
 
     @pytest.mark.parametrize("mode", ["agnostic", "adaptive"])
     def test_proxy_never_worse_than_rtn(self, mode):
@@ -221,7 +220,7 @@ class TestCalibrateLayer:
             layer, report = calibrate_layer(w, h.copy(), spec)
             damped = regularize(h, spec.alpha)
             rtn_delta = rtn_quantize(w, 2, 8).dequantize() - w
-            assert report.proxy_error <= proxy(rtn_delta, damped) + 1e-9
+            assert report["proxy_error"] <= proxy(rtn_delta, damped) + 1e-9
 
     def test_sequential_updates_match_direct_solver(self, monkeypatch):
         # d_col <= 6 fits in one sweep block, inside which each column's
@@ -311,7 +310,7 @@ class TestCalibrateLayer:
             bits=2, group_size=4, tau=3.5, alpha=0.1, backend=Backend.SPQR
         )
         layer, report = calibrate_layer(w, h, spec)
-        assert report.outlier_count == len(layer.outliers) > 0
+        assert report["outlier_count"] == len(layer.outliers) > 0
         deq = layer.dequantize()
         for r, c, val in layer.outliers:
             assert val == w[r, c]
@@ -361,8 +360,8 @@ class TestCalibrateLayer:
             for h in hs.values():
                 spec = CalibSpec(bits=2, group_size=4, alpha=0.1, backend=backend)
                 _, report = calibrate_layer(w, h.copy(), spec)
-                assert report.extra["backend"] == backend.value
-                assert report.proxy_error >= -1e-9
+                assert report["backend"] == backend.value
+                assert report["proxy_error"] >= -1e-9
 
     @pytest.mark.parametrize("backend", [Backend.RTN, Backend.BINARY], ids=["rtn", "binary"])
     def test_dispatch(self, backend):
@@ -375,10 +374,12 @@ class TestCalibrateLayer:
         if backend is Backend.RTN:
             h = None
             expected = rtn_quantize(w, 3, 4)
-            expected_report = CalibReport(
-                "l", 0.0, 0, 0.0, [0.0] * 10, expected.accounting.avg_bits_per_weight,
-                alpha=0.0, tau=None, extra={"backend": "rtn"},
-            )
+            expected_report = {
+                "layer": "l", "backend": "rtn", "proxy_error": 0.0, "outlier_count": 0,
+                "outlier_rate": 0.0, "column_update_norms": [0.0] * 10,
+                "avg_bits_per_weight": expected.accounting.avg_bits_per_weight,
+                "alpha": 0.0, "tau": None, "tau_normalization": "mean_saliency",
+            }
         else:
             h = make_agnostic_h(rng, 10)
             m, damped, inv_diag, upper = oacal.calibrate._prepare(w, h.copy(), spec)
@@ -387,14 +388,15 @@ class TestCalibrateLayer:
             errors = [proxy(w_hat - m, damped) for _, w_hat, _ in sweeps]
             best = int(errors[1] < errors[0])  # this layer falls back
             expected, _, norms = sweeps[best]
-            extra = {"backend": "binary", **plan_extra,
-                     "plain_proxy_error": errors[1]}
+            expected_report = {
+                "layer": "l", "backend": "binary", "proxy_error": errors[best],
+                "outlier_count": 0, "outlier_rate": 0.0, "column_update_norms": norms,
+                "avg_bits_per_weight": expected.accounting.avg_bits_per_weight,
+                "alpha": 0.1, "tau": None, "tau_normalization": "mean_saliency",
+                **plan_extra, "plain_proxy_error": errors[1],
+            }
             if best:
-                extra["fallback"] = "no_compensation"
-            expected_report = CalibReport(
-                "l", errors[best], 0, 0.0, norms, expected.accounting.avg_bits_per_weight,
-                alpha=0.1, tau=None, extra=extra,
-            )
+                expected_report["fallback"] = "no_compensation"
         layer, report = calibrate_layer(w, h, spec, "l")
         assert type(layer) is type(expected)
         for f in fields(layer):
@@ -438,7 +440,7 @@ class TestCalibrateLayerBinary:
         w[w == 0] = c
         layer, report = calibrate_layer(w, np.eye(8) * 1.5, self.spec())
         np.testing.assert_allclose(layer.dequantize(), w, rtol=0, atol=1e-12)
-        assert report.proxy_error == pytest.approx(0.0, abs=1e-16)
+        assert report["proxy_error"] == pytest.approx(0.0, abs=1e-16)
 
     def test_compensation_helps(self):
         rng = np.random.default_rng(64)
@@ -447,9 +449,9 @@ class TestCalibrateLayerBinary:
             w = rng.standard_normal((12, 16))
             h = make_agnostic_h(rng, 16)
             _, report = calibrate_layer(w, h, self.spec())
-            without = report.extra["plain_proxy_error"]
-            assert report.proxy_error <= without + 1e-9
-            better += report.proxy_error < without
+            without = report["plain_proxy_error"]
+            assert report["proxy_error"] <= without + 1e-9
+            better += report["proxy_error"] < without
         assert better >= 8  # strictly better almost always
 
     def test_accounting_in_binary_band(self):
@@ -483,8 +485,8 @@ class TestOneFactorizationPerLayer:
         _, guarded = calibrate_layer(w, h, spec)
         assert len(factorizations) == 1
         assert len(searches) == 1
-        plain = guarded.extra["plain_proxy_error"]
-        assert guarded.proxy_error == min(with_comp.proxy_error, plain)
+        plain = guarded["plain_proxy_error"]
+        assert guarded["proxy_error"] == min(with_comp["proxy_error"], plain)
 
     def test_spqr_factorizes_once(self, monkeypatch):
         """One factorization and one RTN per layer: the outlier saliency and
@@ -577,7 +579,7 @@ class TestGuard:
             assert w_hat.tobytes() == ref.dequantize().tobytes()
             assert norms == [0.0] * w.shape[1]
             _, report = calibrate_layer(w, h, spec)
-            assert report.extra["plain_proxy_error"] == proxy(ref.dequantize() - m, damped)
+            assert report["plain_proxy_error"] == proxy(ref.dequantize() - m, damped)
 
     @pytest.mark.parametrize(
         "backend", [Backend.OPTQ, Backend.SPQR, Backend.BINARY], ids=["optq", "spqr", "binary"]
@@ -592,10 +594,10 @@ class TestGuard:
                              backend=backend)
             _, compensated = calibrate_layer(w, h.copy(), spec, guard=False)
             _, guarded = calibrate_layer(w, h, spec)
-            plain = guarded.extra["plain_proxy_error"]
-            assert guarded.proxy_error == min(compensated.proxy_error, plain)
-            fell_back = plain < compensated.proxy_error
-            assert guarded.extra.get("fallback") == ("no_compensation" if fell_back else None)
+            plain = guarded["plain_proxy_error"]
+            assert guarded["proxy_error"] == min(compensated["proxy_error"], plain)
+            fell_back = plain < compensated["proxy_error"]
+            assert guarded.get("fallback") == ("no_compensation" if fell_back else None)
             fallbacks += fell_back
         assert fallbacks > 0  # the draws reach the fallback branch
 
@@ -608,17 +610,17 @@ class TestGuard:
             h = make_agnostic_h(rng, 8, n=12)
             spec = CalibSpec(bits=2, group_size=4, alpha=0.01, backend=Backend.SPQR)
             layer, report = calibrate_layer(w, h.copy(), spec)
-            if "fallback" in report.extra and layer.outliers:
+            if "fallback" in report and layer.outliers:
                 break
         else:
             pytest.fail("no SpQR layer fell back")
         compensated, _ = calibrate_layer(w, h, spec, guard=False)
-        assert report.proxy_error == report.extra["plain_proxy_error"]
-        assert report.outlier_count == len(layer.outliers)
+        assert report["proxy_error"] == report["plain_proxy_error"]
+        assert report["outlier_count"] == len(layer.outliers)
         assert layer.outliers == compensated.outliers
         assert len(layer.stats_q) == len(compensated.stats_q) == 2
         assert layer.accounting == compensated.accounting
-        assert report.avg_bits_per_weight == compensated.accounting.avg_bits_per_weight
+        assert report["avg_bits_per_weight"] == compensated.accounting.avg_bits_per_weight
 
 
 class TestSweepAlpha:

@@ -1,6 +1,7 @@
 """The command line: exit codes and a whole sweep-alpha run on disk."""
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -9,7 +10,7 @@ import pytest
 
 from oacal.archive import archive_read
 from oacal.cli import _build_parser, main
-from oacal.pipeline import REPORT_SCHEMA
+from oacal.pipeline import REPORT_SCHEMA, RunConfig
 from oacal.quant import layer_from_tensors
 from oacal.tinylm import (
     ModelConfig,
@@ -209,7 +210,10 @@ def test_malformed_report(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv"])
 def test_report_with_null_perplexity(tmp_path, capsys, fmt):
-    report = {**REPORT_FIELDS, "layer_reports": [], "phase_seconds": {},
+    config = RunConfig("m.oack", "c.txt", "c.txt", "c.txt", "out", method="RTN", alpha=0.01)
+    phases = ("phase1_hessians", "phase2_calibration", "eval", "total")
+    report = {**REPORT_FIELDS, "layer_reports": [], "phase_seconds": dict.fromkeys(phases, 0.0),
+              "config": {**asdict(config), "alpha_grid": list(config.alpha_grid)},
               "valid_perplexity": None, "test_perplexity": None}
     jsonschema.validate(report, REPORT_SCHEMA)
     path = tmp_path / "report.json"

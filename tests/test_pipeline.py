@@ -1,4 +1,5 @@
 """End-to-end quantize runs and alpha sweeps on tiny models."""
+import copy
 import json
 import weakref
 from collections import Counter
@@ -78,13 +79,15 @@ def counted(monkeypatch):
 
 def assert_archive_reloads(out: Path) -> None:
     """Every layer in `layers.oack` rebuilds the installed weights bit for
-    bit, a double-quantized one with its `stats_q`. Each layer's `disk_bits`
-    is its accounted bits plus its labelled extras, and the report's
-    `disk_bits_per_weight` is the archive's size over the weights."""
+    bit, a double-quantized one with its `stats_q`. The report validates
+    against `REPORT_SCHEMA`, each layer's `disk_bits` is its accounted bits
+    plus its labelled extras, and the report's `disk_bits_per_weight` is the
+    archive's size over the weights."""
     meta = json.loads((out / "layers.json").read_text())
     tensors = archive_read(out / "layers.oack")
     installed = load_checkpoint(out / "quantized.oack")
     report = json.loads((out / "report.json").read_text())
+    jsonschema.validate(report, REPORT_SCHEMA)
     assert sorted(meta) == sorted(tinylm.quantizable_layers(installed))
     for name, layer_meta in meta.items():
         layer = layer_from_tensors(name, tensors, layer_meta)
@@ -120,7 +123,6 @@ def test_quantize_run(method, tmp_path, counted):
     out = tmp_path / "out"
 
     report = json.loads((out / "report.json").read_text())
-    jsonschema.validate(report, REPORT_SCHEMA)
     assert report["method"] == method
 
     assert_archive_reloads(out)
@@ -191,10 +193,60 @@ def collector_config(tmp_path, method):
 
 @pytest.mark.parametrize("method", pipeline.METHODS)
 def test_layer_reports_name_the_hessian_flavour(method, tmp_path):
-    """Each layer report echoes its method's Hessian flavour, RTN's included."""
+    """Each layer report echoes its method's Hessian flavour, RTN's included,
+    and the run's report validates against `REPORT_SCHEMA`."""
     report = run_quantize(collector_config(tmp_path, method)).report
     flavour = "adaptive" if method.startswith("OAC_") else "agnostic"
     assert [r["hessian_mode"] for r in report.layer_reports] == [flavour] * 6 * CONFIG.n_blocks
+    jsonschema.validate(asdict(report), REPORT_SCHEMA)
+
+
+@pytest.fixture(scope="module")
+def binary_report(tmp_path_factory):
+    """A guarded binary run's report, whose layers carry the guard's and the
+    binary plan's optional keys."""
+    config = collector_config(tmp_path_factory.mktemp("binary"), "OAC_Binary")
+    return asdict(run_quantize(config).report)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r["layer_reports"][0].update(proxy_eror=0.0),
+        lambda r: r["layer_reports"][0].pop("backend"),
+        lambda r: r["layer_reports"][0].update(fallback="compensation"),
+        *(lambda r, k=k: r["phase_seconds"].pop(k)
+          for k in ("phase1_hessians", "phase2_calibration", "eval", "total")),
+        lambda r: r["phase_seconds"].update(eval=-1.0),
+        lambda r: r["config"].pop("seed"),
+    ],
+    ids=["unknown-layer-key", "layer-without-backend", "unknown-fallback",
+         "no-phase1_hessians", "no-phase2_calibration", "no-eval", "no-total",
+         "negative-phase", "config-without-seed"],
+)
+def test_schema_rejects(binary_report, mutate):
+    """A key the layer table lacks, a missing required key or a value out of
+    range fails `REPORT_SCHEMA`; the unmutated report passes."""
+    jsonschema.validate(binary_report, REPORT_SCHEMA)
+    report = copy.deepcopy(binary_report)
+    mutate(report)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_split_follows_the_file_not_its_spelling(monkeypatch):
+    """Validation and test paths that name the training file in another
+    spelling still get the 80/10/10 split, not the whole file."""
+    monkeypatch.chdir(Path(CORPUS).parent)
+    spelled = {"corpus_train": CORPUS, "corpus_valid": "./tiny_corpus.txt",
+               "corpus_test": "../data/tiny_corpus.txt"}
+    streams = {}
+    for name, paths in (("same", dict.fromkeys(spelled, CORPUS)), ("spelled", spelled)):
+        config = RunConfig(checkpoint="unused.oack", out_dir="unused", **paths)
+        streams[name] = {k: v.tobytes() for k, v in load_token_streams(config).items()}
+    whole = tinylm.tokenize(Path(CORPUS).read_bytes()).tobytes()
+    assert len(streams["same"]["train"]) < len(whole)
+    assert streams["spelled"] == streams["same"]
 
 
 @pytest.mark.parametrize("method, collector", COLLECTORS)
