@@ -23,7 +23,9 @@ the accumulated block update when the block closes.
 One guard rule covers every Hessian backend: the same codec, swept without
 compensation, replaces the compensated result when its damped proxy error is
 lower. Both sweeps share the plan, so a fallback keeps the layer's outliers,
-statistics and bit budget.
+statistics and bit budget. A codec codes a range of columns: the
+compensated sweep hands it one column at a time, the plain sweep, whose
+columns are independent, all of them in one call.
 
 Each layer's report is one flat dict (`_report`), whose keys
 `pipeline.LAYER_FIELDS` lists with the three the pipeline adds.
@@ -176,25 +178,26 @@ def _prepare(w, h, spec: CalibSpec):
 def _sweep(work, upper, block_size: int, codec):
     """Quantize the columns of `work` left to right through `codec`.
 
-    `codec(q, col)` records column q's codes and returns its dequantized
-    values. With `upper`, the upper factor of the damped inverse, each
-    residual is compensated on the columns to its right as described above,
-    updating `work` in place; `upper=None` quantizes the columns as they are.
+    `codec(q0, q1, cols)` records the codes of columns q0..q1-1, whose
+    current values `cols` (d_row, q1 - q0) holds, and returns their
+    dequantized values. With `upper`, the upper factor of the damped
+    inverse, each column's residual is compensated on the columns to its
+    right as described above, updating `work` in place, so the codec goes
+    one column at a time. Without compensation (`upper=None`) the columns
+    are independent and one codec call quantizes them all as they are.
     Returns the dequantized matrix and the per-column update norms.
     """
     d_row, d_col = work.shape
+    if upper is None:
+        return codec(0, d_col, work), [0.0] * d_col
     w_hat = np.empty_like(work)
     update_norms: list[float] = []
     for i1 in range(0, d_col, block_size):
         i2 = min(i1 + block_size, d_col)
         err_block = np.zeros((d_row, i2 - i1))
         for q in range(i1, i2):
-            col = work[:, q]
-            deq = codec(q, col)
-            w_hat[:, q] = deq
-            if upper is None:
-                update_norms.append(0.0)
-                continue
+            w_hat[:, q : q + 1] = codec(q, q + 1, work[:, q : q + 1])
+            col, deq = work[:, q], w_hat[:, q]
             d = upper[q, q]
             if d <= 0.0:
                 raise NonPositiveDiagonal("upper factor diagonal not positive")
@@ -205,7 +208,7 @@ def _sweep(work, upper, block_size: int, codec):
             update_norms.append(
                 float(np.linalg.norm(err_scaled) * np.linalg.norm(tail))
             )
-        if upper is not None and i2 < d_col:
+        if i2 < d_col:
             work[:, i2:] -= err_block @ upper[i1:i2, i2:]
     return w_hat, update_norms
 
@@ -303,10 +306,12 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
             stats_q=[] if spqr else None,
         )
 
-        def codec(q, col):
-            g = col_group[q]
-            c0, c1 = edges[g]
-            if q == c0:
+        def codec(q0, q1, cols):
+            groups = range(col_group[q0], col_group[q1 - 1] + 1)
+            for g in groups:  # fit, in group order, each group starting in the range
+                c0, c1 = edges[g]
+                if c0 < q0:
+                    continue
                 scale, zero = _fit_group_rows(
                     work[:, c0:c1], bits, valid=~outlier_mask[:, c0:c1]
                 )
@@ -316,9 +321,14 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
                     )
                     layer.stats_q.append(record)
                 layer.scales[:, g], layer.zeros[:, g] = scale, zero
-            code, deq = _code_group(col[:, None], layer.scales[:, g], layer.zeros[:, g], bits)
-            layer.codes[:, q] = code[:, 0]
-            return np.where(outlier_mask[:, q], m[:, q], deq[:, 0])
+            deq = np.empty_like(cols)
+            for g in groups:
+                c0, c1 = max(edges[g][0], q0), min(edges[g][1], q1)
+                code, deq[:, c0 - q0 : c1 - q0] = _code_group(
+                    cols[:, c0 - q0 : c1 - q0], layer.scales[:, g], layer.zeros[:, g], bits
+                )
+                layer.codes[:, c0:c1] = code
+            return np.where(outlier_mask[:, q0:q1], m[:, q0:q1], deq)
 
         w_hat, update_norms = _sweep(work, upper, BLOCK_SIZE, codec)
         return layer, w_hat, update_norms
@@ -376,16 +386,18 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
             membership=np.zeros((d_row, d_col), dtype=bool),
         )
 
-        def codec(q, col):
-            if salient[q]:
-                a1, s1, a2, s2 = residual_binarize(col)
-                layer.sal_alpha1[q], layer.sal_alpha2[q] = a1, a2
-                layer.signs1[:, q], layer.signs2[:, q] = s1, s2
-                return a1 * s1 + a2 * s2
-            sgn = _signs(col)
-            high_rows = np.abs(col) > threshold
-            layer.signs1[:, q], layer.membership[:, q] = sgn, high_rows
-            return sgn * np.where(high_rows, alpha_high, alpha_low)
+        def codec(q0, q1, cols):
+            sgn = _signs(cols)
+            high = (np.abs(cols) > threshold) & ~salient[q0:q1]
+            layer.signs1[:, q0:q1], layer.membership[:, q0:q1] = sgn, high
+            deq = sgn * np.where(high, alpha_high, alpha_low)
+            for q in range(q0, q1):
+                if salient[q]:
+                    a1, s1, a2, s2 = residual_binarize(cols[:, q - q0])
+                    layer.sal_alpha1[q], layer.sal_alpha2[q] = a1, a2
+                    layer.signs1[:, q], layer.signs2[:, q] = s1, s2
+                    deq[:, q - q0] = a1 * s1 + a2 * s2
+            return deq
 
         w_hat, update_norms = _sweep(m.copy(), upper, BLOCK_SIZE, codec)
         return layer, w_hat, update_norms

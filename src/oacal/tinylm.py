@@ -20,12 +20,17 @@ equal a one-window loop bit for bit. Activations are row vectors; a linear layer
 with weight W (d_out x d_in) computes x @ W.T, so W's columns line up with
 the layer's input dimension.
 
-Eval and the Hessian walk run CHUNK_ROWS token rows at a time: 2 windows
-of the toy's 64 positions, 1 of the M shape's 128. Peak RSS (one BLAS
-thread) after the toy OAC_OPTQ harvest of 128 windows is 64/67/70/76 MiB
-at 64/128/256/512 rows; at 256 rows the toy alpha sweep's peak rose 3%
-(67.8 to 70.1 MiB) and its CPU time did not fall (medians of four
-alternated runs: 1.86 s at 128 rows, 1.95 s at 256).
+Each linear layer multiplies all of a stack's token rows in one GEMM
+(`_rows`); NumPy would multiply a (B, T, d) stack one window at a time.
+Attention products stay batched per window. A pass that backpropagates
+holds every block's cache, so it takes CHUNK_ROWS token rows at a time: 2
+windows of the toy's 64 positions, 1 of the M shape's 128. A forward-only
+pass (eval, the agnostic walk) holds one block's activations at a time, so
+it takes n_blocks times as many rows: 4 windows at the toy and at M. Peak
+RSS (one BLAS thread) after a 128-window harvest and then an eval of the
+valid stream is 63.4/64.7/67.8/72.9 MiB on the toy and 146/146/164/199 MiB
+at M for CHUNK_ROWS = 64/128/256/512; the harvest sets the peak and the
+eval, at n_blocks times the rows, does not raise it.
 """
 from __future__ import annotations
 
@@ -53,7 +58,7 @@ from .hessian import (
 )
 
 RMS_EPS = 1e-6
-CHUNK_ROWS = 128  # token rows per stacked forward/backward; see the module docstring
+CHUNK_ROWS = 128  # token rows per chunk of a backward pass; see the module docstring
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # train_tiny_lm's optimizer
 GRAD_CLIP = 1.0  # bound on the global gradient norm of a training step
 
@@ -186,9 +191,20 @@ def _rms_backward(dy: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in z, which the caller gives up."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (..., n) @ w (n, m) as one GEMM over all of x's rows, shaped (..., m).
+
+    NumPy multiplies a (B, T, n) stack one window at a time; one (B*T, n)
+    GEMM gives every row the same bits, faster.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[1])
 
 
 def block_forward(model: TinyLM, block: int, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -202,27 +218,48 @@ def block_forward(model: TinyLM, block: int, x: np.ndarray) -> tuple[np.ndarray,
     t = x.shape[1]
     scale = x.dtype.type(1.0 / np.sqrt(model.config.d_model))
     a, ra = _rms_norm(x)
-    q = a @ p[f"{base}.attn.wq"].T
-    k = a @ p[f"{base}.attn.wk"].T
-    v = a @ p[f"{base}.attn.wv"].T
-    att = _softmax(q @ k.swapaxes(1, 2) * scale + _causal_mask(t, x.dtype))
+    q = _rows(a, p[f"{base}.attn.wq"].T)
+    k = _rows(a, p[f"{base}.attn.wk"].T)
+    v = _rows(a, p[f"{base}.attn.wv"].T)
+    logits = q @ k.swapaxes(1, 2)
+    logits *= scale
+    logits += _causal_mask(t, x.dtype)
+    att = _softmax(logits)
     mix = att @ v
-    x_mid = x + mix @ p[f"{base}.attn.wo"].T
+    x_mid = _rows(mix, p[f"{base}.attn.wo"].T)
+    x_mid += x
     m_in, rm = _rms_norm(x_mid)
-    h_act = np.tanh(m_in @ p[f"{base}.mlp.fc1"].T)
-    x_out = x_mid + h_act @ p[f"{base}.mlp.fc2"].T
+    h_act = _rows(m_in, p[f"{base}.mlp.fc1"].T)
+    np.tanh(h_act, out=h_act)
+    x_out = _rows(h_act, p[f"{base}.mlp.fc2"].T)
+    x_out += x_mid
     return x_out, dict(
         x_in=x, attn_in=a, r_attn=ra, q=q, k=k, v=v, att=att, attn_mix=mix,
         x_mid=x_mid, mlp_in=m_in, r_mlp=rm, mlp_act=h_act,
     )
 
 
+def _logits(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The final norm of the last block's output, its scale and the logits."""
+    f, rf = _rms_norm(x)
+    return f, rf, _rows(f, model.params["head"].T)
+
+
 def _head_forward(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Final norm, logits and next-token probabilities of the last block's output."""
-    f, rf = _rms_norm(x)
-    logits = f @ model.params["head"].T
-    probs = _softmax(logits)
+    f, rf, logits = _logits(model, x)
+    probs = _softmax(logits.copy())
     return probs, dict(final_in=x, r_final=rf, final_norm=f, logits=logits, probs=probs)
+
+
+def _window_losses(logits: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Each window's mean next-token cross-entropy (B,) from its logits
+    (B, T, vocab) and ids (B, T), through a log-softmax; the mean is float64."""
+    z = logits[:, :-1]
+    z = z - z.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(z, ids[:, 1:, None], axis=-1)[..., 0]
+    return -np.mean(picked, axis=-1, dtype=np.float64)
 
 
 def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
@@ -242,11 +279,7 @@ def lm_forward_loss(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
     The mean is taken in float64 whatever the model's dtype.
     """
     _, cache = lm_forward(model, ids)
-    z = cache["logits"][:, :-1]
-    z = z - z.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    picked = np.take_along_axis(logp, cache["ids"][:, 1:, None], axis=-1)[..., 0]
-    return -np.mean(picked, axis=-1, dtype=np.float64), cache
+    return _window_losses(cache["logits"], cache["ids"]), cache
 
 
 def lm_backward(model: TinyLM, cache: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -277,7 +310,7 @@ def _head_backward(model: TinyLM, cache: dict, ids) -> tuple[np.ndarray, np.ndar
     dlogits[np.arange(n)[:, None], np.arange(n_pred), ids[:, 1:]] -= 1.0
     dlogits[:, :n_pred] /= n_pred
     dlogits[:, n_pred:] = 0.0
-    dx = _rms_backward(dlogits @ model.params["head"], cache["final_in"], cache["r_final"])
+    dx = _rms_backward(_rows(dlogits, model.params["head"]), cache["final_in"], cache["r_final"])
     return dlogits, dx
 
 
@@ -289,13 +322,13 @@ def _block_backward(model: TinyLM, block: int, blk: dict, dx: np.ndarray) -> dic
     scale = 1.0 / np.sqrt(model.config.d_model)
 
     # MLP half: x_out = x_mid + tanh(m_in @ W1.T) @ W2.T
-    dh_act = dx @ p[f"{base}.mlp.fc2"]
-    dh_pre = dh_act * (1.0 - blk["mlp_act"] ** 2)
-    dm_in = dh_pre @ p[f"{base}.mlp.fc1"]
+    dh_pre = _rows(dx, p[f"{base}.mlp.fc2"])
+    dh_pre *= 1.0 - blk["mlp_act"] ** 2
+    dm_in = _rows(dh_pre, p[f"{base}.mlp.fc1"])
     dx_mid = dx + _rms_backward(dm_in, blk["x_mid"], blk["r_mlp"])
 
     # attention half: x_mid = x_in + (att @ v) @ Wo.T
-    dmix = dx_mid @ p[f"{base}.attn.wo"]
+    dmix = _rows(dx_mid, p[f"{base}.attn.wo"])
     datt = dmix @ blk["v"].swapaxes(1, 2)
     dv = blk["att"].swapaxes(1, 2) @ dmix
     att = blk["att"]
@@ -313,13 +346,19 @@ def _block_input_grad(model: TinyLM, block: int, blk: dict, pairs: dict) -> np.n
     p = model.params
     base = f"blk{block}"
     dq, dk, dv, dx_mid = (pairs[f"{base}.attn.{w}"][1] for w in ("wq", "wk", "wv", "wo"))
-    da = dq @ p[f"{base}.attn.wq"] + dk @ p[f"{base}.attn.wk"] + dv @ p[f"{base}.attn.wv"]
+    da = _rows(dq, p[f"{base}.attn.wq"])
+    da += _rows(dk, p[f"{base}.attn.wk"])
+    da += _rows(dv, p[f"{base}.attn.wv"])
     return dx_mid + _rms_backward(da, blk["x_in"], blk["r_attn"])
 
 
-def _chunks(n_windows: int, t: int):
-    """Consecutive window slices of at most CHUNK_ROWS token rows (at least one window)."""
-    step = max(1, CHUNK_ROWS // t)
+def _chunks(config: ModelConfig, n_windows: int, t: int, backward: bool):
+    """Consecutive window slices (at least one window each) of at most
+    CHUNK_ROWS token rows for a backward pass, which holds every block's
+    cache, and n_blocks times as many for a forward-only one, which holds
+    one block's activations at a time."""
+    rows = CHUNK_ROWS if backward else CHUNK_ROWS * config.n_blocks
+    step = max(1, rows // t)
     return [slice(i, i + step) for i in range(0, n_windows, step)]
 
 
@@ -349,9 +388,9 @@ def collect(model: TinyLM, windows, fold, backward: bool) -> None:
 
     `pairs` maps the block's layers, in `_LAYER_INPUTS` order, to (X, dY):
     the chunk's inputs (B, T, d_in), one array per distinct input, and
-    output gradients (B, T, d_out), None without `backward`. Chunks of
-    CHUNK_ROWS token rows go in order, their windows stacked in order; each
-    is embedded and runs every block forward, front to back, in the
+    output gradients (B, T, d_out), None without `backward`. Chunks
+    (`_chunks`) go in order, their windows stacked in order; each is
+    embedded and runs every block forward, front to back, in the
     parameters' dtype. Forward only, `fold` follows each block's forward.
     With `backward`, the loss gradient then goes back one block at a time,
     back to front, `fold` following each block's backward; the walk stops
@@ -359,7 +398,7 @@ def collect(model: TinyLM, windows, fold, backward: bool) -> None:
     block's cache, which `pairs` holds, is dropped once its fold returns.
     """
     ids = _check_ids(model, windows)
-    for rows in _chunks(*ids.shape):
+    for rows in _chunks(model.config, *ids.shape, backward):
         x, blocks = embed_windows(model, ids[rows]), []
         for b in range(model.config.n_blocks):
             x, blk = block_forward(model, b, x)
@@ -428,20 +467,28 @@ def perplexity(model: TinyLM, tokens) -> float:
 
     The forwards run in float32, on the parameters' float32 values, which
     round them as `save_checkpoint` does: float32 parameters are read as
-    they are, wider ones are copied once per call. Each window's loss and
-    their running sum are float64. Raises NonFinite when a window's loss is
-    not finite, as when the float32 forward overflows.
+    they are, wider ones are copied once per call. They keep no cache: a
+    forward-only chunk (`_chunks`) goes through the blocks, each block's
+    output replacing its input, and each window's loss comes from the
+    logits through `lm_forward_loss`'s log-softmax, so it equals that
+    function's loss bit for bit. The losses and their running sum are
+    float64. Raises NonFinite when a window's loss is not finite, as when
+    the float32 forward overflows.
     """
     cfg = model.config
     ctx = cfg.context_length
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.shape[0] <= ctx:
         raise DimMismatch("need a 1-D eval token stream longer than one context window")
-    windows = ids[: ids.shape[0] // ctx * ctx].reshape(-1, ctx)
     f32 = TinyLM(cfg, {k: v.astype(np.float32, copy=False) for k, v in model.params.items()})
-    losses = np.concatenate(
-        [lm_forward_loss(f32, windows[rows])[0] for rows in _chunks(*windows.shape)]
-    )
+    windows = _check_ids(f32, ids[: ids.shape[0] // ctx * ctx].reshape(-1, ctx))
+    losses = []
+    for rows in _chunks(cfg, *windows.shape, backward=False):
+        x = embed_windows(f32, windows[rows])
+        for b in range(cfg.n_blocks):
+            x = block_forward(f32, b, x)[0]
+        losses.append(_window_losses(_logits(f32, x)[2], windows[rows]))
+    losses = np.concatenate(losses)
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise NonFinite(

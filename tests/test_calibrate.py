@@ -109,8 +109,9 @@ def pin_column(w, h, q, residual, block_size):
     Returns the swept matrix, whose columns hold the compensated weights.
     """
 
-    def codec(k, col):
-        return col - residual if k == q else col.copy()
+    def codec(q0, q1, cols):
+        assert q1 == q0 + 1  # a compensated sweep codes one column at a time
+        return cols - residual[:, None] if q0 == q else cols.copy()
 
     upper = inverse_upper_factor(symmetrize(h))
     w_hat, _ = oacal.calibrate._sweep(w.copy(), upper, block_size, codec)
@@ -230,10 +231,10 @@ class TestCalibrateLayer:
         sweep = oacal.calibrate._sweep
 
         def watched(work, upper, block_size, codec):
-            def watch(q, col):
-                if q:
+            def watch(q0, q1, cols):
+                if q0:
                     trace.append(work.copy())
-                return codec(q, col)
+                return codec(q0, q1, cols)
 
             out = sweep(work, upper, block_size, watch)
             trace.append(work.copy())
@@ -621,6 +622,69 @@ class TestGuard:
         assert len(layer.stats_q) == len(compensated.stats_q) == 2
         assert layer.accounting == compensated.accounting
         assert report["avg_bits_per_weight"] == compensated.accounting.avg_bits_per_weight
+
+
+def column_at_a_time(work, upper, block_size, codec):
+    """The uncompensated sweep driven as the compensated one drives its
+    codec: one column per call, left to right."""
+    assert upper is None
+    w_hat = np.empty_like(work)
+    for q in range(work.shape[1]):
+        w_hat[:, q : q + 1] = codec(q, q + 1, work[:, q : q + 1])
+    return w_hat, [0.0] * work.shape[1]
+
+
+class TestPlainSweep:
+    """Without compensation the columns are independent, so the plain sweep
+    codes them all in one codec call; that call equals one call per column."""
+
+    @pytest.mark.parametrize(
+        "backend", [Backend.OPTQ, Backend.SPQR, Backend.BINARY], ids=["optq", "spqr", "binary"]
+    )
+    def test_one_call_equals_column_at_a_time(self, backend, monkeypatch):
+        rng = np.random.default_rng(73)
+        # 37 columns in groups of 8 leave a ragged 5-column last group
+        w = rng.standard_t(3, size=(12, 37))
+        h = make_agnostic_h(rng, 37)
+        spec = CalibSpec(bits=3, group_size=8, tau=2.0, backend=backend,
+                         stat_group=5, salient_fraction=0.2)
+        m, _, inv_diag, _ = oacal.calibrate._prepare(w, h, spec)
+        plan = (oacal.calibrate.calibrate_layer_binary if backend is Backend.BINARY
+                else oacal.calibrate._affine_plan)
+        quantize, _ = plan(m, inv_diag, spec)
+        calls = []
+        sweep = oacal.calibrate._sweep
+
+        def counted(work, upper, block_size, codec):
+            def count(q0, q1, cols):
+                calls.append((q0, q1))
+                return codec(q0, q1, cols)
+
+            return sweep(work, upper, block_size, count)
+
+        monkeypatch.setattr(oacal.calibrate, "_sweep", counted)
+        layer, w_hat, norms = quantize(None)
+        assert calls == [(0, 37)]
+        monkeypatch.setattr(oacal.calibrate, "_sweep", column_at_a_time)
+        ref, ref_hat, ref_norms = quantize(None)
+        assert w_hat.tobytes() == ref_hat.tobytes()
+        assert norms == ref_norms == [0.0] * 37
+        for f in fields(ref):
+            got, want = getattr(layer, f.name), getattr(ref, f.name)
+            if f.name == "stats_q" and want is not None:
+                assert len(got) == len(want) == 5  # one record per group, in order
+                for record, expected in zip(got, want):
+                    for g in fields(expected):
+                        assert np.array_equal(getattr(record, g.name), getattr(expected, g.name))
+            elif isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
+        if backend is Backend.SPQR:
+            assert layer.outliers and layer.stats_q is not None
+        if backend is Backend.BINARY:
+            assert 0 < layer.salient_cols.sum() < 37
+            assert layer.membership.any() and not layer.membership[:, layer.salient_cols].any()
 
 
 class TestSweepAlpha:

@@ -50,10 +50,9 @@ def rms_backwards_per_chunk(method: str, n: int) -> int:
     return 2 * n if method.startswith("OAC_") else 0
 
 
-def n_chunks(n_windows: int) -> int:
-    """Stacked forwards over `n_windows` windows of CONFIG's context."""
-    per_chunk = tinylm.CHUNK_ROWS // CONFIG.context_length
-    return -(-n_windows // per_chunk)
+def n_chunks(n_windows: int, backward: bool) -> int:
+    """Stacked passes over `n_windows` windows of CONFIG's context, by the walk's own rule."""
+    return len(tinylm._chunks(CONFIG, n_windows, CONFIG.context_length, backward))
 
 
 @pytest.fixture
@@ -70,7 +69,7 @@ def counted(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     count("block", tinylm, "block_forward")
-    count("head", tinylm, "_head_forward")
+    count("head", tinylm, "_logits")
     count("rms_backward", tinylm, "_rms_backward")
     count("harvest", pipeline, "harvest_block_gradients")
     count("collect", pipeline, "collect_agnostic_accumulators")
@@ -127,17 +126,19 @@ def test_quantize_run(method, tmp_path, counted):
 
     assert_archive_reloads(out)
 
-    # eval runs whole-model forwards over chunks of non-overlapping windows
+    # eval runs forward-only whole-model passes over chunks of non-overlapping windows
     ctx = CONFIG.context_length
     streams = load_token_streams(config)
     eval_chunks = sum(
-        n_chunks(len(range(0, streams[s].shape[0] - ctx + 1, ctx))) for s in ("valid", "test")
+        n_chunks(len(range(0, streams[s].shape[0] - ctx + 1, ctx)), backward=False)
+        for s in ("valid", "test")
     )
+    calib_chunks = n_chunks(N_WINDOWS, backward=method.startswith("OAC_"))
     blocks, heads = block_forwards_per_chunk(method, CONFIG.n_blocks)
-    assert counted["block"] == n_chunks(N_WINDOWS) * blocks + eval_chunks * CONFIG.n_blocks
-    assert counted["head"] == n_chunks(N_WINDOWS) * heads + eval_chunks
+    assert counted["block"] == calib_chunks * blocks + eval_chunks * CONFIG.n_blocks
+    assert counted["head"] == calib_chunks * heads + eval_chunks
     backwards = rms_backwards_per_chunk(method, CONFIG.n_blocks)
-    assert counted["rms_backward"] == n_chunks(N_WINDOWS) * backwards
+    assert counted["rms_backward"] == calib_chunks * backwards
     assert counted["harvest"] == method.startswith("OAC_")
     assert counted["collect"] == (method != "RTN" and not method.startswith("OAC_"))
 

@@ -34,7 +34,15 @@ ROOT = Path(__file__).resolve().parents[1]
 TINY = ModelConfig(vocab_size=16, d_model=8, d_ff=12, n_blocks=2, context_length=7)
 THREE = ModelConfig(vocab_size=32, d_model=8, d_ff=16, n_blocks=3, context_length=10)
 BYTES = ModelConfig(vocab_size=128, d_model=8, d_ff=12, n_blocks=1, context_length=8)
-PER_CHUNK = tinylm.CHUNK_ROWS // THREE.context_length  # THREE's windows in one stacked pass
+
+
+def per_chunk(config, backward):
+    """`config`'s windows in one stacked pass, read off the walk's own chunks."""
+    return tinylm._chunks(config, 10_000, config.context_length, backward)[0].stop
+
+
+BACKWARD_CHUNK = per_chunk(THREE, backward=True)  # THREE's windows in one stacked backward pass
+FORWARD_CHUNK = per_chunk(THREE, backward=False)  # and in one forward-only pass
 
 
 def scaled_model(config, seed, scale=15.0):
@@ -171,7 +179,7 @@ class TestCollectors:
 
     def test_agnostic_collection_equals_forward_grams(self):
         model = scaled_model(THREE, 8, scale=5.0)
-        samples = windows(THREE, PER_CHUNK + 3, 10)
+        samples = windows(THREE, FORWARD_CHUNK + 3, 10)
         accs = collect_agnostic_accumulators(model, samples)
         assert list(accs) == quantizable_layers(model)
         for block in range(THREE.n_blocks):
@@ -185,7 +193,7 @@ class TestCollectors:
         """Every block layer's factor-form Hessian is sum_i G_i^T G_i with each
         G_i formed from window i's own forward and backward of the model."""
         model = scaled_model(THREE, 21, scale=5.0)
-        samples = windows(THREE, PER_CHUNK + 3, 23)
+        samples = windows(THREE, BACKWARD_CHUNK + 3, 23)
         accs = harvest_block_gradients(model, samples)
         expected = reference_adaptive(model, samples)
         assert list(accs) == quantizable_layers(model)
@@ -199,13 +207,13 @@ class TestCollectors:
         first, and stopping after block 0 gives, bit for bit, the Hessians of
         folding one full `lm_backward` per chunk window by window."""
         model = scaled_model(THREE, 28, scale=5.0)
-        samples = windows(THREE, 2 * PER_CHUNK + 1, 29)
+        samples = windows(THREE, 2 * BACKWARD_CHUNK + 1, 29)
         accs = harvest_block_gradients(model, samples)
         expected = {
             name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
             for name in quantizable_layers(model)
         }
-        for rows in tinylm._chunks(*samples.shape):
+        for rows in tinylm._chunks(THREE, *samples.shape, backward=True):
             factors = lm_backward(model, lm_forward(model, samples[rows])[1])
             for name, acc in expected.items():
                 for x_i, dy_i in zip(*factors[name]):
@@ -227,7 +235,7 @@ class TestCollectors:
             samples = sample_calibration_windows(tokens, 16, ctx, np.random.default_rng(0))
         else:
             model = cast(cast(scaled_model(THREE, 8, scale=5.0), np.float32), np.float64)
-            samples = windows(THREE, PER_CHUNK + 3, 10)
+            samples = windows(THREE, FORWARD_CHUNK + 3, 10)
         wide = collect_agnostic_accumulators(model, samples)
         narrow = collect_agnostic_accumulators(cast(model, np.float32), samples)
         assert list(narrow) == list(wide)
@@ -266,7 +274,7 @@ class TestWalk:
         gives the window sum of `lm_backward`'s weight gradients; the walk
         visits the blocks back to front in every chunk."""
         model = scaled_model(THREE, 30, scale=5.0)
-        samples = windows(THREE, 2 * PER_CHUNK + 1, 31)
+        samples = windows(THREE, 2 * BACKWARD_CHUNK + 1, 31)
         sums, order = {}, []
 
         def fold(block, pairs):
@@ -276,7 +284,7 @@ class TestWalk:
                     sums[name] = sums.get(name, 0.0) + dy_i.T @ x_i
 
         tinylm.collect(model, samples, fold, backward=True)
-        assert order == [2, 1, 0] * len(tinylm._chunks(*samples.shape))
+        assert order == [2, 1, 0] * len(tinylm._chunks(THREE, *samples.shape, backward=True))
         assert sorted(sums) == sorted(quantizable_layers(model))
         grads = gradients(model, lm_backward(model, lm_forward(model, samples)[1]))
         for name, total in sums.items():
@@ -290,7 +298,7 @@ class TestWalk:
         `lm_forward` caches for it, with no gradient, block by block front
         to back in every chunk."""
         model = scaled_model(THREE, 32, scale=5.0)
-        samples = windows(THREE, 2 * PER_CHUNK + 1, 33)
+        samples = windows(THREE, 2 * FORWARD_CHUNK + 1, 33)
         seen, order = {}, []
 
         def fold(block, pairs):
@@ -301,7 +309,7 @@ class TestWalk:
                 seen.setdefault(name, []).append(xs)
 
         tinylm.collect(model, samples, fold, backward=False)
-        assert order == [0, 1, 2] * len(tinylm._chunks(*samples.shape))
+        assert order == [0, 1, 2] * len(tinylm._chunks(THREE, *samples.shape, backward=False))
         blocks = lm_forward(model, samples)[1]["blocks"]
         for b, blk in blocks.items():
             for name, source in layer_input_name_map(b).items():
@@ -312,28 +320,31 @@ class TestStackedWindows:
     """A (B, T) stack gives exactly what B one-window calls give."""
 
     def test_forward_and_backward_match_per_window(self):
-        model = scaled_model(THREE, 14, scale=5.0)
+        """In float64, training's dtype, and float32, eval's."""
         samples = windows(THREE, 5, 15)
-        probs, cache = lm_forward(model, samples)
-        factors = lm_backward(model, cache)
-        grads = gradients(model, factors)
-        for i, s in enumerate(samples):
-            one_probs, one = lm_forward(model, s[None])
-            np.testing.assert_array_equal(probs[i], one_probs[0])
-            for key, value in one.items():
-                if key != "blocks":
-                    np.testing.assert_array_equal(cache[key][i], value[0])
-            for b, blk in one["blocks"].items():
-                for key, value in blk.items():
-                    np.testing.assert_array_equal(cache["blocks"][b][key][i], value[0])
-            one_factors = lm_backward(model, one)
-            for name, (x, dy) in one_factors.items():
-                np.testing.assert_array_equal(factors[name][0][i], x[0])
-                np.testing.assert_array_equal(factors[name][1][i], dy[0])
-            for name, g in gradients(model, one_factors).items():
-                np.testing.assert_array_equal(grads[name][i], g[0])
+        for dtype in (np.float64, np.float32):
+            model = cast(scaled_model(THREE, 14, scale=5.0), dtype)
+            probs, cache = lm_forward(model, samples)
+            factors = lm_backward(model, cache)
+            grads = gradients(model, factors)
+            for i, s in enumerate(samples):
+                one_probs, one = lm_forward(model, s[None])
+                assert one_probs.dtype == dtype
+                np.testing.assert_array_equal(probs[i], one_probs[0])
+                for key, value in one.items():
+                    if key != "blocks":
+                        np.testing.assert_array_equal(cache[key][i], value[0])
+                for b, blk in one["blocks"].items():
+                    for key, value in blk.items():
+                        np.testing.assert_array_equal(cache["blocks"][b][key][i], value[0])
+                one_factors = lm_backward(model, one)
+                for name, (x, dy) in one_factors.items():
+                    np.testing.assert_array_equal(factors[name][0][i], x[0])
+                    np.testing.assert_array_equal(factors[name][1][i], dy[0])
+                for name, g in gradients(model, one_factors).items():
+                    np.testing.assert_array_equal(grads[name][i], g[0])
 
-    @pytest.mark.parametrize("n", [1, PER_CHUNK + 1])
+    @pytest.mark.parametrize("n", [1, BACKWARD_CHUNK + 1, FORWARD_CHUNK + 1])
     @pytest.mark.parametrize(
         "collect, dtype",
         [
@@ -343,8 +354,8 @@ class TestStackedWindows:
         ],
     )
     def test_collectors_match_one_window_at_a_time(self, collect, dtype, n):
-        """Covers a ragged last chunk: the sums fold the windows in order,
-        from float32 forwards as from float64 ones."""
+        """Covers a ragged last chunk of either walk: the sums fold the
+        windows in order, from float32 forwards as from float64 ones."""
         model = cast(scaled_model(THREE, 16, scale=5.0), dtype)
         samples = windows(THREE, n, 17)
         accs = collect(model, samples)
@@ -356,8 +367,8 @@ class TestStackedWindows:
                 expected += single[name].sum
             np.testing.assert_array_equal(acc.sum, expected)
 
-    # 3 chunks and a window: enough terms that a pairwise sum would differ
-    @pytest.mark.parametrize("n", [1, PER_CHUNK + 1, 3 * PER_CHUNK + 1])
+    # enough terms that a pairwise sum would differ, and a ragged last chunk
+    @pytest.mark.parametrize("n", [1, BACKWARD_CHUNK + 1, 3 * BACKWARD_CHUNK + 1, FORWARD_CHUNK + 1])
     def test_perplexity_matches_one_window_at_a_time(self, n):
         """Eval forwards run on the float32 cast of the model, one float64
         loss per window, summed in window order."""
@@ -370,10 +381,22 @@ class TestStackedWindows:
             total = total + window_loss(f32, tokens[None, start : start + ctx]) * (ctx - 1)
         assert tinylm.perplexity(model, tokens) == float(np.exp(total / (n * (ctx - 1))))
 
+    @pytest.mark.parametrize("rows", [1, 1 << 20], ids=["one-window", "all-windows"])
+    def test_perplexity_does_not_depend_on_the_chunk(self, rows, monkeypatch):
+        """Chunks of one window and one chunk of all windows give the
+        default chunking's perplexity bit for bit."""
+        model = scaled_model(THREE, 34, scale=5.0)
+        tokens = windows(THREE, 2 * FORWARD_CHUNK + 5, 35).ravel()
+        expected = tinylm.perplexity(model, tokens)
+        monkeypatch.setattr(tinylm, "CHUNK_ROWS", rows)
+        chunks = tinylm._chunks(THREE, 2 * FORWARD_CHUNK + 5, THREE.context_length, backward=False)
+        assert len(chunks) == (2 * FORWARD_CHUNK + 5 if rows == 1 else 1)
+        assert tinylm.perplexity(model, tokens) == expected
+
     def test_perplexity_is_close_to_float64(self):
         # float32-representable parameters, as a checkpoint holds
         model = cast(cast(scaled_model(THREE, 24, scale=5.0), np.float32), np.float64)
-        n, ctx = 3 * PER_CHUNK + 1, THREE.context_length
+        n, ctx = 3 * FORWARD_CHUNK + 1, THREE.context_length
         tokens = windows(THREE, n, 25).ravel()
         reference = np.exp(np.mean(lm_forward_loss(model, tokens.reshape(n, ctx))[0]))
         assert tinylm.perplexity(model, tokens) == pytest.approx(reference, rel=1e-5)
