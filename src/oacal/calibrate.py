@@ -5,10 +5,11 @@ round-to-nearest, no Hessian), OPTQ, SpQR and BINARY. OAC changes only the
 Hessian a backend receives, never the backend.
 
 Every Hessian backend takes one path: the damped Hessian is factorized once,
-the backend's plan fixes what does not depend on compensation (SpQR's
-outliers, the group edges, the binary salient columns, split and alphas,
-and so the bit account), and one column sweep (`_sweep`) runs the plan's
-per-column codec. Quantizing column q forces a residual delta on that
+the backend's plan chooses what does not depend on compensation (SpQR's
+outliers, the binary salient columns, split and alphas, and so the bit
+account), and one column sweep (`_sweep`) codes through the layer kind's own
+codec, `QuantizedLayer.code` or `BinaryLayer.code`, which RTN also calls
+(see `quant`). Quantizing column q forces a residual delta on that
 column; the unquantized columns to the right absorb the compensation
 
     update_q = -(residual / inv_qq) * inv_q_row
@@ -41,18 +42,7 @@ import numpy as np
 from .errors import ConfigError, NonPositiveDiagonal, ShapeMismatch
 from .hessian import regularize
 from .linalg import as_matrix, as_sym_matrix, inverse_upper_factor
-from .quant import (
-    BinaryLayer,
-    QuantizedLayer,
-    double_quantize_stats,
-    group_edges,
-    residual_binarize,
-    rtn_quantize,
-    splitting_search,
-    _code_group,
-    _fit_group_rows,
-    _signs,
-)
+from .quant import BinaryLayer, QuantizedLayer, rtn_quantize, sign_plane, splitting_search
 
 __all__ = [
     "Backend",
@@ -197,11 +187,7 @@ def _sweep(work, upper, block_size: int, codec):
         err_block = np.zeros((d_row, i2 - i1))
         for q in range(i1, i2):
             w_hat[:, q : q + 1] = codec(q, q + 1, work[:, q : q + 1])
-            col, deq = work[:, q], w_hat[:, q]
-            d = upper[q, q]
-            if d <= 0.0:
-                raise NonPositiveDiagonal("upper factor diagonal not positive")
-            err_scaled = (col - deq) / d
+            err_scaled = (work[:, q] - w_hat[:, q]) / upper[q, q]
             work[:, q:i2] -= np.outer(err_scaled, upper[q, q:i2])
             err_block[:, q - i1] = err_scaled
             tail = upper[q, q + 1 :]
@@ -275,63 +261,32 @@ def calibrate_layer(
 
 
 def _affine_plan(m, inv_diag, spec: CalibSpec):
-    """Plan of an OPTQ or SPQR layer: outlier mask and group edges;
-    returns `quantize(upper)` and no report extras.
+    """Plan of an OPTQ or SPQR layer: which weights are outliers, and that
+    they keep their values; returns `quantize(upper)` and no report extras.
 
     SpQR's outliers are the weights whose group-RTN saliency exceeds tau x
-    the mean (`detect_outliers`); they keep their original values. SpQR
-    double-quantizes each group's statistics as the sweep fits them, and the
-    layer's `stats_q` is the list of per-group records; otherwise it is None.
+    the mean (`detect_outliers`). Everything else, group fits masked to the
+    other weights and SpQR's double-quantized statistics included, is
+    `QuantizedLayer.code`'s.
     """
-    d_row, d_col = m.shape
-    bits = spec.bits
     spqr = spec.backend is Backend.SPQR
     outlier_mask = np.zeros(m.shape, dtype=bool)
     if spqr:
-        naive = rtn_quantize(m, bits, spec.group_size).dequantize()
+        naive = rtn_quantize(m, spec.bits, spec.group_size).dequantize()
         outlier_mask = detect_outliers(m, naive, inv_diag, spec)
     outliers = [(int(r), int(c), float(m[r, c])) for r, c in np.argwhere(outlier_mask)]
-    edges = group_edges(d_col, spec.group_size)
-    col_group = np.repeat(np.arange(len(edges)), [c1 - c0 for c0, c1 in edges])
+    valid = ~outlier_mask
+    stats = (spec.stat_bits, spec.stat_group) if spqr else (None, None)
 
     def quantize(upper):
         work = m.copy()
-        layer = QuantizedLayer(
-            bits=bits,
-            group_size=spec.group_size,
-            codes=np.empty((d_row, d_col), dtype=np.int64),
-            scales=np.empty((d_row, len(edges))),
-            zeros=np.empty((d_row, len(edges))),
-            outliers=outliers,
-            stats_q=[] if spqr else None,
-        )
+        layer = QuantizedLayer.empty(*m.shape, spec.bits, spec.group_size, outliers, *stats)
 
-        def codec(q0, q1, cols):
-            groups = range(col_group[q0], col_group[q1 - 1] + 1)
-            for g in groups:  # fit, in group order, each group starting in the range
-                c0, c1 = edges[g]
-                if c0 < q0:
-                    continue
-                scale, zero = _fit_group_rows(
-                    work[:, c0:c1], bits, valid=~outlier_mask[:, c0:c1]
-                )
-                if spqr:
-                    record, scale, zero = double_quantize_stats(
-                        scale, zero, spec.stat_bits, spec.stat_group
-                    )
-                    layer.stats_q.append(record)
-                layer.scales[:, g], layer.zeros[:, g] = scale, zero
-            deq = np.empty_like(cols)
-            for g in groups:
-                c0, c1 = max(edges[g][0], q0), min(edges[g][1], q1)
-                code, deq[:, c0 - q0 : c1 - q0] = _code_group(
-                    cols[:, c0 - q0 : c1 - q0], layer.scales[:, g], layer.zeros[:, g], bits
-                )
-                layer.codes[:, c0:c1] = code
+        def codec(q0, q1, cols):  # `cols` views `work`; a fit reads whole groups of it
+            deq = layer.code(q0, q1, work, valid)
             return np.where(outlier_mask[:, q0:q1], m[:, q0:q1], deq)
 
-        w_hat, update_norms = _sweep(work, upper, BLOCK_SIZE, codec)
-        return layer, w_hat, update_norms
+        return layer, *_sweep(work, upper, BLOCK_SIZE, codec)
 
     return quantize, {}
 
@@ -340,20 +295,20 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
     """Plan of a BINARY layer: salient columns, split threshold and alphas.
 
     Salient columns are the top `salient_fraction` by column saliency of a
-    naive one-plane binarization; they get two residual planes. Non-salient
-    weights reconstruct as sign * (low | high alpha) selected by the
-    magnitude split threshold. Returns `quantize(upper)`, whose
-    compensated and guard sweeps share this salient set, threshold and
-    alphas, and the plan's report extras.
+    naive one-plane binarization. The split threshold and the low and high
+    alphas are those of the other columns' weights. Returns `quantize(upper)`,
+    whose compensated and guard sweeps share this salient set, threshold and
+    alphas, and the plan's report extras; the planes and the salient columns'
+    alphas are `BinaryLayer.code`'s.
 
     The alphas are the unrounded least-squares values (mean magnitudes of
     their region) and the threshold is the exact split-search result; the
     archive stores them as float64, so a reloaded layer dequantizes
     bit-identically.
     """
-    d_row, d_col = m.shape
+    d_col = m.shape[1]
     col_alpha = np.mean(np.abs(m), axis=0)
-    naive = _signs(m) * col_alpha[None, :]
+    naive = sign_plane(m) * col_alpha[None, :]
     sal_score = np.sum(saliency(m, naive, inv_diag[None, :]), axis=0)
     n_sal = int(round(spec.salient_fraction * d_col))
     if spec.salient_fraction > 0.0:
@@ -374,33 +329,8 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
         threshold, alpha_low, alpha_high = 0.0, 0.0, 0.0
 
     def quantize(upper):
-        layer = BinaryLayer(
-            split_threshold=float(threshold),
-            alpha_low=alpha_low,
-            alpha_high=alpha_high,
-            salient_cols=salient,
-            sal_alpha1=np.zeros(d_col),
-            sal_alpha2=np.zeros(d_col),
-            signs1=np.ones((d_row, d_col), dtype=np.int8),
-            signs2=np.ones((d_row, d_col), dtype=np.int8),
-            membership=np.zeros((d_row, d_col), dtype=bool),
-        )
-
-        def codec(q0, q1, cols):
-            sgn = _signs(cols)
-            high = (np.abs(cols) > threshold) & ~salient[q0:q1]
-            layer.signs1[:, q0:q1], layer.membership[:, q0:q1] = sgn, high
-            deq = sgn * np.where(high, alpha_high, alpha_low)
-            for q in range(q0, q1):
-                if salient[q]:
-                    a1, s1, a2, s2 = residual_binarize(cols[:, q - q0])
-                    layer.sal_alpha1[q], layer.sal_alpha2[q] = a1, a2
-                    layer.signs1[:, q], layer.signs2[:, q] = s1, s2
-                    deq[:, q - q0] = a1 * s1 + a2 * s2
-            return deq
-
-        w_hat, update_norms = _sweep(m.copy(), upper, BLOCK_SIZE, codec)
-        return layer, w_hat, update_norms
+        layer = BinaryLayer.empty(m.shape[0], salient, threshold, alpha_low, alpha_high)
+        return layer, *_sweep(m.copy(), upper, BLOCK_SIZE, layer.code)
 
     extra = {
         "salient_fraction": spec.salient_fraction,

@@ -193,7 +193,7 @@ def _dispatch(args) -> int:
     if args.command == "eval":
         from .pipeline import run_eval
 
-        result = run_eval(config, args.eval_checkpoint)
+        result = run_eval(config)
         print(json.dumps(result, indent=2))
         return 0
 

@@ -13,7 +13,7 @@ from .calibrate import CalibSpec, calibrate_layer
 from .errors import DimMismatch, EmptyInput
 from .hessian import HessianAccumulator, HessianMode, accumulate_adaptive, finalize
 from .linalg import require_finite, symmetrize
-from .quant import _code_group, _fit_group_rows
+from .quant import QuantizedLayer
 
 __all__ = [
     "LogisticModel",
@@ -137,12 +137,14 @@ def direct_solver_calibrate(w, h, bits: int, group_size: int):
     """Reference for the column sweep: a direct constrained solve at every step.
 
     At step q the columns < q are pinned at their quantized values and the
-    free columns re-solve tr(dW H dW^T) from scratch; group statistics are
-    refitted from the resulting working weights and each column is coded by
-    the production loop's own affine rule. Returns the quantized matrix and,
-    per step, the working matrix with the quantized columns so far.
+    free columns re-solve tr(dW H dW^T) from scratch; column q is coded from
+    the resulting working weights by the production affine codec
+    (`QuantizedLayer.code`), which fits a group's statistics when q starts
+    it. Returns the quantized matrix and, per step, the working matrix with
+    the quantized columns so far.
     """
     d_col = w.shape[1]
+    layer = QuantizedLayer.empty(*w.shape, bits, group_size)
     w_hat = np.empty_like(w)
     states = []
     for q in range(d_col):
@@ -151,9 +153,7 @@ def direct_solver_calibrate(w, h, bits: int, group_size: int):
             delta_c = w_hat[:, :q] - w[:, :q]
             work[:, :q] = w_hat[:, :q]
             work[:, q:] += np.linalg.solve(h[q:, q:], -h[q:, :q] @ delta_c.T).T
-        if q % group_size == 0:
-            stats = _fit_group_rows(work[:, q : q + group_size], bits)
-        w_hat[:, q : q + 1] = _code_group(work[:, q : q + 1], *stats, bits)[1]
+        w_hat[:, q : q + 1] = layer.code(q, q + 1, work)
         states.append((work.copy(), w_hat[:, : q + 1].copy()))
     return w_hat, states
 

@@ -468,12 +468,12 @@ def _append_summary_row(path, report: RunReport) -> None:
         )
 
 
-def run_eval(config: RunConfig, checkpoint_path) -> dict:
-    """Perplexity of a stored checkpoint on the validation and test streams."""
-    model = load_checkpoint(checkpoint_path)
+def run_eval(config: RunConfig) -> dict:
+    """Perplexity of `config.checkpoint` on the validation and test streams."""
+    model = load_checkpoint(config.checkpoint)
     streams = load_token_streams(config)
     return {
-        "checkpoint": str(checkpoint_path),
+        "checkpoint": str(config.checkpoint),
         "valid_perplexity": perplexity(model, streams["valid"]),
         "test_perplexity": perplexity(model, streams["test"]),
     }

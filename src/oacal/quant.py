@@ -1,5 +1,10 @@
 """Group-affine and binary weight quantizers plus bit accounting.
 
+Each layer kind codes itself: `QuantizedLayer.empty` and `BinaryLayer.empty`
+make a layer from a plan's fixed parts, and its range codec `code(q0, q1, ...)`
+writes the codes of columns q0..q1-1 and returns their reconstruction. RTN,
+both calibration sweeps and the direct-solver oracle code through it.
+
 The one affine rule, vectorized over a group's rows, is `_fit_group_rows`
 (statistics), `_code_group` (codes) and `_decode` (reconstruction): the
 asymmetric min-max scheme, with the range widened to include zero:
@@ -22,6 +27,8 @@ one table, `_layout`: per entry, the stored form (a bit-packed width or a
 float dtype), the bits charged per value, the `BitAccount` category and the
 label of whatever is stored beyond the charge. `bit_account`,
 `disk_extra_bits`, `layer_to_tensors` and `layer_from_tensors` all read it.
+A binary layer is held as its archive entries are: planes compacted to the
+columns that use them and all its alphas in one vector.
 """
 from __future__ import annotations
 
@@ -50,6 +57,7 @@ __all__ = [
     "rtn_quantize",
     "StatsQuant",
     "double_quantize_stats",
+    "sign_plane",
     "binarize_region",
     "residual_binarize",
     "splitting_search",
@@ -88,19 +96,13 @@ def _decode(codes, scale, zero):
 # ---------------------------------------------------------------------------
 
 
-def group_edges(d_col: int, group_size: int) -> list[tuple[int, int]]:
-    """Column ranges of consecutive groups; the last group may be ragged."""
-    if group_size < 1:
-        raise DimMismatch(f"group_size must be >= 1, got {group_size}")
-    return [(g, min(g + group_size, d_col)) for g in range(0, d_col, group_size)]
-
-
 @dataclass
 class QuantizedLayer:
     """Integer codes plus per-(row, group) statistics and isolated outliers.
 
     `stats_q` holds one double-quantization record per column group when the
-    statistics were double-quantized (SpQR-style calibration), else None.
+    statistics were double-quantized (SpQR-style calibration) at `stat_bits`
+    in runs of `stat_group`, else None.
     """
 
     bits: int
@@ -110,6 +112,29 @@ class QuantizedLayer:
     zeros: np.ndarray  # float64, d_row x n_groups
     outliers: list[tuple[int, int, float]]  # sorted by (row, col)
     stats_q: "list[StatsQuant] | None"
+    stat_bits: int | None = None
+    stat_group: int | None = None
+
+    @classmethod
+    def empty(cls, d_row: int, d_col: int, bits: int, group_size: int, outliers=(),
+              stat_bits: int | None = None, stat_group: int | None = None) -> QuantizedLayer:
+        """A layer for `code` to fill: the plan's fixed parts and room for
+        the codes and statistics. With `stat_bits` the statistics are
+        double-quantized in runs of `stat_group`."""
+        if group_size < 1:
+            raise DimMismatch(f"group_size must be >= 1, got {group_size}")
+        n_groups = -(-d_col // group_size)
+        return cls(
+            bits=bits,
+            group_size=group_size,
+            codes=np.empty((d_row, d_col), dtype=np.int64),
+            scales=np.empty((d_row, n_groups)),
+            zeros=np.empty((d_row, n_groups)),
+            outliers=list(outliers),
+            stats_q=None if stat_bits is None else [],
+            stat_bits=stat_bits,
+            stat_group=stat_group,
+        )
 
     @property
     def d_row(self) -> int:
@@ -122,7 +147,6 @@ class QuantizedLayer:
     @property
     def meta(self) -> dict:
         """The layers.json metadata that `_layout` reads."""
-        record = self.stats_q[0] if self.stats_q else None
         return {
             "kind": "affine",
             "d_row": self.d_row,
@@ -131,8 +155,8 @@ class QuantizedLayer:
             "group_size": self.group_size,
             "outlier_count": len(self.outliers),
             "double_quantized": self.stats_q is not None,
-            "stat_bits": record.stat_bits if record else None,
-            "stat_group": record.stat_group if record else None,
+            "stat_bits": self.stat_bits,
+            "stat_group": self.stat_group,
         }
 
     @property
@@ -140,12 +164,41 @@ class QuantizedLayer:
         """What the layer is charged, derived from its `meta`."""
         return bit_account(self.meta)
 
+    def code(self, q0: int, q1: int, work: np.ndarray, valid: np.ndarray | None = None):
+        """Code columns q0..q1-1 of `work` and return their reconstruction,
+        outliers coded like any other weight.
+
+        First each group that starts in the range is fitted, in group order,
+        to its columns of `work`, with only the entries `valid` marks shaping
+        the range (`_fit_group_rows`); double-quantized statistics append
+        their record to `stats_q`, so the records keep group order.
+        """
+        gs, bits = self.group_size, self.bits
+        for c0 in range(-(-q0 // gs) * gs, q1, gs):
+            scale, zero = _fit_group_rows(
+                work[:, c0 : c0 + gs], bits, None if valid is None else valid[:, c0 : c0 + gs]
+            )
+            if self.stats_q is not None:
+                record, scale, zero = double_quantize_stats(
+                    scale, zero, self.stat_bits, self.stat_group
+                )
+                self.stats_q.append(record)
+            self.scales[:, c0 // gs], self.zeros[:, c0 // gs] = scale, zero
+        deq = np.empty((work.shape[0], q1 - q0))
+        for g in range(q0 // gs, -(-q1 // gs)):
+            c0, c1 = max(g * gs, q0), min(g * gs + gs, q1)
+            self.codes[:, c0:c1], deq[:, c0 - q0 : c1 - q0] = _code_group(
+                work[:, c0:c1], self.scales[:, g], self.zeros[:, g], bits
+            )
+        return deq
+
     def dequantize(self) -> np.ndarray:
         """Reconstruct the weight matrix; outliers return their stored value."""
         out = np.empty(self.codes.shape)
-        for g, (c0, c1) in enumerate(group_edges(self.d_col, self.group_size)):
-            out[:, c0:c1] = _decode(
-                self.codes[:, c0:c1], self.scales[:, g, None], self.zeros[:, g, None]
+        gs = self.group_size
+        for g, c0 in enumerate(range(0, self.d_col, gs)):
+            out[:, c0 : c0 + gs] = _decode(
+                self.codes[:, c0 : c0 + gs], self.scales[:, g, None], self.zeros[:, g, None]
             )
         for r, c, val in self.outliers:
             out[r, c] = val
@@ -184,25 +237,12 @@ def _code_group(block, scale, zero, bits):
 
 
 def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
-    """Round-to-nearest group quantization with no outliers or compensation."""
+    """Round-to-nearest group quantization with no outliers or compensation:
+    one `code` call over all columns."""
     m = as_matrix(w)
-    d_row, d_col = m.shape
-    edges = group_edges(d_col, group_size)
-    codes = np.empty((d_row, d_col), dtype=np.int64)
-    scales = np.empty((d_row, len(edges)))
-    zeros = np.empty((d_row, len(edges)))
-    for g, (c0, c1) in enumerate(edges):
-        scales[:, g], zeros[:, g] = _fit_group_rows(m[:, c0:c1], bits)
-        codes[:, c0:c1], _ = _code_group(m[:, c0:c1], scales[:, g], zeros[:, g], bits)
-    return QuantizedLayer(
-        bits=bits,
-        group_size=group_size,
-        codes=codes,
-        scales=scales,
-        zeros=zeros,
-        outliers=[],
-        stats_q=None,
-    )
+    layer = QuantizedLayer.empty(*m.shape, bits, group_size)
+    layer.code(0, m.shape[1], m)
+    return layer
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +324,8 @@ def double_quantize_stats(
 # ---------------------------------------------------------------------------
 
 
-def _signs(v: np.ndarray) -> np.ndarray:
-    # sign(0) = +1 for a deterministic tie-break
+def sign_plane(v: np.ndarray) -> np.ndarray:
+    """-1.0 where v < 0, else +1.0: sign(0) = +1 for a deterministic tie-break."""
     return np.where(v < 0.0, -1.0, 1.0)
 
 
@@ -295,7 +335,7 @@ def binarize_region(values) -> tuple[float, np.ndarray]:
     if v.size == 0:
         raise EmptyGroup("cannot binarize an empty region")
     alpha = float(np.mean(np.abs(v)))
-    return alpha, _signs(v)
+    return alpha, sign_plane(v)
 
 
 def residual_binarize(values) -> tuple[float, np.ndarray, float, np.ndarray]:
@@ -354,7 +394,7 @@ def splitting_search(values) -> float:
 
 @dataclass
 class BinaryLayer:
-    """Sign planes with per-segment magnitudes.
+    """Sign planes with per-segment magnitudes, held as the archive stores them.
 
     Salient columns carry two planes (base plus residual) with per-column
     alphas; the remaining columns carry one plane whose magnitude is the
@@ -362,15 +402,26 @@ class BinaryLayer:
     marks the high-magnitude region and is decode-side metadata.
     """
 
-    split_threshold: float
-    alpha_low: float
-    alpha_high: float
-    salient_cols: np.ndarray  # bool, d_col
-    sal_alpha1: np.ndarray  # float64, d_col (0 on non-salient)
-    sal_alpha2: np.ndarray  # float64, d_col (0 on non-salient)
     signs1: np.ndarray  # int8 +-1, d_row x d_col
-    signs2: np.ndarray  # int8 +-1, d_row x d_col (used on salient cols)
-    membership: np.ndarray  # bool, d_row x d_col (True = high region)
+    signs2: np.ndarray  # int8 +-1, d_row x n_salient: the salient columns' residual plane
+    membership: np.ndarray  # bool, d_row x (d_col - n_salient): True = high alpha
+    salient_cols: np.ndarray  # bool, d_col
+    alphas: np.ndarray  # float64: threshold, low and high alpha, salient alpha1s, alpha2s
+
+    @classmethod
+    def empty(cls, d_row: int, salient_cols: np.ndarray, split_threshold: float,
+              alpha_low: float, alpha_high: float) -> BinaryLayer:
+        """A layer for `code` to fill: the plan's salient columns, split
+        threshold and shared alphas, and room for the planes and the salient
+        columns' alphas."""
+        n_sal = int(salient_cols.sum())
+        return cls(
+            signs1=np.ones((d_row, salient_cols.size), dtype=np.int8),
+            signs2=np.ones((d_row, n_sal), dtype=np.int8),
+            membership=np.zeros((d_row, salient_cols.size - n_sal), dtype=bool),
+            salient_cols=salient_cols,
+            alphas=np.array([split_threshold, alpha_low, alpha_high] + [0.0] * (2 * n_sal)),
+        )
 
     @property
     def d_row(self) -> int:
@@ -391,16 +442,40 @@ class BinaryLayer:
         """What the layer is charged, derived from its `meta`."""
         return bit_account(self.meta)
 
+    def code(self, q0: int, q1: int, cols: np.ndarray) -> np.ndarray:
+        """Code columns q0..q1-1, whose values `cols` holds, and return their
+        reconstruction: a salient column by `residual_binarize`, any other
+        weight as its sign times the low or high alpha."""
+        sgn = sign_plane(cols)
+        self.signs1[:, q0:q1] = sgn
+        threshold, low, high = self.alphas[:3].tolist()
+        above = np.abs(cols) > threshold
+        deq = sgn * np.where(above, high, low)
+        s0 = int(np.count_nonzero(self.salient_cols[:q0]))  # salient columns left of q0
+        n_picked = int(np.count_nonzero(self.salient_cols[q0:q1]))
+        if not n_picked:
+            self.membership[:, q0 - s0 : q1 - s0] = above
+            return deq
+        picked = np.flatnonzero(self.salient_cols[q0:q1])
+        self.membership[:, q0 - s0 : q1 - s0 - n_picked] = np.delete(above, picked, axis=1)
+        n_sal = self.signs2.shape[1]
+        for s, j in enumerate(picked, s0):
+            a1, _, a2, signs2 = residual_binarize(cols[:, j])
+            self.alphas[3 + s], self.alphas[3 + n_sal + s] = a1, a2
+            self.signs2[:, s] = signs2
+            deq[:, j] = a1 * sgn[:, j] + a2 * signs2
+        return deq
+
     def dequantize(self) -> np.ndarray:
         sal = self.salient_cols
+        n_sal = self.signs2.shape[1]
+        _, low, high = self.alphas[:3]
         out = np.empty(self.signs1.shape)
-        mags = np.where(self.membership, self.alpha_high, self.alpha_low)
-        out[:, ~sal] = (self.signs1 * mags)[:, ~sal]
-        two_plane = (
-            self.signs1 * self.sal_alpha1[None, :]
-            + self.signs2 * self.sal_alpha2[None, :]
+        out[:, ~sal] = self.signs1[:, ~sal] * np.where(self.membership, high, low)
+        out[:, sal] = (
+            self.signs1[:, sal] * self.alphas[3 : 3 + n_sal]
+            + self.signs2 * self.alphas[3 + n_sal :]
         )
-        out[:, sal] = two_plane[:, sal]
         return out
 
 
@@ -572,8 +647,6 @@ def unpack_uint(packed, width: int, count: int) -> np.ndarray:
     return out
 
 
-
-
 def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
     """Tensor entries plus layers.json metadata for one quantized layer.
 
@@ -601,19 +674,12 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
             values["outliercols"] = cols
             values["outlierrows"] = np.searchsorted(rows, np.arange(layer.d_row + 1))
     elif isinstance(layer, BinaryLayer):
-        sal = layer.salient_cols
         values = {
             "signs1": layer.signs1 < 0,
-            "signs2": layer.signs2[:, sal] < 0,
-            "membership": layer.membership[:, ~sal],
-            "salient": sal,
-            "alphas": np.concatenate(
-                [
-                    [layer.split_threshold, layer.alpha_low, layer.alpha_high],
-                    layer.sal_alpha1[sal],
-                    layer.sal_alpha2[sal],
-                ]
-            ),
+            "signs2": layer.signs2 < 0,
+            "membership": layer.membership,
+            "salient": layer.salient_cols,
+            "alphas": layer.alphas,
         }
     else:
         raise DimMismatch(f"unknown layer type {type(layer)!r}")
@@ -669,7 +735,6 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
             entry[prefix] = unpack_uint(arr, e.form, e.count).reshape(e.shape)
         else:
             entry[prefix] = arr.astype(np.float64)
-    d_row, d_col = meta["d_row"], meta["d_col"]
     if meta["kind"] == "affine":
         stats_q = None
         if meta["double_quantized"]:
@@ -687,7 +752,7 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
             scales, zeros = entry["scales"], entry["zeros"].astype(np.float64)
         outliers = []
         if meta["outlier_count"]:
-            rows = np.repeat(np.arange(d_row), np.diff(entry["outlierrows"]))
+            rows = np.repeat(np.arange(meta["d_row"]), np.diff(entry["outlierrows"]))
             outliers = [
                 (int(r), int(c), float(v))
                 for r, c, v in zip(rows, entry["outliercols"], entry["outliervals"])
@@ -700,6 +765,8 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
             zeros=zeros,
             outliers=outliers,
             stats_q=stats_q,
+            stat_bits=meta["stat_bits"],
+            stat_group=meta["stat_group"],
         )
     salient = entry["salient"] != 0
     if int(salient.sum()) != meta["n_salient_cols"]:
@@ -707,23 +774,10 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
             f"layer {name!r}: salient mask has {int(salient.sum())} columns, "
             f"layers.json says {meta['n_salient_cols']}"
         )
-    signs2 = np.ones((d_row, d_col), dtype=np.int8)
-    signs2[:, salient] = 1 - 2 * entry["signs2"]
-    membership = np.zeros((d_row, d_col), dtype=bool)
-    membership[:, ~salient] = entry["membership"] != 0
-    sal_alpha1, sal_alpha2 = np.zeros(d_col), np.zeros(d_col)
-    alphas = entry["alphas"]
-    n_sal = meta["n_salient_cols"]
-    sal_alpha1[salient] = alphas[3 : 3 + n_sal]
-    sal_alpha2[salient] = alphas[3 + n_sal :]
     return BinaryLayer(
-        split_threshold=float(alphas[0]),
-        alpha_low=float(alphas[1]),
-        alpha_high=float(alphas[2]),
-        salient_cols=salient,
-        sal_alpha1=sal_alpha1,
-        sal_alpha2=sal_alpha2,
         signs1=(1 - 2 * entry["signs1"]).astype(np.int8),
-        signs2=signs2,
-        membership=membership,
+        signs2=(1 - 2 * entry["signs2"]).astype(np.int8),
+        membership=entry["membership"] != 0,
+        salient_cols=salient,
+        alphas=entry["alphas"],
     )

@@ -683,8 +683,10 @@ class TestPlainSweep:
         if backend is Backend.SPQR:
             assert layer.outliers and layer.stats_q is not None
         if backend is Backend.BINARY:
-            assert 0 < layer.salient_cols.sum() < 37
-            assert layer.membership.any() and not layer.membership[:, layer.salient_cols].any()
+            n_sal = int(layer.salient_cols.sum())
+            assert 0 < n_sal < 37 and layer.membership.any()
+            assert layer.membership.shape == (12, 37 - n_sal)
+            assert layer.signs2.shape == (12, n_sal)
 
 
 class TestSweepAlpha:

@@ -443,7 +443,7 @@ def test_packed_payload_disagreeing_with_layers_json_exits_3(setup, tmp_path, ca
     archive_write(out / "layers.oack", tensors)
     capsys.readouterr()
 
-    def reload_layers(config, checkpoint_path):
+    def reload_layers(config):
         stored = archive_read(out / "layers.oack")
         return {name: layer_from_tensors(name, stored, m).d_row for name, m in meta.items()}
 

@@ -216,6 +216,11 @@ class TestRtnQuantize:
         # 2 code bits plus two fp16 stats per 4-weight group
         assert layer.accounting.avg_bits_per_weight == 2 + 32 / 4
 
+    @pytest.mark.parametrize("group_size", [0, -1])
+    def test_group_size_below_one_rejected(self, group_size):
+        with pytest.raises(DimMismatch, match="group_size"):
+            rtn_quantize(np.ones((2, 4)), bits=2, group_size=group_size)
+
 
 class TestDoubleQuantizeStats:
     def test_constant_scales_exact(self):
@@ -575,6 +580,29 @@ class TestArchiveReload:
         assert layer.scales.shape == (24, 2) and layer.stats_q[0].scale_steps.shape == (2,)
         self.reload(layer, tmp_path)
         assert self.extras(layer)["stats2_fp32"] == 2 * 32 * 2 * 2
+
+    def test_binary_layer_holds_its_entries(self):
+        """A binary layer holds its five archive entries as they are stored:
+        each unpacks to the layer's own array, a set sign bit marking a -1."""
+        w, h = self.inputs(6, d_row=24, d_col=50)
+        layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.BINARY, salient_fraction=0.08))
+        held = {
+            "signs1": layer.signs1 < 0,
+            "signs2": layer.signs2 < 0,
+            "membership": layer.membership,
+            "salient": layer.salient_cols,
+            "alphas": layer.alphas,
+        }
+        assert [f.name for f in fields(layer)] == [
+            "signs1", "signs2", "membership", "salient_cols", "alphas"
+        ]
+        tensors, meta = layer_to_tensors("blk.w", layer)
+        assert [key.partition("/")[0] for key in tensors] == list(held)
+        for prefix, e in _layout(meta).items():
+            stored = tensors[f"{prefix}/blk.w"]
+            got = unpack_uint(stored, e.form, e.count).reshape(e.shape) if e.packed else stored
+            want = held[prefix]
+            assert got.shape == want.shape and np.array_equal(got, want), prefix
 
     @pytest.mark.parametrize("fraction", [0.0, 0.08, 1.0], ids=["0%", "8%", "100%"])
     def test_binary(self, fraction, tmp_path):
