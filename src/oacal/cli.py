@@ -60,7 +60,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train-toy", help="train the toy byte LM")
-    train.add_argument("--corpus", required=True)
+    train.add_argument("--corpus", required=True,
+                       help="trains on its [0, 80%%) bytes, the train part of the split that "
+                            "quantize applies when one file is every corpus")
     train.add_argument("--out", required=True, help="checkpoint path to write")
     train.add_argument("--seed", type=int, default=0)
     for f in fields(TrainConfig):
@@ -150,10 +152,10 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     config = _run_config(args) if args.command in _RUN_COMMANDS else None
     if args.command == "train-toy":
-        from .tinylm import ModelConfig, TrainConfig, save_checkpoint, train_tiny_lm
+        from .tinylm import ModelConfig, TrainConfig, save_checkpoint, split_corpus, train_tiny_lm
 
         with open(args.corpus, "rb") as fh:
-            corpus = fh.read()
+            corpus = split_corpus(fh.read(), "train")
         model, history = train_tiny_lm(
             corpus,
             ModelConfig(),

@@ -47,6 +47,7 @@ from .tinylm import (
     quantizable_layers,
     sample_calibration_windows,
     save_checkpoint,
+    split_corpus,
     tokenize,
 )
 
@@ -258,23 +259,21 @@ def load_token_streams(config: RunConfig) -> dict[str, np.ndarray]:
     """Token streams for calibration/validation/test.
 
     Distinct files are used whole. When the validation or test path names
-    the training file, however spelled (paths are compared resolved), the
-    deterministic 80/10/10 byte split of that file is applied instead
-    (train gets [0, 80%), validation [80%, 90%), test the rest); calibration
-    always draws from the training stream.
+    the training file, however spelled (paths are compared resolved), that
+    stream is its part of the file's byte split (`split_corpus`, the rule
+    `train-toy` trains by) and the training stream is the train part;
+    calibration always draws from the training stream.
     """
     train_raw = _read_corpus(config.corpus_train)
-    n = len(train_raw)
     train_path = Path(config.corpus_train).resolve()
-    streams, train_end = {}, n
-    parts = (("valid", config.corpus_valid, 0.8, 0.9), ("test", config.corpus_test, 0.9, 1.0))
-    for name, path, start, end in parts:
+    streams, train = {}, train_raw
+    for name, path in (("valid", config.corpus_valid), ("test", config.corpus_test)):
         if Path(path).resolve() == train_path:
-            streams[name] = tokenize(train_raw[int(start * n) : int(end * n)])
-            train_end = int(0.8 * n)
+            streams[name] = tokenize(split_corpus(train_raw, name))
+            train = split_corpus(train_raw, "train")
         else:
             streams[name] = tokenize(_read_corpus(path))
-    return {"train": tokenize(train_raw[:train_end]), **streams}
+    return {"train": tokenize(train), **streams}
 
 
 @dataclass

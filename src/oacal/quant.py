@@ -619,7 +619,8 @@ def pack_uint(values, width: int) -> np.ndarray:
         raise DimMismatch(f"only integers are packed, got {v.dtype}")
     if v.size and (v.min() < 0 or int(v.max()) >> width):
         raise DimMismatch(f"values outside [0, 2^{width}) cannot be packed")
-    v = v.astype(np.int64, copy=False)
+    # shifted in the narrowest unsigned dtype that holds `width` bits
+    v = v.astype(np.min_scalar_type((1 << width) - 1), copy=False)
     bits = np.empty((v.size, width), dtype=np.uint8)
     for b in range(width):
         bits[:, b] = (v >> b) & 1

@@ -11,14 +11,15 @@ float32, on the parameters' float32 values, which is all a checkpoint
 stores; each window's loss and their sum stay float64.
 
 Every model function takes a stack of windows: token ids (B, T) and
-activations (B, T, d). `lm_backward` returns each linear layer's gradient
-factors, input X (B, T, d_in) and output gradient dY (B, T, d_out), not its
-weight gradient dY^T X: training forms those and sums them over axis 0,
-and the Hessian collectors fold them (X alone, agnostic) window by window
-through one walk, `collect`, whose docstring gives its order, so all sums
-equal a one-window loop bit for bit. Activations are row vectors; a linear layer
-with weight W (d_out x d_in) computes x @ W.T, so W's columns line up with
-the layer's input dimension.
+activations (B, T, d). One walk over the blocks serves every caller:
+`lm_forward` runs them front to back, handing a fold each block's cache,
+and `lm_backward` runs the head and the blocks back to front, handing a
+fold each linear layer's factors, its input X (B, T, d_in) and output
+gradient dY (B, T, d_out). Training sums dY^T X over axis 0, eval folds
+nothing, and the Hessian collectors fold window by window through
+`collect`, so all sums equal a one-window loop bit for bit. Activations
+are row vectors; a linear layer with weight W (d_out x d_in) computes
+x @ W.T, so W's columns line up with the layer's input dimension.
 
 Each linear layer multiplies all of a stack's token rows in one GEMM
 (`_rows`); NumPy would multiply a (B, T, d) stack one window at a time.
@@ -67,13 +68,13 @@ __all__ = [
     "TrainConfig",
     "TinyLM",
     "tokenize",
+    "split_corpus",
     "init_model",
     "block_layer_names",
     "quantizable_layers",
     "layer_input_name_map",
     "block_forward",
     "lm_forward",
-    "lm_forward_loss",
     "lm_backward",
     "embed_windows",
     "collect",
@@ -119,6 +120,13 @@ class TinyLM:
 def tokenize(data: bytes) -> np.ndarray:
     """Byte mapping to the 128-token vocabulary."""
     return (np.frombuffer(data, dtype=np.uint8) % 128).astype(np.int64)
+
+
+def split_corpus(data: bytes, part: str) -> bytes:
+    """One part of the deterministic 80/10/10 byte split of a corpus file:
+    "train" [0, 80%), "valid" [80%, 90%) or "test" [90%, 100%]."""
+    start, end = {"train": (0.0, 0.8), "valid": (0.8, 0.9), "test": (0.9, 1.0)}[part]
+    return data[int(start * len(data)) : int(end * len(data))]
 
 
 # each linear layer of a block, in order, and the cached activation it reads
@@ -245,13 +253,6 @@ def _logits(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return f, rf, _rows(f, model.params["head"].T)
 
 
-def _head_forward(model: TinyLM, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Final norm, logits and next-token probabilities of the last block's output."""
-    f, rf, logits = _logits(model, x)
-    probs = _softmax(logits.copy())
-    return probs, dict(final_in=x, r_final=rf, final_norm=f, logits=logits, probs=probs)
-
-
 def _window_losses(logits: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Each window's mean next-token cross-entropy (B,) from its logits
     (B, T, vocab) and ids (B, T), through a log-softmax; the mean is float64."""
@@ -262,56 +263,67 @@ def _window_losses(logits: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return -np.mean(picked, axis=-1, dtype=np.float64)
 
 
-def lm_forward(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
-    """Next-token probabilities (B, T, vocab) of (B, T) ids plus the backward cache."""
-    ids = _check_ids(model, ids)
-    x, blocks = embed_windows(model, ids), {}
-    for b in range(model.config.n_blocks):
-        x, blocks[b] = block_forward(model, b, x)
-    probs, cache = _head_forward(model, x)
-    cache.update(ids=ids, blocks=blocks)
-    return probs, cache
-
-
-def lm_forward_loss(model: TinyLM, ids) -> tuple[np.ndarray, dict]:
-    """Each window's mean next-token cross-entropy, shape (B,), and the forward's cache.
-
-    The mean is taken in float64 whatever the model's dtype.
-    """
-    _, cache = lm_forward(model, ids)
-    return _window_losses(cache["logits"], cache["ids"]), cache
-
-
-def lm_backward(model: TinyLM, cache: dict) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Gradient factors of each window's mean cross-entropy from `lm_forward`'s cache.
-
-    Each linear layer maps to (X, dY), its cached input (B, T, d_in) and its
-    output gradient (B, T, d_out); window i's weight gradient is dY[i].T @ X[i].
-    "embed" maps to the ids (B, T) and the embedded rows' gradient (B, T, d).
-    Backpropagation always runs from the head through every block.
-    """
-    dlogits, dx = _head_backward(model, cache, cache["ids"])
-    factors = {"head": (cache["final_norm"], dlogits)}
-    for b in reversed(cache["blocks"]):
-        blk = cache["blocks"][b]
-        pairs = _block_backward(model, b, blk, dx)
-        factors.update(pairs)
-        dx = _block_input_grad(model, b, blk, pairs)
-    factors["embed"] = (cache["ids"], dx)
-    return factors
-
-
-def _head_backward(model: TinyLM, cache: dict, ids) -> tuple[np.ndarray, np.ndarray]:
-    """The logits' gradient and the gradient of the last block's output,
-    from `_head_forward`'s cache and the windows' (B, T) token ids."""
+def _head(model: TinyLM, x: np.ndarray, ids: np.ndarray):
+    """Each window's loss, the head's factor pair (F, dlogits) and the
+    gradient of the last block's output x, for the windows' (B, T) ids."""
+    f, rf, dlogits = _logits(model, x)
+    losses = _window_losses(dlogits, ids)
+    _softmax(dlogits)
     n, t = ids.shape
     n_pred = t - 1
-    dlogits = cache["probs"].copy()
     dlogits[np.arange(n)[:, None], np.arange(n_pred), ids[:, 1:]] -= 1.0
     dlogits[:, :n_pred] /= n_pred
     dlogits[:, n_pred:] = 0.0
-    dx = _rms_backward(_rows(dlogits, model.params["head"]), cache["final_in"], cache["r_final"])
-    return dlogits, dx
+    dx = _rms_backward(_rows(dlogits, model.params["head"]), x, rf)
+    return losses, (f, dlogits), dx
+
+
+def lm_forward(model: TinyLM, ids: np.ndarray, fold=None) -> np.ndarray:
+    """The last block's output (B, T, d) for checked (B, T) token ids, run
+    through every block front to back in the parameters' dtype.
+
+    `fold(block, cache)`, if given, follows each block's forward with its
+    `block_forward` cache, which is dropped once the fold returns unless
+    the fold keeps it, as a backward caller's does.
+    """
+    x = embed_windows(model, ids)
+    for b in range(model.config.n_blocks):
+        x, blk = block_forward(model, b, x)
+        if fold is not None:
+            fold(b, blk)
+        del blk
+    return x
+
+
+def lm_backward(model: TinyLM, x, caches: list, ids, fold, ends: bool = False) -> np.ndarray:
+    """Each window's mean next-token cross-entropy (B,), float64,
+    backpropagated from the last block's output x.
+
+    `caches` holds every block's cache in block order, as `lm_forward`
+    handed them to its fold, and `ids` the (B, T) ids it embedded. After
+    the head, `fold(block, pairs)` follows each block's backward, back to
+    front, `pairs` mapping its layers, in `_LAYER_INPUTS` order, to (X, dY);
+    window i's weight gradient is dY[i].T @ X[i]. Each cache is popped once
+    its fold returns. The walk stops after block 0's fold, never forming
+    block 0's input gradient, unless `ends`: then
+    `fold(None, {"head": (F, dlogits)})` comes first, F being the final
+    norm's output, and `fold(None, {"embed": (ids, dE)})` last, dE (B, T, d)
+    being the embedded rows' gradient.
+    """
+    losses, head, dx = _head(model, x, ids)
+    if ends:
+        fold(None, {"head": head})
+    del head
+    for b in reversed(range(len(caches))):
+        blk = caches.pop()
+        pairs = _block_backward(model, b, blk, dx)
+        fold(b, pairs)
+        if b or ends:
+            dx = _block_input_grad(model, b, blk, pairs)
+        del blk, pairs  # they hold this block's cache
+    if ends:
+        fold(None, {"embed": (ids, dx)})
+    return losses
 
 
 def _block_backward(model: TinyLM, block: int, blk: dict, dx: np.ndarray) -> dict:
@@ -383,40 +395,24 @@ def embed_windows(model: TinyLM, ids: np.ndarray) -> np.ndarray:
 
 
 def collect(model: TinyLM, windows, fold, backward: bool) -> None:
-    """Walk (N, T) token-id windows through `model` as given, calling
-    `fold(block, pairs)` for each block of each chunk.
+    """Walk (N, T) token-id windows through `model` as given, calling `fold`
+    for each block of each chunk.
 
-    `pairs` maps the block's layers, in `_LAYER_INPUTS` order, to (X, dY):
-    the chunk's inputs (B, T, d_in), one array per distinct input, and
-    output gradients (B, T, d_out), None without `backward`. Chunks
-    (`_chunks`) go in order, their windows stacked in order; each is
-    embedded and runs every block forward, front to back, in the
-    parameters' dtype. Forward only, `fold` follows each block's forward.
-    With `backward`, the loss gradient then goes back one block at a time,
-    back to front, `fold` following each block's backward; the walk stops
-    after block 0's, never forming the gradient of block 0's input. Each
-    block's cache, which `pairs` holds, is dropped once its fold returns.
+    Chunks (`_chunks`) go in order, their windows stacked in order; each is
+    one `lm_forward`. Forward only, `fold(block, cache)` follows each
+    block's forward. With `backward`, the forward keeps every block's cache
+    and one `lm_backward` follows: `fold(block, pairs)` follows each
+    block's backward, back to front, and the walk stops after block 0's,
+    never forming the gradient of block 0's input.
     """
     ids = _check_ids(model, windows)
     for rows in _chunks(model.config, *ids.shape, backward):
-        x, blocks = embed_windows(model, ids[rows]), []
-        for b in range(model.config.n_blocks):
-            x, blk = block_forward(model, b, x)
-            if backward:
-                blocks.append(blk)
-            else:
-                fold(b, {name: (blk[src], None) for name, src in layer_input_name_map(b).items()})
-            del blk
         if not backward:
+            lm_forward(model, ids[rows], fold)
             continue
-        dx = _head_backward(model, _head_forward(model, x)[1], ids[rows])[1]
-        for b in reversed(range(len(blocks))):
-            blk = blocks.pop()
-            pairs = _block_backward(model, b, blk, dx)
-            fold(b, pairs)
-            if b:
-                dx = _block_input_grad(model, b, blk, pairs)
-            del blk, pairs  # they hold this block's cache
+        caches = []
+        x = lm_forward(model, ids[rows], lambda b, blk: caches.append(blk))
+        lm_backward(model, x, caches, ids[rows], fold)
 
 
 def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumulator]:
@@ -447,13 +443,13 @@ def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAc
         for name, source in layer_input_name_map(b).items():
             if source not in by_input:  # the first layer reading it stands for all
                 acc = HessianAccumulator(model.params[name].shape[1], HessianMode.AGNOSTIC)
-                by_input[source] = name, acc
-            accs[name] = by_input[source][1]
+                by_input[source] = acc
+            accs[name] = by_input[source]
 
-    def fold(block, pairs):
-        for source, (name, acc) in inputs[block].items():
+    def fold(block, cache):
+        for source, acc in inputs[block].items():
             try:
-                for x_i in pairs[name][0]:
+                for x_i in cache[source]:
                     accumulate_agnostic_batch(acc, x_i)
             except NonFinite as exc:
                 raise NonFinite(f"block {block} input {source!r}: {exc}") from exc
@@ -467,13 +463,12 @@ def perplexity(model: TinyLM, tokens) -> float:
 
     The forwards run in float32, on the parameters' float32 values, which
     round them as `save_checkpoint` does: float32 parameters are read as
-    they are, wider ones are copied once per call. They keep no cache: a
-    forward-only chunk (`_chunks`) goes through the blocks, each block's
-    output replacing its input, and each window's loss comes from the
-    logits through `lm_forward_loss`'s log-softmax, so it equals that
-    function's loss bit for bit. The losses and their running sum are
-    float64. Raises NonFinite when a window's loss is not finite, as when
-    the float32 forward overflows.
+    they are, wider ones are copied once per call. Each forward-only chunk
+    (`_chunks`) is one `lm_forward` with no fold, so it keeps no cache, and
+    each window's loss comes from the logits through the log-softmax that
+    `lm_backward` reports, so it equals that loss bit for bit. The losses
+    and their running sum are float64. Raises NonFinite when a window's
+    loss is not finite, as when the float32 forward overflows.
     """
     cfg = model.config
     ctx = cfg.context_length
@@ -482,13 +477,10 @@ def perplexity(model: TinyLM, tokens) -> float:
         raise DimMismatch("need a 1-D eval token stream longer than one context window")
     f32 = TinyLM(cfg, {k: v.astype(np.float32, copy=False) for k, v in model.params.items()})
     windows = _check_ids(f32, ids[: ids.shape[0] // ctx * ctx].reshape(-1, ctx))
-    losses = []
-    for rows in _chunks(cfg, *windows.shape, backward=False):
-        x = embed_windows(f32, windows[rows])
-        for b in range(cfg.n_blocks):
-            x = block_forward(f32, b, x)[0]
-        losses.append(_window_losses(_logits(f32, x)[2], windows[rows]))
-    losses = np.concatenate(losses)
+    losses = np.concatenate([
+        _window_losses(_logits(f32, lm_forward(f32, windows[rows]))[2], windows[rows])
+        for rows in _chunks(cfg, *windows.shape, backward=False)
+    ])
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise NonFinite(
@@ -516,7 +508,9 @@ def train_tiny_lm(
     train: TrainConfig,
     seed: int,
 ) -> tuple[TinyLM, dict]:
-    """Adam training on random corpus windows; bit-deterministic per seed."""
+    """Adam training on random corpus windows; bit-deterministic per seed.
+    Each step is one walk over the whole batch; its gradients are formed after
+    the walk returns (formed in its fold, they tripled a run's page faults)."""
     if len(corpus) < 64 * 1024:
         raise CorpusTooSmall(
             f"corpus must be at least 64 KiB, got {len(corpus)} bytes"
@@ -531,9 +525,11 @@ def train_tiny_lm(
     ctx = config.context_length
     for step in range(1, train.steps + 1):
         offsets = rng.integers(0, tokens.shape[0] - ctx, size=train.batch_size)
-        losses, cache = lm_forward_loss(model, tokens[offsets[:, None] + np.arange(ctx)])
-        factors = lm_backward(model, cache)
-        ids, dx = factors.pop("embed")
+        ids = _check_ids(model, tokens[offsets[:, None] + np.arange(ctx)])
+        caches, factors = [], {}
+        out = lm_forward(model, ids, lambda b, blk: caches.append(blk))
+        losses = lm_backward(model, out, caches, ids, lambda b, p: factors.update(p), ends=True)
+        dx = factors.pop("embed")[1]
         grads = {k: dy.swapaxes(1, 2) @ x for k, (x, dy) in factors.items()}
         grads["embed"] = np.zeros((train.batch_size, *model.params["embed"].shape))
         np.add.at(grads["embed"], (np.arange(train.batch_size)[:, None], ids), dx)

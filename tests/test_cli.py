@@ -8,9 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+import oacal.tinylm as tinylm
 from oacal.archive import archive_read
 from oacal.cli import _build_parser, main
-from oacal.pipeline import REPORT_SCHEMA, RunConfig
+from oacal.pipeline import REPORT_SCHEMA, RunConfig, load_token_streams
 from oacal.quant import layer_from_tensors
 from oacal.tinylm import (
     ModelConfig,
@@ -375,6 +376,24 @@ def test_invalid_training_setting(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
     assert not out.exists()
+
+
+def test_train_toy_trains_on_the_train_part(tmp_path, monkeypatch):
+    """train-toy trains on the [0, 80%) bytes of its corpus, the stream a run
+    calibrates from when that file is every corpus."""
+    seen = []
+
+    def train(corpus, config, train_config, seed):
+        seen.append(corpus)
+        return init_model(config, seed), {"final_loss": 0.0}
+
+    monkeypatch.setattr(tinylm, "train_tiny_lm", train)
+    assert main(["train-toy", "--corpus", str(CORPUS), "--out", str(tmp_path / "t.oack")]) == 0
+    data = CORPUS.read_bytes()
+    assert seen == [data[: int(0.8 * len(data))]]
+    paths = dict.fromkeys(("corpus_train", "corpus_valid", "corpus_test"), str(CORPUS))
+    streams = load_token_streams(RunConfig(checkpoint="unused.oack", out_dir="unused", **paths))
+    assert tinylm.tokenize(seen[0]).tobytes() == streams["train"].tobytes()
 
 
 def test_train_toy_defaults_are_train_config_defaults():

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
+from lm_reference import window_losses
 from oacal.hessian import finalize
 from oacal.pipeline import RunConfig, load_token_streams
 from oacal.quant import rtn_quantize
 from oacal.tinylm import (
     collect_agnostic_accumulators,
     harvest_block_gradients,
-    lm_forward_loss,
     load_checkpoint,
     quantizable_layers,
     sample_calibration_windows,
@@ -46,14 +46,14 @@ def test_oac_hessian_ranks_layer_loss_changes():
         "adaptive": harvest_block_gradients(model, calibration),
         "agnostic": collect_agnostic_accumulators(model, calibration),
     }
-    base = lm_forward_loss(model, held_out)[0].mean()
+    base = window_losses(model, held_out).mean()
     measured, predicted = [], {flavour: [] for flavour in accs}
     for name in quantizable_layers(model):
         w = model.params[name]
         for bits in (2, 3):
             dw = rtn_quantize(w, bits, 16).dequantize() - w
             model.params[name] = w + dw
-            measured.append(lm_forward_loss(model, held_out)[0].mean() - base)
+            measured.append(window_losses(model, held_out).mean() - base)
             model.params[name] = w
             for flavour, by_layer in accs.items():
                 acc = by_layer[name]

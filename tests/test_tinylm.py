@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lm_reference as reference
 import oacal.tinylm as tinylm
 from oacal.errors import ArchitectureMismatch, ConfigError, DimMismatch
 from oacal.hessian import HessianAccumulator, HessianMode, accumulate_adaptive, finalize
@@ -20,7 +21,6 @@ from oacal.tinylm import (
     layer_input_name_map,
     lm_backward,
     lm_forward,
-    lm_forward_loss,
     load_checkpoint,
     quantizable_layers,
     sample_calibration_windows,
@@ -58,13 +58,24 @@ def cast(model, dtype):
 
 def window_loss(model, window):
     """Mean next-token cross-entropy of one (1, T) window."""
-    return lm_forward_loss(model, window)[0][0]
+    return reference.window_losses(model, window)[0]
+
+
+def walk(model, ids):
+    """The walk asked for every parameter's factors, as training asks: each
+    window's loss, the caches `lm_forward` hands its fold and the factors
+    `lm_backward` hands its fold, keyed by parameter."""
+    caches, factors = [], {}
+    x = lm_forward(model, ids, lambda b, blk: caches.append(blk))
+    kept = list(caches)
+    losses = lm_backward(model, x, caches, ids, lambda b, pairs: factors.update(pairs), ends=True)
+    return losses, kept, factors
 
 
 def gradients(model, factors):
     """Per-window weight gradients (B, *param.shape), formed explicitly from
-    `lm_backward`'s factor pairs: dY^T X for a linear layer, and for the
-    embedding each position's row gradient added to its token's row."""
+    factor pairs: dY^T X for a linear layer, and for the embedding each
+    position's row gradient added to its token's row."""
     grads = {}
     for name, (x, dy) in factors.items():
         if name == "embed":
@@ -88,7 +99,7 @@ class TestGradients:
     def test_finite_differences(self, name):
         model = scaled_model(TINY, 1)
         sample = windows(TINY, 1, 2)
-        grad = gradients(model, lm_backward(model, lm_forward(model, sample)[1]))[name][0]
+        grad = gradients(model, walk(model, sample)[2])[name][0]
         rng = np.random.default_rng(3)
         entries = [tuple(int(rng.integers(0, n)) for n in grad.shape) for _ in range(12)]
         if name == "embed":
@@ -108,24 +119,25 @@ class TestGradients:
 
     def test_every_parameter_has_a_gradient(self):
         model = init_model(TINY, 0)
-        grads = lm_backward(model, lm_forward(model, windows(TINY, 1, 0))[1])
-        assert sorted(grads) == sorted(model.params)
+        assert sorted(walk(model, windows(TINY, 1, 0))[2]) == sorted(model.params)
 
 
 class TestPerBlockForward:
     def test_propagated_input_matches_full_forward(self):
+        """`lm_forward` hands its fold each block's cache, front to back,
+        and returns the last block's output."""
         model = scaled_model(THREE, 6, scale=5.0)
         sample = windows(THREE, 1, 7)
-        probs, cache = lm_forward(model, sample)
+        caches, order = [], []
+        out = lm_forward(model, sample, lambda b, blk: order.append(b) or caches.append(blk))
+        assert order == list(range(THREE.n_blocks))
         x = embed_windows(model, sample)
         for b in range(THREE.n_blocks):
-            np.testing.assert_array_equal(x, cache["blocks"][b]["x_in"])
+            np.testing.assert_array_equal(x, caches[b]["x_in"])
             x, blk = block_forward(model, b, x)
             for key, value in blk.items():
-                np.testing.assert_array_equal(value, cache["blocks"][b][key])
-        np.testing.assert_array_equal(x, cache["final_in"])
-        got, _ = tinylm._head_forward(model, x)
-        np.testing.assert_array_equal(got, probs)
+                np.testing.assert_array_equal(value, caches[b][key])
+        np.testing.assert_array_equal(x, out)
 
     def test_positions_are_built_once(self):
         assert tinylm._positions(10, 8) is tinylm._positions(10, 8)
@@ -153,7 +165,7 @@ def reference_agnostic(model, samples, block):
     """X^T X per layer from whole-model forwards on token ids."""
     sums = {}
     for s in samples:
-        blk = lm_forward(model, s[None])[1]["blocks"][block]
+        blk = reference.forward(model, s[None])[0][block]
         for name, source in layer_input_name_map(block).items():
             x = blk[source][0]
             sums[name] = sums.get(name, 0.0) + x.T @ x
@@ -165,7 +177,7 @@ def reference_adaptive(model, samples):
     whole-model forward and backward."""
     sums = {}
     for s in samples:
-        grads = gradients(model, lm_backward(model, lm_forward(model, s[None])[1]))
+        grads = gradients(model, reference.factors(model, s[None]))
         for name in quantizable_layers(model):
             g = grads[name][0]
             sums[name] = sums.get(name, 0.0) + g.T @ g
@@ -205,7 +217,7 @@ class TestCollectors:
     def test_harvest_folds_as_the_full_backward_would(self):
         """Folding each block's pairs as the backward reaches it, last block
         first, and stopping after block 0 gives, bit for bit, the Hessians of
-        folding one full `lm_backward` per chunk window by window."""
+        folding the whole-model reference's factors per chunk window by window."""
         model = scaled_model(THREE, 28, scale=5.0)
         samples = windows(THREE, 2 * BACKWARD_CHUNK + 1, 29)
         accs = harvest_block_gradients(model, samples)
@@ -214,7 +226,7 @@ class TestCollectors:
             for name in quantizable_layers(model)
         }
         for rows in tinylm._chunks(THREE, *samples.shape, backward=True):
-            factors = lm_backward(model, lm_forward(model, samples[rows])[1])
+            factors = reference.factors(model, samples[rows])
             for name, acc in expected.items():
                 for x_i, dy_i in zip(*factors[name]):
                     accumulate_adaptive(acc, x_i, dy_i)
@@ -251,11 +263,28 @@ class TestCollectors:
             with pytest.raises(DimMismatch):
                 collect(init_model(THREE, 0), [])
 
+    def test_harvest_never_forms_block_0s_input_gradient(self, monkeypatch):
+        """Each backward chunk of the harvest forms the input gradient of
+        every block but block 0, and training's walk forms all of them."""
+        calls = []
+        input_grad = tinylm._block_input_grad
+        monkeypatch.setattr(
+            tinylm, "_block_input_grad", lambda *a: calls.append(a[1]) or input_grad(*a)
+        )
+        model = scaled_model(THREE, 36, scale=5.0)
+        samples = windows(THREE, 2 * BACKWARD_CHUNK + 1, 37)
+        harvest_block_gradients(model, samples)
+        n_chunks = len(tinylm._chunks(THREE, *samples.shape, backward=True))
+        assert calls == [2, 1] * n_chunks
+        calls.clear()
+        walk(model, samples)
+        assert calls == [2, 1, 0]
+
     def test_mean_harvest_matches_row_hessians(self):
         model = scaled_model(THREE, 11, scale=5.0)
         samples = windows(THREE, 5, 12)
         accs = harvest_block_gradients(model, samples)
-        grads = gradients(model, lm_backward(model, lm_forward(model, samples)[1]))
+        grads = gradients(model, reference.factors(model, samples))
         for name in quantizable_layers(model):
             # the mean over windows of the per-row curvature blocks, summed over rows
             expected = sum(
@@ -271,7 +300,7 @@ class TestWalk:
 
     def test_mean_gradient_fold(self):
         """Summing dY_i^T X_i per layer, in window order, from a backward walk
-        gives the window sum of `lm_backward`'s weight gradients; the walk
+        gives the window sum of the reference's weight gradients; the walk
         visits the blocks back to front in every chunk."""
         model = scaled_model(THREE, 30, scale=5.0)
         samples = windows(THREE, 2 * BACKWARD_CHUNK + 1, 31)
@@ -286,7 +315,7 @@ class TestWalk:
         tinylm.collect(model, samples, fold, backward=True)
         assert order == [2, 1, 0] * len(tinylm._chunks(THREE, *samples.shape, backward=True))
         assert sorted(sums) == sorted(quantizable_layers(model))
-        grads = gradients(model, lm_backward(model, lm_forward(model, samples)[1]))
+        grads = gradients(model, reference.factors(model, samples))
         for name, total in sums.items():
             expected = 0.0
             for g in grads[name]:
@@ -294,24 +323,21 @@ class TestWalk:
             np.testing.assert_allclose(total, expected, rtol=1e-12, atol=0)
 
     def test_forward_fold_records_the_cached_inputs(self):
-        """A forward-only walk hands each layer its input, the one array
-        `lm_forward` caches for it, with no gradient, block by block front
-        to back in every chunk."""
+        """A forward-only walk hands each block's fold the block's cache,
+        which holds each layer's input as the reference caches it, block by
+        block front to back in every chunk."""
         model = scaled_model(THREE, 32, scale=5.0)
         samples = windows(THREE, 2 * FORWARD_CHUNK + 1, 33)
         seen, order = {}, []
 
-        def fold(block, pairs):
+        def fold(block, cache):
             order.append(block)
-            assert pairs[f"blk{block}.attn.wq"][0] is pairs[f"blk{block}.attn.wv"][0]
-            for name, (xs, dys) in pairs.items():
-                assert dys is None
-                seen.setdefault(name, []).append(xs)
+            for name, source in layer_input_name_map(block).items():
+                seen.setdefault(name, []).append(cache[source])
 
         tinylm.collect(model, samples, fold, backward=False)
         assert order == [0, 1, 2] * len(tinylm._chunks(THREE, *samples.shape, backward=False))
-        blocks = lm_forward(model, samples)[1]["blocks"]
-        for b, blk in blocks.items():
+        for b, blk in enumerate(reference.forward(model, samples)[0]):
             for name, source in layer_input_name_map(b).items():
                 np.testing.assert_array_equal(np.concatenate(seen[name]), blk[source])
 
@@ -320,24 +346,21 @@ class TestStackedWindows:
     """A (B, T) stack gives exactly what B one-window calls give."""
 
     def test_forward_and_backward_match_per_window(self):
-        """In float64, training's dtype, and float32, eval's."""
+        """The walk on a stack against the reference on each of its windows,
+        in float64, training's dtype, and float32, eval's."""
         samples = windows(THREE, 5, 15)
         for dtype in (np.float64, np.float32):
             model = cast(scaled_model(THREE, 14, scale=5.0), dtype)
-            probs, cache = lm_forward(model, samples)
-            factors = lm_backward(model, cache)
+            losses, caches, factors = walk(model, samples)
             grads = gradients(model, factors)
             for i, s in enumerate(samples):
-                one_probs, one = lm_forward(model, s[None])
-                assert one_probs.dtype == dtype
-                np.testing.assert_array_equal(probs[i], one_probs[0])
-                for key, value in one.items():
-                    if key != "blocks":
-                        np.testing.assert_array_equal(cache[key][i], value[0])
-                for b, blk in one["blocks"].items():
+                one, _ = reference.forward(model, s[None])
+                assert losses[i] == reference.window_losses(model, s[None])[0]
+                for b, blk in enumerate(one):
                     for key, value in blk.items():
-                        np.testing.assert_array_equal(cache["blocks"][b][key][i], value[0])
-                one_factors = lm_backward(model, one)
+                        np.testing.assert_array_equal(caches[b][key][i], value[0])
+                one_factors = reference.factors(model, s[None])
+                assert one_factors["head"][1].dtype == dtype
                 for name, (x, dy) in one_factors.items():
                     np.testing.assert_array_equal(factors[name][0][i], x[0])
                     np.testing.assert_array_equal(factors[name][1][i], dy[0])
@@ -398,20 +421,18 @@ class TestStackedWindows:
         model = cast(cast(scaled_model(THREE, 24, scale=5.0), np.float32), np.float64)
         n, ctx = 3 * FORWARD_CHUNK + 1, THREE.context_length
         tokens = windows(THREE, n, 25).ravel()
-        reference = np.exp(np.mean(lm_forward_loss(model, tokens.reshape(n, ctx))[0]))
-        assert tinylm.perplexity(model, tokens) == pytest.approx(reference, rel=1e-5)
+        wide = np.exp(np.mean(reference.window_losses(model, tokens.reshape(n, ctx))))
+        assert tinylm.perplexity(model, tokens) == pytest.approx(wide, rel=1e-5)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_keeps_the_parameters_dtype(self, dtype):
         """A float64 scale or mask would promote a float32 forward to float64."""
         model = cast(scaled_model(THREE, 26, scale=5.0), dtype)
-        probs, cache = lm_forward(model, windows(THREE, 2, 27))
-        arrays = {k: v for k, v in cache.items() if k not in ("ids", "blocks")}
-        for b, blk in cache["blocks"].items():
-            arrays.update({f"blk{b}.{k}": v for k, v in blk.items()})
-        assert probs.dtype == dtype
+        losses, caches, factors = walk(model, windows(THREE, 2, 27))
+        arrays = {f"blk{b}.{k}": v for b, blk in enumerate(caches) for k, v in blk.items()}
+        arrays["final_norm"], arrays["dlogits"] = factors["head"]
         assert {k: v.dtype for k, v in arrays.items()} == {k: np.dtype(dtype) for k in arrays}
-        assert lm_forward_loss(model, windows(THREE, 2, 27))[0].dtype == np.float64
+        assert losses.dtype == np.float64
 
     def test_training_matches_one_window_at_a_time(self):
         train = TrainConfig(steps=3, batch_size=4)
@@ -428,7 +449,7 @@ class TestStackedWindows:
             offsets = rng.integers(0, tokens.shape[0] - ctx, size=train.batch_size)
             grad_sum = {k: np.zeros_like(v) for k, v in model.params.items()}
             for off in offsets:
-                factors = lm_backward(model, lm_forward(model, tokens[None, off : off + ctx])[1])
+                factors = reference.factors(model, tokens[None, off : off + ctx])
                 for k, g in gradients(model, factors).items():
                     grad_sum[k] += g[0]
             inv_b = 1.0 / train.batch_size
