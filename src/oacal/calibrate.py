@@ -21,6 +21,15 @@ column sums of U^2. Updates are batched per block: columns inside the
 current block are compensated immediately, everything to the right receives
 the accumulated block update when the block closes.
 
+The sweep's working copy, the layer's codes and statistics and a binary
+layer's planes are column-major, so a column step touches contiguous
+memory only: the codec's one-column call (a few ufuncs on the column and
+its group's statistics), the residual scaled by U[q, q], and the rank-1
+update of the block's later columns, which are rows of the working copy's
+transpose. The block's rows of U are copied once; its update norms are one
+vectorized product at the block's end. Every result is the row-major
+sweep's bit for bit (`tests/sweep_reference.py`).
+
 One guard rule covers every Hessian backend: the same codec, swept without
 compensation, replaces the compensated result when its damped proxy error is
 lower. Both sweeps share the plan, so a fallback keeps the layer's outliers,
@@ -29,19 +38,22 @@ compensated sweep hands it one column at a time, the plain sweep, whose
 columns are independent, all of them in one call.
 
 Each layer's report is one flat dict (`_report`), whose keys
-`pipeline.LAYER_FIELDS` lists with the three the pipeline adds.
+`pipeline.LAYER_FIELDS` lists with the three the pipeline adds; it times
+the factorization, the plan, the compensated sweep and the guard
+(`STAGES`).
 """
 from __future__ import annotations
 
 import enum
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NonPositiveDiagonal, ShapeMismatch
 from .hessian import regularize
-from .linalg import as_matrix, as_sym_matrix, inverse_upper_factor
+from .linalg import as_matrix, inverse_upper_factor
 from .quant import BinaryLayer, QuantizedLayer, rtn_quantize, sign_plane, splitting_search
 
 __all__ = [
@@ -54,6 +66,11 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 32  # columns per compensation block of the sweep
+
+# The stages of a layer's calibration, timed in its report: `_prepare`, the
+# plan, the compensated sweep with its proxy error, and the guard's plain
+# sweep with its. RTN's one codec call is its sweep.
+STAGES = ("factorization", "plan", "sweep", "guard")
 
 
 class Backend(enum.Enum):
@@ -96,11 +113,12 @@ class CalibSpec:
             raise ConfigError(f"stat_group must be >= 1, got {self.stat_group}")
 
 
-def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms,
+def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms, stages: dict,
             **extra) -> dict:
     """The one layer-report builder. Echoes the spec's backend, damping (0
-    for RTN, which has none) and tau (SpQR only); `extra` holds the plan's
-    and the guard's keys."""
+    for RTN, which has none) and tau (SpQR only); `stages` holds the
+    seconds of each stage (`STAGES`) and `extra` the plan's and the guard's
+    keys."""
     n_outliers = len(getattr(layer, "outliers", ()))
     return {
         "layer": name,
@@ -113,6 +131,7 @@ def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms,
         "alpha": 0.0 if spec.backend is Backend.RTN else spec.alpha,
         "tau": spec.tau if spec.backend is Backend.SPQR else None,
         "tau_normalization": "mean_saliency",
+        "stage_seconds": stages,
         **extra,
     }
 
@@ -146,20 +165,19 @@ def _prepare(w, h, spec: CalibSpec):
     """The layer, its damped Hessian, diag(H^-1) and the one factorization:
     the upper factor U of H^-1 = U.T @ U, whose column sums of U^2 are diag(H^-1).
 
-    `h` is damped in place (see `calibrate_layer`). diag(H^-1) adds U's rows
-    in order, the order a sum over axis 0 of U^2 takes, without forming U^2.
+    `h` is checked once, finite and exactly symmetric, by `regularize`,
+    which damps it in place (see `calibrate_layer`); the factorization
+    does not check it again. diag(H^-1) is one reduction that adds U's
+    rows in order, as a loop over them would, without forming U^2.
     """
     m = as_matrix(w)
-    sym = as_sym_matrix(h)
-    if sym.shape[0] != m.shape[1]:
+    damped = regularize(h, spec.alpha)
+    if damped.shape[0] != m.shape[1]:
         raise ShapeMismatch(
-            f"hessian dim {sym.shape[0]} != layer column count {m.shape[1]}"
+            f"hessian dim {damped.shape[0]} != layer column count {m.shape[1]}"
         )
-    damped = regularize(sym, spec.alpha)
     upper = inverse_upper_factor(damped)
-    inv_diag = np.zeros(upper.shape[1])
-    for row in upper:
-        inv_diag += row * row
+    inv_diag = np.einsum("qk,qk->k", upper, upper)
     if np.any(inv_diag <= 0.0):
         raise NonPositiveDiagonal("inverse diagonal not strictly positive")
     return m, damped, inv_diag, upper
@@ -176,26 +194,38 @@ def _sweep(work, upper, block_size: int, codec):
     one column at a time. Without compensation (`upper=None`) the columns
     are independent and one codec call quantizes them all as they are.
     Returns the dequantized matrix and the per-column update norms.
+
+    The plans hand over a column-major `work` (see above). The block's
+    update of the columns to its right multiplies by U's own view, not by
+    the block's contiguous copy of its rows, and the dequantized matrix is
+    row-major, the layout the proxy error's GEMM reads: at some shapes
+    dgemm's bits depend on its operands' layout.
     """
     d_row, d_col = work.shape
     if upper is None:
         return codec(0, d_col, work), [0.0] * d_col
-    w_hat = np.empty_like(work)
+    w_hat = np.empty((d_row, d_col))
+    columns = work.T
     update_norms: list[float] = []
     for i1 in range(0, d_col, block_size):
         i2 = min(i1 + block_size, d_col)
-        err_block = np.zeros((d_row, i2 - i1))
-        for q in range(i1, i2):
-            w_hat[:, q : q + 1] = codec(q, q + 1, work[:, q : q + 1])
-            err_scaled = (work[:, q] - w_hat[:, q]) / upper[q, q]
-            work[:, q:i2] -= np.outer(err_scaled, upper[q, q:i2])
-            err_block[:, q - i1] = err_scaled
-            tail = upper[q, q + 1 :]
-            update_norms.append(
-                float(np.linalg.norm(err_scaled) * np.linalg.norm(tail))
-            )
+        rows = np.ascontiguousarray(upper[i1:i2, i1:])  # the block's rows of U, from i1 on
+        err_block = np.empty((d_row, i2 - i1))
+        err_sq, tail_sq = np.empty(i2 - i1), np.empty(i2 - i1)
+        for j in range(i2 - i1):
+            q = i1 + j
+            deq = codec(q, q + 1, work[:, q : q + 1])[:, 0]
+            w_hat[:, q] = deq
+            err = columns[q] - deq
+            err /= rows[j, j]
+            columns[q:i2] -= np.multiply.outer(rows[j, j : i2 - i1], err)
+            err_block[:, j] = err
+            err_sq[j] = err.dot(err)
+            tail = rows[j, j + 1 :]
+            tail_sq[j] = tail.dot(tail)
         if i2 < d_col:
-            work[:, i2:] -= err_block @ upper[i1:i2, i2:]
+            columns[i2:] -= (err_block @ upper[i1:i2, i2:]).T
+        update_norms += (np.sqrt(err_sq) * np.sqrt(tail_sq)).tolist()
     return w_hat, update_norms
 
 
@@ -239,16 +269,22 @@ def calibrate_layer(
     sweep's dequantized matrix; the losing sweep's layer goes once the guard
     decides.
     """
+    laps = [time.perf_counter()]
     if spec.backend is Backend.RTN:
         layer = rtn_quantize(w, spec.bits, spec.group_size)
-        return layer, _report(spec, layer_name, layer, 0.0, [0.0] * layer.d_col)
+        stages = dict.fromkeys(STAGES, 0.0)
+        stages["sweep"] = time.perf_counter() - laps[0]
+        return layer, _report(spec, layer_name, layer, 0.0, [0.0] * layer.d_col, stages)
     m, damped, inv_diag, upper = _prepare(w, h, spec)
+    laps.append(time.perf_counter())
     plan = calibrate_layer_binary if spec.backend is Backend.BINARY else _affine_plan
     quantize, extra = plan(m, inv_diag, spec)
+    laps.append(time.perf_counter())
     layer, w_hat, update_norms = quantize(upper)
     del upper
     proxy = _proxy_error(w_hat, m, damped)
     del w_hat
+    laps.append(time.perf_counter())
     if guard:
         plain_layer, plain_hat, plain_norms = quantize(None)
         extra["plain_proxy_error"] = plain = _proxy_error(plain_hat, m, damped)
@@ -257,7 +293,9 @@ def calibrate_layer(
             layer, proxy, update_norms = plain_layer, plain, plain_norms
             extra["fallback"] = "no_compensation"
         del plain_layer
-    return layer, _report(spec, layer_name, layer, proxy, update_norms, **extra)
+    laps.append(time.perf_counter())
+    stages = {stage: t1 - t0 for stage, t0, t1 in zip(STAGES, laps, laps[1:])}
+    return layer, _report(spec, layer_name, layer, proxy, update_norms, stages, **extra)
 
 
 def _affine_plan(m, inv_diag, spec: CalibSpec):
@@ -274,17 +312,20 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
     if spqr:
         naive = rtn_quantize(m, spec.bits, spec.group_size).dequantize()
         outlier_mask = detect_outliers(m, naive, inv_diag, spec)
-    outliers = [(int(r), int(c), float(m[r, c])) for r, c in np.argwhere(outlier_mask)]
-    valid = ~outlier_mask
+    rows, cols = np.nonzero(outlier_mask)
+    outliers = list(zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()))
+    valid = ~outlier_mask if outliers else None
     stats = (spec.stat_bits, spec.stat_group) if spqr else (None, None)
 
     def quantize(upper):
-        work = m.copy()
+        work = np.array(m, order="F")
         layer = QuantizedLayer.empty(*m.shape, spec.bits, spec.group_size, outliers, *stats)
 
         def codec(q0, q1, cols):  # `cols` views `work`; a fit reads whole groups of it
             deq = layer.code(q0, q1, work, valid)
-            return np.where(outlier_mask[:, q0:q1], m[:, q0:q1], deq)
+            if outliers:  # they keep their values
+                np.copyto(deq, m[:, q0:q1], where=outlier_mask[:, q0:q1])
+            return deq
 
         return layer, *_sweep(work, upper, BLOCK_SIZE, codec)
 
@@ -330,7 +371,7 @@ def calibrate_layer_binary(m, inv_diag, spec: CalibSpec):
 
     def quantize(upper):
         layer = BinaryLayer.empty(m.shape[0], salient, threshold, alpha_low, alpha_high)
-        return layer, *_sweep(m.copy(), upper, BLOCK_SIZE, layer.code)
+        return layer, *_sweep(np.array(m, order="F"), upper, BLOCK_SIZE, layer.code)
 
     extra = {
         "salient_fraction": spec.salient_fraction,

@@ -2,8 +2,11 @@
 
 All matrices are numpy float64 arrays, validated where they lie: a float64
 view is checked, not copied. Symmetric matrices are stored dense and
-symmetrized exactly on construction; every public operation validates
-finiteness on the way in and out.
+symmetrized exactly on construction; `as_sym_matrix` checks that a matrix
+is finite and exactly symmetric. Every public operation validates its
+input but `inverse_upper_factor`, whose caller has: a calibration checks
+each layer's Hessian once, in `hessian.regularize`, and then damps and
+factorizes it without a second scan. Factors are checked on the way out.
 """
 from __future__ import annotations
 
@@ -68,7 +71,11 @@ def cholesky(m) -> np.ndarray:
     Raises NotPositiveDefinite when the matrix is singular or indefinite;
     the documented recovery is diagonal damping (hessian.regularize) and retry.
     """
-    sym = as_sym_matrix(m)
+    return _lower_factor(as_sym_matrix(m))
+
+
+def _lower_factor(sym: np.ndarray) -> np.ndarray:
+    """`cholesky` of a matrix already checked finite and exactly symmetric."""
     try:
         lower = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
@@ -103,12 +110,14 @@ def inverse_upper_factor(h) -> np.ndarray:
     The diagonal of the full inverse is diag(inverse(h))[k] == sum_q U[q,k]**2,
     the column sums of U**2, so no second inverse is needed to read it.
 
-    `h` is factorized through a reversed view, and the result is a reversed
-    view of dtrtri's output (its Fortran-ordered copy of the factor,
-    inverted in place). Beyond `h`, no d x d array is made but the factor,
-    that copy and LAPACK's work copy in the Cholesky.
+    `h` must be a float64 array, finite and exactly symmetric, as
+    `hessian.regularize` returns it: it is not checked again here. It is
+    factorized through a reversed view, and the result is a reversed view
+    of dtrtri's output (its Fortran-ordered copy of the factor, inverted in
+    place). Beyond `h`, no d x d array is made but the factor, that copy
+    and LAPACK's work copy in the Cholesky.
     """
-    lower = cholesky(as_matrix(h)[::-1, ::-1])
+    lower = _lower_factor(h[::-1, ::-1])
     inv, info = scipy.linalg.lapack.dtrtri(lower, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular inverse failed (info={info})")

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .archive import HEADER_NBYTES, archive_write, entry_nbytes
-from .calibrate import Backend, CalibSpec, calibrate_layer
+from .calibrate import STAGES, Backend, CalibSpec, calibrate_layer
 from .errors import ConfigError, MalformedArchive, OacalError
 from .hessian import HessianMode, finalize
 from .quant import disk_extra_bits, layer_to_tensors
@@ -187,6 +187,15 @@ _COUNT = {"type": "integer", "minimum": 0}
 _PROXY = {"type": "number", "minimum": -1e-9}
 _FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
 
+
+def _closed_object(properties: dict, required=None) -> dict:
+    """An object schema allowing only `properties`' keys and requiring
+    `required` (default: all of them)."""
+    required = list(properties if required is None else required)
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": False}
+
+
 # One row per layer-report key: its JSON-schema fragment and whether every
 # report carries it. `calibrate._report` writes all but the last three,
 # which `_calibrate` adds.
@@ -201,6 +210,7 @@ LAYER_FIELDS = {
     "alpha": (_NONNEG, True),
     "tau": ({"type": ["number", "null"]}, True),
     "tau_normalization": ({"const": "mean_saliency"}, True),
+    "stage_seconds": (_closed_object(dict.fromkeys(STAGES, _NONNEG)), True),
     "plain_proxy_error": (_PROXY, False),  # the guard's
     "fallback": ({"const": "no_compensation"}, False),
     "salient_fraction": (_FRACTION, False),  # BINARY's plan
@@ -210,14 +220,6 @@ LAYER_FIELDS = {
     "disk_bits": (_COUNT, True),
     "disk_extra_bits": ({"type": "object", "additionalProperties": _COUNT}, True),
 }
-
-
-def _closed_object(properties: dict, required=None) -> dict:
-    """An object schema allowing only `properties`' keys and requiring
-    `required` (default: all of them)."""
-    required = list(properties if required is None else required)
-    return {"type": "object", "required": required, "properties": properties,
-            "additionalProperties": False}
 
 
 REPORT_SCHEMA = {

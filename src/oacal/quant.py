@@ -86,9 +86,12 @@ def _f32_round_up(x):
     return y.astype(np.float64)
 
 
-def _decode(codes, scale, zero):
-    """The affine reconstruction (codes - zero) * scale, broadcast elementwise."""
-    return (codes - zero) * scale
+def _decode(codes, scale, zero, out=None):
+    """The affine reconstruction (codes - zero) * scale, broadcast
+    elementwise; into `out` when given (which may be `codes`)."""
+    out = np.subtract(codes, zero, out=out)
+    out *= scale
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +122,18 @@ class QuantizedLayer:
     def empty(cls, d_row: int, d_col: int, bits: int, group_size: int, outliers=(),
               stat_bits: int | None = None, stat_group: int | None = None) -> QuantizedLayer:
         """A layer for `code` to fill: the plan's fixed parts and room for
-        the codes and statistics. With `stat_bits` the statistics are
-        double-quantized in runs of `stat_group`."""
+        the codes and statistics, column-major as the sweep writes them.
+        With `stat_bits` the statistics are double-quantized in runs of
+        `stat_group`."""
         if group_size < 1:
             raise DimMismatch(f"group_size must be >= 1, got {group_size}")
         n_groups = -(-d_col // group_size)
         return cls(
             bits=bits,
             group_size=group_size,
-            codes=np.empty((d_row, d_col), dtype=np.int64),
-            scales=np.empty((d_row, n_groups)),
-            zeros=np.empty((d_row, n_groups)),
+            codes=np.empty((d_row, d_col), dtype=np.int64, order="F"),
+            scales=np.empty((d_row, n_groups), order="F"),
+            zeros=np.empty((d_row, n_groups), order="F"),
             outliers=list(outliers),
             stats_q=None if stat_bits is None else [],
             stat_bits=stat_bits,
@@ -171,7 +175,10 @@ class QuantizedLayer:
         First each group that starts in the range is fitted, in group order,
         to its columns of `work`, with only the entries `valid` marks shaping
         the range (`_fit_group_rows`); double-quantized statistics append
-        their record to `stats_q`, so the records keep group order.
+        their record to `stats_q`, so the records keep group order. Then
+        each group the range meets is coded (`_code_group`): one group, and
+        a few ufunc calls on contiguous columns, for the compensated sweep's
+        one-column calls on a column-major `work`.
         """
         gs, bits = self.group_size, self.bits
         for c0 in range(-(-q0 // gs) * gs, q1, gs):
@@ -185,11 +192,10 @@ class QuantizedLayer:
                 self.stats_q.append(record)
             self.scales[:, c0 // gs], self.zeros[:, c0 // gs] = scale, zero
         deq = np.empty((work.shape[0], q1 - q0))
-        for g in range(q0 // gs, -(-q1 // gs)):
-            c0, c1 = max(g * gs, q0), min(g * gs + gs, q1)
-            self.codes[:, c0:c1], deq[:, c0 - q0 : c1 - q0] = _code_group(
-                work[:, c0:c1], self.scales[:, g], self.zeros[:, g], bits
-            )
+        for c0 in range(q0 - q0 % gs, q1, gs):
+            g, lo, hi = c0 // gs, max(c0, q0), min(c0 + gs, q1)
+            _code_group(work[:, lo:hi], self.scales[:, g, None], self.zeros[:, g, None], bits,
+                        self.codes[:, lo:hi], deq[:, lo - q0 : hi - q0])
         return deq
 
     def dequantize(self) -> np.ndarray:
@@ -197,11 +203,11 @@ class QuantizedLayer:
         out = np.empty(self.codes.shape)
         gs = self.group_size
         for g, c0 in enumerate(range(0, self.d_col, gs)):
-            out[:, c0 : c0 + gs] = _decode(
-                self.codes[:, c0 : c0 + gs], self.scales[:, g, None], self.zeros[:, g, None]
-            )
-        for r, c, val in self.outliers:
-            out[r, c] = val
+            _decode(self.codes[:, c0 : c0 + gs], self.scales[:, g, None], self.zeros[:, g, None],
+                    out[:, c0 : c0 + gs])
+        if self.outliers:
+            rows, cols, vals = zip(*self.outliers)
+            out[rows, cols] = vals
         return out
 
 
@@ -216,10 +222,10 @@ def _fit_group_rows(block: np.ndarray, bits: int, valid: np.ndarray | None = Non
     """
     if block.shape[1] == 0:
         raise EmptyGroup("group has no columns")
-    if valid is None:
-        valid = np.ones(block.shape, dtype=bool)
-    # zero is in every range, so a masked entry counts as a zero
-    kept = np.where(valid | ~valid.any(axis=1, keepdims=True), block, 0.0)
+    kept = block
+    if valid is not None:
+        # zero is in every range, so a masked entry counts as a zero
+        kept = np.where(valid | ~valid.any(axis=1, keepdims=True), block, 0.0)
     lo = np.minimum(kept.min(axis=1), 0.0)
     hi = np.maximum(kept.max(axis=1), 0.0)
     maxq = (1 << bits) - 1
@@ -228,12 +234,24 @@ def _fit_group_rows(block: np.ndarray, bits: int, valid: np.ndarray | None = Non
     return scale, zero
 
 
-def _code_group(block, scale, zero, bits):
-    """Codes and reconstruction of `block`'s rows under per-row statistics."""
-    maxq = (1 << bits) - 1
-    scale, zero = scale[:, None], zero[:, None]
-    codes = np.clip(round_half_away(block / scale + zero), 0, maxq).astype(np.int64)
-    return codes, _decode(codes, scale, zero)
+def _code_group(block, scale, zero, bits, codes, out=None):
+    """Code `block` under the statistics `scale` and `zero` (broadcast
+    against it), writing the codes into `codes`, and return the
+    reconstruction (in `out` when given).
+
+    A code is clamp(round_half_away(x), 0, maxq) for x = block / scale +
+    zero, computed as clamp(floor(x + 0.5), 0, maxq): the two agree bit for
+    bit, since for x >= 0 they are the same rounding and below zero both
+    clamp to 0.
+    """
+    x = np.divide(block, scale, out=out)
+    x += zero
+    x += 0.5
+    np.floor(x, out=x)
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, (1 << bits) - 1, out=x)
+    codes[...] = x
+    return _decode(x, scale, zero, out=x)
 
 
 def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
@@ -279,7 +297,8 @@ def _dq_runs(values: np.ndarray, stat_bits: int, stat_group: int):
     shifted = runs - bases[:, None]
     # A constant run dequantizes exactly to its base.
     steps, _ = _fit_group_rows(shifted, stat_bits)
-    codes, _ = _code_group(shifted, steps, np.zeros_like(steps), stat_bits)
+    codes = np.empty(shifted.shape, dtype=np.int64)
+    _code_group(shifted, steps[:, None], 0.0, stat_bits, codes)
     return codes.ravel()[: values.size], steps, bases
 
 
@@ -288,8 +307,8 @@ def _dq_values(record: StatsQuant) -> tuple[np.ndarray, np.ndarray]:
     entry, scales floored to stay positive, both snapped to float32 so
     reloads reproduce them exactly."""
     r = np.arange(record.scale_codes.size) // record.stat_group
-    scales = _decode(record.scale_codes, record.scale_steps[r], 0)
-    zeros = _decode(record.zero_codes, record.zero_steps[r], 0)
+    scales = _decode(record.scale_codes, record.scale_steps[r], 0.0)
+    zeros = _decode(record.zero_codes, record.zero_steps[r], 0.0)
     scales = np.maximum(scales + record.scale_bases[r], SCALE_FLOOR).astype(np.float32)
     zeros = (zeros + record.zero_bases[r]).astype(np.float32)
     return scales.astype(np.float64), zeros.astype(np.float64)
@@ -412,13 +431,13 @@ class BinaryLayer:
     def empty(cls, d_row: int, salient_cols: np.ndarray, split_threshold: float,
               alpha_low: float, alpha_high: float) -> BinaryLayer:
         """A layer for `code` to fill: the plan's salient columns, split
-        threshold and shared alphas, and room for the planes and the salient
-        columns' alphas."""
+        threshold and shared alphas, and room for the planes (column-major,
+        as the sweep writes them) and the salient columns' alphas."""
         n_sal = int(salient_cols.sum())
         return cls(
-            signs1=np.ones((d_row, salient_cols.size), dtype=np.int8),
-            signs2=np.ones((d_row, n_sal), dtype=np.int8),
-            membership=np.zeros((d_row, salient_cols.size - n_sal), dtype=bool),
+            signs1=np.ones((d_row, salient_cols.size), dtype=np.int8, order="F"),
+            signs2=np.ones((d_row, n_sal), dtype=np.int8, order="F"),
+            membership=np.zeros((d_row, salient_cols.size - n_sal), dtype=bool, order="F"),
             salient_cols=salient_cols,
             alphas=np.array([split_threshold, alpha_low, alpha_high] + [0.0] * (2 * n_sal)),
         )
@@ -450,16 +469,16 @@ class BinaryLayer:
         self.signs1[:, q0:q1] = sgn
         threshold, low, high = self.alphas[:3].tolist()
         above = np.abs(cols) > threshold
-        deq = sgn * np.where(above, high, low)
+        # row-major whatever `cols` is: the proxy error's GEMM reads it
+        deq = np.multiply(sgn, np.where(above, high, low), order="C")
         s0 = int(np.count_nonzero(self.salient_cols[:q0]))  # salient columns left of q0
-        n_picked = int(np.count_nonzero(self.salient_cols[q0:q1]))
-        if not n_picked:
+        picked = self.salient_cols[q0:q1].nonzero()[0]
+        if not picked.size:
             self.membership[:, q0 - s0 : q1 - s0] = above
             return deq
-        picked = np.flatnonzero(self.salient_cols[q0:q1])
-        self.membership[:, q0 - s0 : q1 - s0 - n_picked] = np.delete(above, picked, axis=1)
+        self.membership[:, q0 - s0 : q1 - s0 - picked.size] = np.delete(above, picked, axis=1)
         n_sal = self.signs2.shape[1]
-        for s, j in enumerate(picked, s0):
+        for s, j in enumerate(picked.tolist(), s0):
             a1, _, a2, signs2 = residual_binarize(cols[:, j])
             self.alphas[3 + s], self.alphas[3 + n_sal + s] = a1, a2
             self.signs2[:, s] = signs2
@@ -614,13 +633,15 @@ def pack_uint(values, width: int) -> np.ndarray:
     """
     if not 1 <= width <= 32:
         raise DimMismatch(f"pack width must be in [1, 32], got {width}")
-    v = np.asarray(values).ravel()
+    v = np.asarray(values)
     if v.dtype.kind not in "biu":
         raise DimMismatch(f"only integers are packed, got {v.dtype}")
     if v.size and (v.min() < 0 or int(v.max()) >> width):
         raise DimMismatch(f"values outside [0, 2^{width}) cannot be packed")
     # shifted in the narrowest unsigned dtype that holds `width` bits
-    v = v.astype(np.min_scalar_type((1 << width) - 1), copy=False)
+    v = v.astype(np.min_scalar_type((1 << width) - 1), order="C", copy=False).ravel()
+    if 8 * v.itemsize == width:  # whole bytes: the stream is each value's little-endian bytes
+        return v.astype(v.dtype.newbyteorder("<")).view(np.uint8)
     bits = np.empty((v.size, width), dtype=np.uint8)
     for b in range(width):
         bits[:, b] = (v >> b) & 1

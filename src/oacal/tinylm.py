@@ -331,7 +331,7 @@ def _block_backward(model: TinyLM, block: int, blk: dict, dx: np.ndarray) -> dic
     from its cache and the gradient dx of its output."""
     p = model.params
     base = f"blk{block}"
-    scale = 1.0 / np.sqrt(model.config.d_model)
+    scale = dx.dtype.type(1.0 / np.sqrt(model.config.d_model))  # as in `block_forward`
 
     # MLP half: x_out = x_mid + tanh(m_in @ W1.T) @ W2.T
     dh_pre = _rows(dx, p[f"{base}.mlp.fc2"])

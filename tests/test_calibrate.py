@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oacal.calibrate
+import sweep_reference as reference
 from oacal.calibrate import (
     Backend,
     CalibSpec,
@@ -402,6 +403,9 @@ class TestCalibrateLayer:
         assert type(layer) is type(expected)
         for f in fields(layer):
             assert np.array_equal(getattr(layer, f.name), getattr(expected, f.name))
+        stages = report.pop("stage_seconds")  # timings
+        assert list(stages) == list(oacal.calibrate.STAGES)
+        assert all(s >= 0.0 for s in stages.values())
         assert report == expected_report
 
 
@@ -687,6 +691,89 @@ class TestPlainSweep:
             assert 0 < n_sal < 37 and layer.membership.any()
             assert layer.membership.shape == (12, 37 - n_sal)
             assert layer.signs2.shape == (12, n_sal)
+
+
+def assert_same_layer(got, want):
+    """Every field of two layers (or statistics records) equal, arrays byte
+    for byte; `stats_q` record by record."""
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "stats_q" and b is not None:
+            assert len(a) == len(b)
+            for record, expected in zip(a, b):
+                assert_same_layer(record, expected)
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+class TestCompensatedSweepReference:
+    """The column-major sweep and its one-column codec calls reproduce the
+    row-major reference (`tests/sweep_reference.py`) byte for byte: codes,
+    statistics and their records, outliers, planes, membership and alphas,
+    the dequantized matrix, its proxy error and the update norms, and
+    diag(H^-1)."""
+
+    # d_row, d_col, group, stat_group: one row; one column; a ragged last
+    # group and runs of 5 over 12 rows; groups of 12 straddling the 32-column
+    # blocks, with salient columns and outliers in several blocks
+    SHAPES = [(1, 40, 8, 16), (7, 1, 4, 16), (12, 37, 8, 5), (9, 100, 12, 4), (33, 70, 16, 16)]
+    BACKENDS = pytest.mark.parametrize(
+        "backend", [Backend.OPTQ, Backend.SPQR, Backend.BINARY], ids=["optq", "spqr", "binary"]
+    )
+
+    @staticmethod
+    def assert_matches_reference(w, h, spec):
+        """Both sweeps of `spec`'s plan against the reference; returns the
+        compensated layer."""
+        m, damped, inv_diag, upper = oacal.calibrate._prepare(w, h, spec)
+        assert inv_diag.tobytes() == reference.inv_diag(upper).tobytes()
+        if spec.backend is Backend.BINARY:
+            quantize, _ = calibrate_layer_binary(m, inv_diag, spec)
+        else:
+            quantize, _ = oacal.calibrate._affine_plan(m, inv_diag, spec)
+        layers = []
+        for compensate in (upper, None):
+            layer, w_hat, norms = quantize(compensate)
+            if spec.backend is Backend.BINARY:
+                ref, ref_hat, ref_norms = reference.binary_quantize(m, layer, compensate)
+            else:
+                ref, ref_hat, ref_norms = reference.affine_quantize(m, inv_diag, spec, compensate)
+            assert_same_layer(layer, ref)
+            assert w_hat.tobytes() == ref_hat.tobytes()
+            assert norms == ref_norms
+            proxy_error = oacal.calibrate._proxy_error
+            assert proxy_error(w_hat, m, damped) == proxy_error(ref_hat, m, damped)
+            layers.append(layer)
+        return layers[0]
+
+    @BACKENDS
+    @pytest.mark.parametrize("d_row, d_col, group, stat_group", SHAPES)
+    def test_matches_row_major_reference(self, backend, d_row, d_col, group, stat_group):
+        rng = np.random.default_rng(d_row * 1000 + d_col)
+        w = rng.standard_t(3, size=(d_row, d_col))
+        h = make_agnostic_h(rng, d_col, n=d_col + 3)
+        spec = CalibSpec(bits=3, group_size=group, tau=1.5, backend=backend,
+                         stat_group=stat_group, salient_fraction=0.2)
+        layer = self.assert_matches_reference(w, h, spec)
+        if d_col > 64 and backend is Backend.SPQR:  # the shapes of several blocks
+            assert len({c // 32 for _, c, _ in layer.outliers}) > 1
+        if d_col > 64 and backend is Backend.BINARY:
+            assert len(set(np.flatnonzero(layer.salient_cols) // 32)) > 1
+
+    @pytest.mark.parametrize("backend", [Backend.OPTQ, Backend.SPQR], ids=["optq", "spqr"])
+    def test_ties_round_half_away_from_zero(self, backend):
+        """Half-integer weights, each group spanning [-3, 4] (scale 1, zero
+        3 at 3 bits), code exactly half-way between two codes wherever
+        compensation has not moved them: the plain sweep everywhere and the
+        compensated one in its first column."""
+        rng = np.random.default_rng(74)
+        w = rng.integers(-3, 4, size=(6, 24)) + 0.5
+        w[:, ::8], w[:, 1::8] = -3.0, 4.0
+        h = make_agnostic_h(rng, 24)
+        self.assert_matches_reference(w, h, CalibSpec(bits=3, group_size=8, tau=1.5, backend=backend))
 
 
 class TestSweepAlpha:

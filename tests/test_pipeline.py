@@ -13,7 +13,7 @@ import pytest
 import oacal.pipeline as pipeline
 import oacal.tinylm as tinylm
 from oacal.archive import archive_read
-from oacal.calibrate import CalibSpec
+from oacal.calibrate import STAGES, CalibSpec
 from oacal.cli import main
 from oacal.errors import ConfigError, NonFinite, NotPositiveDefinite
 from oacal.pipeline import (
@@ -123,6 +123,12 @@ def test_quantize_run(method, tmp_path, counted):
 
     report = json.loads((out / "report.json").read_text())
     assert report["method"] == method
+    # every layer times its stages, inside the calibration phase; RTN has only its sweep
+    stages = [r["stage_seconds"] for r in report["layer_reports"]]
+    assert all(set(s) == set(STAGES) for s in stages)
+    assert sum(sum(s.values()) for s in stages) <= report["phase_seconds"]["phase2_calibration"]
+    if method == "RTN":
+        assert all(s["factorization"] == s["plan"] == s["guard"] == 0.0 for s in stages)
 
     assert_archive_reloads(out)
 
@@ -391,7 +397,11 @@ def test_sweep_collects_once(sweep_config, monkeypatch, method, collector):
         if a != result["best_alpha"]:
             assert shared["test_perplexity"] is None
             alone["test_perplexity"] = None
-        assert {**shared, "phase_seconds": None} == {**alone, "phase_seconds": None}
+        for r in (shared, alone):  # timings
+            r["phase_seconds"] = None
+            for layer_report in r["layer_reports"]:
+                layer_report.pop("stage_seconds")
+        assert shared == alone
 
 
 def test_sweep_collection_failure_raises_once(sweep_config, monkeypatch, tmp_path):

@@ -127,8 +127,9 @@ class TestFitAffine:
 
 class TestQuantizeDequantize:
     def test_zero_point_exact(self):
-        scale, zero = np.array([2.0]), np.array([2.0])
-        code, deq = _code_group(np.zeros((1, 1)), scale, zero, bits=2)
+        scale, zero = np.array([[2.0]]), np.array([[2.0]])
+        code = np.empty((1, 1), dtype=np.int64)
+        deq = _code_group(np.zeros((1, 1)), scale, zero, 2, code)
         assert code[0, 0] == 2
         assert deq[0, 0] == 0.0
 

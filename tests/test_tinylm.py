@@ -426,11 +426,16 @@ class TestStackedWindows:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_keeps_the_parameters_dtype(self, dtype):
-        """A float64 scale or mask would promote a float32 forward to float64."""
+        """A float64 scale or mask would promote a float32 walk to float64:
+        every cache and every factor of the backward, the embedding's
+        gradient included, keeps the parameters' dtype."""
         model = cast(scaled_model(THREE, 26, scale=5.0), dtype)
         losses, caches, factors = walk(model, windows(THREE, 2, 27))
         arrays = {f"blk{b}.{k}": v for b, blk in enumerate(caches) for k, v in blk.items()}
-        arrays["final_norm"], arrays["dlogits"] = factors["head"]
+        for name, (x, dy) in factors.items():
+            if name != "embed":  # whose x is the token ids
+                arrays[f"{name}.x"] = x
+            arrays[f"{name}.dy"] = dy
         assert {k: v.dtype for k, v in arrays.items()} == {k: np.dtype(dtype) for k in arrays}
         assert losses.dtype == np.float64
 
