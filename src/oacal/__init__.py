@@ -10,8 +10,6 @@ Modules by responsibility:
                      stacked (B, T) windows, and the one-pass whole-model
                      Hessian collectors
 * pipeline, cli    - end-to-end runs, alpha sweeps and reports
-* oracles          - the logistic Fisher oracle, the direct-solver reference
-                     for the column sweep, and the `verify-oracles` bundle
 * errors           - typed errors behind the CLI exit codes
 """
 

@@ -119,7 +119,7 @@ def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms, stage
     for RTN, which has none) and tau (SpQR only); `stages` holds the
     seconds of each stage (`STAGES`) and `extra` the plan's and the guard's
     keys."""
-    n_outliers = len(getattr(layer, "outliers", ()))
+    n_outliers = layer.meta.get("outlier_count", 0)
     return {
         "layer": name,
         "backend": spec.backend.value,
@@ -313,8 +313,8 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
         naive = rtn_quantize(m, spec.bits, spec.group_size).dequantize()
         outlier_mask = detect_outliers(m, naive, inv_diag, spec)
     rows, cols = np.nonzero(outlier_mask)
-    outliers = list(zip(rows.tolist(), cols.tolist(), m[rows, cols].tolist()))
-    valid = ~outlier_mask if outliers else None
+    outliers = (rows, cols, m[rows, cols])
+    valid = ~outlier_mask if rows.size else None
     stats = (spec.stat_bits, spec.stat_group) if spqr else (None, None)
 
     def quantize(upper):
@@ -323,7 +323,7 @@ def _affine_plan(m, inv_diag, spec: CalibSpec):
 
         def codec(q0, q1, cols):  # `cols` views `work`; a fit reads whole groups of it
             deq = layer.code(q0, q1, work, valid)
-            if outliers:  # they keep their values
+            if valid is not None:  # outliers keep their values
                 np.copyto(deq, m[:, q0:q1], where=outlier_mask[:, q0:q1])
             return deq
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage/config error, 2 numeric or oracle failure,
-3 I/O error (missing or malformed files).
+Exit codes: 0 success, 1 usage/config error, 2 numeric failure, 3 I/O
+error (missing or malformed files).
 """
 from __future__ import annotations
 
@@ -75,12 +75,6 @@ def _build_parser() -> _Parser:
             p.add_argument(_flag(f.name), dest=f.name, type=_TYPES[f.type])
         if command == "eval":
             p.add_argument("--eval-checkpoint", required=True)
-
-    verify = sub.add_parser("verify-oracles", help="run the property oracles")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--corrupt-update", action="store_true",
-                        help="negative control: must make the optimality oracle fail")
-    verify.add_argument("--out", help="write the oracle report JSON here")
 
     report = sub.add_parser("report", help="tabulate run reports")
     report.add_argument("reports", nargs="+", help="report.json paths")
@@ -217,17 +211,6 @@ def _dispatch(args) -> int:
             )
         )
         return 0
-
-    if args.command == "verify-oracles":
-        from .oracles import run_verify_oracles
-
-        results = run_verify_oracles(args.seed, corrupt_update=args.corrupt_update)
-        text = json.dumps(results, indent=2, sort_keys=True)
-        if args.out:
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.out).write_text(text, encoding="utf-8")
-        print(text)
-        return 0 if results["all_pass"] else 2
 
     if args.command == "report":
         from .pipeline import render_report_table

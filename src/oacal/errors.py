@@ -33,10 +33,6 @@ class EmptyAccumulator(OacalError):
     """finalize() requires at least one accumulated sample."""
 
 
-class EmptyInput(OacalError):
-    """An operation that needs at least one sample received none."""
-
-
 class EmptyGroup(OacalError):
     """A quantization group contains no values."""
 

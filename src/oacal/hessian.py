@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, EmptyAccumulator, NegativeAlpha
-from .linalg import as_matrix, as_sym_matrix, require_finite, symmetrize
+from .linalg import as_matrix, as_sym_matrix, require_finite
 
 # after .linalg, which imports scipy.linalg first: importing it from here
 # instead loads the same modules in another order and measured about 10 ms
@@ -110,15 +110,17 @@ def finalize(acc: HessianAccumulator) -> np.ndarray:
 
     An agnostic sum's lower triangle is mirrored onto the upper one; an
     adaptive sum, full but not exactly symmetric, is symmetrized. `acc` is
-    left as it is, so accumulating may go on.
+    left as it is, so accumulating may go on. The result is checked once for
+    NaN and Inf, which any non-finite entry of the sum leaves in it.
     """
     if acc.n_samples < 1:
         raise EmptyAccumulator("no samples accumulated")
+    s = acc.sum
     if acc.mode is HessianMode.AGNOSTIC:
-        h = np.where(np.tri(acc.dim, dtype=bool), acc.sum, acc.sum.T)
-        return require_finite(h, "hessian")
-    require_finite(acc.sum, "hessian")
-    return symmetrize(acc.sum)
+        h = np.where(np.tri(acc.dim, dtype=bool), s, s.T)
+    else:
+        h = (s + s.T) / 2.0
+    return require_finite(h, "hessian")
 
 
 def regularize(h, alpha: float) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each layer kind codes itself: `QuantizedLayer.empty` and `BinaryLayer.empty`
 make a layer from a plan's fixed parts, and its range codec `code(q0, q1, ...)`
 writes the codes of columns q0..q1-1 and returns their reconstruction. RTN,
-both calibration sweeps and the direct-solver oracle code through it.
+both calibration sweeps and the tests' direct-solver reference
+(`tests/sweep_reference.py`) code through it.
 
 The one affine rule, vectorized over a group's rows, is `_fit_group_rows`
 (statistics), `_code_group` (codes) and `_decode` (reconstruction): the
@@ -47,6 +48,9 @@ SCALE_FLOOR = float(np.float32(1e-12))
 
 FP32_BITS = 32
 FP16_BITS = 16
+
+# the outlier rows, columns and values of a layer that has none
+_NO_OUTLIERS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
 
 __all__ = [
     "SCALE_FLOOR",
@@ -103,9 +107,11 @@ def _decode(codes, scale, zero, out=None):
 class QuantizedLayer:
     """Integer codes plus per-(row, group) statistics and isolated outliers.
 
-    `stats_q` holds one double-quantization record per column group when the
-    statistics were double-quantized (SpQR-style calibration) at `stat_bits`
-    in runs of `stat_group`, else None.
+    The outliers are three arrays in (row, col) order: the columns and
+    values the archive stores, and the rows its CSR row pointers count.
+    `stats_q` holds one double-quantization record per column group when
+    the statistics were double-quantized (SpQR-style calibration) at
+    `stat_bits` in runs of `stat_group`, else None.
     """
 
     bits: int
@@ -113,18 +119,20 @@ class QuantizedLayer:
     codes: np.ndarray  # int64, d_row x d_col
     scales: np.ndarray  # float64, d_row x n_groups
     zeros: np.ndarray  # float64, d_row x n_groups
-    outliers: list[tuple[int, int, float]]  # sorted by (row, col)
+    outlier_rows: np.ndarray  # int64
+    outlier_cols: np.ndarray  # int64
+    outlier_vals: np.ndarray  # float64
     stats_q: "list[StatsQuant] | None"
     stat_bits: int | None = None
     stat_group: int | None = None
 
     @classmethod
-    def empty(cls, d_row: int, d_col: int, bits: int, group_size: int, outliers=(),
+    def empty(cls, d_row: int, d_col: int, bits: int, group_size: int, outliers=_NO_OUTLIERS,
               stat_bits: int | None = None, stat_group: int | None = None) -> QuantizedLayer:
-        """A layer for `code` to fill: the plan's fixed parts and room for
-        the codes and statistics, column-major as the sweep writes them.
-        With `stat_bits` the statistics are double-quantized in runs of
-        `stat_group`."""
+        """A layer for `code` to fill: the plan's fixed parts, `outliers` as
+        (rows, cols, values), and room for the codes and statistics,
+        column-major as the sweep writes them. With `stat_bits` the
+        statistics are double-quantized in runs of `stat_group`."""
         if group_size < 1:
             raise DimMismatch(f"group_size must be >= 1, got {group_size}")
         n_groups = -(-d_col // group_size)
@@ -134,7 +142,9 @@ class QuantizedLayer:
             codes=np.empty((d_row, d_col), dtype=np.int64, order="F"),
             scales=np.empty((d_row, n_groups), order="F"),
             zeros=np.empty((d_row, n_groups), order="F"),
-            outliers=list(outliers),
+            outlier_rows=outliers[0],
+            outlier_cols=outliers[1],
+            outlier_vals=outliers[2],
             stats_q=None if stat_bits is None else [],
             stat_bits=stat_bits,
             stat_group=stat_group,
@@ -157,7 +167,7 @@ class QuantizedLayer:
             "d_col": self.d_col,
             "bits": self.bits,
             "group_size": self.group_size,
-            "outlier_count": len(self.outliers),
+            "outlier_count": len(self.outlier_vals),
             "double_quantized": self.stats_q is not None,
             "stat_bits": self.stat_bits,
             "stat_group": self.stat_group,
@@ -205,9 +215,7 @@ class QuantizedLayer:
         for g, c0 in enumerate(range(0, self.d_col, gs)):
             _decode(self.codes[:, c0 : c0 + gs], self.scales[:, g, None], self.zeros[:, g, None],
                     out[:, c0 : c0 + gs])
-        if self.outliers:
-            rows, cols, vals = zip(*self.outliers)
-            out[rows, cols] = vals
+        out[self.outlier_rows, self.outlier_cols] = self.outlier_vals
         return out
 
 
@@ -690,11 +698,9 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
         else:
             values["scales"] = layer.scales
             values["zeros"] = layer.zeros.astype(np.int64)
-        if layer.outliers:
-            rows, cols, vals = (np.array(v) for v in zip(*layer.outliers))
-            values["outliervals"] = vals
-            values["outliercols"] = cols
-            values["outlierrows"] = np.searchsorted(rows, np.arange(layer.d_row + 1))
+        values["outliervals"] = layer.outlier_vals
+        values["outliercols"] = layer.outlier_cols
+        values["outlierrows"] = np.searchsorted(layer.outlier_rows, np.arange(layer.d_row + 1))
     elif isinstance(layer, BinaryLayer):
         values = {
             "signs1": layer.signs1 < 0,
@@ -717,14 +723,33 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, {**meta, "accounting": asdict(bit_account(meta))}
 
 
+def _outliers(name: str, entry: dict, meta: dict):
+    """An affine layer's outliers (rows, cols, values) from its unpacked
+    entries, which hold CSR row pointers in place of rows. MalformedArchive
+    unless the pointers index exactly `outlier_count` outliers and each
+    column is one of the layer's."""
+    if not meta["outlier_count"]:
+        return _NO_OUTLIERS
+    pointers, cols = entry["outlierrows"], entry["outliercols"]
+    per_row = np.diff(pointers)
+    ends = (int(pointers[0]), int(pointers[-1]))
+    if ends != (0, meta["outlier_count"]) or np.any(per_row < 0) or np.any(cols >= meta["d_col"]):
+        raise MalformedArchive(
+            f"layer {name!r}: outlier rows and columns do not index "
+            f"{meta['outlier_count']} weights of a {meta['d_row']}x{meta['d_col']} matrix"
+        )
+    return np.repeat(np.arange(meta["d_row"]), per_row), cols, entry["outliervals"]
+
+
 def layer_from_tensors(name: str, tensors: dict, meta: dict):
     """Rebuild a layer from archive tensors; inverse of layer_to_tensors.
 
     The layer's entries must be exactly the ones `_layout` derives from
     `meta`, each of the dtype and size it implies, else MalformedArchive: a
     missing or leftover entry (such as those of a layer archive written
-    before integers were bit-packed), an unknown kind, or a payload whose
-    byte count disagrees with the metadata. So must `meta`'s `accounting`
+    before integers were bit-packed), an unknown kind, a payload whose
+    byte count disagrees with the metadata, or outliers that index no
+    weights of the layer (`_outliers`). So must `meta`'s `accounting`
     agree with the one `bit_account` derives. A double-quantized layer gets
     its `stats_q` back, and its statistics dequantize as they did.
     """
@@ -772,20 +797,16 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
             scales, zeros = (np.stack(v, axis=1) for v in zip(*map(_dq_values, stats_q)))
         else:
             scales, zeros = entry["scales"], entry["zeros"].astype(np.float64)
-        outliers = []
-        if meta["outlier_count"]:
-            rows = np.repeat(np.arange(meta["d_row"]), np.diff(entry["outlierrows"]))
-            outliers = [
-                (int(r), int(c), float(v))
-                for r, c, v in zip(rows, entry["outliercols"], entry["outliervals"])
-            ]
+        outliers = _outliers(name, entry, meta)
         return QuantizedLayer(
             bits=meta["bits"],
             group_size=meta["group_size"],
             codes=entry["codes"],
             scales=scales,
             zeros=zeros,
-            outliers=outliers,
+            outlier_rows=outliers[0],
+            outlier_cols=outliers[1],
+            outlier_vals=outliers[2],
             stats_q=stats_q,
             stat_bits=meta["stat_bits"],
             stat_group=meta["stat_group"],

@@ -1,4 +1,5 @@
-"""Row-major reference of the compensated column sweep and its codecs.
+"""References for the column sweep: its row-major form with its codecs,
+and a direct solver.
 
 This is the sweep as `calibrate` ran it before the working copy went
 column-major: a row-major working copy and dequantized matrix, a rank-1
@@ -8,6 +9,10 @@ calls per column, and codecs that code each group range with
 tests compare `calibrate`'s sweep and the layer codecs with it byte for
 byte; the plans' fixed parts (outliers, salient columns, split and shared
 alphas) come from the production functions that choose them.
+
+`direct_solver_calibrate` re-solves the free columns from scratch at every
+step instead of updating them, which the sweep's updates must match to
+rounding.
 """
 from __future__ import annotations
 
@@ -148,7 +153,8 @@ def affine_quantize(m, inv_diag_, spec, upper):
         naive = _row_major(QuantizedLayer.empty(d_row, d_col, spec.bits, spec.group_size))
         affine_code(naive, 0, d_col, m)
         outlier_mask = detect_outliers(m, naive.dequantize(), inv_diag_, spec)
-    outliers = [(int(r), int(c), float(m[r, c])) for r, c in np.argwhere(outlier_mask)]
+    rows, cols = np.argwhere(outlier_mask).T
+    outliers = (rows, cols, m[rows, cols])
     valid = ~outlier_mask
     stats = (spec.stat_bits, spec.stat_group) if spqr else (None, None)
     work = m.copy()
@@ -177,3 +183,28 @@ def _row_major(layer):
         if isinstance(value, np.ndarray):
             setattr(layer, name, np.ascontiguousarray(value))
     return layer
+
+
+def direct_solver_calibrate(w, h, bits: int, group_size: int):
+    """Reference for the column sweep: a direct constrained solve at every step.
+
+    At step q the columns < q are pinned at their quantized values and the
+    free columns re-solve tr(dW H dW^T) from scratch; column q is coded from
+    the resulting working weights by the production affine codec
+    (`QuantizedLayer.code`), which fits a group's statistics when q starts
+    it. Returns the quantized matrix and, per step, the working matrix with
+    the quantized columns so far.
+    """
+    d_col = w.shape[1]
+    layer = QuantizedLayer.empty(*w.shape, bits, group_size)
+    w_hat = np.empty_like(w)
+    states = []
+    for q in range(d_col):
+        work = w.copy()
+        if q:
+            delta_c = w_hat[:, :q] - w[:, :q]
+            work[:, :q] = w_hat[:, :q]
+            work[:, q:] += np.linalg.solve(h[q:, q:], -h[q:, :q] @ delta_c.T).T
+        w_hat[:, q : q + 1] = layer.code(q, q + 1, work)
+        states.append((work.copy(), w_hat[:, : q + 1].copy()))
+    return w_hat, states

@@ -17,8 +17,8 @@ from oacal.calibrate import (
 from oacal.errors import ConfigError, NonPositiveDiagonal, NotPositiveDefinite
 from oacal.hessian import HessianMode, regularize
 from oacal.linalg import inverse_upper_factor, symmetrize
-from oacal.oracles import direct_solver_calibrate
 from oacal.quant import rtn_quantize
+from sweep_reference import direct_solver_calibrate
 
 
 def random_spd(rng, dim, jitter=None):
@@ -33,6 +33,12 @@ def proxy(delta, h):
 def make_agnostic_h(rng, dim, n=64):
     xs = rng.standard_normal((n, dim))
     return symmetrize(xs.T @ xs)
+
+
+def outlier_list(layer):
+    """A layer's outliers as (row, col, value) tuples, in the order held."""
+    return list(zip(layer.outlier_rows.tolist(), layer.outlier_cols.tolist(),
+                    layer.outlier_vals.tolist()))
 
 
 def make_adaptive_h(rng, d_row, d_col, n=16):
@@ -284,6 +290,28 @@ class TestCalibrateLayer:
             w_hat_oracle, _ = direct_solver_calibrate(w, h, 2, group)
             np.testing.assert_allclose(layer.dequantize(), w_hat_oracle, rtol=0, atol=1e-12)
 
+    def test_perturbed_hessian_fails_the_direct_solver_comparison(self):
+        # negative control: the comparison above must see a sweep that
+        # updates under the wrong Hessian, h + 0.35 diag(1..d), while the
+        # true h agrees on every draw, groups from [1, d_col] included
+        rng = np.random.default_rng(0)
+        disagree = ragged = 0
+        for trial in range(40):
+            d_row = int(rng.integers(1, 9))
+            d_col = int(rng.integers(2, 7))
+            group = int(rng.integers(1, d_col + 1))
+            ragged += d_col % group != 0
+            w = rng.standard_normal((d_row, d_col))
+            h = random_spd(rng, d_col)
+            perturbed = symmetrize(h + 0.35 * np.diag(np.arange(d_col) + 1.0))
+            spec = CalibSpec(bits=2, group_size=group, alpha=0.0)
+            w_hat, _ = direct_solver_calibrate(w, h, 2, group)
+            layer, _ = calibrate_layer(w, h.copy(), spec, guard=False)
+            np.testing.assert_allclose(layer.dequantize(), w_hat, rtol=0, atol=1e-8)
+            layer, _ = calibrate_layer(w, perturbed, spec, guard=False)
+            disagree += np.max(np.abs(layer.dequantize() - w_hat)) > 1e-8
+        assert ragged > 0 and disagree > 0
+
     def test_block_batching_equivalent(self, monkeypatch):
         rng = np.random.default_rng(57)
         w = rng.standard_normal((8, 24))
@@ -312,12 +340,13 @@ class TestCalibrateLayer:
             bits=2, group_size=4, tau=3.5, alpha=0.1, backend=Backend.SPQR
         )
         layer, report = calibrate_layer(w, h, spec)
-        assert report["outlier_count"] == len(layer.outliers) > 0
+        outliers = outlier_list(layer)
+        assert report["outlier_count"] == len(outliers) > 0
         deq = layer.dequantize()
-        for r, c, val in layer.outliers:
+        for r, c, val in outliers:
             assert val == w[r, c]
             assert deq[r, c] == val
-        assert layer.outliers == sorted(layer.outliers)
+        assert outliers == sorted(outliers)
         assert layer.stats_q is not None
 
     def test_constraint_satisfaction_exact(self):
@@ -329,8 +358,7 @@ class TestCalibrateLayer:
         layer, _ = calibrate_layer(w, h, spec)
         deq = layer.dequantize()
         out_mask = np.zeros(w.shape, dtype=bool)
-        for r, c, _ in layer.outliers:
-            out_mask[r, c] = True
+        out_mask[layer.outlier_rows, layer.outlier_cols] = True
         edges = range(0, 12, 4)
         for r in range(6):
             for c in range(12):
@@ -349,7 +377,7 @@ class TestCalibrateLayer:
         b, _ = calibrate_layer(w, h, spec)
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.scales, b.scales)
-        assert a.outliers == b.outliers
+        assert outlier_list(a) == outlier_list(b)
 
     def test_backend_by_hessian_mode_matrix(self):
         rng = np.random.default_rng(61)
@@ -615,14 +643,14 @@ class TestGuard:
             h = make_agnostic_h(rng, 8, n=12)
             spec = CalibSpec(bits=2, group_size=4, alpha=0.01, backend=Backend.SPQR)
             layer, report = calibrate_layer(w, h.copy(), spec)
-            if "fallback" in report and layer.outliers:
+            if "fallback" in report and layer.outlier_vals.size:
                 break
         else:
             pytest.fail("no SpQR layer fell back")
         compensated, _ = calibrate_layer(w, h, spec, guard=False)
         assert report["proxy_error"] == report["plain_proxy_error"]
-        assert report["outlier_count"] == len(layer.outliers)
-        assert layer.outliers == compensated.outliers
+        assert report["outlier_count"] == layer.outlier_vals.size
+        assert outlier_list(layer) == outlier_list(compensated)
         assert len(layer.stats_q) == len(compensated.stats_q) == 2
         assert layer.accounting == compensated.accounting
         assert report["avg_bits_per_weight"] == compensated.accounting.avg_bits_per_weight
@@ -685,7 +713,7 @@ class TestPlainSweep:
             else:
                 assert got == want, f.name
         if backend is Backend.SPQR:
-            assert layer.outliers and layer.stats_q is not None
+            assert layer.outlier_vals.size and layer.stats_q is not None
         if backend is Backend.BINARY:
             n_sal = int(layer.salient_cols.sum())
             assert 0 < n_sal < 37 and layer.membership.any()
@@ -759,7 +787,7 @@ class TestCompensatedSweepReference:
                          stat_group=stat_group, salient_fraction=0.2)
         layer = self.assert_matches_reference(w, h, spec)
         if d_col > 64 and backend is Backend.SPQR:  # the shapes of several blocks
-            assert len({c // 32 for _, c, _ in layer.outliers}) > 1
+            assert len(set(layer.outlier_cols // 32)) > 1
         if d_col > 64 and backend is Backend.BINARY:
             assert len(set(np.flatnonzero(layer.salient_cols) // 32)) > 1
 

@@ -51,30 +51,12 @@ def write_config(path: Path, data) -> str:
     return str(path)
 
 
-def test_verify_oracles_pass(capsys):
-    assert main(["verify-oracles"]) == 0
-    assert json.loads(capsys.readouterr().out)["all_pass"] is True
-
-
-def test_verify_oracles_codes_ragged_groups(capsys):
-    # group sizes are drawn from [1, d_col]: one-column and ragged tail groups
-    assert main(["verify-oracles", "--seed", "0"]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["update_optimality"]["ragged_draws"] > 0
-    assert result["all_pass"] is True
-
-
-def test_corrupt_update_fails_the_oracles(capsys):
-    assert main(["verify-oracles", "--corrupt-update"]) == 2
-    assert json.loads(capsys.readouterr().out)["update_optimality"]["pass"] is False
-
-
-def test_verify_oracles_out_writes_what_it_prints(tmp_path, capsys):
-    out = tmp_path / "a" / "o.json"
-    assert main(["verify-oracles", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert printed == out.read_text(encoding="utf-8") + "\n"
-    assert json.loads(printed)["all_pass"] is True
+def test_verify_oracles_is_no_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify-oracles"])
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: oacal") and "invalid choice: 'verify-oracles'" in err
 
 
 def test_unknown_method(setup, capsys):

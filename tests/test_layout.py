@@ -3,15 +3,11 @@
 `benchmarks/tracer.py` finds its targets by name (`getattr` on
 `oacal.<module>`); a rename or move in the package would otherwise surface
 only when `benchmarks/run.py --trace 1` fails. Likewise a deleted function
-must not stay behind in its module's `__all__`. The quantization path must
-not load the oracles.
+must not stay behind in its module's `__all__`.
 """
 import importlib
 import importlib.util
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import oacal
@@ -42,18 +38,3 @@ def test_exports_resolve(module):
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"oacal.{module}.__all__ names missing objects: {missing}"
 
-
-def test_quantization_path_does_not_import_oracles():
-    production = ", ".join(
-        f"oacal.{m}" for m in ["cli", "pipeline", "hessian", "calibrate", "quant", "tinylm"]
-    )
-    code = (
-        f"import sys, {production}; loaded = 'oacal.oracles' in sys.modules; "
-        "import oacal.oracles; print(loaded, 'oacal.oracles' in sys.modules)"
-    )
-    src = str(Path(oacal.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split() == ["False", "True"]

@@ -520,7 +520,7 @@ class TestArchiveReload:
     def test_spqr_with_outliers(self, seed, tmp_path):
         w, h = self.inputs(seed)
         layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR))
-        assert layer.outliers and layer.stats_q is not None
+        assert layer.outlier_vals.size and layer.stats_q is not None
         got = self.reload(layer, tmp_path).dequantize()
         assert got.dtype == np.float64
         assert got.tobytes() == layer.dequantize().tobytes()
@@ -559,7 +559,7 @@ class TestArchiveReload:
     def test_spqr_without_outliers(self, seed, tmp_path):
         w, h = self.inputs(seed)
         layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR, tau=1e9))
-        assert not layer.outliers and layer.stats_q
+        assert not layer.outlier_vals.size and layer.stats_q
         self.reload(layer, tmp_path)
         assert "outlier_row_pointers" not in self.extras(layer)
 
@@ -568,7 +568,7 @@ class TestArchiveReload:
         w, h = self.inputs(seed)
         w[0, 5], w[-1, -1], w[-1, 0] = 40.0, -40.0, 30.0
         layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR))
-        rows = {r for r, _, _ in layer.outliers}
+        rows = set(layer.outlier_rows.tolist())
         assert {0, w.shape[0] - 1} <= rows and layer.stats_q
         self.reload(layer, tmp_path)
         assert self.extras(layer)["outlier_row_pointers"] == 32 * (w.shape[0] + 1)
@@ -604,6 +604,27 @@ class TestArchiveReload:
             got = unpack_uint(stored, e.form, e.count).reshape(e.shape) if e.packed else stored
             want = held[prefix]
             assert got.shape == want.shape and np.array_equal(got, want), prefix
+
+    def test_spqr_layer_holds_its_outliers_as_stored(self):
+        """An affine layer holds its outliers as three arrays in (row, col)
+        order: the stored columns and values, and the rows that the stored
+        row pointers count."""
+        w, h = self.inputs(0)
+        layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR))
+        rows, cols, vals = layer.outlier_rows, layer.outlier_cols, layer.outlier_vals
+        assert (rows.dtype, cols.dtype, vals.dtype) == (np.int64, np.int64, np.float64)
+        assert 0 < rows.size == cols.size == vals.size
+        assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))
+        assert np.array_equal(vals, w[rows, cols])
+        tensors, meta = layer_to_tensors("blk.w", layer)
+        layout = _layout(meta)
+        stored = {prefix: unpack_uint(tensors[f"{prefix}/blk.w"], layout[prefix].form,
+                                      layout[prefix].count)
+                  for prefix in ("outliercols", "outlierrows")}
+        assert np.array_equal(stored["outliercols"], cols)
+        per_row = np.bincount(rows, minlength=w.shape[0])
+        assert np.array_equal(np.diff(stored["outlierrows"]), per_row)
+        assert tensors["outliervals/blk.w"].tobytes() == vals.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("fraction", [0.0, 0.08, 1.0], ids=["0%", "8%", "100%"])
     def test_binary(self, fraction, tmp_path):
@@ -711,6 +732,23 @@ class TestPackedArchiveErrors:
         tensors, meta = self.written(Backend.BINARY)
         tensors["salient/blk.w"] = pack_uint(np.ones(16, dtype=bool), 1)
         with pytest.raises(MalformedArchive, match="salient mask"):
+            layer_from_tensors("blk.w", tensors, meta)
+
+    @pytest.mark.parametrize("fault", ["last pointer", "falling pointer", "column"])
+    def test_outliers_that_index_no_weights(self, fault):
+        tensors, meta = self.written()
+        n_out, d_row = meta["outlier_count"], meta["d_row"]
+        pointers = unpack_uint(tensors["outlierrows/blk.w"], 32, d_row + 1)
+        cols = unpack_uint(tensors["outliercols/blk.w"], 16, n_out)
+        if fault == "last pointer":
+            pointers[-1] += 1
+        elif fault == "falling pointer":
+            pointers[1] = n_out + 1
+        else:
+            cols[0] = meta["d_col"]
+        tensors["outlierrows/blk.w"] = pack_uint(pointers, 32)
+        tensors["outliercols/blk.w"] = pack_uint(cols, 16)
+        with pytest.raises(MalformedArchive, match="outlier rows and columns"):
             layer_from_tensors("blk.w", tensors, meta)
 
     @pytest.mark.parametrize("backend", [Backend.OPTQ, Backend.SPQR, Backend.BINARY])
