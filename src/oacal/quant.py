@@ -28,8 +28,10 @@ one table, `_layout`: per entry, the stored form (a bit-packed width or a
 float dtype), the bits charged per value, the `BitAccount` category and the
 label of whatever is stored beyond the charge. `bit_account`,
 `disk_extra_bits`, `layer_to_tensors` and `layer_from_tensors` all read it.
-A binary layer is held as its archive entries are: planes compacted to the
-columns that use them and all its alphas in one vector.
+Both layer kinds are held as their archive stores them: a binary layer's
+planes compacted to the columns that use them and all its alphas in one
+vector; an affine layer's double-quantized statistics as two code arrays and
+one array of second-level steps and bases, one row per column group.
 """
 from __future__ import annotations
 
@@ -59,7 +61,6 @@ __all__ = [
     "bit_account",
     "QuantizedLayer",
     "rtn_quantize",
-    "StatsQuant",
     "double_quantize_stats",
     "sign_plane",
     "binarize_region",
@@ -109,9 +110,12 @@ class QuantizedLayer:
 
     The outliers are three arrays in (row, col) order: the columns and
     values the archive stores, and the rows its CSR row pointers count.
-    `stats_q` holds one double-quantization record per column group when
-    the statistics were double-quantized (SpQR-style calibration) at
-    `stat_bits` in runs of `stat_group`, else None.
+    When the statistics are double-quantized (SpQR-style calibration) at
+    `stat_bits` in runs of `stat_group`, the layer also holds them as the
+    archive stores them, one row per column group: `scale_codes` and
+    `zero_codes`, and `stats2`, each run's scale step, scale base, zero step
+    and zero base (`double_quantize_stats`); `scales` and `zeros` are then
+    what those dequantize to (`_dq_values`). Otherwise the three are None.
     """
 
     bits: int
@@ -122,7 +126,9 @@ class QuantizedLayer:
     outlier_rows: np.ndarray  # int64
     outlier_cols: np.ndarray  # int64
     outlier_vals: np.ndarray  # float64
-    stats_q: "list[StatsQuant] | None"
+    scale_codes: np.ndarray | None  # int64, n_groups x d_row
+    zero_codes: np.ndarray | None  # int64, n_groups x d_row
+    stats2: np.ndarray | None  # float64, n_groups x 4 x n_runs
     stat_bits: int | None = None
     stat_group: int | None = None
 
@@ -132,23 +138,22 @@ class QuantizedLayer:
         """A layer for `code` to fill: the plan's fixed parts, `outliers` as
         (rows, cols, values), and room for the codes and statistics,
         column-major as the sweep writes them. With `stat_bits` the
-        statistics are double-quantized in runs of `stat_group`."""
+        statistics are double-quantized in runs of `stat_group`, and the
+        layer has room for their codes, steps and bases too."""
         if group_size < 1:
             raise DimMismatch(f"group_size must be >= 1, got {group_size}")
         n_groups = -(-d_col // group_size)
-        return cls(
-            bits=bits,
-            group_size=group_size,
-            codes=np.empty((d_row, d_col), dtype=np.int64, order="F"),
-            scales=np.empty((d_row, n_groups), order="F"),
-            zeros=np.empty((d_row, n_groups), order="F"),
-            outlier_rows=outliers[0],
-            outlier_cols=outliers[1],
-            outlier_vals=outliers[2],
-            stats_q=None if stat_bits is None else [],
-            stat_bits=stat_bits,
-            stat_group=stat_group,
-        )
+        codes = np.empty((d_row, d_col), dtype=np.int64, order="F")
+        scales = np.empty((d_row, n_groups), order="F")
+        zeros = np.empty((d_row, n_groups), order="F")
+        stats = (None, None, None)
+        if stat_bits is not None:
+            if stat_group < 1:
+                raise DimMismatch(f"stat_group must be >= 1, got {stat_group}")
+            stats = (np.empty((n_groups, d_row), dtype=np.int64),
+                     np.empty((n_groups, d_row), dtype=np.int64),
+                     np.empty((n_groups, 4, -(-d_row // stat_group))))
+        return cls(bits, group_size, codes, scales, zeros, *outliers, *stats, stat_bits, stat_group)
 
     @property
     def d_row(self) -> int:
@@ -168,7 +173,7 @@ class QuantizedLayer:
             "bits": self.bits,
             "group_size": self.group_size,
             "outlier_count": len(self.outlier_vals),
-            "double_quantized": self.stats_q is not None,
+            "double_quantized": self.stats2 is not None,
             "stat_bits": self.stat_bits,
             "stat_group": self.stat_group,
         }
@@ -184,8 +189,9 @@ class QuantizedLayer:
 
         First each group that starts in the range is fitted, in group order,
         to its columns of `work`, with only the entries `valid` marks shaping
-        the range (`_fit_group_rows`); double-quantized statistics append
-        their record to `stats_q`, so the records keep group order. Then
+        the range (`_fit_group_rows`); double-quantized statistics fill the
+        group's rows of `scale_codes`, `zero_codes` and `stats2`, and the
+        group keeps the scales and zeros they dequantize to. Then
         each group the range meets is coded (`_code_group`): one group, and
         a few ufunc calls on contiguous columns, for the compensated sweep's
         one-column calls on a column-major `work`.
@@ -195,12 +201,12 @@ class QuantizedLayer:
             scale, zero = _fit_group_rows(
                 work[:, c0 : c0 + gs], bits, None if valid is None else valid[:, c0 : c0 + gs]
             )
-            if self.stats_q is not None:
-                record, scale, zero = double_quantize_stats(
-                    scale, zero, self.stat_bits, self.stat_group
+            g = c0 // gs
+            if self.stats2 is not None:
+                self.scale_codes[g], self.zero_codes[g], self.stats2[g], scale, zero = (
+                    double_quantize_stats(scale, zero, self.stat_bits, self.stat_group)
                 )
-                self.stats_q.append(record)
-            self.scales[:, c0 // gs], self.zeros[:, c0 // gs] = scale, zero
+            self.scales[:, g], self.zeros[:, g] = scale, zero
         deq = np.empty((work.shape[0], q1 - q0))
         for c0 in range(q0 - q0 % gs, q1, gs):
             g, lo, hi = c0 // gs, max(c0, q0), min(c0 + gs, q1)
@@ -276,26 +282,6 @@ def rtn_quantize(w, bits: int, group_size: int) -> QuantizedLayer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatsQuant:
-    """Second-round quantization record for first-level scales and zeros.
-
-    Each run of `stat_group` statistics is quantized relative to its minimum
-    (`*_bases`), which keeps the second-level grid tight even though scales
-    are strictly positive; `*_steps` hold each run's affine scale. A shifted
-    run's minimum is 0, so its zero point is always 0 and is not kept.
-    """
-
-    stat_bits: int
-    stat_group: int
-    scale_codes: np.ndarray
-    zero_codes: np.ndarray
-    scale_steps: np.ndarray
-    zero_steps: np.ndarray
-    scale_bases: np.ndarray
-    zero_bases: np.ndarray
-
-
 def _dq_runs(values: np.ndarray, stat_bits: int, stat_group: int):
     # A ragged last run is padded with its own last value, which leaves the
     # run's min and max, and so its fit, unchanged.
@@ -310,24 +296,28 @@ def _dq_runs(values: np.ndarray, stat_bits: int, stat_group: int):
     return codes.ravel()[: values.size], steps, bases
 
 
-def _dq_values(record: StatsQuant) -> tuple[np.ndarray, np.ndarray]:
-    """The scales and zeros a record dequantizes to: code * step + base per
-    entry, scales floored to stay positive, both snapped to float32 so
+def _dq_values(scale_codes, zero_codes, stats2, stat_group: int):
+    """The scales and zeros double-quantized statistics dequantize to, any
+    number of groups in one broadcast call: codes (..., n) and `stats2`
+    (..., 4, n_runs) give (..., n) each. An entry is code * step + base of
+    its run, scales floored to stay positive, both snapped to float32 so
     reloads reproduce them exactly."""
-    r = np.arange(record.scale_codes.size) // record.stat_group
-    scales = _decode(record.scale_codes, record.scale_steps[r], 0.0)
-    zeros = _decode(record.zero_codes, record.zero_steps[r], 0.0)
-    scales = np.maximum(scales + record.scale_bases[r], SCALE_FLOOR).astype(np.float32)
-    zeros = (zeros + record.zero_bases[r]).astype(np.float32)
-    return scales.astype(np.float64), zeros.astype(np.float64)
+    r = np.arange(scale_codes.shape[-1]) // stat_group
+    scale_step, scale_base, zero_step, zero_base = np.moveaxis(stats2[..., r], -2, 0)
+    scales = np.maximum(_decode(scale_codes, scale_step, 0.0) + scale_base, SCALE_FLOOR)
+    zeros = _decode(zero_codes, zero_step, 0.0) + zero_base
+    return scales.astype(np.float32).astype(np.float64), zeros.astype(np.float32).astype(np.float64)
 
 
-def double_quantize_stats(
-    scales, zeros, stat_bits: int, stat_group: int
-) -> tuple[StatsQuant, np.ndarray, np.ndarray]:
+def double_quantize_stats(scales, zeros, stat_bits: int, stat_group: int):
     """Affine-quantize first-level scales and zeros in runs of `stat_group`.
 
-    Returns the record plus the dequantized scales and zeros (`_dq_values`),
+    Each run is quantized relative to its minimum (its base), which keeps
+    the second-level grid tight even though scales are strictly positive; a
+    shifted run's minimum is 0, so its zero point is always 0 and is not
+    kept. Returns the scale codes, the zero codes, the (4, n_runs) steps and
+    bases in the archive's order (scale step, scale base, zero step, zero
+    base), and the scales and zeros they dequantize to (`_dq_values`),
     which supersede the originals for every later dequantization.
     """
     if not 2 <= stat_bits <= 8:
@@ -342,8 +332,8 @@ def double_quantize_stats(
         raise DimMismatch("scales and zeros must have the same length")
     s_codes, s_steps, s_bases = _dq_runs(scales, stat_bits, stat_group)
     z_codes, z_steps, z_bases = _dq_runs(zeros, stat_bits, stat_group)
-    record = StatsQuant(stat_bits, stat_group, s_codes, z_codes, s_steps, z_steps, s_bases, z_bases)
-    return (record, *_dq_values(record))
+    stats2 = np.stack([s_steps, s_bases, z_steps, z_bases])
+    return (s_codes, z_codes, stats2, *_dq_values(s_codes, z_codes, stats2, stat_group))
 
 
 # ---------------------------------------------------------------------------
@@ -685,22 +675,17 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
     metadata is the layer's `meta` plus its `accounting`.
     """
     if isinstance(layer, QuantizedLayer):
-        values = {"codes": layer.codes}
-        if layer.stats_q:
-            values["scalecodes"] = np.stack([r.scale_codes for r in layer.stats_q])
-            values["zerocodes"] = np.stack([r.zero_codes for r in layer.stats_q])
-            values["stats2"] = np.stack(
-                [
-                    [r.scale_steps, r.scale_bases, r.zero_steps, r.zero_bases]
-                    for r in layer.stats_q
-                ]
-            )
-        else:
-            values["scales"] = layer.scales
-            values["zeros"] = layer.zeros.astype(np.int64)
-        values["outliervals"] = layer.outlier_vals
-        values["outliercols"] = layer.outlier_cols
-        values["outlierrows"] = np.searchsorted(layer.outlier_rows, np.arange(layer.d_row + 1))
+        values = {
+            "codes": layer.codes,
+            "scalecodes": layer.scale_codes,
+            "zerocodes": layer.zero_codes,
+            "stats2": layer.stats2,
+            "scales": layer.scales,
+            "zeros": layer.zeros.astype(np.int64),
+            "outliervals": layer.outlier_vals,
+            "outliercols": layer.outlier_cols,
+            "outlierrows": np.searchsorted(layer.outlier_rows, np.arange(layer.d_row + 1)),
+        }
     elif isinstance(layer, BinaryLayer):
         values = {
             "signs1": layer.signs1 < 0,
@@ -741,18 +726,44 @@ def _outliers(name: str, entry: dict, meta: dict):
     return np.repeat(np.arange(meta["d_row"]), per_row), cols, entry["outliervals"]
 
 
+def _check_meta(name: str, meta: dict) -> None:
+    """MalformedArchive unless `meta` is metadata `_layout` can read: a known
+    kind, and each size it reads an integer in its range."""
+    kind = meta.get("kind")
+    if kind not in ("affine", "binary"):
+        raise MalformedArchive(f"layer {name!r}: unknown layer kind {kind!r}")
+    ranges = {"d_row": (1, math.inf), "d_col": (1, math.inf)}
+    if kind == "binary":
+        ranges["n_salient_cols"] = (0, meta.get("d_col"))
+    else:
+        ranges.update(bits=(1, 8), group_size=(1, math.inf), outlier_count=(0, math.inf))
+        if type(meta.get("double_quantized")) is not bool:
+            raise MalformedArchive(f"layer {name!r}: double_quantized is not true or false")
+        if meta["double_quantized"]:
+            ranges.update(stat_bits=(2, 8), stat_group=(1, math.inf))
+    for key, (lo, hi) in ranges.items():
+        value = meta.get(key)
+        if type(value) is not int or not lo <= value <= hi:
+            raise MalformedArchive(
+                f"layer {name!r}: {key} is {value!r}, expected an integer in [{lo}, {hi}]"
+            )
+
+
 def layer_from_tensors(name: str, tensors: dict, meta: dict):
     """Rebuild a layer from archive tensors; inverse of layer_to_tensors.
 
-    The layer's entries must be exactly the ones `_layout` derives from
-    `meta`, each of the dtype and size it implies, else MalformedArchive: a
-    missing or leftover entry (such as those of a layer archive written
-    before integers were bit-packed), an unknown kind, a payload whose
-    byte count disagrees with the metadata, or outliers that index no
-    weights of the layer (`_outliers`). So must `meta`'s `accounting`
-    agree with the one `bit_account` derives. A double-quantized layer gets
-    its `stats_q` back, and its statistics dequantize as they did.
+    `meta` must pass `_check_meta`, and the layer's entries must be exactly
+    the ones `_layout` derives from it, each of the dtype and size it
+    implies, else MalformedArchive: an unknown kind or a size out of its
+    range, a missing or leftover entry (such as those of a layer archive
+    written before integers were bit-packed), a payload whose byte count
+    disagrees with the metadata, or outliers that index no weights of the
+    layer (`_outliers`). So must `meta`'s `accounting` agree with the one
+    `bit_account` derives. A double-quantized layer gets its codes, steps
+    and bases back as stored, and one `_dq_values` call over all its groups
+    dequantizes its statistics as they were.
     """
+    _check_meta(name, meta)
     layout = _layout(meta)
     account = asdict(bit_account(meta))
     if meta.get("accounting") != account:
@@ -783,34 +794,14 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
         else:
             entry[prefix] = arr.astype(np.float64)
     if meta["kind"] == "affine":
-        stats_q = None
+        stats = entry.get("scalecodes"), entry.get("zerocodes"), entry.get("stats2")
         if meta["double_quantized"]:
-            stats_q = [
-                StatsQuant(
-                    meta["stat_bits"], meta["stat_group"], s_codes, z_codes,
-                    steps_s, steps_z, bases_s, bases_z,
-                )
-                for s_codes, z_codes, (steps_s, bases_s, steps_z, bases_z) in zip(
-                    entry["scalecodes"], entry["zerocodes"], entry["stats2"]
-                )
-            ]
-            scales, zeros = (np.stack(v, axis=1) for v in zip(*map(_dq_values, stats_q)))
+            scales, zeros = (v.T for v in _dq_values(*stats, meta["stat_group"]))
         else:
             scales, zeros = entry["scales"], entry["zeros"].astype(np.float64)
-        outliers = _outliers(name, entry, meta)
-        return QuantizedLayer(
-            bits=meta["bits"],
-            group_size=meta["group_size"],
-            codes=entry["codes"],
-            scales=scales,
-            zeros=zeros,
-            outlier_rows=outliers[0],
-            outlier_cols=outliers[1],
-            outlier_vals=outliers[2],
-            stats_q=stats_q,
-            stat_bits=meta["stat_bits"],
-            stat_group=meta["stat_group"],
-        )
+        return QuantizedLayer(meta["bits"], meta["group_size"], entry["codes"], scales, zeros,
+                              *_outliers(name, entry, meta), *stats, meta.get("stat_bits"),
+                              meta.get("stat_group"))
     salient = entry["salient"] != 0
     if int(salient.sum()) != meta["n_salient_cols"]:
         raise MalformedArchive(

@@ -23,7 +23,6 @@ from oacal.quant import (
     SCALE_FLOOR,
     BinaryLayer,
     QuantizedLayer,
-    StatsQuant,
     _f32_round_up,
     residual_binarize,
     round_half_away,
@@ -91,11 +90,11 @@ def double_quantize_stats(scales, zeros, stat_bits, stat_group):
         return codes.ravel()[: values.size], steps, bases
 
     (s_codes, s_steps, s_bases), (z_codes, z_steps, z_bases) = runs_of(scales), runs_of(zeros)
-    record = StatsQuant(stat_bits, stat_group, s_codes, z_codes, s_steps, z_steps, s_bases, z_bases)
     r = np.arange(s_codes.size) // stat_group
     dq_scales = np.maximum(s_codes * s_steps[r] + s_bases[r], SCALE_FLOOR).astype(np.float32)
     dq_zeros = (z_codes * z_steps[r] + z_bases[r]).astype(np.float32)
-    return record, dq_scales.astype(np.float64), dq_zeros.astype(np.float64)
+    stats2 = np.array([s_steps, s_bases, z_steps, z_bases])
+    return s_codes, z_codes, stats2, dq_scales.astype(np.float64), dq_zeros.astype(np.float64)
 
 
 def affine_code(layer, q0, q1, work, valid=None):
@@ -105,12 +104,12 @@ def affine_code(layer, q0, q1, work, valid=None):
         scale, zero = fit_group_rows(
             work[:, c0 : c0 + gs], bits, None if valid is None else valid[:, c0 : c0 + gs]
         )
-        if layer.stats_q is not None:
-            record, scale, zero = double_quantize_stats(
-                scale, zero, layer.stat_bits, layer.stat_group
+        g = c0 // gs
+        if layer.stats2 is not None:
+            layer.scale_codes[g], layer.zero_codes[g], layer.stats2[g], scale, zero = (
+                double_quantize_stats(scale, zero, layer.stat_bits, layer.stat_group)
             )
-            layer.stats_q.append(record)
-        layer.scales[:, c0 // gs], layer.zeros[:, c0 // gs] = scale, zero
+        layer.scales[:, g], layer.zeros[:, g] = scale, zero
     deq = np.empty((work.shape[0], q1 - q0))
     for g in range(q0 // gs, -(-q1 // gs)):
         c0, c1 = max(g * gs, q0), min(g * gs + gs, q1)

@@ -347,7 +347,7 @@ class TestCalibrateLayer:
             assert val == w[r, c]
             assert deq[r, c] == val
         assert outliers == sorted(outliers)
-        assert layer.stats_q is not None
+        assert layer.stats2 is not None
 
     def test_constraint_satisfaction_exact(self):
         # non-outlier weights reproduce their dequantized code exactly
@@ -651,7 +651,7 @@ class TestGuard:
         assert report["proxy_error"] == report["plain_proxy_error"]
         assert report["outlier_count"] == layer.outlier_vals.size
         assert outlier_list(layer) == outlier_list(compensated)
-        assert len(layer.stats_q) == len(compensated.stats_q) == 2
+        assert layer.stats2.shape == compensated.stats2.shape == (2, 4, 1)
         assert layer.accounting == compensated.accounting
         assert report["avg_bits_per_weight"] == compensated.accounting.avg_bits_per_weight
 
@@ -703,17 +703,14 @@ class TestPlainSweep:
         assert norms == ref_norms == [0.0] * 37
         for f in fields(ref):
             got, want = getattr(layer, f.name), getattr(ref, f.name)
-            if f.name == "stats_q" and want is not None:
-                assert len(got) == len(want) == 5  # one record per group, in order
-                for record, expected in zip(got, want):
-                    for g in fields(expected):
-                        assert np.array_equal(getattr(record, g.name), getattr(expected, g.name))
-            elif isinstance(want, np.ndarray):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape, f.name
+                assert got.tobytes() == want.tobytes(), f.name
             else:
                 assert got == want, f.name
         if backend is Backend.SPQR:
-            assert layer.outlier_vals.size and layer.stats_q is not None
+            # one row per group; 12 rows in runs of 5 make 3 runs
+            assert layer.outlier_vals.size and layer.stats2.shape == (5, 4, 3)
         if backend is Backend.BINARY:
             n_sal = int(layer.salient_cols.sum())
             assert 0 < n_sal < 37 and layer.membership.any()
@@ -722,15 +719,10 @@ class TestPlainSweep:
 
 
 def assert_same_layer(got, want):
-    """Every field of two layers (or statistics records) equal, arrays byte
-    for byte; `stats_q` record by record."""
+    """Every field of two layers equal, arrays byte for byte."""
     for f in fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "stats_q" and b is not None:
-            assert len(a) == len(b)
-            for record, expected in zip(a, b):
-                assert_same_layer(record, expected)
-        elif isinstance(b, np.ndarray):
+        if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and a.shape == b.shape, f.name
             assert a.tobytes() == b.tobytes(), f.name
         else:

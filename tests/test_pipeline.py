@@ -78,7 +78,8 @@ def counted(monkeypatch):
 
 def assert_archive_reloads(out: Path) -> None:
     """Every layer in `layers.oack` rebuilds the installed weights bit for
-    bit, a double-quantized one with its `stats_q`. The report validates
+    bit, a double-quantized one with its statistics' codes, one row per
+    column group. The report validates
     against `REPORT_SCHEMA`, each layer's `disk_bits` is its accounted bits
     plus its labelled extras, and the report's `disk_bits_per_weight` is the
     archive's size over the weights."""
@@ -94,7 +95,7 @@ def assert_archive_reloads(out: Path) -> None:
             installed.params[name].astype(np.float32).tobytes()
         )
         if layer_meta.get("double_quantized"):
-            assert len(layer.stats_q) == layer.scales.shape[1]
+            assert layer.scale_codes.shape == layer.scales.shape[::-1]
     for layer_report in report["layer_reports"]:
         account = meta[layer_report["layer"]]["accounting"]
         charged = account["weight_bits"] + account["stats_bits"] + account["outlier_bits"]

@@ -1,5 +1,6 @@
+import contextlib
 import tracemalloc
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from oacal.calibrate import Backend, CalibSpec, calibrate_layer
 from oacal.errors import DimMismatch, EmptyGroup, MalformedArchive
 from oacal.quant import (
     SCALE_FLOOR,
-    StatsQuant,
     _code_group,
+    _dq_values,
     _f32_round_up,
     _fit_group_rows,
     _layout,
     BitAccount,
+    QuantizedLayer,
     bit_account,
     binarize_region,
     disk_extra_bits,
@@ -225,17 +227,54 @@ class TestRtnQuantize:
 
 class TestDoubleQuantizeStats:
     def test_constant_scales_exact(self):
-        record, new_scales, new_zeros = double_quantize_stats(
+        s_codes, z_codes, stats2, new_scales, new_zeros = double_quantize_stats(
             np.full(8, 0.5), np.full(8, 1.0), stat_bits=3, stat_group=4
         )
         for scale, zero in zip(new_scales, new_zeros):
             assert scale == 0.5
             assert zero == 1.0
+        # a constant run codes to 0 on the floor step and takes its value as base
+        assert s_codes.tolist() == z_codes.tolist() == [0] * 8
+        assert stats2.tolist() == [[SCALE_FLOOR] * 2, [0.5] * 2, [SCALE_FLOOR] * 2, [1.0] * 2]
+
+    @pytest.mark.parametrize("stat_bits", [2, 3, 8])
+    def test_returns_codes_steps_and_bases(self, stat_bits):
+        # 10 statistics in runs of 4: the last run is ragged
+        rng = np.random.default_rng(46)
+        scales, zeros = rng.uniform(0.1, 2.0, size=10), rng.integers(0, 4, size=10) * 1.0
+        s_codes, z_codes, stats2, new_scales, new_zeros = double_quantize_stats(
+            scales, zeros, stat_bits, stat_group=4
+        )
+        assert s_codes.dtype == z_codes.dtype == np.int64
+        assert s_codes.shape == z_codes.shape == (10,)
+        assert 0 <= min(s_codes.min(), z_codes.min())
+        assert max(s_codes.max(), z_codes.max()) <= (1 << stat_bits) - 1
+        assert stats2.dtype == np.float64 and stats2.shape == (4, 3)
+        # rows: scale step, scale base, zero step, zero base; a base is its run's minimum
+        runs = [slice(0, 4), slice(4, 8), slice(8, 10)]
+        assert stats2[1].tolist() == [scales[r].min() for r in runs]
+        assert stats2[3].tolist() == [zeros[r].min() for r in runs]
+        r = np.arange(10) // 4
+        want = np.maximum(s_codes * stats2[0, r] + stats2[1, r], SCALE_FLOOR)
+        assert new_scales.tobytes() == want.astype(np.float32).astype(np.float64).tobytes()
+        want = (z_codes * stats2[2, r] + stats2[3, r]).astype(np.float32).astype(np.float64)
+        assert new_zeros.tobytes() == want.tobytes()
+
+    def test_many_groups_dequantize_in_one_call(self):
+        rng = np.random.default_rng(47)
+        groups = [
+            double_quantize_stats(rng.uniform(0.1, 2.0, 7), rng.integers(0, 8, 7) * 1.0, 3, 3)
+            for _ in range(4)
+        ]
+        s_codes, z_codes, stats2, scales, zeros = (np.stack(v) for v in zip(*groups))
+        got_scales, got_zeros = _dq_values(s_codes, z_codes, stats2, 3)
+        assert got_scales.tobytes() == scales.tobytes()
+        assert got_zeros.tobytes() == zeros.tobytes()
 
     def test_stat_error_bound(self):
         rng = np.random.default_rng(45)
         scales = rng.uniform(0.1, 2.0, size=16)
-        record, new_scales, _ = double_quantize_stats(
+        *_, new_scales, _ = double_quantize_stats(
             scales, np.ones(16), stat_bits=8, stat_group=16
         )
         stat_range = scales.max() - scales.min()
@@ -267,9 +306,25 @@ class TestDoubleQuantizeStats:
     def test_stat_group_below_one_rejected(self, stat_group):
         with pytest.raises(DimMismatch, match="stat_group"):
             double_quantize_stats(np.ones(4), np.zeros(4), 3, stat_group)
+        with pytest.raises(DimMismatch, match="stat_group"):
+            QuantizedLayer.empty(2, 4, 2, 4, stat_bits=3, stat_group=stat_group)
+
+    @pytest.mark.parametrize("stat_bits", [1, 9, 0])
+    def test_stat_bits_outside_two_to_eight_rejected(self, stat_bits):
+        with pytest.raises(DimMismatch, match="stat_bits"):
+            double_quantize_stats(np.ones(4), np.zeros(4), stat_bits, 4)
+
+    def test_empty_statistics_rejected(self):
+        with pytest.raises(EmptyGroup, match="no statistics"):
+            double_quantize_stats(np.empty(0), np.empty(0), 3, 4)
+
+    @pytest.mark.parametrize("n_zeros", [3, 5])
+    def test_zeros_of_another_length_rejected(self, n_zeros):
+        with pytest.raises(DimMismatch, match="same length"):
+            double_quantize_stats(np.ones(4), np.zeros(n_zeros), 3, 4)
 
     def test_dequantized_scales_stay_positive(self):
-        _, new_scales, _ = double_quantize_stats(
+        *_, new_scales, _ = double_quantize_stats(
             np.array([1e-9, 1.0, 2.0, 3.0]), np.zeros(4), stat_bits=2, stat_group=4
         )
         assert all(scale > 0 for scale in new_scales)
@@ -457,20 +512,13 @@ class TestBitAccount:
 
 
 def assert_same_layer(got, want):
-    """`got` reloads `want` bit for bit: the weights and every stored field,
-    `stats_q` record by record and field by field."""
+    """`got` reloads `want` bit for bit: the weights and every stored field."""
     assert got.dequantize().tobytes() == want.dequantize().tobytes()
     assert type(got) is type(want) and got.accounting == want.accounting
     assert got.meta == want.meta
     for f in fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "stats_q" and b is not None:
-            assert len(a) == len(b)
-            for rec_a, rec_b in zip(a, b):
-                for sf in fields(StatsQuant):
-                    x, y = np.asarray(getattr(rec_a, sf.name)), np.asarray(getattr(rec_b, sf.name))
-                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), sf.name
-        elif isinstance(b, np.ndarray):
+        if isinstance(b, np.ndarray):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
         else:
             assert a == b, f.name
@@ -478,7 +526,7 @@ def assert_same_layer(got, want):
 
 class TestArchiveReload:
     """Each layer kind written to `layers.oack` comes back bit for bit, every
-    stored field and `stats_q` included, and its entries take exactly its
+    stored field included, and its entries take exactly its
     accounted bits plus the labelled extras."""
 
     @staticmethod
@@ -520,7 +568,7 @@ class TestArchiveReload:
     def test_spqr_with_outliers(self, seed, tmp_path):
         w, h = self.inputs(seed)
         layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR))
-        assert layer.outlier_vals.size and layer.stats_q is not None
+        assert layer.outlier_vals.size and layer.stats2 is not None
         got = self.reload(layer, tmp_path).dequantize()
         assert got.dtype == np.float64
         assert got.tobytes() == layer.dequantize().tobytes()
@@ -559,7 +607,7 @@ class TestArchiveReload:
     def test_spqr_without_outliers(self, seed, tmp_path):
         w, h = self.inputs(seed)
         layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR, tau=1e9))
-        assert not layer.outlier_vals.size and layer.stats_q
+        assert not layer.outlier_vals.size and layer.stats2 is not None
         self.reload(layer, tmp_path)
         assert "outlier_row_pointers" not in self.extras(layer)
 
@@ -569,7 +617,7 @@ class TestArchiveReload:
         w[0, 5], w[-1, -1], w[-1, 0] = 40.0, -40.0, 30.0
         layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR))
         rows = set(layer.outlier_rows.tolist())
-        assert {0, w.shape[0] - 1} <= rows and layer.stats_q
+        assert {0, w.shape[0] - 1} <= rows and layer.stats2 is not None
         self.reload(layer, tmp_path)
         assert self.extras(layer)["outlier_row_pointers"] == 32 * (w.shape[0] + 1)
 
@@ -578,7 +626,7 @@ class TestArchiveReload:
         # runs of 16: a ragged last statistics run in every group
         w, h = self.inputs(4, d_row=24, d_col=64)
         layer, _ = calibrate_layer(w, h, CalibSpec(backend=Backend.SPQR, group_size=63))
-        assert layer.scales.shape == (24, 2) and layer.stats_q[0].scale_steps.shape == (2,)
+        assert layer.scales.shape == (24, 2) and layer.stats2.shape == (2, 4, 2)
         self.reload(layer, tmp_path)
         assert self.extras(layer)["stats2_fp32"] == 2 * 32 * 2 * 2
 
@@ -663,6 +711,41 @@ class TestLayerFromTensorsErrors:
         tensors, meta = self.written()
         tensors["mins/blk.w"] = np.zeros((3, 1), dtype=np.float32)
         with pytest.raises(MalformedArchive, match="mins"):
+            layer_from_tensors("blk.w", tensors, meta)
+
+    @pytest.mark.parametrize(
+        "backend, key, value",
+        [
+            (Backend.OPTQ, "group_size", 0),
+            (Backend.SPQR, "stat_group", 0),
+            (Backend.OPTQ, "kind", None),
+            (Backend.OPTQ, "double_quantized", None),
+            (Backend.OPTQ, "d_row", "8"),
+            (Backend.OPTQ, "d_col", True),
+            (Backend.OPTQ, "bits", 0),
+            (Backend.OPTQ, "bits", 9),
+            (Backend.SPQR, "stat_bits", 1),
+            (Backend.SPQR, "stat_bits", 9),
+            (Backend.SPQR, "outlier_count", -1),
+            (Backend.BINARY, "n_salient_cols", -1),
+            (Backend.BINARY, "n_salient_cols", 17),
+        ],
+        ids=lambda v: v.name if isinstance(v, Backend) else repr(v),
+    )
+    def test_metadata_out_of_range(self, backend, key, value):
+        """A layers.json field `_layout` reads, missing (None) or of the
+        wrong type or range, is malformed and named, even where the
+        accounting (and, for `bits`, the codes payload) agrees with it."""
+        tensors, meta = TestPackedArchiveErrors.written(backend)
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        if key == "bits":  # codes at the edited width: zero bytes at 0 bits
+            tensors["codes/blk.w"] = np.zeros(-(-8 * 16 * value // 8), dtype=np.uint8)
+        with contextlib.suppress(ZeroDivisionError, KeyError, TypeError):
+            meta["accounting"] = asdict(bit_account(meta))
+        with pytest.raises(MalformedArchive, match=key):
             layer_from_tensors("blk.w", tensors, meta)
 
 
