@@ -54,7 +54,14 @@ import numpy as np
 from .errors import ConfigError, NonPositiveDiagonal, ShapeMismatch
 from .hessian import regularize
 from .linalg import as_matrix, inverse_upper_factor
-from .quant import BinaryLayer, QuantizedLayer, rtn_quantize, sign_plane, splitting_search
+from .quant import (
+    BinaryLayer,
+    QuantizedLayer,
+    bit_account,
+    rtn_quantize,
+    sign_plane,
+    splitting_search,
+)
 
 __all__ = [
     "Backend",
@@ -127,7 +134,7 @@ def _report(spec: CalibSpec, name: str, layer, proxy: float, update_norms, stage
         "outlier_count": n_outliers,
         "outlier_rate": n_outliers / (layer.d_row * layer.d_col),
         "column_update_norms": update_norms,
-        "avg_bits_per_weight": layer.accounting.avg_bits_per_weight,
+        "avg_bits_per_weight": bit_account(layer.meta)["avg_bits_per_weight"],
         "alpha": 0.0 if spec.backend is Backend.RTN else spec.alpha,
         "tau": spec.tau if spec.backend is Backend.SPQR else None,
         "tau_normalization": "mean_saliency",

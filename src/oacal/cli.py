@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage/config error, 2 numeric failure, 3 I/O
-error (missing or malformed files).
+Exit codes: 0 success, 1 usage/config error, 2 numeric failure or any
+other oacal error (a corpus too small to train on or to calibrate from, a
+non-finite loss), 3 I/O error (missing or malformed files).
 """
 from __future__ import annotations
 

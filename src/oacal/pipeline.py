@@ -9,15 +9,15 @@ backward, agnostic ones forward only. No layer's Hessian sees the
 quantization of the blocks before it. The reference GPTQ, SpQR and BiLLM
 pipelines instead feed each layer the partly quantized model's inputs;
 here both flavours share one walk, so an OAC-versus-baseline comparison
-changes only the Hessian. RTN needs no Hessian and skips phase 1. Phase
-2 calibrates every layer, front to back, through one `calibrate_layer`
-call whatever the method, and installs the dequantized weights. Once the
-Hessians are collected (`run_quantize` says in which dtype), the model
-holds float32 parameters: calibration widens one layer at a time to
-float64 and installs the dequantized layer as float32, which is what eval
-(`tinylm.perplexity`, float32 forwards, float64 loss sums) reads and what
-checkpoints store. Everything numeric that affects the output is echoed
-into the JSON report.
+changes only the Hessian. RTN needs no Hessian, draws no calibration
+window and skips phase 1. Phase 2 calibrates every layer, front to back,
+through one `calibrate_layer` call whatever the method, and installs the
+dequantized weights. Once the Hessians are collected (`run_quantize` says
+in which dtype), the model holds float32 parameters: calibration widens
+one layer at a time to float64 and installs the dequantized layer as
+float32, which is what eval (`tinylm.perplexity`, float32 forwards,
+float64 loss sums) reads and what checkpoints store. Everything numeric
+that affects the output is echoed into the JSON report.
 
 The Hessians do not depend on the damping, so an alpha sweep is one
 `run_quantize` call that collects once and test-evaluates only its winner.
@@ -295,13 +295,14 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     """Quantize every block layer of the checkpointed model for each alpha,
     keep the best and write nothing (`write_run` does).
 
-    Loads the checkpoint and streams, draws the calibration windows and
-    collects every layer's Hessian accumulators once, on the unquantized
-    model. Each of `alphas` (default: the config's own alpha), ascending,
-    then calibrates the layers front to back and is scored on the
-    validation stream. Only the best run so far is kept (lowest validation
-    perplexity, ties to the smaller alpha); only the winner is scored on
-    the test stream.
+    Loads the checkpoint and streams and, unless the method is RTN, which
+    reads no Hessian, draws the calibration windows (the run's only use of
+    its seed's RNG) and collects every layer's Hessian accumulators once, on
+    the unquantized model. Each of `alphas` (default: the config's own
+    alpha), ascending, then calibrates the layers front to back and is
+    scored on the validation stream. Only the best run so far is kept
+    (lowest validation perplexity, ties to the smaller alpha); only the
+    winner is scored on the test stream.
 
     A failed collection raises, and so does a failed alpha when `alphas` is
     None; a grid records a failed alpha and skips it, and raises ConfigError
@@ -312,20 +313,22 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     float32 values as soon as it is done; an agnostic run narrows it before
     collecting, so its forwards run in float32 and only its sums are
     float64. Each layer's Hessian is finalized into a fresh array that
-    `calibrate_layer` owns and damps in place. On the last alpha each
-    accumulator leaves `accs` before its Hessian is finalized, so it is
-    freed before the layer is factorized.
+    `calibrate_layer` owns and damps in place. Every alpha but the last
+    calibrates from a shallow copy of the accumulators; the last one takes
+    each out of `accs` before its Hessian is finalized, so it is freed
+    before the layer is factorized.
     """
     t_start = time.perf_counter()
     model = load_checkpoint(config.checkpoint)
     streams = load_token_streams(config)
-    samples = sample_calibration_windows(
-        streams["train"],
-        config.n_calibration_samples,
-        model.config.context_length,
-        np.random.default_rng(config.seed),
-    )
     backend, mode = _METHOD_TABLE[config.method]
+    if backend is not Backend.RTN:
+        samples = sample_calibration_windows(
+            streams["train"],
+            config.n_calibration_samples,
+            model.config.context_length,
+            np.random.default_rng(config.seed),
+        )
     t0 = time.perf_counter()
     accs = {}
     if mode is HessianMode.ADAPTIVE:
@@ -344,7 +347,7 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
             model = _float32(load_checkpoint(config.checkpoint))
         t0 = time.perf_counter()
         try:
-            run = _calibrate(config, alpha, model, accs, drop=i == len(grid) - 1)
+            run = _calibrate(config, alpha, model, accs if i == len(grid) - 1 else dict(accs))
             t1 = time.perf_counter()
             run.report.valid_perplexity = perplexity(model, streams["valid"])
         except OacalError as exc:
@@ -380,16 +383,16 @@ def _float32(model: TinyLM) -> TinyLM:
     return TinyLM(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
 
 
-def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool) -> QuantizedRun:
+def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs) -> QuantizedRun:
     """Calibrate every block layer of the float32 `model` front to back at
     `alpha` and install the dequantized weights as float32.
 
     Each layer is widened to float64 for its calibration alone, which is
     exact, and unbound once its archive tensors are packed and it is
-    installed. Only the last alpha of a run `drop`s each layer's
-    accumulator: it is taken out of `accs` before its Hessian is finalized,
-    so that no later reader keeps it alive through the factorization; an
-    accumulator shared by several layers goes with the last of them.
+    installed. Each layer's accumulator is taken out of `accs` before its
+    Hessian is finalized, so that no later reader of `accs` keeps it alive
+    through the factorization; an accumulator shared by several layers goes
+    with the last of them.
 
     Each layer report gives `disk_bits`, the bits its archive entries take,
     and `disk_extra_bits`, what of them the accounting does not charge, by
@@ -412,7 +415,7 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
         try:
             h = None
             if spec.backend is not Backend.RTN:
-                h = finalize(accs.pop(name) if drop else accs[name])
+                h = finalize(accs.pop(name))
             layer, layer_report = calibrate_layer(w, h, spec, name)
         except OacalError as exc:  # keep the type the CLI maps to an exit code
             raise type(exc)(f"layer {name!r}: {exc}") from exc
@@ -428,7 +431,8 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs, drop: bool)
                 "disk_extra_bits": disk_extra_bits(name, layer_meta[name]),
             }
         )
-        total_bits += layer.accounting.total_bits
+        account = layer_meta[name]["accounting"]
+        total_bits += account["weight_bits"] + account["stats_bits"] + account["outlier_bits"]
         total_weights += w.size
         model.params[name] = layer.dequantize().astype(np.float32)
         del layer, layer_tensors

@@ -25,18 +25,21 @@ within float32 rounding; only an all-zero range meets the floor.
 
 What a layer stores in the archive and what the accounting charges it are
 one table, `_layout`: per entry, the stored form (a bit-packed width or a
-float dtype), the bits charged per value, the `BitAccount` category and the
-label of whatever is stored beyond the charge. `bit_account`,
-`disk_extra_bits`, `layer_to_tensors` and `layer_from_tensors` all read it.
-Both layer kinds are held as their archive stores them: a binary layer's
-planes compacted to the columns that use them and all its alphas in one
-vector; an affine layer's double-quantized statistics as two code arrays and
-one array of second-level steps and bases, one row per column group.
+float dtype), the bits charged per value, the category they count toward
+and the label of whatever is stored beyond the charge. `bit_account`,
+`disk_extra_bits`, `layer_to_tensors` and `layer_from_tensors` all read it;
+`bit_account` returns the `accounting` object layers.json stores. Both layer
+kinds are held as their archive stores them: a binary layer's planes
+compacted to the columns that use them and all its alphas in one vector; an
+affine layer's double-quantized statistics as two code arrays and one array
+of second-level steps and bases, one row per column group. The affine group
+loop is written once, in `QuantizedLayer.code`; `dequantize` decodes the
+whole matrix in one `_decode` call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +60,6 @@ _NO_OUTLIERS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.emp
 __all__ = [
     "SCALE_FLOOR",
     "round_half_away",
-    "BitAccount",
     "bit_account",
     "QuantizedLayer",
     "rtn_quantize",
@@ -178,49 +180,44 @@ class QuantizedLayer:
             "stat_group": self.stat_group,
         }
 
-    @property
-    def accounting(self) -> BitAccount:
-        """What the layer is charged, derived from its `meta`."""
-        return bit_account(self.meta)
-
     def code(self, q0: int, q1: int, work: np.ndarray, valid: np.ndarray | None = None):
         """Code columns q0..q1-1 of `work` and return their reconstruction,
         outliers coded like any other weight.
 
-        First each group that starts in the range is fitted, in group order,
-        to its columns of `work`, with only the entries `valid` marks shaping
-        the range (`_fit_group_rows`); double-quantized statistics fill the
-        group's rows of `scale_codes`, `zero_codes` and `stats2`, and the
-        group keeps the scales and zeros they dequantize to. Then
-        each group the range meets is coded (`_code_group`): one group, and
-        a few ufunc calls on contiguous columns, for the compensated sweep's
-        one-column calls on a column-major `work`.
+        The one affine group loop: each group the range meets is coded in
+        group order (`_code_group`), one group, and a few ufunc calls on
+        contiguous columns, for the compensated sweep's one-column calls on
+        a column-major `work`. A group that starts in the range is first
+        fitted to its columns of `work`, with only the entries `valid` marks
+        shaping the range (`_fit_group_rows`); double-quantized statistics
+        fill the group's rows of `scale_codes`, `zero_codes` and `stats2`,
+        and the group keeps the scales and zeros they dequantize to. A fit
+        reads only `work`, which coding leaves alone.
         """
         gs, bits = self.group_size, self.bits
-        for c0 in range(-(-q0 // gs) * gs, q1, gs):
-            scale, zero = _fit_group_rows(
-                work[:, c0 : c0 + gs], bits, None if valid is None else valid[:, c0 : c0 + gs]
-            )
-            g = c0 // gs
-            if self.stats2 is not None:
-                self.scale_codes[g], self.zero_codes[g], self.stats2[g], scale, zero = (
-                    double_quantize_stats(scale, zero, self.stat_bits, self.stat_group)
-                )
-            self.scales[:, g], self.zeros[:, g] = scale, zero
         deq = np.empty((work.shape[0], q1 - q0))
         for c0 in range(q0 - q0 % gs, q1, gs):
             g, lo, hi = c0 // gs, max(c0, q0), min(c0 + gs, q1)
+            if c0 >= q0:
+                scale, zero = _fit_group_rows(
+                    work[:, c0 : c0 + gs], bits, None if valid is None else valid[:, c0 : c0 + gs]
+                )
+                if self.stats2 is not None:
+                    self.scale_codes[g], self.zero_codes[g], self.stats2[g], scale, zero = (
+                        double_quantize_stats(scale, zero, self.stat_bits, self.stat_group)
+                    )
+                self.scales[:, g], self.zeros[:, g] = scale, zero
             _code_group(work[:, lo:hi], self.scales[:, g, None], self.zeros[:, g, None], bits,
                         self.codes[:, lo:hi], deq[:, lo - q0 : hi - q0])
         return deq
 
     def dequantize(self) -> np.ndarray:
-        """Reconstruct the weight matrix; outliers return their stored value."""
+        """Reconstruct the weight matrix, C-ordered whatever the layout of
+        `codes`, in one `_decode` call over each column's group statistics;
+        outliers return their stored value."""
+        g = np.arange(self.d_col) // self.group_size
         out = np.empty(self.codes.shape)
-        gs = self.group_size
-        for g, c0 in enumerate(range(0, self.d_col, gs)):
-            _decode(self.codes[:, c0 : c0 + gs], self.scales[:, g, None], self.zeros[:, g, None],
-                    out[:, c0 : c0 + gs])
+        _decode(self.codes, self.scales[:, g], self.zeros[:, g], out=out)
         out[self.outlier_rows, self.outlier_cols] = self.outlier_vals
         return out
 
@@ -300,8 +297,10 @@ def _dq_values(scale_codes, zero_codes, stats2, stat_group: int):
     """The scales and zeros double-quantized statistics dequantize to, any
     number of groups in one broadcast call: codes (..., n) and `stats2`
     (..., 4, n_runs) give (..., n) each. An entry is code * step + base of
-    its run, scales floored to stay positive, both snapped to float32 so
-    reloads reproduce them exactly."""
+    its run, scales floored to stay positive, both snapped to float32. The
+    snap is not what makes reloads exact: the codes and the float32-exact
+    `stats2` are stored exactly, so a reload recomputes the same values
+    with or without it. Dropping it would move SpQR codes."""
     r = np.arange(scale_codes.shape[-1]) // stat_group
     scale_step, scale_base, zero_step, zero_base = np.moveaxis(stats2[..., r], -2, 0)
     scales = np.maximum(_decode(scale_codes, scale_step, 0.0) + scale_base, SCALE_FLOOR)
@@ -454,11 +453,6 @@ class BinaryLayer:
         n_sal = int(self.salient_cols.sum())
         return {"kind": "binary", "d_row": self.d_row, "d_col": self.d_col, "n_salient_cols": n_sal}
 
-    @property
-    def accounting(self) -> BitAccount:
-        """What the layer is charged, derived from its `meta`."""
-        return bit_account(self.meta)
-
     def code(self, q0: int, q1: int, cols: np.ndarray) -> np.ndarray:
         """Code columns q0..q1-1, whose values `cols` holds, and return their
         reconstruction: a salient column by `residual_binarize`, any other
@@ -502,25 +496,11 @@ class BinaryLayer:
 
 
 @dataclass(frozen=True)
-class BitAccount:
-    """Total charged bits split by category; avg is total / weight count."""
-
-    weight_bits: float
-    stats_bits: float
-    outlier_bits: float
-    avg_bits_per_weight: float
-
-    @property
-    def total_bits(self) -> float:
-        return self.weight_bits + self.stats_bits + self.outlier_bits
-
-
-@dataclass(frozen=True)
 class _Entry:
     """One archive entry of a layer: the shape of its values; `form`, a bit
     width for unsigned integers bit-packed by `pack_uint` or a float dtype;
-    the bits charged per value and the `BitAccount` field they count toward;
-    and `label`, the name of the bits it stores beyond that charge."""
+    the bits charged per value and the `bit_account` category they count
+    toward; and `label`, the name of the bits it stores beyond that charge."""
 
     shape: tuple[int, ...]
     form: int | type
@@ -589,14 +569,16 @@ def _layout(meta: dict) -> dict[str, _Entry]:
     return layout
 
 
-def bit_account(meta: dict) -> BitAccount:
-    """What a layer is charged: each `_layout` entry's charge per value times
-    its count, summed by category."""
-    totals = {"weight_bits": 0.0, "stats_bits": 0.0, "outlier_bits": 0.0}
+def bit_account(meta: dict) -> dict[str, float]:
+    """What a layer is charged, as layers.json's `accounting` object stores
+    it: each `_layout` entry's charge per value times its count, summed by
+    category (`weight_bits`, `stats_bits`, `outlier_bits`), and their total
+    over the weight count (`avg_bits_per_weight`)."""
+    account = {"weight_bits": 0.0, "stats_bits": 0.0, "outlier_bits": 0.0}
     for entry in _layout(meta).values():
-        totals[entry.category] += float(entry.charge * entry.count)
-    weights = meta["d_row"] * meta["d_col"]
-    return BitAccount(**totals, avg_bits_per_weight=sum(totals.values()) / weights)
+        account[entry.category] += float(entry.charge * entry.count)
+    account["avg_bits_per_weight"] = sum(account.values()) / (meta["d_row"] * meta["d_col"])
+    return account
 
 
 def disk_extra_bits(name: str, meta: dict) -> dict[str, int]:
@@ -672,7 +654,7 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
 
     The entries are `<prefix>/<name>`, one per entry of the layer's
     `_layout`, integers bit-packed by `pack_uint` into uint8 entries. The
-    metadata is the layer's `meta` plus its `accounting`.
+    metadata is the layer's `meta` plus its `accounting` (`bit_account`).
     """
     if isinstance(layer, QuantizedLayer):
         values = {
@@ -705,7 +687,7 @@ def layer_to_tensors(name: str, layer) -> tuple[dict[str, np.ndarray], dict]:
         )
         for prefix, e in _layout(meta).items()
     }
-    return tensors, {**meta, "accounting": asdict(bit_account(meta))}
+    return tensors, {**meta, "accounting": bit_account(meta)}
 
 
 def _outliers(name: str, entry: dict, meta: dict):
@@ -765,7 +747,7 @@ def layer_from_tensors(name: str, tensors: dict, meta: dict):
     """
     _check_meta(name, meta)
     layout = _layout(meta)
-    account = asdict(bit_account(meta))
+    account = bit_account(meta)
     if meta.get("accounting") != account:
         raise MalformedArchive(
             f"layer {name!r}: layers.json charges {meta.get('accounting')}, "

@@ -9,6 +9,8 @@ calls per column, and codecs that code each group range with
 tests compare `calibrate`'s sweep and the layer codecs with it byte for
 byte; the plans' fixed parts (outliers, salient columns, split and shared
 alphas) come from the production functions that choose them.
+`affine_dequantize` is the affine layer's decode as a loop over groups,
+the reference for `QuantizedLayer.dequantize`'s one call.
 
 `direct_solver_calibrate` re-solves the free columns from scratch at every
 step instead of updating them, which the sweep's updates must match to
@@ -117,6 +119,18 @@ def affine_code(layer, q0, q1, work, valid=None):
             work[:, c0:c1], layer.scales[:, g], layer.zeros[:, g], bits
         )
     return deq
+
+
+def affine_dequantize(layer):
+    """`QuantizedLayer.dequantize`, one slice of a row-major output per
+    group: the group's codes less its zeros, times its scales."""
+    out = np.empty(layer.codes.shape)
+    gs = layer.group_size
+    for g, c0 in enumerate(range(0, layer.d_col, gs)):
+        codes = layer.codes[:, c0 : c0 + gs]
+        out[:, c0 : c0 + gs] = (codes - layer.zeros[:, g, None]) * layer.scales[:, g, None]
+    out[layer.outlier_rows, layer.outlier_cols] = layer.outlier_vals
+    return out
 
 
 def binary_code(layer, q0, q1, cols):

@@ -17,7 +17,7 @@ from oacal.calibrate import (
 from oacal.errors import ConfigError, NonPositiveDiagonal, NotPositiveDefinite
 from oacal.hessian import HessianMode, regularize
 from oacal.linalg import inverse_upper_factor, symmetrize
-from oacal.quant import rtn_quantize
+from oacal.quant import bit_account, rtn_quantize
 from sweep_reference import direct_solver_calibrate
 
 
@@ -407,7 +407,7 @@ class TestCalibrateLayer:
             expected_report = {
                 "layer": "l", "backend": "rtn", "proxy_error": 0.0, "outlier_count": 0,
                 "outlier_rate": 0.0, "column_update_norms": [0.0] * 10,
-                "avg_bits_per_weight": expected.accounting.avg_bits_per_weight,
+                "avg_bits_per_weight": bit_account(expected.meta)["avg_bits_per_weight"],
                 "alpha": 0.0, "tau": None, "tau_normalization": "mean_saliency",
             }
         else:
@@ -421,7 +421,7 @@ class TestCalibrateLayer:
             expected_report = {
                 "layer": "l", "backend": "binary", "proxy_error": errors[best],
                 "outlier_count": 0, "outlier_rate": 0.0, "column_update_norms": norms,
-                "avg_bits_per_weight": expected.accounting.avg_bits_per_weight,
+                "avg_bits_per_weight": bit_account(expected.meta)["avg_bits_per_weight"],
                 "alpha": 0.1, "tau": None, "tau_normalization": "mean_saliency",
                 **plan_extra, "plain_proxy_error": errors[1],
             }
@@ -491,7 +491,7 @@ class TestCalibrateLayerBinary:
         rng = np.random.default_rng(65)
         w = rng.standard_normal((64, 64))
         layer, _ = calibrate_layer(w, np.eye(64), self.spec(salient_fraction=0.08))
-        assert 1.05 <= layer.accounting.avg_bits_per_weight <= 1.15
+        assert 1.05 <= bit_account(layer.meta)["avg_bits_per_weight"] <= 1.15
 
 
 class TestOneFactorizationPerLayer:
@@ -652,8 +652,8 @@ class TestGuard:
         assert report["outlier_count"] == layer.outlier_vals.size
         assert outlier_list(layer) == outlier_list(compensated)
         assert layer.stats2.shape == compensated.stats2.shape == (2, 4, 1)
-        assert layer.accounting == compensated.accounting
-        assert report["avg_bits_per_weight"] == compensated.accounting.avg_bits_per_weight
+        assert bit_account(layer.meta) == bit_account(compensated.meta)
+        assert report["avg_bits_per_weight"] == bit_account(compensated.meta)["avg_bits_per_weight"]
 
 
 def column_at_a_time(work, upper, block_size, codec):

@@ -1,7 +1,7 @@
 """The command line: exit codes and a whole sweep-alpha run on disk."""
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import jsonschema
@@ -393,6 +393,56 @@ def test_singular_layer_is_a_numeric_failure(setup, capsys):
             "--alpha", "0", "--n-calibration-samples", "1"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("numeric failure: layer 'blk0.mlp.fc2': ")
+
+
+@pytest.fixture
+def short_train(tmp_path):
+    """A checkpoint with 64-token windows, distinct validation and test
+    files, and two training files: 40 bytes, too short for one calibration
+    window, and 20 kB."""
+    checkpoint = tmp_path / "ctx64.oack"
+    save_checkpoint(init_model(replace(TWO_BLOCKS, context_length=64), seed=0), checkpoint)
+    data = CORPUS.read_bytes()
+    parts = {"short": data[:40], "full": data[:20_000], "valid": data[20_000:24_000],
+             "test": data[24_000:28_000]}
+    paths = {}
+    for name, part in parts.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_bytes(part)
+    return checkpoint, paths
+
+
+def quantize_argv(short_train, method, train, out):
+    checkpoint, paths = short_train
+    return ["quantize", "--method", method, "--checkpoint", str(checkpoint),
+            "--corpus-train", str(paths[train]), "--corpus-valid", str(paths["valid"]),
+            "--corpus-test", str(paths["test"]), "--n-calibration-samples", "3", "--out", str(out)]
+
+
+def test_rtn_needs_no_calibration_corpus(short_train, tmp_path):
+    """RTN reads no calibration window, so a training file shorter than one
+    is no failure, and the run writes the layers a 20 kB one gives."""
+    for train in ("short", "full"):
+        assert main(quantize_argv(short_train, "RTN", train, tmp_path / train)) == 0
+    short, full = ((tmp_path / train / "layers.oack").read_bytes() for train in ("short", "full"))
+    assert short == full
+
+
+def test_calibration_corpus_shorter_than_a_window_is_a_failure(short_train, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(quantize_argv(short_train, "OPTQ", "short", out)) == 2
+    assert capsys.readouterr().err == "failure: not enough tokens for one calibration window\n"
+    assert not out.exists()
+
+
+def test_train_toy_on_a_train_part_under_64_kib_is_a_failure(tmp_path, capsys):
+    # the train part of 70,000 bytes is their [0, 80%), 56,000 bytes
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(CORPUS.read_bytes()[:70_000])
+    out = tmp_path / "toy.oack"
+    assert main(["train-toy", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "failure: corpus must be at least 64 KiB, got 56000 bytes\n"
+    assert not out.exists()
 
 
 def test_sweep_alpha_writes_its_winner(setup, tmp_path):

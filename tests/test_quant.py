@@ -1,6 +1,6 @@
 import contextlib
 import tracemalloc
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from oacal.quant import (
     _f32_round_up,
     _fit_group_rows,
     _layout,
-    BitAccount,
     QuantizedLayer,
     bit_account,
     binarize_region,
@@ -32,6 +31,7 @@ from oacal.quant import (
     splitting_search,
     unpack_uint,
 )
+from sweep_reference import affine_dequantize
 
 
 def affine_meta(d_row, d_col, bits, group_size, n_outliers, stat_bits=None, stat_group=None):
@@ -67,7 +67,8 @@ def affine_reference(n_rows, n_cols, bits, group_size, n_outliers, stat_bits=Non
     weight_bits = float(bits) * n
     outlier_bits = float(n_outliers) * (32 + 16)
     avg = bits + stats_bits / n + (n_outliers / n) * (32 + 16)
-    return BitAccount(weight_bits, stats_bits, outlier_bits, avg)
+    return {"weight_bits": weight_bits, "stats_bits": stats_bits, "outlier_bits": outlier_bits,
+            "avg_bits_per_weight": avg}
 
 
 def binary_reference(n_rows, n_cols, n_salient_cols):
@@ -80,7 +81,13 @@ def binary_reference(n_rows, n_cols, n_salient_cols):
     n = n_rows * n_cols
     weight_bits = float(n) + float(n_salient_cols * n_rows)
     stats_bits = 16 * (2 * n_salient_cols + 2 + 1) + float(n_cols)
-    return BitAccount(weight_bits, stats_bits, 0.0, (weight_bits + stats_bits) / n)
+    return {"weight_bits": weight_bits, "stats_bits": stats_bits, "outlier_bits": 0.0,
+            "avg_bits_per_weight": (weight_bits + stats_bits) / n}
+
+
+def charged_bits(account):
+    """The total an `accounting` object charges, its categories added in order."""
+    return account["weight_bits"] + account["stats_bits"] + account["outlier_bits"]
 
 
 def test_round_half_away():
@@ -217,7 +224,7 @@ class TestRtnQuantize:
     def test_accounting_rtn(self):
         layer = rtn_quantize(np.zeros((4, 8)), bits=2, group_size=4)
         # 2 code bits plus two fp16 stats per 4-weight group
-        assert layer.accounting.avg_bits_per_weight == 2 + 32 / 4
+        assert bit_account(layer.meta)["avg_bits_per_weight"] == 2 + 32 / 4
 
     @pytest.mark.parametrize("group_size", [0, -1])
     def test_group_size_below_one_rejected(self, group_size):
@@ -283,24 +290,24 @@ class TestDoubleQuantizeStats:
     def test_spqr_style_accounting_terms(self):
         account = bit_account(affine_meta(64, 64, 2, 64, 0, stat_bits=3, stat_group=16))
         expected = 2 + (3 + 3) / 64 + (2 * 32) / (64 * 16)
-        assert account.avg_bits_per_weight == expected
+        assert account["avg_bits_per_weight"] == expected
 
     def test_accounting_with_outliers_consistent(self):
         account = bit_account(affine_meta(16, 32, 2, 16, 5, stat_bits=3, stat_group=16))
         n = 16 * 32
         recomputed = (
-            account.weight_bits + account.stats_bits + account.outlier_bits
+            account["weight_bits"] + account["stats_bits"] + account["outlier_bits"]
         ) / n
-        assert account.avg_bits_per_weight == pytest.approx(recomputed, abs=0)
+        assert account["avg_bits_per_weight"] == pytest.approx(recomputed, abs=0)
 
     def test_ragged_groups_and_runs_are_charged_whole(self):
         # 64 columns at group size 63 store two statistic pairs per row
         account = bit_account(affine_meta(64, 64, 2, 63, 0))
-        assert account.stats_bits == 2 * 64 * 2 * 16
+        assert account["stats_bits"] == 2 * 64 * 2 * 16
         # 24 rows in runs of 16: each group's second level has two runs
         account = bit_account(affine_meta(24, 64, 2, 63, 0, stat_bits=3, stat_group=16))
-        assert account.stats_bits == 2 * (24 * 2 * 3 + 2 * 2 * 32)
-        assert account.avg_bits_per_weight == 2 + account.stats_bits / (24 * 64)
+        assert account["stats_bits"] == 2 * (24 * 2 * 3 + 2 * 2 * 32)
+        assert account["avg_bits_per_weight"] == 2 + account["stats_bits"] / (24 * 64)
 
     @pytest.mark.parametrize("stat_group", [0, -1])
     def test_stat_group_below_one_rejected(self, stat_group):
@@ -441,9 +448,9 @@ class TestSplittingSearch:
 
 def test_binary_accounting_lands_near_one_bit():
     account = bit_account(binary_meta(64, 64, 5))
-    assert 1.05 <= account.avg_bits_per_weight <= 1.15
+    assert 1.05 <= account["avg_bits_per_weight"] <= 1.15
     account = bit_account(binary_meta(256, 64, 5))
-    assert 1.05 <= account.avg_bits_per_weight <= 1.15
+    assert 1.05 <= account["avg_bits_per_weight"] <= 1.15
 
 
 @st.composite
@@ -481,10 +488,12 @@ class TestBitAccount:
     def test_matches_the_closed_forms(self, meta):
         got, want = bit_account(meta), reference_account(meta)
         for category in ("weight_bits", "stats_bits", "outlier_bits"):
-            assert getattr(got, category) == getattr(want, category), category
+            assert got[category] == want[category], category
         n = meta["d_row"] * meta["d_col"]
-        assert got.avg_bits_per_weight == got.total_bits / n
-        assert got.avg_bits_per_weight == pytest.approx(want.avg_bits_per_weight, rel=1e-15, abs=0)
+        assert got["avg_bits_per_weight"] == charged_bits(got) / n
+        assert got["avg_bits_per_weight"] == pytest.approx(
+            want["avg_bits_per_weight"], rel=1e-15, abs=0
+        )
 
     @pytest.mark.parametrize("meta", [
         affine_meta(64, 256, 2, 16, 40, 3, 16), affine_meta(256, 1024, 2, 16, 0),
@@ -514,7 +523,7 @@ class TestBitAccount:
 def assert_same_layer(got, want):
     """`got` reloads `want` bit for bit: the weights and every stored field."""
     assert got.dequantize().tobytes() == want.dequantize().tobytes()
-    assert type(got) is type(want) and got.accounting == want.accounting
+    assert type(got) is type(want) and bit_account(got.meta) == bit_account(want.meta)
     assert got.meta == want.meta
     for f in fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
@@ -534,7 +543,7 @@ class TestArchiveReload:
         tensors, meta = layer_to_tensors("blk.w", layer)
         disk = 8 * sum(entry_nbytes(k, v) for k, v in tensors.items())
         extra = disk_extra_bits("blk.w", meta)
-        assert disk == layer.accounting.total_bits + sum(extra.values())
+        assert disk == charged_bits(bit_account(layer.meta)) + sum(extra.values())
         path = tmp_path / "layers.oack"
         archive_write(path, tensors)
         assert 8 * path.stat().st_size == disk + 8 * 12  # plus the file header
@@ -686,6 +695,54 @@ class TestArchiveReload:
         assert extra["alphas_fp64"] == 48 * (3 + 2 * n_sal)
 
 
+class TestDequantize:
+    """`QuantizedLayer.dequantize` is one `_decode` call into a row-major
+    array. It equals the per-group decode loop (`affine_dequantize`) byte for
+    byte, and is C-ordered, for column-major layers the sweep makes and for
+    their reloads, over ragged groups, with and without outliers and
+    double-quantized statistics."""
+
+    D_ROW, D_COL = 9, 20
+
+    @staticmethod
+    def assert_matches_the_loop(layer):
+        tensors, meta = layer_to_tensors("blk.w", layer)
+        for held in (layer, layer_from_tensors("blk.w", tensors, meta)):
+            got = held.dequantize()
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            assert got.tobytes() == affine_dequantize(held).tobytes()
+
+    @pytest.mark.parametrize("group_size", [1, 7, D_COL])
+    @pytest.mark.parametrize("outliers", [False, True], ids=["plain", "outliers"])
+    @pytest.mark.parametrize("stats", [(None, None), (3, 4)], ids=["fp16-stats", "dq-stats"])
+    def test_column_at_a_time_layer(self, group_size, outliers, stats):
+        """Coded a column at a time into `QuantizedLayer.empty`'s
+        column-major arrays, as the compensated sweep codes it."""
+        rng = np.random.default_rng(group_size)
+        w = rng.standard_normal((self.D_ROW, self.D_COL)).astype(np.float32).astype(np.float64)
+        mask = rng.random(w.shape) < (0.1 if outliers else 0.0)
+        rows, cols = np.nonzero(mask)  # (row, col) order
+        layer = QuantizedLayer.empty(*w.shape, 3, group_size, (rows, cols, w[rows, cols]), *stats)
+        work = np.asfortranarray(w)
+        for q in range(self.D_COL):
+            layer.code(q, q + 1, work, ~mask)
+        assert layer.codes.flags.f_contiguous and not layer.codes.flags.c_contiguous
+        assert (layer.outlier_vals.size > 0) == outliers
+        self.assert_matches_the_loop(layer)
+
+    @pytest.mark.parametrize("group_size", [1, 7, D_COL])
+    @pytest.mark.parametrize("backend", [Backend.OPTQ, Backend.SPQR], ids=["optq", "spqr"])
+    def test_calibrated_layer(self, group_size, backend):
+        rng = np.random.default_rng(group_size)
+        w = rng.standard_normal((self.D_ROW, self.D_COL)).astype(np.float32).astype(np.float64)
+        x = rng.standard_normal((4 * self.D_COL, self.D_COL))
+        spec = CalibSpec(backend=backend, group_size=group_size, stat_group=4, tau=1.0)
+        layer, _ = calibrate_layer(w, x.T @ x, spec, guard=False)
+        assert layer.codes.flags.f_contiguous
+        assert (layer.stats2 is not None) == (layer.outlier_vals.size > 0) == (backend is Backend.SPQR)
+        self.assert_matches_the_loop(layer)
+
+
 class TestLayerFromTensorsErrors:
     """A layer's archive entries must be exactly the ones its kind writes."""
 
@@ -744,7 +801,7 @@ class TestLayerFromTensorsErrors:
         if key == "bits":  # codes at the edited width: zero bytes at 0 bits
             tensors["codes/blk.w"] = np.zeros(-(-8 * 16 * value // 8), dtype=np.uint8)
         with contextlib.suppress(ZeroDivisionError, KeyError, TypeError):
-            meta["accounting"] = asdict(bit_account(meta))
+            meta["accounting"] = bit_account(meta)
         with pytest.raises(MalformedArchive, match=key):
             layer_from_tensors("blk.w", tensors, meta)
 
