@@ -162,10 +162,10 @@ def archive_read(path) -> dict[str, np.ndarray]:
                 "<" + "Q" * ndim, _read_exact(fh, 8 * ndim, "dims")
             )
             n_bytes, left = dtype.itemsize * math.prod(dims), size - fh.tell()
-            if n_bytes > left:
+            if n_bytes > left:  # a product too long to print is never named
                 raise MalformedArchive(
-                    f"truncated archive: {name!r} declares dims {dims}, "
-                    f"{n_bytes} payload bytes, and {left} are left"
+                    f"truncated archive: {name!r} declares dims {dims}, more payload "
+                    f"than the {left} bytes left"
                 )
             if dtype.itemsize * math.prod(max(d, 1) for d in dims) > np.iinfo(np.intp).max:
                 raise MalformedArchive(f"dims {dims} of {name!r} cannot be indexed")

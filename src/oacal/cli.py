@@ -62,8 +62,9 @@ def _build_parser() -> _Parser:
 
     train = sub.add_parser("train-toy", help="train the toy byte LM")
     train.add_argument("--corpus", required=True,
-                       help="trains on its [0, 80%%) bytes, the train part of the split that "
-                            "quantize applies when one file is every corpus")
+                       help="trains on its train part (first 80%% of --corpus), the split that "
+                            "quantize applies when one file is every corpus; that part must be "
+                            "at least 64 KiB (--corpus at least 81,920 bytes)")
     train.add_argument("--out", required=True, help="checkpoint path to write")
     train.add_argument("--seed", type=int, default=0)
     for f in fields(TrainConfig):

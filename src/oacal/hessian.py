@@ -1,24 +1,23 @@
 """Hessian accumulation for calibration.
 
-Two Hessian flavours share one accumulator type:
+One accumulator type holds either running sum, in the storage format of
+the fold that adds to it (`HessianAccumulator.lower`):
 
-* agnostic  - running sum of layer-input outer products x x^T, added a batch
-              of input rows at a time by BLAS's symmetric rank-k update
-              (syrk) into the lower triangle of the sum, in place; the
-              upper triangle stays zero until `finalize` mirrors the lower
-              one. A symmetric update does half the flops of the general
-              product m^T m, and updating in place allocates no d x d
-              temporary per batch.
-* adaptive  - running sum of per-window gradient Grams G^T G, each added as
-              X^T (dY dY^T) X from the factors of G = dY^T X (layer input X,
-              T x d_col; output gradient dY, T x d_row), never forming G.
-              The last product is one general matrix multiply (gemm) that
-              adds into the sum in place, so no d x d temporary is
-              allocated per window either.
+* x x^T  - layer-input outer products, added a batch of input rows at a
+           time by BLAS's symmetric rank-k update (syrk) into the lower
+           triangle, in place; `finalize` mirrors it. A symmetric update
+           does half the flops of m^T m, and updating in place allocates
+           no d x d temporary per batch.
+* G^T G  - per-window gradient Grams, each added as X^T (dY dY^T) X from
+           the factors of G = dY^T X (layer input X, T x d_col; output
+           gradient dY, T x d_row), never forming G: one general matrix
+           multiply (gemm) adds the full matrix in place, with no d x d
+           temporary either; `finalize` symmetrizes it.
+
+Which Hessian a method uses, and how it is collected, is `pipeline`'s table.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +32,6 @@ from .linalg import as_matrix, as_sym_matrix, require_finite
 from scipy.linalg.blas import dgemm, dsyrk
 
 __all__ = [
-    "HessianMode",
     "HessianAccumulator",
     "accumulate_agnostic_batch",
     "accumulate_adaptive",
@@ -42,23 +40,17 @@ __all__ = [
 ]
 
 
-class HessianMode(enum.Enum):
-    AGNOSTIC = "agnostic"
-    ADAPTIVE = "adaptive"
-
-
 @dataclass
 class HessianAccumulator:
     """Single-writer running sum of x x^T or G^T G, with its sample count.
 
-    An agnostic `sum` holds its Hessian in the lower triangle only (the
-    upper one is left at zero), because the in-place syrk update writes one
-    triangle; read it through `finalize`, which mirrors it. An adaptive
-    `sum` is the full matrix.
+    `lower` is the storage format: the syrk fold writes the lower triangle
+    only, leaving the upper one at zero, and the gemm fold the full matrix.
+    Each fold refuses the other format; `finalize` reads either.
     """
 
     dim: int
-    mode: HessianMode
+    lower: bool
     sum: np.ndarray = field(init=False)
     n_samples: int = field(init=False, default=0)
 
@@ -78,8 +70,8 @@ def accumulate_agnostic_batch(acc: HessianAccumulator, xs) -> None:
     triangle of `acc.sum.T` (the lower one of `acc.sum`) where it lies,
     without a copy.
     """
-    if acc.mode is not HessianMode.AGNOSTIC:
-        raise DimMismatch("accumulator mode is not agnostic")
+    if not acc.lower:
+        raise DimMismatch("accumulator holds a full sum, not a lower triangle")
     m = as_matrix(xs, cols=acc.dim)
     dsyrk(1.0, m.T, beta=1.0, c=acc.sum.T, overwrite_c=1)
     acc.n_samples += m.shape[0]
@@ -96,8 +88,8 @@ def accumulate_adaptive(acc: HessianAccumulator, x, dy) -> None:
     adds `b^T x` (with b = (dy dy^T) x) to it where it lies: the same
     product, with the same operand roles, that `x.T @ b` hands to BLAS.
     """
-    if acc.mode is not HessianMode.ADAPTIVE:
-        raise DimMismatch("accumulator mode is not adaptive")
+    if acc.lower:
+        raise DimMismatch("accumulator holds a lower triangle, not a full sum")
     x = as_matrix(x, cols=acc.dim)
     dy = as_matrix(dy, rows=x.shape[0])
     b = (dy @ dy.T) @ x
@@ -108,15 +100,15 @@ def accumulate_adaptive(acc: HessianAccumulator, x, dy) -> None:
 def finalize(acc: HessianAccumulator) -> np.ndarray:
     """Return the accumulated (summed) Hessian as a new, exactly symmetric matrix.
 
-    An agnostic sum's lower triangle is mirrored onto the upper one; an
-    adaptive sum, full but not exactly symmetric, is symmetrized. `acc` is
-    left as it is, so accumulating may go on. The result is checked once for
-    NaN and Inf, which any non-finite entry of the sum leaves in it.
+    A lower sum's lower triangle is mirrored onto the upper one; a full sum,
+    not exactly symmetric, is symmetrized. `acc` is left as it is, so
+    accumulating may go on. The result is checked once for NaN and Inf,
+    which any non-finite entry of the sum leaves in it.
     """
     if acc.n_samples < 1:
         raise EmptyAccumulator("no samples accumulated")
     s = acc.sum
-    if acc.mode is HessianMode.AGNOSTIC:
+    if acc.lower:
         h = np.where(np.tri(acc.dim, dtype=bool), s, s.T)
     else:
         h = (s + s.T) / 2.0

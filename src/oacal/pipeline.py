@@ -1,23 +1,24 @@
 """End-to-end quantization runs: config, one run per command, eval and
 reports.
 
-A method is a backend plus a Hessian flavour (`_METHOD_TABLE`). Phase 1
-collects every block layer's Hessian before the first block is quantized,
-in one walk over the unquantized checkpoint (`tinylm.collect`, whose
-docstring gives the walk's order): adaptive (OAC) methods with a
-backward, agnostic ones forward only. No layer's Hessian sees the
-quantization of the blocks before it. The reference GPTQ, SpQR and BiLLM
-pipelines instead feed each layer the partly quantized model's inputs;
-here both flavours share one walk, so an OAC-versus-baseline comparison
-changes only the Hessian. RTN needs no Hessian, draws no calibration
-window and skips phase 1. Phase 2 calibrates every layer, front to back,
-through one `calibrate_layer` call whatever the method, and installs the
-dequantized weights. Once the Hessians are collected (`run_quantize` says
-in which dtype), the model holds float32 parameters: calibration widens
-one layer at a time to float64 and installs the dequantized layer as
-float32, which is what eval (`tinylm.perplexity`, float32 forwards,
-float64 loss sums) reads and what checkpoints store. Everything numeric
-that affects the output is echoed into the JSON report.
+A method is a backend plus the name of its Hessian (`_METHOD_TABLE`), and
+`_HESSIANS` says how each Hessian is collected. Phase 1 collects every
+block layer's Hessian before the first block is quantized, in one walk
+over the unquantized checkpoint (`tinylm.collect`, whose docstring gives
+the walk's order): the adaptive (OAC) one with a backward, the agnostic
+one forward only. No layer's Hessian sees the quantization of the blocks
+before it. The reference GPTQ, SpQR and BiLLM pipelines instead feed each
+layer the partly quantized model's inputs; here every Hessian comes from
+one walk, so an OAC-versus-baseline comparison changes only the Hessian.
+RTN needs no Hessian, draws no calibration window and skips phase 1.
+Phase 2 calibrates every layer, front to back, through one
+`calibrate_layer` call whatever the method, and installs the dequantized
+weights. Once the Hessians are collected (`run_quantize` says in which
+dtype), the model holds float32 parameters: calibration widens one layer
+at a time to float64 and installs the dequantized layer as float32, which
+is what eval (`tinylm.perplexity`, float32 forwards, float64 loss sums)
+reads and what checkpoints store. Everything numeric that affects the
+output is echoed into the JSON report.
 
 The Hessians do not depend on the damping, so an alpha sweep is one
 `run_quantize` call that collects once and test-evaluates only its winner.
@@ -36,7 +37,7 @@ import numpy as np
 from .archive import HEADER_NBYTES, archive_write, entry_nbytes
 from .calibrate import STAGES, Backend, CalibSpec, calibrate_layer
 from .errors import ConfigError, MalformedArchive, OacalError
-from .hessian import HessianMode, finalize
+from .hessian import finalize
 from .quant import disk_extra_bits, layer_to_tensors
 from .tinylm import (
     TinyLM,
@@ -51,14 +52,23 @@ from .tinylm import (
     tokenize,
 )
 
+# report name -> (collector of every block layer's accumulators, dtype the
+# checkpoint is read in); a lambda looks its collector up when called, so
+# that a wrapper of the module attribute (a tracer, a test) sees the call
+_HESSIANS = {
+    "agnostic": (lambda model, windows: collect_agnostic_accumulators(model, windows), np.float32),
+    "adaptive": (lambda model, windows: harvest_block_gradients(model, windows), np.float64),
+}
+
+# method -> (backend, `_HESSIANS` key); RTN collects none
 _METHOD_TABLE = {
-    "RTN": (Backend.RTN, HessianMode.AGNOSTIC),
-    "OPTQ": (Backend.OPTQ, HessianMode.AGNOSTIC),
-    "SpQR": (Backend.SPQR, HessianMode.AGNOSTIC),
-    "OAC_OPTQ": (Backend.OPTQ, HessianMode.ADAPTIVE),
-    "OAC_SpQR": (Backend.SPQR, HessianMode.ADAPTIVE),
-    "Binary_BiLLM_style": (Backend.BINARY, HessianMode.AGNOSTIC),
-    "OAC_Binary": (Backend.BINARY, HessianMode.ADAPTIVE),
+    "RTN": (Backend.RTN, "agnostic"),
+    "OPTQ": (Backend.OPTQ, "agnostic"),
+    "SpQR": (Backend.SPQR, "agnostic"),
+    "OAC_OPTQ": (Backend.OPTQ, "adaptive"),
+    "OAC_SpQR": (Backend.SPQR, "adaptive"),
+    "Binary_BiLLM_style": (Backend.BINARY, "agnostic"),
+    "OAC_Binary": (Backend.BINARY, "adaptive"),
 }
 
 METHODS = tuple(_METHOD_TABLE)
@@ -216,7 +226,7 @@ LAYER_FIELDS = {
     "salient_fraction": (_FRACTION, False),  # BINARY's plan
     "n_salient_cols": (_COUNT, False),
     "split_threshold": (_NONNEG, False),
-    "hessian_mode": ({"enum": [m.value for m in HessianMode]}, True),
+    "hessian_mode": ({"enum": list(_HESSIANS)}, True),
     "disk_bits": (_COUNT, True),
     "disk_extra_bits": ({"type": "object", "additionalProperties": _COUNT}, True),
 }
@@ -308,20 +318,23 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     None; a grid records a failed alpha and skips it, and raises ConfigError
     when none succeeds.
 
-    Memory: one model is held at a time. The OAC harvest runs on the
-    checkpoint widened to float64, and the model is narrowed back to its
-    float32 values as soon as it is done; an agnostic run narrows it before
-    collecting, so its forwards run in float32 and only its sums are
-    float64. Each layer's Hessian is finalized into a fresh array that
-    `calibrate_layer` owns and damps in place. Every alpha but the last
-    calibrates from a shallow copy of the accumulators; the last one takes
-    each out of `accs` before its Hessian is finalized, so it is freed
-    before the layer is factorized.
+    Memory: one model is held at a time. The checkpoint is loaded in the
+    dtype that its Hessian is collected in (`_HESSIANS`): float64 for the
+    OAC harvest, float32 for the agnostic forwards, whose sums alone are
+    float64, and for RTN. It is then narrowed to float32, copying only
+    wider arrays, and the first alpha installs into it. Each layer's
+    Hessian is finalized into a fresh array that `calibrate_layer` owns and
+    damps in place. Every alpha but the last calibrates from a shallow copy
+    of the accumulators; the last one takes each out of `accs` before its
+    Hessian is finalized, so it is freed before the layer is factorized.
     """
     t_start = time.perf_counter()
-    model = load_checkpoint(config.checkpoint)
+    backend, hessian = _METHOD_TABLE[config.method]
+    collect, dtype = _HESSIANS[hessian]
+    model = load_checkpoint(config.checkpoint, dtype)
     streams = load_token_streams(config)
-    backend, mode = _METHOD_TABLE[config.method]
+    t0 = time.perf_counter()
+    accs = {}
     if backend is not Backend.RTN:
         samples = sample_calibration_windows(
             streams["train"],
@@ -329,13 +342,8 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
             model.config.context_length,
             np.random.default_rng(config.seed),
         )
-    t0 = time.perf_counter()
-    accs = {}
-    if mode is HessianMode.ADAPTIVE:
-        accs = harvest_block_gradients(model, samples)
-    model = _float32(model)
-    if mode is HessianMode.AGNOSTIC and backend is not Backend.RTN:
-        accs = collect_agnostic_accumulators(model, samples)
+        accs = collect(model, samples)
+    model.params = {k: v.astype(np.float32, copy=False) for k, v in model.params.items()}
     phase1 = time.perf_counter() - t0
     collected_s = time.perf_counter() - t_start
     grid = [config.alpha] if alphas is None else sorted(float(a) for a in alphas)
@@ -344,7 +352,7 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     for i, alpha in enumerate(grid):
         t_alpha = time.perf_counter()
         if i:  # the first alpha installs into the model the collection ran on
-            model = _float32(load_checkpoint(config.checkpoint))
+            model = load_checkpoint(config.checkpoint, np.float32)
         t0 = time.perf_counter()
         try:
             run = _calibrate(config, alpha, model, accs if i == len(grid) - 1 else dict(accs))
@@ -378,11 +386,6 @@ def run_quantize(config: RunConfig, alphas=None) -> QuantizedRun:
     return best
 
 
-def _float32(model: TinyLM) -> TinyLM:
-    """The model on its parameters' float32 values: exact for a checkpoint's."""
-    return TinyLM(model.config, {k: v.astype(np.float32) for k, v in model.params.items()})
-
-
 def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs) -> QuantizedRun:
     """Calibrate every block layer of the float32 `model` front to back at
     `alpha` and install the dequantized weights as float32.
@@ -399,7 +402,6 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs) -> Quantize
     label; `disk_bits_per_weight` is `layers.oack`'s size over the weights.
     """
     spec = config.calib_spec(alpha)
-    hessian_mode = _METHOD_TABLE[config.method][1].value
     report = RunReport(
         config={**asdict(config), "alpha": alpha, "alpha_grid": list(config.alpha_grid)},
         seed=config.seed,
@@ -426,7 +428,7 @@ def _calibrate(config: RunConfig, alpha: float, model: TinyLM, accs) -> Quantize
         report.layer_reports.append(
             {
                 **layer_report,
-                "hessian_mode": hessian_mode,
+                "hessian_mode": _METHOD_TABLE[config.method][1],
                 "disk_bits": 8 * layer_bytes,
                 "disk_extra_bits": disk_extra_bits(name, layer_meta[name]),
             }

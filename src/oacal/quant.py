@@ -711,6 +711,8 @@ def _outliers(name: str, entry: dict, meta: dict):
 def _check_meta(name: str, meta: dict) -> None:
     """MalformedArchive unless `meta` is metadata `_layout` can read: a known
     kind, and each size it reads an integer in its range."""
+    if not isinstance(meta, dict):
+        raise MalformedArchive(f"layer {name!r}: metadata is {meta!r}, not an object")
     kind = meta.get("kind")
     if kind not in ("affine", "binary"):
         raise MalformedArchive(f"layer {name!r}: unknown layer kind {kind!r}")

@@ -53,7 +53,6 @@ from .errors import (
 )
 from .hessian import (
     HessianAccumulator,
-    HessianMode,
     accumulate_adaptive,
     accumulate_agnostic_batch,
 )
@@ -419,7 +418,7 @@ def harvest_block_gradients(model: TinyLM, windows) -> dict[str, HessianAccumula
     """Adaptive Hessian accumulators for every block layer: a backward
     `collect` whose fold adds each window's G^T G, in window order."""
     accs = {
-        name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
+        name: HessianAccumulator(model.params[name].shape[1], lower=False)
         for name in quantizable_layers(model)
     }
 
@@ -442,8 +441,7 @@ def collect_agnostic_accumulators(model: TinyLM, windows) -> dict[str, HessianAc
     for b, by_input in enumerate(inputs):
         for name, source in layer_input_name_map(b).items():
             if source not in by_input:  # the first layer reading it stands for all
-                acc = HessianAccumulator(model.params[name].shape[1], HessianMode.AGNOSTIC)
-                by_input[source] = acc
+                by_input[source] = HessianAccumulator(model.params[name].shape[1], lower=True)
             accs[name] = by_input[source]
 
     def fold(block, cache):
@@ -513,7 +511,7 @@ def train_tiny_lm(
     the walk returns (formed in its fold, they tripled a run's page faults)."""
     if len(corpus) < 64 * 1024:
         raise CorpusTooSmall(
-            f"corpus must be at least 64 KiB, got {len(corpus)} bytes"
+            f"train part (first 80% of --corpus) must be at least 64 KiB, got {len(corpus)} bytes"
         )
     tokens = tokenize(corpus)
     model = init_model(config, seed)
@@ -564,7 +562,10 @@ def save_checkpoint(model: TinyLM, path) -> None:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 
-def load_checkpoint(path) -> TinyLM:
+def load_checkpoint(path, dtype=np.float64) -> TinyLM:
+    """The checkpointed model, its stored float32 parameters as `dtype`. A
+    sidecar listing other than its n_blocks' parameter count is an
+    ArchitectureMismatch before any parameter shape is listed."""
     try:
         with open(str(path) + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
@@ -575,11 +576,13 @@ def load_checkpoint(path) -> TinyLM:
     except (ValueError, TypeError, KeyError) as exc:  # not JSON, bad or missing keys
         raise MalformedArchive(f"checkpoint sidecar {path}.json: {exc!r}") from exc
     tensors = archive_read(path)
+    if len(names) != 2 + len(_LAYER_INPUTS) * config.n_blocks:
+        raise ArchitectureMismatch(f"sidecar lists {len(names)} names for {config.n_blocks} blocks")
     params: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(config).items():
         if name not in names or f"param/{name}" not in tensors:
             raise ArchitectureMismatch(f"checkpoint is missing layer {name!r}")
-        params[name] = tensors[f"param/{name}"].astype(np.float64)
+        params[name] = tensors[f"param/{name}"].astype(dtype, copy=False)
         if params[name].shape != shape:
             raise ArchitectureMismatch(
                 f"{name}: checkpoint shape {params[name].shape} != {shape}"

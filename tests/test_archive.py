@@ -194,8 +194,9 @@ def declare(path, dims, payload=b""):
 @pytest.mark.parametrize(
     "dims, message",
     [((2**62,), "truncated"), ((2**32, 2**32), "truncated"), ((3,), "truncated"),
-     ((0, 2**63), "cannot be indexed")],
-    ids=["overflowing", "overflowing-product", "past-the-end", "unindexable-empty"],
+     ((0, 2**63), "cannot be indexed"), ((2**64 - 1,) * 255, "truncated")],
+    ids=["overflowing", "overflowing-product", "past-the-end", "unindexable-empty",
+         "product-too-long-to-print"],
 )
 def test_payload_larger_than_the_file_is_malformed(tmp_path, dims, message):
     # checked before any payload is read or allocated

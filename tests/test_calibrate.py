@@ -15,7 +15,7 @@ from oacal.calibrate import (
     saliency,
 )
 from oacal.errors import ConfigError, NonPositiveDiagonal, NotPositiveDefinite
-from oacal.hessian import HessianMode, regularize
+from oacal.hessian import regularize
 from oacal.linalg import inverse_upper_factor, symmetrize
 from oacal.quant import bit_account, rtn_quantize
 from sweep_reference import direct_solver_calibrate
@@ -383,8 +383,8 @@ class TestCalibrateLayer:
         rng = np.random.default_rng(61)
         w = rng.standard_normal((6, 8))
         hs = {
-            HessianMode.AGNOSTIC: make_agnostic_h(rng, 8),
-            HessianMode.ADAPTIVE: make_adaptive_h(rng, 6, 8),
+            "agnostic": make_agnostic_h(rng, 8),
+            "adaptive": make_adaptive_h(rng, 6, 8),
         }
         for backend in Backend:
             for h in hs.values():

@@ -1,5 +1,6 @@
 """The command line: exit codes and a whole sweep-alpha run on disk."""
 import json
+import shutil
 import struct
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from malformed_inputs import TOY, run_capped
 
 import oacal.tinylm as tinylm
 from oacal.archive import archive_read
@@ -265,7 +267,10 @@ def test_missing_eval_checkpoint(setup, tmp_path, capsys):
     assert capsys.readouterr().err == f"i/o failure: eval-checkpoint path does not exist: {absent}\n"
 
 
-@pytest.mark.parametrize("dims", [(2**62,), (2**32, 2**32)], ids=["overflowing", "overflowing-product"])
+@pytest.mark.parametrize(
+    "dims", [(2**62,), (2**32, 2**32), (2**64 - 1,) * 255],
+    ids=["overflowing", "overflowing-product", "product-too-long-to-print"],
+)
 def test_oversized_checkpoint_entry_exits_3(setup, capsys, dims):
     # the first entry's dims declare more payload than any file holds
     checkpoint, flags = setup
@@ -276,6 +281,20 @@ def test_oversized_checkpoint_entry_exits_3(setup, capsys, dims):
     checkpoint.write_bytes(data[:at] + struct.pack(f"<B{len(dims)}Q", len(dims), *dims) + rest)
     assert main(["eval", *corpus_flags(flags), "--eval-checkpoint", str(checkpoint)]) == 3
     assert capsys.readouterr().err.startswith("i/o failure: truncated archive")
+
+
+def test_sidecar_claiming_a_billion_blocks_exits_3(tmp_path):
+    """Refused before a shape is listed per claimed block; the CLI runs in a
+    child capped at 1 GiB of address space, where listing them would fail."""
+    checkpoint = tmp_path / "toy.oack"
+    shutil.copy(TOY, checkpoint)
+    sidecar = json.loads(Path(f"{TOY}.json").read_text())
+    sidecar["architecture"]["n_blocks"] = 10**9
+    Path(f"{checkpoint}.json").write_text(json.dumps(sidecar))
+    corpora = [item for flag in ("train", "valid", "test") for item in (f"--corpus-{flag}", CORPUS)]
+    result = run_capped("oacal.cli", "eval", *corpora, "--eval-checkpoint", checkpoint)
+    assert (result.returncode, result.stderr) == (
+        3, "i/o failure: sidecar lists 14 names for 1000000000 blocks\n")
 
 
 def test_eval_of_a_stored_run_reproduces_its_report(setup, tmp_path, capsys):
@@ -298,7 +317,7 @@ def test_eval_of_a_stored_run_reproduces_its_report(setup, tmp_path, capsys):
 def overflowing(setup, tmp_path):
     """The committed toy checkpoint with every query and key weight scaled
     by 1e19: the float32 attention logits overflow, float64 ones do not."""
-    model = load_checkpoint(ROOT / "benchmarks" / "toy" / "toy.oack")
+    model = load_checkpoint(TOY)
     for name in model.params:
         if name.endswith((".attn.wq", ".attn.wk")):
             model.params[name] *= 1e19
@@ -441,7 +460,9 @@ def test_train_toy_on_a_train_part_under_64_kib_is_a_failure(tmp_path, capsys):
     corpus.write_bytes(CORPUS.read_bytes()[:70_000])
     out = tmp_path / "toy.oack"
     assert main(["train-toy", "--corpus", str(corpus), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "failure: corpus must be at least 64 KiB, got 56000 bytes\n"
+    assert capsys.readouterr().err == (
+        "failure: train part (first 80% of --corpus) must be at least 64 KiB, got 56000 bytes\n"
+    )
     assert not out.exists()
 
 

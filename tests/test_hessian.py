@@ -14,7 +14,6 @@ from oacal.errors import (
 )
 from oacal.hessian import (
     HessianAccumulator,
-    HessianMode,
     accumulate_adaptive,
     accumulate_agnostic_batch,
     finalize,
@@ -40,13 +39,13 @@ def add_gradient(acc, g):
 
 class TestAccumulators:
     def test_single_outer_product(self):
-        acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
+        acc = HessianAccumulator(2, lower=True)
         accumulate_agnostic_batch(acc, [[1.0, 0.0]])
         np.testing.assert_allclose(acc.sum, [[1.0, 0.0], [0.0, 0.0]])
         assert acc.n_samples == 1
 
     def test_doubling(self):
-        acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
+        acc = HessianAccumulator(2, lower=True)
         accumulate_agnostic_batch(acc, [[1.0, 2.0]])
         accumulate_agnostic_batch(acc, [[1.0, 2.0]])
         np.testing.assert_allclose(finalize(acc), [[2.0, 4.0], [4.0, 8.0]])
@@ -54,7 +53,7 @@ class TestAccumulators:
     def test_agnostic_matches_brute_force(self):
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((100, 6))
-        acc = HessianAccumulator(6, HessianMode.AGNOSTIC)
+        acc = HessianAccumulator(6, lower=True)
         for x in xs:
             accumulate_agnostic_batch(acc, x[None, :])
         brute = np.zeros((6, 6))
@@ -65,8 +64,8 @@ class TestAccumulators:
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(15)
         xs = rng.standard_normal((40, 5))
-        a = HessianAccumulator(5, HessianMode.AGNOSTIC)
-        b = HessianAccumulator(5, HessianMode.AGNOSTIC)
+        a = HessianAccumulator(5, lower=True)
+        b = HessianAccumulator(5, lower=True)
         for x in xs:
             accumulate_agnostic_batch(a, x[None, :])
         accumulate_agnostic_batch(b, xs)
@@ -77,7 +76,7 @@ class TestAccumulators:
     @pytest.mark.parametrize("t", [64, 128])
     def test_agnostic_equals_gram_running_sum_bit_for_bit(self, t, d):
         rng = np.random.default_rng(t + d)
-        acc = HessianAccumulator(d, HessianMode.AGNOSTIC)
+        acc = HessianAccumulator(d, lower=True)
         expected = np.zeros((d, d))
         for _ in range(3):
             m = rng.standard_normal((t, d))
@@ -90,7 +89,7 @@ class TestAccumulators:
     def test_agnostic_batch_allocates_no_square_temporary(self):
         """The fold updates the sum in place: one call at d = 1024 allocates < one d x d array."""
         d = 1024
-        acc = HessianAccumulator(d, HessianMode.AGNOSTIC)
+        acc = HessianAccumulator(d, lower=True)
         m = np.random.default_rng(7).standard_normal((128, d))
         tracemalloc.start()
         try:
@@ -104,7 +103,7 @@ class TestAccumulators:
     def test_adaptive_fold_allocates_no_square_temporary(self):
         """The fold adds into the sum in place: one call at d_col = 1024 allocates < one d x d array."""
         d = 1024
-        acc = HessianAccumulator(d, HessianMode.ADAPTIVE)
+        acc = HessianAccumulator(d, lower=False)
         rng = np.random.default_rng(8)
         x, dy = rng.standard_normal((128, d)), rng.standard_normal((128, 256))
         tracemalloc.start()
@@ -124,7 +123,7 @@ class TestAccumulators:
     )
     def test_adaptive_fold_equals_product_running_sum_bit_for_bit(self, t, d_row, d_col):
         rng = np.random.default_rng(t + d_row + 3 * d_col)
-        acc = HessianAccumulator(d_col, HessianMode.ADAPTIVE)
+        acc = HessianAccumulator(d_col, lower=False)
         expected = np.zeros((d_col, d_col))
         for _ in range(3):
             x, dy = rng.standard_normal((t, d_col)), rng.standard_normal((t, d_row))
@@ -133,32 +132,34 @@ class TestAccumulators:
         np.testing.assert_array_equal(acc.sum, expected)
 
     def test_adaptive_rank_one(self):
-        acc = HessianAccumulator(2, HessianMode.ADAPTIVE)
+        acc = HessianAccumulator(2, lower=False)
         add_gradient(acc, [[1.0, 2.0]])
         np.testing.assert_allclose(acc.sum, [[1.0, 2.0], [2.0, 4.0]])
 
     def test_adaptive_orthonormal_rows(self):
-        acc = HessianAccumulator(2, HessianMode.ADAPTIVE)
+        acc = HessianAccumulator(2, lower=False)
         add_gradient(acc, np.eye(2))
         np.testing.assert_allclose(acc.sum, np.eye(2))
 
     def test_adaptive_equals_row_sum(self):
         rng = np.random.default_rng(6)
         g = rng.standard_normal((4, 3))
-        acc = HessianAccumulator(3, HessianMode.ADAPTIVE)
+        acc = HessianAccumulator(3, lower=False)
         add_gradient(acc, g)
         by_rows = sum(np.outer(row, row) for row in g)
         np.testing.assert_allclose(acc.sum, by_rows, atol=1e-12)
 
     def test_mode_and_dim_checks(self):
-        acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
+        acc = HessianAccumulator(2, lower=True)
         with pytest.raises(DimMismatch):
             add_gradient(acc, np.eye(2))
         with pytest.raises(DimMismatch):
             accumulate_agnostic_batch(acc, [[1.0, 2.0, 3.0]])
+        with pytest.raises(DimMismatch):  # each fold refuses the other's format
+            accumulate_agnostic_batch(HessianAccumulator(2, lower=False), [[1.0, 2.0]])
 
     def test_adaptive_row_count_mismatch(self):
-        acc = HessianAccumulator(3, HessianMode.ADAPTIVE)
+        acc = HessianAccumulator(3, lower=False)
         with pytest.raises(DimMismatch):
             accumulate_adaptive(acc, np.ones((4, 3)), np.ones((5, 2)))
         with pytest.raises(DimMismatch):
@@ -167,7 +168,7 @@ class TestAccumulators:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_adaptive_non_finite_factor(self, bad):
-        acc = HessianAccumulator(3, HessianMode.ADAPTIVE)
+        acc = HessianAccumulator(3, lower=False)
         x, dy = np.ones((4, 3)), np.ones((4, 2))
         dy[2, 1] = bad
         with pytest.raises(NonFinite):
@@ -200,7 +201,7 @@ class TestAccumulators:
         dy = rng.standard_normal((t, d_row))
         if zero_last_row:
             dy[-1] = 0.0
-        acc = HessianAccumulator(d_col, HessianMode.ADAPTIVE)
+        acc = HessianAccumulator(d_col, lower=False)
         accumulate_adaptive(acc, x, dy)
         g = dy.T @ x
         expected = g.T @ g
@@ -211,20 +212,20 @@ class TestAccumulators:
 
 class TestFinalize:
     def test_single_sample_sum_equals_mean(self):
-        acc = HessianAccumulator(2, HessianMode.AGNOSTIC)
+        acc = HessianAccumulator(2, lower=True)
         accumulate_agnostic_batch(acc, [[3.0, -1.0]])
         np.testing.assert_allclose(finalize(acc), np.outer([3, -1], [3, -1]))
 
     def test_empty_accumulator(self):
         with pytest.raises(EmptyAccumulator):
-            finalize(HessianAccumulator(2, HessianMode.AGNOSTIC))
+            finalize(HessianAccumulator(2, lower=True))
 
-    @pytest.mark.parametrize("mode", list(HessianMode), ids=lambda m: m.value)
-    def test_overflowing_sum_is_non_finite(self, mode):
+    @pytest.mark.parametrize("fold", ["agnostic", "adaptive"])
+    def test_overflowing_sum_is_non_finite(self, fold):
         # finite samples whose products overflow the sum to inf
-        acc = HessianAccumulator(2, mode)
+        acc = HessianAccumulator(2, lower=fold == "agnostic")
         x = np.array([[1e200, 1.0]])
-        if mode is HessianMode.AGNOSTIC:
+        if fold == "agnostic":
             accumulate_agnostic_batch(acc, x)
         else:
             accumulate_adaptive(acc, x, np.ones((1, 1)))
@@ -236,7 +237,7 @@ class TestFinalize:
         rng = np.random.default_rng(10)
         for _ in range(20):
             dim = int(rng.integers(1, 9))
-            acc = HessianAccumulator(dim, HessianMode.ADAPTIVE)
+            acc = HessianAccumulator(dim, lower=False)
             for _ in range(int(rng.integers(1, 6))):
                 add_gradient(
                     acc, rng.standard_normal((int(rng.integers(1, 5)), dim))
@@ -551,7 +552,7 @@ class TestAggregation:
         factor_pairs = [(rng.standard_normal((3, 4)), rng.standard_normal((3, 5)))
                         for _ in range(6)]
         for pairs in ([(g, np.eye(5)) for g in samples], factor_pairs):
-            acc = HessianAccumulator(4, HessianMode.ADAPTIVE)
+            acc = HessianAccumulator(4, lower=False)
             for x, dy in pairs:
                 accumulate_adaptive(acc, x, dy)
             via_rows = sum(row_blocks([dy.T @ x for x, dy in pairs]))

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from malformed_inputs import TOY, run_capped
 
 import oacal.pipeline as pipeline
 import oacal.tinylm as tinylm
@@ -209,6 +210,56 @@ def test_layer_reports_name_the_hessian_flavour(method, tmp_path):
     jsonschema.validate(asdict(report), REPORT_SCHEMA)
 
 
+def test_a_new_hessian_is_a_table_row(tmp_path, monkeypatch):
+    """A Hessian no method uses, a 4x agnostic Gram, enters through
+    `_HESSIANS` and a method row alone. Scaling by a power of two is exact
+    through damping, Cholesky and the sweep, so each method writes the
+    agnostic Gram's archive tensors and valid perplexity, every proxy error
+    is exactly 4x and the column updates are equal; its reports name the row."""
+
+    def gram_4x(model, windows):
+        accs = pipeline.collect_agnostic_accumulators(model, windows)
+        for acc in {id(a): a for a in accs.values()}.values():  # shared ones once
+            acc.sum *= 4.0
+        return accs
+
+    monkeypatch.setitem(pipeline._HESSIANS, "agnostic_4x", (gram_4x, np.float32))
+    for method in ("OPTQ", "SpQR", "Binary_BiLLM_style"):
+        config = RunConfig(checkpoint=str(TOY), corpus_train=CORPUS, corpus_valid=CORPUS,
+                           corpus_test=CORPUS, out_dir=str(tmp_path), method=method,
+                           n_calibration_samples=16, seed=3)
+        base = run_quantize(config)
+        backend, _ = pipeline._METHOD_TABLE[method]
+        monkeypatch.setitem(pipeline._METHOD_TABLE, method, (backend, "agnostic_4x"))
+        scaled = run_quantize(config)
+        assert scaled.tensors.keys() == base.tensors.keys()
+        for key, value in base.tensors.items():
+            assert scaled.tensors[key].tobytes() == value.tobytes(), (method, key)
+        assert scaled.report.valid_perplexity == base.report.valid_perplexity
+        for s, b in zip(scaled.report.layer_reports, base.report.layer_reports, strict=True):
+            assert s["proxy_error"] == 4.0 * b["proxy_error"], (method, s["layer"])
+            assert s["column_update_norms"] == b["column_update_norms"], (method, s["layer"])
+            assert (s["hessian_mode"], b["hessian_mode"]) == ("agnostic_4x", "agnostic")
+
+
+def test_malformed_inputs_fail_typed(tmp_path):
+    """The seeded sweep of `malformed_inputs` over a small SpQR, OAC_Binary
+    and OPTQ toy run: every case raises an OacalError or loads, in a child
+    capped at 1 GiB of address space."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(Path(CORPUS).read_bytes()[:20_000])
+    runs = []
+    for method in ("SpQR", "OAC_Binary", "OPTQ"):
+        config = RunConfig(checkpoint=str(TOY), corpus_train=str(corpus), corpus_valid=str(corpus),
+                           corpus_test=str(corpus), out_dir=str(tmp_path / method), method=method,
+                           n_calibration_samples=4)
+        write_run(run_quantize(config), config.out_dir)
+        runs.append(config.out_dir)
+    result = run_capped("malformed_inputs", *runs)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert json.loads(result.stdout) == {"cases": 938, "failures": []}
+
+
 @pytest.fixture(scope="module")
 def binary_report(tmp_path_factory):
     """A guarded binary run's report, whose layers carry the guard's and the
@@ -282,6 +333,25 @@ def test_collector_parameter_dtype(tmp_path, monkeypatch, method, collector):
     run_quantize(collector_config(tmp_path, method))
     expected = {"collect_agnostic_accumulators": np.float32, "harvest_block_gradients": np.float64}
     assert dtypes == [{np.dtype(expected[collector])}]
+
+
+@pytest.mark.parametrize("method, dtype", [("RTN", np.float32), ("OPTQ", np.float32),
+                                           ("OAC_OPTQ", np.float64)])
+def test_checkpoint_is_read_in_its_hessians_dtype(tmp_path, monkeypatch, method, dtype):
+    """The first load reads the checkpoint in the dtype its Hessian is
+    collected in, so an agnostic or RTN run never builds a float64 model;
+    a later alpha reloads it as float32."""
+    dtypes = []
+    load = pipeline.load_checkpoint
+
+    def record(path, dtype=np.float64):
+        model = load(path, dtype)
+        dtypes.append({v.dtype for v in model.params.values()})
+        return model
+
+    monkeypatch.setattr(pipeline, "load_checkpoint", record)
+    run_quantize(collector_config(tmp_path, method), (0.01, 0.1))
+    assert dtypes == [{np.dtype(dtype)}, {np.dtype(np.float32)}]
 
 
 @pytest.mark.parametrize("method, collector", COLLECTORS)

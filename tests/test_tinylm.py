@@ -8,7 +8,7 @@ import pytest
 import lm_reference as reference
 import oacal.tinylm as tinylm
 from oacal.errors import ArchitectureMismatch, ConfigError, DimMismatch
-from oacal.hessian import HessianAccumulator, HessianMode, accumulate_adaptive, finalize
+from oacal.hessian import HessianAccumulator, accumulate_adaptive, finalize
 from oacal.tinylm import (
     ModelConfig,
     TrainConfig,
@@ -222,7 +222,7 @@ class TestCollectors:
         samples = windows(THREE, 2 * BACKWARD_CHUNK + 1, 29)
         accs = harvest_block_gradients(model, samples)
         expected = {
-            name: HessianAccumulator(model.params[name].shape[1], HessianMode.ADAPTIVE)
+            name: HessianAccumulator(model.params[name].shape[1], lower=False)
             for name in quantizable_layers(model)
         }
         for rows in tinylm._chunks(THREE, *samples.shape, backward=True):
